@@ -10,7 +10,7 @@ BENCHTIME ?= 2x
 BENCHCOUNT ?= 5
 BENCHFLAGS = -run='^$$' -bench=. -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) .
 
-.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer short bench bench-baseline bench-check check cover chaos assess frontier
+.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer fuzz short bench bench-baseline bench-check check cover chaos assess frontier
 
 all: check
 
@@ -51,9 +51,10 @@ lint-baseline:
 test:
 	$(GO) test ./...
 
-# The runner's concurrency tests (cancellation draining, checkpoint
-# contention, worker-pool scheduling) must pass under the race
-# detector; this is the CI gate.
+# The concurrency tests (runner cancellation draining and worker-pool
+# scheduling, concurrent campaign workers contending for leases and
+# shard ledgers) must pass under the race detector; this is the CI
+# gate.
 race:
 	$(GO) test -race ./...
 
@@ -68,6 +69,21 @@ race-hammer:
 	mkdir -p $(RACE_ARTIFACTS)
 	$(GO) test -race -count=3 ./internal/runner/... ./internal/obs/ ./internal/sampling/ 2>&1 | tee $(RACE_ARTIFACTS)/race.log
 	@! grep -qE '^(FAIL|--- FAIL)|WARNING: DATA RACE' $(RACE_ARTIFACTS)/race.log || { echo "race-hammer: failures in $(RACE_ARTIFACTS)/race.log"; exit 1; }
+
+# fuzz runs every native fuzz target (stdlib testing.F) for FUZZTIME
+# each: the on-disk decoders that must never panic or accept a torn
+# record — shard ledger, campaign manifest, sampling spec, and the
+# perfbench bench-output and trajectory parsers. The CI race-hammer
+# job runs it.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = ./internal/runner/dist:FuzzReadLedger ./internal/runner/dist:FuzzOpenManifest \
+	./internal/sampling:FuzzParseSpec ./internal/perfbench:FuzzParseSet ./internal/perfbench:FuzzDecode
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$pkg $$fn"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 short:
 	$(GO) test -short ./...

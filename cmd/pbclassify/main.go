@@ -12,7 +12,7 @@
 // Usage:
 //
 //	pbclassify [-source paper|sim] [-threshold 63.25] [-dendrogram] [-n 100000]
-//	           [-timeout 0] [-retries 0] [-checkpoint classify.jsonl]
+//	           [-timeout 0] [-retries 0] [-checkpoint campaign/]
 //	           [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 package main
 
@@ -23,7 +23,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"pbsim/internal/cluster"
 	"pbsim/internal/experiment"
@@ -42,9 +41,7 @@ func run() (err error) {
 	dendro := flag.Bool("dendrogram", false, "also print a single-linkage clustering dendrogram")
 	n := flag.Int64("n", experiment.DefaultInstructions, "instructions per configuration when -source sim")
 	warmup := flag.Int64("warmup", experiment.DefaultWarmup, "warmup instructions when -source sim")
-	timeout := flag.Duration("timeout", 0, "per-configuration timeout when -source sim (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for a failed configuration when -source sim")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file when -source sim")
+	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbclassify")
 	flag.Parse()
 
@@ -57,9 +54,11 @@ func run() (err error) {
 	}
 	defer obs.FoldClose(&err, sess)
 
-	m, err := buildMatrix(ctx, *source, *n, *warmup, *timeout, *retries, *checkpoint, sess.Recorder())
+	opts := experiment.Options{Instructions: *n, Warmup: *warmup, Foldover: true, Recorder: sess.Recorder()}
+	runFlags.Apply(&opts)
+	m, err := buildMatrix(ctx, *source, opts)
 	if err != nil {
-		return err
+		return runFlags.Resumable(err)
 	}
 	fmt.Println(report.DistanceTable(m, "Table 10: Distance Between Benchmark Vectors, Based on Parameter Ranks"))
 	cut := *threshold
@@ -74,20 +73,14 @@ func run() (err error) {
 	return nil
 }
 
-func buildMatrix(ctx context.Context, source string, n, warmup int64, timeout time.Duration, retries int, checkpoint string, rec obs.Recorder) (*cluster.Matrix, error) {
+// buildMatrix computes the benchmark distance matrix from the chosen
+// rank source; opts configures the suite when the source is "sim".
+func buildMatrix(ctx context.Context, source string, opts experiment.Options) (*cluster.Matrix, error) {
 	switch source {
 	case "paper":
 		return cluster.DistanceMatrix(paperdata.Benchmarks, paperdata.RankVectors(paperdata.Table9))
 	case "sim":
-		suite, err := experiment.RunSuiteCtx(ctx, experiment.Options{
-			Instructions: n,
-			Warmup:       warmup,
-			Foldover:     true,
-			Timeout:      timeout,
-			Retries:      retries,
-			Checkpoint:   checkpoint,
-			Recorder:     rec,
-		})
+		suite, err := experiment.RunSuiteCtx(ctx, opts)
 		if err != nil {
 			return nil, err
 		}

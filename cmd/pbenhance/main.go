@@ -5,9 +5,10 @@
 // of every parameter before and after.
 //
 // Both suites are fault tolerant (-timeout, -retries) and share one
-// -checkpoint file: the base and enhanced runs are journaled under
-// distinct labels, so an interrupted comparison resumes without
-// repeating either phase's completed configurations.
+// -checkpoint directory, holding each phase's campaign in a
+// subdirectory named after its label (base, precompute-128, ...), so
+// an interrupted comparison resumes without repeating either phase's
+// completed configurations.
 //
 // Observability: -metrics journals both phases' events to one JSONL
 // file (each phase keyed by its own fingerprint), -progress prints
@@ -17,7 +18,7 @@
 // Usage:
 //
 //	pbenhance [-mechanism precompute|valuereuse] [-table 128] [-n 100000]
-//	          [-timeout 0] [-retries 0] [-checkpoint enhance.jsonl]
+//	          [-timeout 0] [-retries 0] [-checkpoint campaigns/]
 //	          [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 package main
 
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 
 	"pbsim/internal/enhance"
@@ -34,8 +36,8 @@ import (
 	"pbsim/internal/methodology"
 	"pbsim/internal/obs"
 	"pbsim/internal/paperdata"
+	"pbsim/internal/pb"
 	"pbsim/internal/report"
-	"pbsim/internal/runner"
 	"pbsim/internal/sim"
 	"pbsim/internal/workload"
 )
@@ -50,9 +52,7 @@ func run() (err error) {
 	n := flag.Int64("n", experiment.DefaultInstructions, "instructions measured per configuration")
 	warmup := flag.Int64("warmup", experiment.DefaultWarmup, "warmup instructions per configuration")
 	par := flag.Int("par", 0, "parallel simulations (default GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-configuration timeout (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for a failed configuration")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file shared by the base and enhanced suites")
+	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	compare := flag.Bool("compare", false, "print the enhanced ordering next to the paper's Table 12 sums")
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbenhance")
 	flag.Parse()
@@ -75,21 +75,29 @@ func run() (err error) {
 		Warmup:       *warmup,
 		Foldover:     true,
 		Parallelism:  *par,
-		Timeout:      *timeout,
-		Retries:      *retries,
-		Checkpoint:   *checkpoint,
-		Label:        "base",
 		Recorder:     sess.Recorder(),
 	}
-	before, err := experiment.RunSuiteCtx(ctx, opts)
-	if err != nil {
-		return phaseErr("base experiment", err, *checkpoint)
+	runFlags.Apply(&opts)
+	// phase runs one suite, its campaign in the label's subdirectory.
+	phase := func(name, label string, shortcut experiment.ShortcutFactory) (*pb.Suite, error) {
+		o := opts
+		o.Label, o.Shortcut = label, shortcut
+		if o.Checkpoint != "" {
+			o.Checkpoint = filepath.Join(o.Checkpoint, label)
+		}
+		suite, err := experiment.RunSuiteCtx(ctx, o)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, runFlags.Resumable(err))
+		}
+		return suite, nil
 	}
-	opts.Shortcut = factory
-	opts.Label = fmt.Sprintf("%s-%d", *mechanism, *tableSize)
-	after, err := experiment.RunSuiteCtx(ctx, opts)
+	before, err := phase("base experiment", "base", nil)
 	if err != nil {
-		return phaseErr("enhanced experiment", err, *checkpoint)
+		return err
+	}
+	after, err := phase("enhanced experiment", fmt.Sprintf("%s-%d", *mechanism, *tableSize), factory)
+	if err != nil {
+		return err
 	}
 	fmt.Println(report.RankTable(after,
 		fmt.Sprintf("Table 12: Plackett and Burman Design Results With %s (%d-entry table)", *mechanism, *tableSize)))
@@ -110,15 +118,6 @@ func run() (err error) {
 			"Enhanced ordering vs the paper's published Table 12"))
 	}
 	return nil
-}
-
-// phaseErr annotates a suite failure with its phase and, for an
-// interrupted checkpointed run, the resume hint.
-func phaseErr(phase string, err error, checkpoint string) error {
-	if runner.Cancelled(err) && checkpoint != "" {
-		return fmt.Errorf("%s: %w (rerun with -checkpoint %s to resume)", phase, err, checkpoint)
-	}
-	return fmt.Errorf("%s: %w", phase, err)
 }
 
 func shortcutFactory(mechanism string, tableSize int, profileLen int64) (experiment.ShortcutFactory, error) {

@@ -6,7 +6,7 @@
 //
 // The suite is fault tolerant: -timeout bounds each configuration,
 // -retries re-runs failed configurations with capped backoff, and
-// -checkpoint journals completed configurations to a JSONL file so an
+// -checkpoint runs the suite over a campaign directory so an
 // interrupted run (Ctrl-C included) resumes exactly where it stopped.
 //
 // Observability: -metrics journals run events to a JSONL file keyed
@@ -18,8 +18,7 @@
 // Usage:
 //
 //	pbrank [-n 100000] [-warmup 30000] [-benchmarks gzip,mcf,...]
-//	       [-timeout 0] [-retries 0] [-checkpoint suite.jsonl]
-//	       [-workers 4] [-shard-dir campaign/] [-shard-sync]
+//	       [-par 0] [-timeout 0] [-retries 0] [-checkpoint campaign/] [-shard-sync]
 //	       [-sample uniform] [-sample-region 1000] [-sample-frac 0.1]
 //	       [-sample-warmup -1] [-sample-func-warmup -1] [-sample-seed 1]
 //	       [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
@@ -31,18 +30,19 @@
 // window, cutting detailed instructions by roughly 1/-sample-frac
 // while preserving the Table 9 ordering (the pbfrontier tool gates
 // exactly that). The sampling spec is part of the experiment
-// fingerprint and of distributed campaign manifests, so checkpoints
-// never mix sampled and full rows and pbworker processes reconstruct
-// the identical schedule.
+// fingerprint and of campaign manifests, so a campaign never mixes
+// sampled and full rows and pbworker processes reconstruct the
+// identical schedule.
 //
-// Distributed mode (-workers / -shard-dir) runs the campaign through
-// the crash-safe execution layer: workers claim configuration ×
-// benchmark units via lease files and commit to per-worker shard
-// ledgers, so killed or crashed workers lose nothing committed, and
-// rerunning with the same -shard-dir resumes. Point pbworker
-// processes (other machines included, over a shared filesystem) at
-// the same directory to scale out; the merged Table 9 is
-// bit-identical to a sequential run.
+// Checkpointed mode (-checkpoint DIR) runs the suite through the
+// crash-safe execution layer: -par in-process workers claim
+// configuration × benchmark units of the campaign in DIR via lease
+// files and commit to per-worker shard ledgers (-shard-sync fsyncs
+// every commit), so a killed run loses nothing committed, and
+// rerunning with the same flags resumes; a DIR holding a campaign
+// with other flags is refused. Point pbworker processes (other
+// machines included, over a shared filesystem) at DIR to scale out;
+// the merged Table 9 is bit-identical to an in-memory run.
 package main
 
 import (
@@ -62,8 +62,6 @@ import (
 	"pbsim/internal/paperdata"
 	"pbsim/internal/pb"
 	"pbsim/internal/report"
-	"pbsim/internal/runner"
-	"pbsim/internal/runner/dist"
 	"pbsim/internal/sampling"
 	"pbsim/internal/workload"
 )
@@ -81,15 +79,11 @@ func run() (err error) {
 	pov := flag.Bool("pov", false, "print percent-of-variation dominance per benchmark (exposes what ranks hide)")
 	stability := flag.Bool("stability", false, "print leave-one-benchmark-out stability of the ordering")
 	par := flag.Int("par", 0, "parallel simulations (default GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-configuration timeout (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for a failed configuration")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file; an interrupted run resumes from it")
+	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	verbose := flag.Bool("v", false, "log retries and checkpoint restores")
 	csvRanks := flag.String("csv", "", "also write the rank matrix to this CSV file")
 	csvRaw := flag.String("csv-raw", "", "also write raw per-configuration cycle counts to this CSV file")
-	workers := flag.Int("workers", 0, "run the campaign through N crash-safe in-process workers (distributed mode)")
-	shardDir := flag.String("shard-dir", "", "campaign directory for distributed mode; share it with pbworker processes to scale out, rerun with it to resume")
-	shardSync := flag.Bool("shard-sync", false, "fsync shard ledgers after every commit in distributed mode")
+	shardSync := flag.Bool("shard-sync", false, "fsync every -checkpoint commit (survives machine death, not just process death)")
 	sampleFlags := sampling.RegisterFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbrank")
 	flag.Parse()
@@ -117,12 +111,11 @@ func run() (err error) {
 		Foldover:     true,
 		Parallelism:  *par,
 		Workloads:    ws,
-		Timeout:      *timeout,
-		Retries:      *retries,
-		Checkpoint:   *checkpoint,
+		Sync:         *shardSync,
 		Recorder:     sess.Recorder(),
 		Sampling:     sampleSpec,
 	}
+	runFlags.Apply(&opts)
 	if *verbose {
 		opts.OnRetry = func(scope string, row, attempt int, delay time.Duration, err error) {
 			fmt.Fprintf(os.Stderr, "pbrank: retrying %s row %d (attempt %d, in %v): %v\n", scope, row, attempt, delay, err)
@@ -133,20 +126,9 @@ func run() (err error) {
 			}
 		}
 	}
-	var suite *pb.Suite
-	if *workers > 0 || *shardDir != "" {
-		if *checkpoint != "" {
-			return obs.Usagef("-checkpoint is the sequential resume path; distributed mode resumes from -shard-dir itself")
-		}
-		suite, err = runDistributed(ctx, opts, *workers, *shardDir, *shardSync)
-	} else {
-		suite, err = experiment.RunSuiteCtx(ctx, opts)
-	}
+	suite, err := experiment.RunSuiteCtx(ctx, opts)
 	if err != nil {
-		if runner.Cancelled(err) && *checkpoint != "" {
-			return fmt.Errorf("%w (completed configurations are saved; rerun with -checkpoint %s to resume)", err, *checkpoint)
-		}
-		return err
+		return runFlags.Resumable(err)
 	}
 	title := fmt.Sprintf("Table 9: Plackett and Burman Design Results (X=%d foldover, %d configurations, %d instructions/run)",
 		suite.Design.X, suite.Design.Runs(), *n)
@@ -191,85 +173,6 @@ func run() (err error) {
 		}
 	}
 	return nil
-}
-
-// runDistributed executes the campaign through the crash-safe
-// distributed layer (internal/runner/dist): N in-process workers
-// claim (configuration × benchmark) units from the campaign
-// directory via leases and commit to per-worker shard ledgers, then
-// the merge proves the vectors complete and consistent and the suite
-// is assembled from them — bit-identical to the sequential path.
-// External pbworker processes pointed at the same -shard-dir join the
-// same campaign; a killed run resumes by rerunning with the same
-// flags and -shard-dir.
-func runDistributed(ctx context.Context, opts experiment.Options, workers int, dir string, shardSync bool) (*pb.Suite, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	ephemeral := false
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "pbrank-campaign-"); err != nil {
-			return nil, err
-		}
-		ephemeral = true
-		defer os.RemoveAll(dir) //pbcheck:ignore errdiscard best-effort cleanup of an ephemeral campaign dir
-	}
-	man, err := experiment.CampaignManifest(opts)
-	if err != nil {
-		return nil, err
-	}
-	c, err := dist.Create(dir, man)
-	if err != nil {
-		return nil, err
-	}
-	task, err := experiment.CampaignTask(opts, c.Manifest())
-	if err != nil {
-		return nil, err
-	}
-	host, herr := os.Hostname()
-	if herr != nil {
-		host = "pbrank"
-	}
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		//pbcheck:ignore leakygo worker goroutines terminate via ctx cancellation inside RunWorker and are joined by the errs receive loop below
-		go func(w int) {
-			_, err := dist.RunWorker(ctx, dir, task, dist.Config{
-				ID:   fmt.Sprintf("%s-%d-w%d", host, os.Getpid(), w),
-				Sync: shardSync,
-				Runner: runner.Config{
-					Timeout: opts.Timeout,
-					Retries: opts.Retries,
-					Backoff: opts.Backoff,
-					OnRow:   opts.OnRow,
-					OnRetry: opts.OnRetry,
-				},
-				Recorder: opts.Recorder,
-			})
-			errs <- err
-		}(w)
-	}
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		if runner.Cancelled(firstErr) && !ephemeral {
-			return nil, fmt.Errorf("%w (committed units are durable; rerun with -shard-dir %s to resume)", firstErr, dir)
-		}
-		return nil, firstErr
-	}
-	res, err := c.Merge(opts.Recorder)
-	if err != nil {
-		return nil, err
-	}
-	if !res.Complete() {
-		return nil, fmt.Errorf("campaign incomplete: %d units missing; rerun with -shard-dir %s to resume", len(res.Missing), dir)
-	}
-	return experiment.SuiteFromMerge(opts, res)
 }
 
 func selectWorkloads(list string) ([]workload.Workload, error) {

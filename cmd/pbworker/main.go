@@ -1,5 +1,5 @@
 // Command pbworker joins a distributed Plackett-Burman campaign: it
-// opens a shared campaign directory created by pbrank -shard-dir,
+// opens a shared campaign directory created by pbrank -checkpoint,
 // reconstructs the experiment task from the campaign manifest, and
 // claims, executes, and commits work units (design row × benchmark)
 // until the campaign is complete. Any number of pbworker processes —
@@ -7,8 +7,10 @@
 // work one campaign concurrently; crashed or stalled workers lose
 // their leases after -ttl and their units are stolen by the rest.
 // Results land in per-worker append-only shard ledgers that
-// pbrank -shard-dir (or any later pbrank with the same flags) merges
-// into the exact Table 9 a sequential run prints.
+// pbrank -checkpoint (or any later pbrank with the same flags) merges
+// into the exact Table 9 an in-memory run prints. Campaigns whose
+// suite runs an enhancement shortcut (pbenhance, tablegen's Table 12)
+// carry no spec to reconstruct and are refused.
 //
 // The worker validates its reconstruction: the fingerprint recomputed
 // from the manifest's spec must match the manifest's, so a version-
@@ -51,7 +53,7 @@ func main() {
 }
 
 func run() (err error) {
-	dir := flag.String("dir", "", "campaign directory (required; created by pbrank -shard-dir)")
+	dir := flag.String("dir", "", "campaign directory (required; created by pbrank -checkpoint)")
 	id := flag.String("id", "", "worker name; must be unique among live workers (default host-pid)")
 	ttl := flag.Duration("ttl", 10*time.Second, "lease time-to-live; a worker silent this long loses its units")
 	poll := flag.Duration("poll", 0, "wait between passes when all remaining units are leased elsewhere (default ttl/4)")
@@ -62,7 +64,7 @@ func run() (err error) {
 	flag.Parse()
 
 	if *dir == "" {
-		return obs.Usagef("-dir is required (a campaign directory created by pbrank -shard-dir)")
+		return obs.Usagef("-dir is required (a campaign directory created by pbrank -checkpoint)")
 	}
 	if *id == "" {
 		host, herr := os.Hostname()

@@ -1,10 +1,14 @@
 // Command simrun executes one processor simulation: a chosen synthetic
 // benchmark on a chosen configuration, printing the full statistics
 // report. With -bench all, the benchmarks are evaluated through the
-// fault-tolerant runner: -timeout bounds each simulation, -retries
-// re-runs failures, and -checkpoint journals finished benchmarks so a
-// rerun skips them (restored benchmarks report their cycle count; the
-// full statistics are only printed for freshly simulated runs).
+// fault-tolerant runner: -par simulates several at once (reports
+// still print in benchmark order), -timeout bounds each simulation,
+// -retries re-runs failures, and -checkpoint runs them over a campaign
+// directory, so a rerun with the same flags skips finished benchmarks
+// (those report their cycle count; the full statistics are only
+// printed for benchmarks this process simulated). Several simrun
+// processes started with identical flags and the same -checkpoint
+// directory split the benchmarks between them.
 //
 // Observability: -metrics journals run events to JSONL, -progress
 // prints live progress and an end-of-run summary, -debug-addr serves
@@ -13,9 +17,8 @@
 // Usage:
 //
 //	simrun [-bench gzip] [-n 100000] [-warmup 30000]
-//	       [-config default|all-low|all-high] [-precompute 0]
-//	       [-timeout 0] [-retries 0] [-checkpoint simrun.jsonl]
-//	       [-workers 4] [-shard-dir campaign/] [-shard-sync]
+//	       [-config default|all-low|all-high] [-precompute 0] [-par 1]
+//	       [-timeout 0] [-retries 0] [-checkpoint campaign/] [-shard-sync]
 //	       [-sample uniform] [-sample-region 1000] [-sample-frac 0.1]
 //	       [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
@@ -23,15 +26,9 @@
 // only a seeded subset of each benchmark's measured window
 // (internal/sampling) and reports the extrapolated cycle count with
 // its 95% confidence interval and the detailed-instruction reduction,
-// instead of the full statistics report. It is sequential-only and
-// mutually exclusive with -precompute (sampling measures the base
-// pipeline, not an enhanced one).
-//
-// Distributed mode (-workers / -shard-dir) evaluates the benchmark
-// list through the crash-safe execution layer: several simrun
-// processes started with identical flags and the same -shard-dir
-// split the benchmarks, survive kills, and resume from the shard
-// ledgers.
+// instead of the full statistics report. It is mutually exclusive with
+// -precompute (sampling measures the base pipeline, not an enhanced
+// one) and with -checkpoint (sampled runs are cheap by construction).
 package main
 
 import (
@@ -45,6 +42,7 @@ import (
 	"syscall"
 
 	"pbsim/internal/enhance"
+	"pbsim/internal/experiment"
 	"pbsim/internal/obs"
 	"pbsim/internal/pb"
 	"pbsim/internal/report"
@@ -65,12 +63,9 @@ func run() (err error) {
 	warmup := flag.Int64("warmup", 30000, "instructions to warm up before measuring")
 	configSel := flag.String("config", "default", "configuration: default, all-low, or all-high")
 	precompute := flag.Int("precompute", 0, "enable instruction precomputation with a table of this many entries")
-	timeout := flag.Duration("timeout", 0, "per-simulation timeout (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for a failed simulation")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file; finished benchmarks are skipped on rerun")
-	workers := flag.Int("workers", 0, "run the benchmarks through N crash-safe in-process workers (distributed mode)")
-	shardDir := flag.String("shard-dir", "", "campaign directory for distributed mode; share it among simrun processes with identical flags to scale out or resume")
-	shardSync := flag.Bool("shard-sync", false, "fsync shard ledgers after every commit in distributed mode")
+	par := flag.Int("par", 1, "benchmarks simulated in parallel")
+	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
+	shardSync := flag.Bool("shard-sync", false, "fsync every -checkpoint commit (survives machine death, not just process death)")
 	sampleFlags := sampling.RegisterFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "simrun")
 	flag.Parse()
@@ -97,230 +92,129 @@ func run() (err error) {
 	if err != nil {
 		return obs.Usagef("%v", err)
 	}
+	// The fingerprint pins every flag that changes cycle counts AND the
+	// benchmark list itself (row i means names[i]), so a campaign
+	// directory is never resumed, or joined, under other flags.
+	fp := fmt.Sprintf("simrun|config=%s|n=%d|warmup=%d|precompute=%d|benchmarks=%s",
+		*configSel, *n, *warmup, *precompute, strings.Join(names, ","))
 	if sampleSpec != nil {
 		switch {
 		case *precompute > 0:
 			return obs.Usagef("-sample measures the base pipeline; it cannot be combined with -precompute")
-		case *workers > 0 || *shardDir != "":
-			return obs.Usagef("-sample is sequential-only in simrun; distributed sampled campaigns run through pbrank/pbworker manifests")
-		case *checkpoint != "":
+		case runFlags.Checkpoint != "":
 			return obs.Usagef("-sample runs are cheap by construction and do not checkpoint")
 		}
-		return runSampled(ctx, names, cfg, *n, *warmup, *sampleSpec)
+		fp += "|sample=" + sampleSpec.String()
 	}
-
-	if *workers > 0 || *shardDir != "" {
-		if *checkpoint != "" {
-			return obs.Usagef("-checkpoint is the sequential resume path; distributed mode resumes from -shard-dir itself")
-		}
-		return runDistributed(ctx, names, cfg, *n, *warmup, *precompute, *configSel,
-			*workers, *shardDir, *shardSync, sess.Recorder())
-	}
-
-	rcfg := runner.Config{
-		Parallelism: 1, // keep reports in benchmark order
-		Timeout:     *timeout,
-		Retries:     *retries,
-		Scope:       "simrun",
-		Recorder:    sess.Recorder(),
-	}
-	fp := fmt.Sprintf("simrun|config=%s|n=%d|warmup=%d|precompute=%d", *configSel, *n, *warmup, *precompute)
-	if rec := sess.Recorder(); rec != nil {
-		rec.SuiteStarted(fp, 1, len(names))
-	}
-	if *checkpoint != "" {
-		cp, err := runner.OpenCheckpoint(*checkpoint, fp)
-		if err != nil {
-			return err
-		}
-		defer obs.FoldClose(&err, cp)
-		rcfg.Checkpoint = cp
-	}
-
-	// Row i simulates names[i]; restored rows leave stats[i] nil and
-	// report only the checkpointed cycle count.
-	stats := make([]*sim.Stats, len(names))
-	task := func(ctx context.Context, i int) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		s, err := runOne(names[i], cfg, *n, *warmup, *precompute)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", names[i], err)
-		}
-		stats[i] = &s
-		return float64(s.Cycles), nil
-	}
-	cycles, err := runner.Evaluate(ctx, len(names), task, rcfg)
-	if err != nil {
-		if runner.Cancelled(err) && *checkpoint != "" {
-			return fmt.Errorf("%w (rerun with -checkpoint %s to skip finished benchmarks)", err, *checkpoint)
-		}
-		return err
-	}
-	for i, name := range names {
-		if stats[i] == nil {
-			fmt.Printf("%s: %.0f cycles (restored from checkpoint; rerun without -checkpoint for the full report)\n",
-				name, cycles[i])
-			continue
-		}
-		fmt.Println(report.SimStats(name, *stats[i]))
-	}
-	return nil
-}
-
-// runSampled evaluates each benchmark through the region-sampling
-// layer and prints the estimate with its quantified error: the
-// extrapolated cycle count ± the 95% confidence half-width, the CPI
-// estimate, the sampled region count, and the detailed-instruction
-// reduction against a full run of the same budgets.
-func runSampled(ctx context.Context, names []string, cfg sim.Config, n, warmup int64, spec sampling.Spec) error {
-	full := warmup + n
-	for _, name := range names {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		w, err := workload.ByName(name)
-		if err != nil {
-			return err
-		}
-		gen, err := w.NewGenerator()
-		if err != nil {
-			return err
-		}
-		res, err := sampling.Run(cfg, gen, warmup, n, spec)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Printf("%s: %.0f ± %.0f cycles (95%% CI), CPI %.4f ± %.4f\n",
-			name, res.Cycles, res.CyclesCIHalf, res.CPI, res.CIHalf)
-		if res.Census {
-			fmt.Printf("  %s estimator: budget covered all %d regions — exact full simulation\n",
-				res.Estimator, res.NumRegions)
-			continue
-		}
-		fmt.Printf("  %s estimator: %d/%d regions detailed\n",
-			res.Estimator, res.SampledRegions, res.NumRegions)
-		fmt.Printf("  detailed %d of %d instructions (%.1fx reduction), functional warming %d (+%d schedule)\n",
-			res.DetailedInstructions, full, float64(full)/float64(res.DetailedInstructions),
-			res.FunctionalInstructions, res.ScheduleFunctional)
-	}
-	return nil
-}
-
-// runDistributed evaluates the benchmark list through the crash-safe
-// distributed layer (internal/runner/dist): each benchmark is one
-// claimable unit in a single "simrun" scope. Several simrun processes
-// started with identical flags and the same -shard-dir split the
-// list between them and survive kills — committed benchmarks are
-// never re-simulated, and rerunning with the same flags resumes. The
-// campaign fingerprint pins every flag that changes cycle counts AND
-// the benchmark list itself (row i means names[i]), so a flag-skewed
-// joiner is refused instead of committing mismatched rows.
-//
-// Benchmarks simulated by this process print the full statistics
-// report; rows merged from other workers' shards report their cycle
-// count, exactly like checkpoint-restored rows in sequential mode.
-func runDistributed(ctx context.Context, names []string, cfg sim.Config, n, warmup int64,
-	precompute int, configSel string, workers int, dir string, shardSync bool, rec obs.Recorder) error {
-	if workers <= 0 {
-		workers = 1
-	}
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "simrun-campaign-"); err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir) //pbcheck:ignore errdiscard best-effort cleanup of an ephemeral campaign dir
-	}
-	fp := fmt.Sprintf("simrun|config=%s|n=%d|warmup=%d|precompute=%d|benchmarks=%s",
-		configSel, n, warmup, precompute, strings.Join(names, ","))
-	c, err := dist.Create(dir, dist.Manifest{
-		Fingerprint: fp,
-		Scopes:      []dist.ScopeSpec{{Name: "simrun", Rows: len(names)}},
-		Spec: map[string]string{
-			"tool":       "simrun",
-			"config":     configSel,
-			"n":          fmt.Sprint(n),
-			"warmup":     fmt.Sprint(warmup),
-			"precompute": fmt.Sprint(precompute),
-			"benchmarks": strings.Join(names, ","),
-		},
-	})
-	if err != nil {
-		return err
-	}
+	rec := sess.Recorder()
 	if rec != nil {
 		rec.SuiteStarted(fp, 1, len(names))
 	}
 
-	// Full statistics for rows this process simulated; a steal can
-	// double-execute a row, so the slot is written under a lock (both
-	// writers compute identical stats — the simulator is
-	// deterministic — but identical bits still need one writer).
+	// Row i simulates names[i] and leaves its report in reports[i]. A
+	// campaign can execute a row twice (a stolen lease), so the slot is
+	// written under a lock: both writers produce identical reports —
+	// the simulator is deterministic — but identical bytes still need
+	// one writer.
 	var mu sync.Mutex
-	stats := make([]*sim.Stats, len(names))
-	task := func(ctx context.Context, _ string, row int) (float64, error) {
+	reports := make([]string, len(names))
+	task := func(ctx context.Context, i int) (float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		s, err := runOne(names[row], cfg, n, warmup, precompute)
+		var text string
+		var cycles float64
+		var err error
+		if sampleSpec != nil {
+			text, cycles, err = runSampled(names[i], cfg, *n, *warmup, *sampleSpec)
+		} else {
+			text, cycles, err = runOne(names[i], cfg, *n, *warmup, *precompute)
+		}
 		if err != nil {
-			return 0, fmt.Errorf("%s: %w", names[row], err)
+			return 0, fmt.Errorf("%s: %w", names[i], err)
 		}
 		mu.Lock()
-		stats[row] = &s
+		reports[i] = text
 		mu.Unlock()
-		return float64(s.Cycles), nil
+		return cycles, nil
 	}
-
-	host, herr := os.Hostname()
-	if herr != nil {
-		host = "simrun"
+	rcfg := runner.Config{Parallelism: *par, Timeout: runFlags.Timeout, Retries: runFlags.Retries, Recorder: rec}
+	var cycles []float64
+	if runFlags.Checkpoint == "" {
+		rcfg.Scope = "simrun"
+		cycles, err = runner.Evaluate(ctx, len(names), task, rcfg)
+	} else {
+		cycles, err = runCampaign(ctx, runFlags.Checkpoint, fp, len(names), task, *par, dist.Config{Sync: *shardSync, Runner: rcfg, Recorder: rec})
 	}
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		//pbcheck:ignore leakygo worker goroutines terminate via ctx cancellation inside RunWorker and are joined by the errs receive loop below
-		go func(w int) {
-			_, err := dist.RunWorker(ctx, dir, task, dist.Config{
-				ID:       fmt.Sprintf("%s-%d-w%d", host, os.Getpid(), w),
-				Sync:     shardSync,
-				Recorder: rec,
-			})
-			errs <- err
-		}(w)
-	}
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		if runner.Cancelled(firstErr) {
-			return fmt.Errorf("%w (committed benchmarks are durable; rerun with -shard-dir %s to resume)", firstErr, dir)
-		}
-		return firstErr
-	}
-	res, err := c.Merge(rec)
 	if err != nil {
-		return err
-	}
-	if !res.Complete() {
-		return fmt.Errorf("campaign incomplete: %d benchmarks missing; rerun with -shard-dir %s to resume", len(res.Missing), dir)
-	}
-	cycles, err := res.Responses("simrun")
-	if err != nil {
-		return err
+		return runFlags.Resumable(err)
 	}
 	for i, name := range names {
-		if stats[i] == nil {
-			fmt.Printf("%s: %.0f cycles (merged from another worker's shard ledger)\n", name, cycles[i])
+		if reports[i] == "" {
+			fmt.Printf("%s: %.0f cycles (committed to the campaign earlier or by another process; rerun without -checkpoint for the full report)\n",
+				name, cycles[i])
 			continue
 		}
-		fmt.Println(report.SimStats(name, *stats[i]))
+		fmt.Print(reports[i])
 	}
 	return nil
+}
+
+// runCampaign evaluates the benchmark rows over the campaign directory
+// dir (internal/runner/dist): each benchmark is one claimable unit in
+// a single "simrun" scope, run by the given number of in-process
+// workers.
+func runCampaign(ctx context.Context, dir, fp string, rows int, task runner.Task, workers int, cfg dist.Config) ([]float64, error) {
+	c, err := dist.Create(dir, dist.Manifest{
+		Fingerprint: fp,
+		Scopes:      []dist.ScopeSpec{{Name: "simrun", Rows: rows}},
+		Spec:        map[string]string{"tool": "simrun"},
+	})
+	if err != nil {
+		return nil, err
+	}
+	res, err := dist.Run(ctx, c.Dir(), func(ctx context.Context, _ string, row int) (float64, error) {
+		return task(ctx, row)
+	}, workers, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return res.Responses("simrun")
+}
+
+// runSampled evaluates one benchmark through the region-sampling layer
+// and reports the estimate with its quantified error: the extrapolated
+// cycle count ± the 95% confidence half-width, the CPI estimate, the
+// sampled region count, and the detailed-instruction reduction against
+// a full run of the same budgets.
+func runSampled(name string, cfg sim.Config, n, warmup int64, spec sampling.Spec) (string, float64, error) {
+	w, err := workload.ByName(name)
+	if err != nil {
+		return "", 0, err
+	}
+	gen, err := w.NewGenerator()
+	if err != nil {
+		return "", 0, err
+	}
+	res, err := sampling.Run(cfg, gen, warmup, n, spec)
+	if err != nil {
+		return "", 0, err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: %.0f ± %.0f cycles (95%% CI), CPI %.4f ± %.4f\n",
+		name, res.Cycles, res.CyclesCIHalf, res.CPI, res.CIHalf)
+	if res.Census {
+		fmt.Fprintf(&b, "  %s estimator: budget covered all %d regions — exact full simulation\n",
+			res.Estimator, res.NumRegions)
+		return b.String(), res.Cycles, nil
+	}
+	full := warmup + n
+	fmt.Fprintf(&b, "  %s estimator: %d/%d regions detailed\n",
+		res.Estimator, res.SampledRegions, res.NumRegions)
+	fmt.Fprintf(&b, "  detailed %d of %d instructions (%.1fx reduction), functional warming %d (+%d schedule)\n",
+		res.DetailedInstructions, full, float64(full)/float64(res.DetailedInstructions),
+		res.FunctionalInstructions, res.ScheduleFunctional)
+	return b.String(), res.Cycles, nil
 }
 
 func selectConfig(sel string) (sim.Config, error) {
@@ -342,31 +236,37 @@ func selectConfig(sel string) (sim.Config, error) {
 	}
 }
 
-func runOne(name string, cfg sim.Config, n, warmup int64, precompute int) (sim.Stats, error) {
+// runOne simulates one benchmark in full and returns its statistics
+// report and cycle count.
+func runOne(name string, cfg sim.Config, n, warmup int64, precompute int) (string, float64, error) {
 	w, err := workload.ByName(name)
 	if err != nil {
-		return sim.Stats{}, err
+		return "", 0, err
 	}
 	gen, err := w.NewGenerator()
 	if err != nil {
-		return sim.Stats{}, err
+		return "", 0, err
 	}
 	var shortcut sim.ComputeShortcut
 	if precompute > 0 {
 		freq, err := enhance.Profile(w.Params, warmup+n)
 		if err != nil {
-			return sim.Stats{}, err
+			return "", 0, err
 		}
 		table, err := enhance.NewPrecomputation(freq, precompute)
 		if err != nil {
-			return sim.Stats{}, err
+			return "", 0, err
 		}
 		shortcut = table
 	}
 	cpu, err := sim.New(cfg, gen, shortcut)
 	if err != nil {
-		return sim.Stats{}, err
+		return "", 0, err
 	}
 	cpu.PrewarmMemory()
-	return cpu.RunWithWarmup(warmup, n)
+	s, err := cpu.RunWithWarmup(warmup, n)
+	if err != nil {
+		return "", 0, err
+	}
+	return report.SimStats(name, s) + "\n", float64(s.Cycles), nil
 }

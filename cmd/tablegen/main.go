@@ -3,7 +3,10 @@
 // experimental tables (9-12) by running the full Plackett-Burman
 // experiments on the simulator. The experimental runs are fault
 // tolerant: -timeout, -retries, and -checkpoint behave as in pbrank,
-// and Ctrl-C leaves a resumable checkpoint instead of lost work.
+// and Ctrl-C leaves a resumable checkpoint instead of lost work. Each
+// experimental suite keeps its campaign in its own subdirectory of the
+// -checkpoint directory, named after its label (base,
+// precompute-128).
 //
 // Observability: -metrics journals every experimental suite's events
 // to one JSONL file, -progress prints live progress and a combined
@@ -12,7 +15,7 @@
 // Usage:
 //
 //	tablegen [-out out] [-table 0] [-n 100000] [-warmup 30000]
-//	         [-timeout 0] [-retries 0] [-checkpoint tables.jsonl]
+//	         [-timeout 0] [-retries 0] [-checkpoint campaigns/]
 //	         [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
 // With -table 0 (the default) all tables are generated.
@@ -26,7 +29,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"pbsim/internal/cluster"
 	"pbsim/internal/enhance"
@@ -50,9 +52,7 @@ func run() (err error) {
 	n := flag.Int64("n", experiment.DefaultInstructions, "instructions per configuration for tables 9-12")
 	warmup := flag.Int64("warmup", experiment.DefaultWarmup, "warmup instructions per configuration")
 	par := flag.Int("par", 0, "parallel simulations")
-	timeout := flag.Duration("timeout", 0, "per-configuration timeout (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for a failed configuration")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file shared by all experimental tables")
+	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "tablegen")
 	flag.Parse()
 
@@ -67,8 +67,7 @@ func run() (err error) {
 
 	g := &generator{
 		ctx: ctx, out: *out, n: *n, warmup: *warmup, par: *par,
-		timeout: *timeout, retries: *retries, checkpoint: *checkpoint,
-		recorder: sess.Recorder(),
+		run: runFlags, recorder: sess.Recorder(),
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
@@ -83,26 +82,24 @@ func run() (err error) {
 		if !ok {
 			return obs.Usagef("unknown table %d", *table)
 		}
-		return step()
+		return runFlags.Resumable(step())
 	}
 	for _, i := range []int{1, 2, 3, 4, 5, 6, 9, 10, 12} {
 		if err := steps[i](); err != nil {
-			return err
+			return runFlags.Resumable(err)
 		}
 	}
 	return nil
 }
 
 type generator struct {
-	ctx        context.Context
-	out        string
-	n          int64
-	warmup     int64
-	par        int
-	timeout    time.Duration
-	retries    int
-	checkpoint string
-	recorder   obs.Recorder
+	ctx      context.Context
+	out      string
+	n        int64
+	warmup   int64
+	par      int
+	run      *experiment.RunFlags
+	recorder obs.Recorder
 	// cached experiment results shared between tables
 	base *pb.Suite
 }
@@ -153,17 +150,19 @@ func (g *generator) tables678() error {
 }
 
 func (g *generator) options(label string) experiment.Options {
-	return experiment.Options{
+	opts := experiment.Options{
 		Instructions: g.n,
 		Warmup:       g.warmup,
 		Foldover:     true,
 		Parallelism:  g.par,
-		Timeout:      g.timeout,
-		Retries:      g.retries,
-		Checkpoint:   g.checkpoint,
 		Label:        label,
 		Recorder:     g.recorder,
 	}
+	g.run.Apply(&opts)
+	if opts.Checkpoint != "" {
+		opts.Checkpoint = filepath.Join(opts.Checkpoint, label)
+	}
+	return opts
 }
 
 func (g *generator) baseSuite() (*pb.Suite, error) {

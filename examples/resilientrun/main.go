@@ -9,16 +9,16 @@
 //     attempt exceeds the per-row timeout — and shows the suite
 //     completing anyway via retries with capped backoff.
 //
-//  2. Interrupted mid-suite (a simulated crash after a fixed number of
-//     row evaluations) with a JSONL checkpoint, then resumed: the
-//     resumed run re-simulates only the missing rows and reproduces
-//     the identical sum-of-ranks ordering.
+//  2. Run over a campaign directory (internal/runner/dist) whose worker
+//     dies mid-suite at an injected crash point, then restarted: the
+//     restarted run re-simulates only the units the dead worker never
+//     committed and reproduces the identical sum-of-ranks ordering.
 //
 // Both phases run under the observability layer (internal/obs): the
 // fault-injected suite aggregates retry/panic/timeout counts through
 // an obs.Metrics recorder, and the resumed suite additionally
 // journals every event to a metrics JSONL whose resumed-vs-simulated
-// accounting is verified against the checkpoint — so this example
+// accounting is verified against the crashed run — so this example
 // doubles as an integration smoke test of the obs layer.
 //
 // Run it with:
@@ -41,6 +41,7 @@ import (
 	"pbsim/internal/obs"
 	"pbsim/internal/pb"
 	"pbsim/internal/runner"
+	"pbsim/internal/runner/dist"
 )
 
 func main() {
@@ -116,57 +117,48 @@ func run() (err error) {
 		metrics.Attempts.Value(), metrics.Retries.Value(), metrics.Panics.Value(),
 		metrics.Timeouts.Value(), metrics.Workers.Peak())
 
-	fmt.Println("=== Phase 2: crash mid-suite, then checkpoint resume ===")
+	fmt.Println("=== Phase 2: crash mid-suite, then resume from the campaign directory ===")
 	dir, err := os.MkdirTemp("", "resilientrun")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir) //pbcheck:ignore errdiscard best-effort temp-dir cleanup; nothing actionable on failure
-	path := filepath.Join(dir, "suite.jsonl")
-
-	// The "crashing" first run: the response budget dies after 20 rows.
-	cp, err := runner.OpenCheckpoint(path, "example")
-	if err != nil {
+	campaign := filepath.Join(dir, "campaign")
+	design := faulted.Design
+	man := dist.Manifest{Fingerprint: "example"}
+	index := make(map[string]int, len(benchmarks))
+	for bi, b := range benchmarks {
+		man.Scopes = append(man.Scopes, dist.ScopeSpec{Name: b, Rows: design.Runs()})
+		index[b] = bi
+	}
+	if _, err := dist.Create(campaign, man); err != nil {
 		return err
 	}
-	var budget atomic.Int64
-	budget.Store(20)
-	crashing := make([]pb.FallibleResponse, len(responses))
-	for i, resp := range responses {
-		crashing[i] = func(ctx context.Context, levels []pb.Level) (float64, error) {
-			if budget.Add(-1) < 0 {
-				return 0, errors.New("simulated crash")
-			}
-			return resp(ctx, levels)
-		}
-	}
-	copts := pb.Options{Foldover: true}
-	copts.Runner.Checkpoint = cp
-	if _, err := pb.RunSuiteCtx(context.Background(), factors, benchmarks, crashing, copts); err == nil {
-		return errors.New("crashing run unexpectedly succeeded")
-	} else {
-		fmt.Printf("first run died as planned: %v\n", err)
-	}
-	if err := cp.Close(); err != nil {
-		return err
+	var simulated atomic.Int64
+	task := func(ctx context.Context, scope string, row int) (float64, error) {
+		simulated.Add(1)
+		return responses[index[scope]](ctx, design.Row(row))
 	}
 
-	// The resumed run: same checkpoint file, healthy responses, and
+	// The "crashing" first run: its worker dies at the commit boundary
+	// of the first unit of row 5, leaving every earlier unit committed
+	// and its lease on the unit it was running.
+	const ttl = 100 * time.Millisecond
+	crash := &runner.Faults{CrashRows: map[int]int{5: 1}}
+	_, err = dist.Run(context.Background(), campaign, task, 1, dist.Config{
+		ID: "first", LeaseTTL: ttl, Runner: runner.Config{Wrap: crash.Wrap},
+	})
+	if !errors.Is(err, runner.ErrCrash) {
+		return fmt.Errorf("crashing run: %v, want an injected crash", err)
+	}
+	fmt.Printf("first run died as planned: %v\n", err)
+	// Every unit it simulated was committed except the one it died on.
+	committed := simulated.Load() - 1
+
+	// The restarted run: same campaign directory, healthy workers, and
 	// the full observability stack — aggregate metrics plus a JSONL
 	// event journal keyed by the experiment fingerprint.
-	re, err := runner.OpenCheckpoint(path, "example")
-	if err != nil {
-		return err
-	}
-	defer obs.FoldClose(&err, re)
-	var simulated atomic.Int64
-	counting := make([]pb.FallibleResponse, len(responses))
-	for i, resp := range responses {
-		counting[i] = func(ctx context.Context, levels []pb.Level) (float64, error) {
-			simulated.Add(1)
-			return resp(ctx, levels)
-		}
-	}
+	simulated.Store(0)
 	metricsPath := filepath.Join(dir, "metrics.jsonl")
 	sink, err := obs.OpenJSONL(metricsPath)
 	if err != nil {
@@ -174,24 +166,31 @@ func run() (err error) {
 	}
 	rmetrics := obs.NewMetrics()
 	rec := obs.Multi(rmetrics, sink)
-	rec.SuiteStarted("example", len(benchmarks), faulted.Design.Runs())
-	ropts := pb.Options{Foldover: true}
-	ropts.Runner.Checkpoint = re
-	ropts.Runner.Recorder = rec
-	resumed, err := pb.RunSuiteCtx(context.Background(), factors, benchmarks, counting, ropts)
+	rec.SuiteStarted("example", len(benchmarks), design.Runs())
+	res, err := dist.Run(context.Background(), campaign, task, 2, dist.Config{ID: "restart", LeaseTTL: ttl, Recorder: rec})
 	if err != nil {
 		return fmt.Errorf("resumed suite: %w", err)
 	}
-	total := resumed.Design.Runs() * len(benchmarks)
-	fmt.Printf("resume restored %d rows from the checkpoint and simulated only %d of %d\n",
-		re.Loaded(), simulated.Load(), total)
+	vecs := make([][]float64, len(benchmarks))
+	for bi, b := range benchmarks {
+		if vecs[bi], err = res.Responses(b); err != nil {
+			return err
+		}
+	}
+	resumed, err := pb.SuiteFromResponses(design, factors, benchmarks, vecs)
+	if err != nil {
+		return err
+	}
+	total := design.Runs() * len(benchmarks)
+	fmt.Printf("resume restored %d committed units and simulated only %d of %d\n",
+		committed, simulated.Load(), total)
 
-	// The metrics must tell the same story as the checkpoint and the
-	// counting wrapper — this is the obs layer's integration check.
+	// The metrics must tell the same story as the crashed run and the
+	// counting task — this is the obs layer's integration check.
 	summary := rmetrics.Summary("resilientrun")
-	if summary.RowsResumed != int64(re.Loaded()) || summary.RowsSimulated != simulated.Load() {
-		return fmt.Errorf("metrics disagree with ground truth: %d resumed / %d simulated vs %d / %d",
-			summary.RowsResumed, summary.RowsSimulated, re.Loaded(), simulated.Load())
+	if summary.RowsResumed != committed || summary.RowsSimulated != simulated.Load() || committed+simulated.Load() != int64(total) {
+		return fmt.Errorf("metrics disagree with ground truth: %d resumed / %d simulated vs %d / %d of %d",
+			summary.RowsResumed, summary.RowsSimulated, committed, simulated.Load(), total)
 	}
 	sink.WriteSummary(summary)
 	if err := sink.Close(); err != nil {

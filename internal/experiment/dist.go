@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"pbsim/internal/pb"
+	"pbsim/internal/runner"
 	"pbsim/internal/runner/dist"
 	"pbsim/internal/sampling"
 	"pbsim/internal/sim"
@@ -17,8 +18,9 @@ import (
 // distributed execution layer (internal/runner/dist): it translates
 // an Options into a campaign manifest whose Spec lets a bare
 // cmd/pbworker process reconstruct the identical task from the
-// campaign directory alone, and folds a completed merge back into the
-// pb.Suite the sequential path produces.
+// campaign directory alone, runs checkpointed suites over such a
+// directory, and folds a completed merge back into the pb.Suite the
+// in-memory path produces.
 
 // Spec keys stored in the campaign manifest.
 const (
@@ -31,9 +33,9 @@ const (
 	specSample     = "sample"
 )
 
-// campaignPlan is everything derivable from Options that the
-// distributed path needs: the design, the resolved workload list, and
-// the fingerprint.
+// campaignPlan is everything derivable from Options that both
+// execution paths need: the defaulted options, the design, and the
+// resolved workload list.
 type campaignPlan struct {
 	opts    Options
 	design  *pb.Design
@@ -41,10 +43,8 @@ type campaignPlan struct {
 	ws      []workload.Workload
 }
 
+// planCampaign fills Options defaults and validates them.
 func planCampaign(opts Options) (*campaignPlan, error) {
-	if opts.Shortcut != nil {
-		return nil, fmt.Errorf("experiment: distributed campaigns run the base simulator only (enhancement shortcuts cannot be reconstructed from a manifest)")
-	}
 	if opts.Instructions <= 0 {
 		opts.Instructions = DefaultInstructions
 	}
@@ -52,6 +52,9 @@ func planCampaign(opts Options) (*campaignPlan, error) {
 		opts.Warmup = DefaultWarmup
 	}
 	if opts.Sampling != nil {
+		if opts.Shortcut != nil {
+			return nil, fmt.Errorf("experiment: sampling cannot be combined with an enhancement shortcut")
+		}
 		// Normalize here so the manifest, the fingerprint, and every
 		// reconstructing worker agree on one canonical spec.
 		spec := opts.Sampling.Normalized()
@@ -75,33 +78,81 @@ func planCampaign(opts Options) (*campaignPlan, error) {
 	return &campaignPlan{opts: opts, design: design, factors: factors, ws: ws}, nil
 }
 
+// response is the per-row response function of workload w.
+func (p *campaignPlan) response(w workload.Workload) pb.FallibleResponse {
+	if p.opts.Sampling != nil {
+		return SampledResponse(w, p.opts.Warmup, p.opts.Instructions, *p.opts.Sampling)
+	}
+	return Response(w, p.opts.Warmup, p.opts.Instructions, p.opts.Shortcut)
+}
+
+// runCampaign runs the suite over the campaign directory
+// opts.Checkpoint with Parallelism in-process workers (dist.Run):
+// a new directory becomes a campaign, one holding the same
+// fingerprint resumes, and one holding another fingerprint is
+// refused by dist.Create, naming both.
+func (p *campaignPlan) runCampaign(ctx context.Context) (*pb.Suite, error) {
+	c, err := dist.Create(p.opts.Checkpoint, p.manifest())
+	if err != nil {
+		return nil, err
+	}
+	task, err := p.task(c.Manifest())
+	if err != nil {
+		return nil, err
+	}
+	res, err := dist.Run(ctx, c.Dir(), task, p.opts.Parallelism, dist.Config{
+		Sync: p.opts.Sync,
+		Runner: runner.Config{
+			Timeout: p.opts.Timeout,
+			Retries: p.opts.Retries,
+			Backoff: p.opts.Backoff,
+			Scope:   label(p.opts),
+			OnRow:   p.opts.OnRow,
+			OnRetry: p.opts.OnRetry,
+		},
+		Recorder: p.opts.Recorder,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.suite(res)
+}
+
 // CampaignManifest builds the dist manifest for opts: one scope per
-// benchmark with Design.Runs() rows each, fingerprinted exactly as
-// the sequential checkpoint path fingerprints the experiment, and a
-// Spec from which OptionsFromSpec reconstructs the task.
+// benchmark with Design.Runs() rows each, fingerprinted as Fingerprint
+// does, and a Spec from which OptionsFromSpec reconstructs the task.
+// A suite with a Shortcut gets no Spec: an enhancement is Go code, not
+// data, so no joining worker could rebuild it, and OptionsFromSpec
+// refuses the manifest instead of letting a worker commit unenhanced
+// rows under the enhanced fingerprint.
 func CampaignManifest(opts Options) (dist.Manifest, error) {
 	p, err := planCampaign(opts)
 	if err != nil {
 		return dist.Manifest{}, err
 	}
-	man := dist.Manifest{
-		Fingerprint: Fingerprint(p.design, p.opts),
-		Spec: map[string]string{
-			specTool:       "pbrank",
-			specN:          strconv.FormatInt(p.opts.Instructions, 10),
-			specWarmup:     strconv.FormatInt(p.opts.Warmup, 10),
-			specFoldover:   strconv.FormatBool(p.opts.Foldover),
-			specLabel:      label(p.opts),
-			specBenchmarks: benchNames(p.ws),
-		},
+	return p.manifest(), nil
+}
+
+func (p *campaignPlan) manifest() dist.Manifest {
+	man := dist.Manifest{Fingerprint: Fingerprint(p.design, p.opts)}
+	for _, w := range p.ws {
+		man.Scopes = append(man.Scopes, dist.ScopeSpec{Name: w.Name, Rows: p.design.Runs()})
+	}
+	if p.opts.Shortcut != nil {
+		return man
+	}
+	man.Spec = map[string]string{
+		specTool:       "pbrank",
+		specN:          strconv.FormatInt(p.opts.Instructions, 10),
+		specWarmup:     strconv.FormatInt(p.opts.Warmup, 10),
+		specFoldover:   strconv.FormatBool(p.opts.Foldover),
+		specLabel:      label(p.opts),
+		specBenchmarks: benchNames(p.ws),
 	}
 	if p.opts.Sampling != nil {
 		man.Spec[specSample] = p.opts.Sampling.String()
 	}
-	for _, w := range p.ws {
-		man.Scopes = append(man.Scopes, dist.ScopeSpec{Name: w.Name, Rows: p.design.Runs()})
-	}
-	return man, nil
+	return man
 }
 
 // OptionsFromSpec reconstructs the experiment Options a joining
@@ -110,6 +161,9 @@ func CampaignManifest(opts Options) (dist.Manifest, error) {
 // recomputed fingerprint against the manifest's (CampaignTask does).
 func OptionsFromSpec(spec map[string]string) (Options, error) {
 	var opts Options
+	if len(spec) == 0 {
+		return opts, fmt.Errorf("experiment: campaign manifest has no spec (its suite runs an enhancement shortcut, which only the process that created the campaign can execute)")
+	}
 	if tool := spec[specTool]; tool != "pbrank" {
 		return opts, fmt.Errorf("experiment: campaign spec is for tool %q, not a pbrank experiment", tool)
 	}
@@ -153,16 +207,16 @@ func CampaignTask(opts Options, man dist.Manifest) (dist.Task, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.task(man)
+}
+
+func (p *campaignPlan) task(man dist.Manifest) (dist.Task, error) {
 	if fp := Fingerprint(p.design, p.opts); fp != man.Fingerprint {
 		return nil, fmt.Errorf("experiment: options fingerprint %q does not match campaign %q", fp, man.Fingerprint)
 	}
 	byName := make(map[string]pb.FallibleResponse, len(p.ws))
 	for _, w := range p.ws {
-		if p.opts.Sampling != nil {
-			byName[w.Name] = SampledResponse(w, p.opts.Warmup, p.opts.Instructions, *p.opts.Sampling)
-		} else {
-			byName[w.Name] = Response(w, p.opts.Warmup, p.opts.Instructions, nil)
-		}
+		byName[w.Name] = p.response(w)
 	}
 	for _, s := range man.Scopes {
 		if byName[s.Name] == nil {
@@ -186,7 +240,7 @@ func CampaignTask(opts Options, man dist.Manifest) (dist.Task, error) {
 }
 
 // SuiteFromMerge folds a complete merge back into the pb.Suite the
-// sequential path produces from the same options: identical effects,
+// in-memory path produces from the same options: identical effects,
 // ranks, and sum-of-ranks ordering, because the response vectors are
 // bit-identical. An incomplete merge is an error — a partial campaign
 // must never rank parameters.
@@ -195,6 +249,10 @@ func SuiteFromMerge(opts Options, m *dist.MergeResult) (*pb.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.suite(m)
+}
+
+func (p *campaignPlan) suite(m *dist.MergeResult) (*pb.Suite, error) {
 	if fp := Fingerprint(p.design, p.opts); fp != m.Fingerprint {
 		return nil, fmt.Errorf("experiment: options fingerprint %q does not match merged campaign %q", fp, m.Fingerprint)
 	}

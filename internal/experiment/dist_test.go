@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"pbsim/internal/runner/dist"
@@ -51,11 +53,52 @@ func TestCampaignManifestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// A shortcut suite's manifest carries no spec: an enhancement is code
+// a joining worker cannot rebuild, so OptionsFromSpec (and with it
+// pbworker) refuses the campaign rather than commit unenhanced rows
+// under the enhanced fingerprint.
 func TestCampaignManifestRejectsShortcuts(t *testing.T) {
 	opts := distOptions(t)
 	opts.Shortcut = func(workload.Workload) (sim.ComputeShortcut, error) { return nil, nil }
-	if _, err := CampaignManifest(opts); err == nil || !strings.Contains(err.Error(), "base simulator") {
-		t.Fatalf("shortcut campaign accepted: %v", err)
+	man, err := CampaignManifest(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Spec != nil {
+		t.Fatalf("shortcut campaign has spec %v", man.Spec)
+	}
+	if _, err := OptionsFromSpec(man.Spec); err == nil || !strings.Contains(err.Error(), "shortcut") {
+		t.Fatalf("joining a shortcut campaign = %v, want refusal", err)
+	}
+}
+
+// In a two-worker campaign every unit is run exactly once and reported
+// under its real campaign row, with the label as scope prefix.
+func TestCheckpointReportsRealRows(t *testing.T) {
+	opts := distOptions(t)
+	opts.Parallelism = 2
+	opts.Checkpoint = t.TempDir()
+	var mu sync.Mutex
+	seen := make(map[string]int)
+	opts.OnRow = func(scope string, row int, _ float64, fromCheckpoint bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen[fmt.Sprintf("%s/%d/%t", scope, row, fromCheckpoint)]++
+	}
+	if _, err := RunSuite(opts); err != nil {
+		t.Fatal(err)
+	}
+	man, err := CampaignManifest(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range man.Units() {
+		if key := fmt.Sprintf("base/%s/%d/false", u.Scope, u.Row); seen[key] != 1 {
+			t.Errorf("%s reported %d times, want once", key, seen[key])
+		}
+	}
+	if len(seen) != man.TotalRows() {
+		t.Errorf("OnRow saw %d distinct rows, want %d: %v", len(seen), man.TotalRows(), seen)
 	}
 }
 

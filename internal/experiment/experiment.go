@@ -67,26 +67,35 @@ type Options struct {
 	// Backoff overrides the base retry delay (runner.DefaultBackoff
 	// when zero).
 	Backoff time.Duration
-	// Checkpoint, when non-empty, is the path of a JSONL journal of
-	// completed configurations: an interrupted suite rerun with the
-	// same options resumes exactly where it stopped and reproduces
-	// identical effects and ranks.
+	// Checkpoint, when non-empty, is a campaign directory (package
+	// dist): the suite runs as Parallelism in-process workers that
+	// commit every completed configuration to shard ledgers there, so
+	// an interrupted suite rerun with the same options resumes where
+	// it stopped and reproduces identical effects and ranks. A
+	// directory holding a campaign under another fingerprint (changed
+	// budget, label, sampling, ...) is refused. pbworker processes can
+	// join the campaign, unless it runs a Shortcut, which a manifest
+	// cannot describe.
 	Checkpoint string
+	// Sync fsyncs every checkpoint commit, so a committed
+	// configuration survives a machine crash, not only a process
+	// crash.
+	Sync bool
 	// Label distinguishes experiment variants (e.g. the base and
-	// enhanced suites of Table 12) that share one checkpoint file.
+	// enhanced suites of Table 12); it is part of the fingerprint.
 	// Empty means "base".
 	Label string
 	// OnRow, when non-nil, observes every completed configuration
-	// (scope is "label/benchmark"); fromCheckpoint marks rows that
-	// were restored rather than simulated.
+	// (scope is "label/benchmark"); fromCheckpoint marks rows the
+	// Checkpoint campaign had already committed when the run started.
 	OnRow func(scope string, row int, value float64, fromCheckpoint bool)
 	// OnRetry, when non-nil, observes every retry decision.
 	OnRetry func(scope string, row, attempt int, delay time.Duration, err error)
 	// Recorder, when non-nil, receives the full observability event
 	// stream (suite/run lifecycle, per-attempt latency, retries,
 	// checkpoint restores, worker occupancy). The suite announcement
-	// carries the same fingerprint the checkpoint uses, so a metrics
-	// JSONL and a checkpoint JSONL from one campaign join on it.
+	// carries the fingerprint a Checkpoint campaign's shard ledgers
+	// carry, so the two join on it.
 	// Recording never changes scheduling or results.
 	Recorder obs.Recorder
 }
@@ -176,38 +185,29 @@ func RunSuite(opts Options) (*pb.Suite, error) {
 
 // RunSuiteCtx is the fault-tolerant suite entry point: the context
 // cancels the whole experiment (all in-flight simulations drain
-// before it returns), and the Options' Timeout/Retries/Checkpoint
-// fields configure the resilient runner.
-func RunSuiteCtx(ctx context.Context, opts Options) (suite *pb.Suite, err error) {
-	if opts.Instructions <= 0 {
-		opts.Instructions = DefaultInstructions
-	}
-	if opts.Warmup < 0 {
-		opts.Warmup = DefaultWarmup
-	}
-	if opts.Sampling != nil {
-		if opts.Shortcut != nil {
-			return nil, fmt.Errorf("experiment: sampling cannot be combined with an enhancement shortcut")
-		}
-		spec := opts.Sampling.Normalized()
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		opts.Sampling = &spec
-	}
-	ws := opts.Workloads
-	if ws == nil {
-		ws = workload.All()
-	}
-	if len(ws) == 0 {
-		return nil, fmt.Errorf("experiment: empty workload list")
-	}
-	factors := sim.Factors()
-	design, err := pb.New(len(factors), opts.Foldover)
+// before it returns), and the Options' Timeout/Retries fields
+// configure the resilient runner. Without a Checkpoint the rows are
+// evaluated in memory; with one, the suite runs over that campaign
+// directory (see Options.Checkpoint) to the bit-identical result.
+func RunSuiteCtx(ctx context.Context, opts Options) (*pb.Suite, error) {
+	p, err := planCampaign(opts)
 	if err != nil {
 		return nil, err
 	}
-	pbOpts := pb.Options{
+	opts = p.opts
+	if opts.Recorder != nil {
+		opts.Recorder.SuiteStarted(Fingerprint(p.design, opts), len(p.ws), p.design.Runs())
+	}
+	if opts.Checkpoint != "" {
+		return p.runCampaign(ctx)
+	}
+	names := make([]string, len(p.ws))
+	responses := make([]pb.FallibleResponse, len(p.ws))
+	for i, w := range p.ws {
+		names[i] = w.Name
+		responses[i] = p.response(w)
+	}
+	return pb.RunSuiteWithDesignCtx(ctx, p.design, p.factors, names, responses, pb.Options{
 		Foldover:    opts.Foldover,
 		Parallelism: opts.Parallelism,
 		Runner: runner.Config{
@@ -219,50 +219,20 @@ func RunSuiteCtx(ctx context.Context, opts Options) (suite *pb.Suite, err error)
 			OnRetry:  opts.OnRetry,
 			Recorder: opts.Recorder,
 		},
-	}
-	if opts.Recorder != nil {
-		opts.Recorder.SuiteStarted(Fingerprint(design, opts), len(ws), design.Runs())
-	}
-	if opts.Checkpoint != "" {
-		cp, cpErr := runner.OpenCheckpoint(opts.Checkpoint, Fingerprint(design, opts))
-		if cpErr != nil {
-			return nil, fmt.Errorf("experiment: %w", cpErr)
-		}
-		// A failed checkpoint close means recorded rows may not be
-		// durable; surface it rather than let a later resume silently
-		// re-simulate (or worse, trust a truncated file).
-		defer func() {
-			if cerr := cp.Close(); cerr != nil && err == nil {
-				suite, err = nil, fmt.Errorf("experiment: close checkpoint: %w", cerr)
-			}
-		}()
-		pbOpts.Runner.Checkpoint = cp
-	}
-	names := make([]string, len(ws))
-	responses := make([]pb.FallibleResponse, len(ws))
-	for i, w := range ws {
-		names[i] = w.Name
-		if opts.Sampling != nil {
-			responses[i] = SampledResponse(w, opts.Warmup, opts.Instructions, *opts.Sampling)
-		} else {
-			responses[i] = Response(w, opts.Warmup, opts.Instructions, opts.Shortcut)
-		}
-	}
-	return pb.RunSuiteWithDesignCtx(ctx, design, factors, names, responses, pbOpts)
+	})
 }
 
-// Fingerprint identifies one experiment variant inside a checkpoint
-// file: the design geometry plus every option that changes the
-// simulated cycle counts. Rows checkpointed under a different
-// fingerprint are ignored on resume, so restarting with different
-// budgets (or with an enhancement toggled) can never splice stale
-// responses into the effects.
+// Fingerprint identifies one experiment variant: the design geometry
+// plus every option that changes the simulated cycle counts. A
+// campaign directory is bound to one fingerprint, so restarting with
+// different budgets (or with an enhancement toggled) can never splice
+// stale responses into the effects.
 func Fingerprint(design *pb.Design, opts Options) string {
 	fp := fmt.Sprintf("%s|n=%d|warmup=%d|label=%s",
 		design.Fingerprint(), opts.Instructions, opts.Warmup, label(opts))
 	if opts.Sampling != nil {
 		// The canonical spec string, so equivalent specs collide and any
-		// change in sampling parameters invalidates checkpointed rows.
+		// change in sampling parameters binds a different campaign.
 		fp += "|sample=" + opts.Sampling.String()
 	}
 	return fp

@@ -3,13 +3,16 @@ package experiment
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"pbsim/internal/enhance"
+	"pbsim/internal/obs"
 	"pbsim/internal/pb"
 	"pbsim/internal/runner"
+	"pbsim/internal/runner/dist"
 	"pbsim/internal/sim"
 	"pbsim/internal/workload"
 )
@@ -167,20 +170,37 @@ func TestRunSuiteCancellation(t *testing.T) {
 	}
 }
 
-func TestRunSuiteCheckpointResume(t *testing.T) {
-	w, _ := workload.ByName("gzip")
-	opts := Options{
-		Instructions: 2000,
-		Warmup:       1000,
-		Workloads:    []workload.Workload{w},
-		Checkpoint:   filepath.Join(t.TempDir(), "suite.jsonl"),
+// interruptAfter returns an OnRow that cancels the run once the given
+// number of rows has been simulated.
+func interruptAfter(rows int, cancel context.CancelFunc) func(string, int, float64, bool) {
+	done := 0
+	return func(string, int, float64, bool) {
+		if done++; done == rows {
+			cancel()
+		}
 	}
-	first, err := RunSuite(opts)
+}
+
+// resumeCheckpoint interrupts a checkpointed run of opts after a few
+// rows, resumes it, and returns the resumed suite after checking that
+// every unit committed before the interruption was reported restored
+// — to OnRow and to the Recorder — and every other one simulated.
+func resumeCheckpoint(t *testing.T, opts Options) *pb.Suite {
+	t.Helper()
+	opts.Parallelism = 1 // serialize so the OnRow counters need no lock
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts.OnRow = interruptAfter(10, cancel)
+	if _, err := RunSuiteCtx(ctx, opts); !runner.Cancelled(err) {
+		t.Fatalf("interrupted run = %v, want cancellation", err)
+	}
+	before, err := dist.MergeDir(opts.Checkpoint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rerun with the same options: every row restores, nothing is
-	// re-simulated, and the responses are bit-identical.
+	if before.Committed == 0 || before.Complete() {
+		t.Fatalf("interrupted campaign committed %d units, want a partial campaign", before.Committed)
+	}
 	var restored, simulated int
 	opts.OnRow = func(_ string, _ int, _ float64, fromCheckpoint bool) {
 		if fromCheckpoint {
@@ -189,30 +209,101 @@ func TestRunSuiteCheckpointResume(t *testing.T) {
 			simulated++
 		}
 	}
-	opts.Parallelism = 1 // serialize so the OnRow counters need no lock
-	second, err := RunSuite(opts)
+	m := obs.NewMetrics()
+	opts.Recorder = m
+	suite, err := RunSuite(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if simulated != 0 || restored != first.Design.Runs() {
-		t.Errorf("resume simulated %d rows and restored %d, want 0 and %d", simulated, restored, first.Design.Runs())
+	total := suite.Design.Runs() * len(suite.Benchmarks)
+	if restored != before.Committed || simulated != total-before.Committed {
+		t.Errorf("resume restored %d and simulated %d rows, want %d and %d", restored, simulated, before.Committed, total-before.Committed)
 	}
-	for i := range first.Results[0].Responses {
-		a, b := first.Results[0].Responses[i], second.Results[0].Responses[i]
-		if a != b {
-			t.Errorf("row %d: %g != %g after resume", i, b, a)
+	if r := m.RowsResumed.Value(); r != int64(before.Committed) {
+		t.Errorf("RowsResumed = %d, want the %d committed units", r, before.Committed)
+	}
+	return suite
+}
+
+// requireBitIdentical fails unless both suites carry the same response
+// bits.
+func requireBitIdentical(t *testing.T, want, got *pb.Suite) {
+	t.Helper()
+	for bi := range want.Results {
+		for i, w := range want.Results[bi].Responses {
+			if g := got.Results[bi].Responses[i]; math.Float64bits(w) != math.Float64bits(g) {
+				t.Fatalf("%s row %d: %x after resume, want %x", want.Benchmarks[bi], i, math.Float64bits(g), math.Float64bits(w))
+			}
 		}
 	}
-	// A different instruction budget changes the fingerprint: the
-	// stale rows must NOT be reused.
-	opts.OnRow = nil
-	opts.Instructions = 3000
-	third, err := RunSuite(opts)
+}
+
+func TestRunSuiteCheckpointResume(t *testing.T) {
+	w, _ := workload.ByName("gzip")
+	opts := Options{
+		Instructions: 2000,
+		Warmup:       1000,
+		Workloads:    []workload.Workload{w},
+	}
+	want, err := RunSuite(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if third.Results[0].Responses[0] == first.Results[0].Responses[0] {
-		t.Error("checkpoint rows leaked across a changed instruction budget")
+	opts.Checkpoint = filepath.Join(t.TempDir(), "campaign")
+	requireBitIdentical(t, want, resumeCheckpoint(t, opts))
+}
+
+// A Table 12 suite (an enhancement shortcut) resumes from its campaign
+// like any other; only joining workers are refused (see
+// TestCampaignManifestRejectsShortcuts).
+func TestCheckpointShortcutSuiteResumes(t *testing.T) {
+	w, _ := workload.ByName("gzip")
+	freq, err := enhance.Profile(w.Params, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Instructions: 2000,
+		Warmup:       1000,
+		Workloads:    []workload.Workload{w},
+		Label:        "precompute-128",
+		Shortcut: func(workload.Workload) (sim.ComputeShortcut, error) {
+			return enhance.NewPrecomputation(freq, 128)
+		},
+	}
+	want, err := RunSuite(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Checkpoint = filepath.Join(t.TempDir(), "campaign")
+	requireBitIdentical(t, want, resumeCheckpoint(t, opts))
+}
+
+// Reusing a campaign directory under a changed budget is refused,
+// naming both fingerprints, instead of simulating into it.
+func TestCheckpointRefusesChangedBudget(t *testing.T) {
+	w, _ := workload.ByName("gzip")
+	opts := Options{
+		Instructions: 2000,
+		Warmup:       1000,
+		Workloads:    []workload.Workload{w},
+		Checkpoint:   t.TempDir(),
+	}
+	man, err := CampaignManifest(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dist.Create(opts.Checkpoint, man); err != nil {
+		t.Fatal(err)
+	}
+	opts.Instructions = 3000
+	changed, err := CampaignManifest(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunSuite(opts)
+	if err == nil || !strings.Contains(err.Error(), man.Fingerprint) || !strings.Contains(err.Error(), changed.Fingerprint) {
+		t.Fatalf("changed budget = %v, want a refusal naming %q and %q", err, man.Fingerprint, changed.Fingerprint)
 	}
 }
 
@@ -259,7 +350,7 @@ func TestTable9ShapeFullSuite(t *testing.T) {
 	}
 	if raceEnabled {
 		t.Skip("13x88 full-scale suite exceeds the race detector's time budget; " +
-			"the suite's concurrency is covered by the runner, pb, and checkpoint race tests")
+			"the suite's concurrency is covered by the runner, pb, and dist race tests")
 	}
 	suite, err := RunSuite(Options{
 		Instructions: 20000,

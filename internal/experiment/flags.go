@@ -1,0 +1,44 @@
+package experiment
+
+import (
+	"flag"
+	"fmt"
+	"time"
+
+	"pbsim/internal/runner"
+)
+
+// RunFlags holds the run-control flag family every suite-running CLI
+// shares: -timeout, -retries and -checkpoint.
+type RunFlags struct {
+	Timeout    time.Duration
+	Retries    int
+	Checkpoint string
+}
+
+// RegisterRunFlags registers the run-control flag family on fs. The
+// returned RunFlags is filled in when fs is parsed, so every CLI
+// shares the same flag names, defaults and help text.
+func RegisterRunFlags(fs *flag.FlagSet) *RunFlags {
+	f := &RunFlags{}
+	fs.DurationVar(&f.Timeout, "timeout", 0, "per-simulation timeout (0 = none)")
+	fs.IntVar(&f.Retries, "retries", 0, "extra attempts for a failed simulation")
+	fs.StringVar(&f.Checkpoint, "checkpoint", "", "campaign directory: completed simulations are committed there, and rerunning with the same flags resumes")
+	return f
+}
+
+// Apply copies the flags into opts.
+func (f *RunFlags) Apply(opts *Options) {
+	opts.Timeout = f.Timeout
+	opts.Retries = f.Retries
+	opts.Checkpoint = f.Checkpoint
+}
+
+// Resumable adds the resume hint to the error of a checkpointed run
+// that was interrupted; any other error is returned unchanged.
+func (f *RunFlags) Resumable(err error) error {
+	if err == nil || f.Checkpoint == "" || !runner.Cancelled(err) {
+		return err
+	}
+	return fmt.Errorf("%w (completed simulations are saved; rerun with -checkpoint %s to resume)", err, f.Checkpoint)
+}

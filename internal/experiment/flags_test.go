@@ -1,0 +1,56 @@
+package experiment
+
+import (
+	"context"
+	"errors"
+	"flag"
+	"io"
+	"strings"
+	"testing"
+	"time"
+)
+
+func parseRunFlags(t *testing.T, args ...string) *RunFlags {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := RegisterRunFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func TestRegisterRunFlags(t *testing.T) {
+	var opts Options
+	parseRunFlags(t).Apply(&opts)
+	if opts.Timeout != 0 || opts.Retries != 0 || opts.Checkpoint != "" {
+		t.Fatalf("defaults = %+v, want zero run options", opts)
+	}
+	f := parseRunFlags(t, "-timeout", "2s", "-retries", "3", "-checkpoint", "camp")
+	f.Apply(&opts)
+	if opts.Timeout != 2*time.Second || opts.Retries != 3 || opts.Checkpoint != "camp" {
+		t.Fatalf("parsed = %+v", opts)
+	}
+	if err := f.Resumable(context.Canceled); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "-checkpoint camp") {
+		t.Errorf("interrupted checkpointed run: %v, want the resume hint", err)
+	}
+	other := errors.New("boom")
+	if err := f.Resumable(other); err != other {
+		t.Errorf("non-cancellation error rewritten: %v", err)
+	}
+	if err := parseRunFlags(t).Resumable(context.Canceled); err != context.Canceled {
+		t.Errorf("run without -checkpoint got a resume hint: %v", err)
+	}
+}
+
+func TestRegisterRunFlagsRejectsBadValues(t *testing.T) {
+	for _, args := range [][]string{{"-timeout", "soon"}, {"-retries", "many"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		RegisterRunFlags(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}

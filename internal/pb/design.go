@@ -91,9 +91,9 @@ func (d *Design) Runs() int { return len(d.Matrix) }
 // aliases the design matrix and must not be modified.
 func (d *Design) Row(i int) []Level { return d.Matrix[i] }
 
-// Fingerprint identifies the design's geometry for checkpoint
-// validation: checkpointed rows recorded under one design must never
-// be replayed into a differently shaped experiment.
+// Fingerprint identifies the design's geometry for campaign
+// validation: rows committed under one design must never be replayed
+// into a differently shaped experiment.
 func (d *Design) Fingerprint() string {
 	return fmt.Sprintf("pb:x=%d,foldover=%t,runs=%d", d.X, d.Foldover, d.Runs())
 }

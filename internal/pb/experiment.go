@@ -95,8 +95,8 @@ type Options struct {
 	// Zero selects GOMAXPROCS. (Runner.Parallelism, when set, wins.)
 	Parallelism int
 	// Runner tunes fault tolerance: per-row timeout, retries with
-	// capped backoff, checkpointing, and fault injection. The zero
-	// value is a plain parallel evaluation.
+	// capped backoff, and fault injection. The zero value is a plain
+	// parallel evaluation.
 	Runner runner.Config
 }
 
@@ -180,7 +180,7 @@ func EvaluateRows(design *Design, response Response, parallelism int) ([]float64
 
 // EvaluateRowsCtx evaluates every design row through the resilient
 // runner: bounded parallelism, cancellation, per-row timeout, retry
-// with backoff, panic recovery, and checkpointing per opts.Runner.
+// with backoff, and panic recovery per opts.Runner.
 func EvaluateRowsCtx(ctx context.Context, design *Design, response FallibleResponse, opts Options) ([]float64, error) {
 	cfg := opts.Runner
 	if cfg.Parallelism == 0 {
@@ -218,10 +218,10 @@ func RunSuite(factors []Factor, benchmarks []string, responses []Response, opts 
 }
 
 // RunSuiteCtx is the fault-tolerant form of RunSuite: the context
-// cancels the whole suite, and opts.Runner adds timeouts, retries,
-// and checkpointing. Each benchmark's rows are checkpointed under a
-// scope derived from its name, so one checkpoint file resumes the
-// whole suite.
+// cancels the whole suite, and opts.Runner adds timeouts and retries.
+// Each benchmark's rows run under a scope derived from its name
+// (opts.Runner.Scope + "/" + name when a scope is set), which names
+// them in every runner event and callback.
 func RunSuiteCtx(ctx context.Context, factors []Factor, benchmarks []string, responses []FallibleResponse, opts Options) (*Suite, error) {
 	if len(benchmarks) != len(responses) {
 		return nil, fmt.Errorf("pb: %d benchmark names but %d responses", len(benchmarks), len(responses))
@@ -238,7 +238,7 @@ func RunSuiteCtx(ctx context.Context, factors []Factor, benchmarks []string, res
 
 // RunSuiteWithDesignCtx is RunSuiteCtx with a caller-supplied design,
 // the form the experiment harness uses so it can fingerprint the
-// checkpoint before the first row runs.
+// experiment before the first row runs.
 func RunSuiteWithDesignCtx(ctx context.Context, design *Design, factors []Factor, benchmarks []string, responses []FallibleResponse, opts Options) (*Suite, error) {
 	if len(benchmarks) != len(responses) {
 		return nil, fmt.Errorf("pb: %d benchmark names but %d responses", len(benchmarks), len(responses))

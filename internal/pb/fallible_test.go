@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pbsim/internal/runner"
+	"pbsim/internal/runner/dist"
 )
 
 // suiteFixture is a deterministic 3-benchmark suite whose responses
@@ -35,77 +35,86 @@ func suiteFixture() ([]Factor, []string, []FallibleResponse) {
 	return factors, benchmarks, responses
 }
 
-// An interrupted checkpointed suite, resumed with the same options,
-// must reproduce bit-identical responses, effects, and Table-9 rank
-// sums compared to an uninterrupted run.
+// An interrupted checkpointed suite — a campaign directory whose
+// worker died mid-suite — resumed by a fresh worker must reproduce
+// bit-identical responses, effects, and Table-9 rank sums compared to
+// an uninterrupted in-memory run.
 func TestSuiteCheckpointResumeBitIdentical(t *testing.T) {
 	factors, benchmarks, responses := suiteFixture()
 	opts := Options{Foldover: true, Parallelism: 2}
 
-	// Reference: uninterrupted, no checkpoint.
+	// Reference: uninterrupted, in memory.
 	want, err := RunSuiteCtx(context.Background(), factors, benchmarks, responses, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Interrupted run: the response budget dies after 20 evaluations,
-	// mid-suite, and there are no retries to save it.
-	path := filepath.Join(t.TempDir(), "suite.jsonl")
-	cp, err := runner.OpenCheckpoint(path, "fixture")
-	if err != nil {
+	design := want.Design
+	man := dist.Manifest{Fingerprint: "fixture"}
+	for _, b := range benchmarks {
+		man.Scopes = append(man.Scopes, dist.ScopeSpec{Name: b, Rows: design.Runs()})
+	}
+	dir := t.TempDir()
+	if _, err := dist.Create(dir, man); err != nil {
 		t.Fatal(err)
 	}
+	var evaluated atomic.Int64
+	task := func(ctx context.Context, scope string, row int) (float64, error) {
+		evaluated.Add(1)
+		for bi, b := range benchmarks {
+			if b == scope {
+				return responses[bi](ctx, design.Row(row))
+			}
+		}
+		return 0, fmt.Errorf("unknown scope %q", scope)
+	}
+
+	// Interrupted run: the worker dies at the commit boundary of its
+	// 21st unit, mid-suite.
 	var budget atomic.Int64
 	budget.Store(20)
-	limited := make([]FallibleResponse, len(responses))
-	for i, resp := range responses {
-		limited[i] = func(ctx context.Context, levels []Level) (float64, error) {
-			if budget.Add(-1) < 0 {
-				return 0, errors.New("simulated crash: budget exhausted")
+	crashing := func(next runner.Task) runner.Task {
+		return func(ctx context.Context, row int) (float64, error) {
+			v, err := next(ctx, row)
+			if err == nil && budget.Add(-1) < 0 {
+				return 0, runner.ErrCrash
 			}
-			return resp(ctx, levels)
+			return v, err
 		}
 	}
-	iopts := opts
-	iopts.Runner.Checkpoint = cp
-	_, err = RunSuiteCtx(context.Background(), factors, benchmarks, limited, iopts)
-	if err == nil {
-		t.Fatal("interrupted run unexpectedly succeeded")
+	const ttl = 20 * time.Millisecond
+	_, err = dist.Run(context.Background(), dir, task, 1, dist.Config{ID: "first", LeaseTTL: ttl, Runner: runner.Config{Wrap: crashing}})
+	if !errors.Is(err, runner.ErrCrash) {
+		t.Fatalf("interrupted run = %v, want a crash", err)
 	}
-	var runErr *runner.RunError
-	if !errors.As(err, &runErr) {
-		t.Fatalf("want aggregate *runner.RunError, got %v", err)
-	}
-	cp.Close()
 
-	// Resume: same options, fresh checkpoint handle on the same file.
-	re, err := runner.OpenCheckpoint(path, "fixture")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Loaded() == 0 {
-		t.Fatal("interrupted run checkpointed nothing")
-	}
-	var fresh atomic.Int64
-	counting := make([]FallibleResponse, len(responses))
-	for i, resp := range responses {
-		counting[i] = func(ctx context.Context, levels []Level) (float64, error) {
-			fresh.Add(1)
-			return resp(ctx, levels)
-		}
-	}
-	ropts := opts
-	ropts.Runner.Checkpoint = re
-	got, err := RunSuiteCtx(context.Background(), factors, benchmarks, counting, ropts)
+	// Resume: a fresh worker over the same directory.
+	evaluated.Store(0)
+	restored := 0
+	res, err := dist.Run(context.Background(), dir, task, 2, dist.Config{
+		ID:       "second",
+		LeaseTTL: ttl, // the dead worker's lease expires while this one works
+		Runner: runner.Config{OnRow: func(_ string, _ int, _ float64, fromCheckpoint bool) {
+			if fromCheckpoint {
+				restored++
+			}
+		}},
+	})
 	if err != nil {
 		t.Fatalf("resumed run failed: %v", err)
 	}
-	totalRows := want.Design.Runs() * len(benchmarks)
-	if evaluated := int(fresh.Load()); evaluated >= totalRows {
-		t.Errorf("resume re-evaluated all %d rows; checkpoint ignored", evaluated)
-	} else if evaluated+re.Loaded() != totalRows {
-		t.Errorf("resume evaluated %d rows with %d checkpointed, want %d total", evaluated, re.Loaded(), totalRows)
+	totalRows := design.Runs() * len(benchmarks)
+	if restored != 20 || int(evaluated.Load()) != totalRows-20 {
+		t.Errorf("resume restored %d and evaluated %d rows, want 20 and %d", restored, evaluated.Load(), totalRows-20)
+	}
+	vecs := make([][]float64, len(benchmarks))
+	for bi, b := range benchmarks {
+		if vecs[bi], err = res.Responses(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := SuiteFromResponses(design, factors, benchmarks, vecs)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	for bi := range benchmarks {

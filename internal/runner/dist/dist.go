@@ -1,12 +1,12 @@
-// Package dist is the coordinator-free, crash-safe distributed
-// execution layer over the checkpoint substrate: any number of worker
-// processes — cmd/pbworker, or pbrank/simrun in -shard-dir mode, on
-// any mix of machines sharing one directory — claim units of work
-// (design row × benchmark scope) via lease files, execute them through
-// the fault-tolerant runner, and commit results to per-worker
-// append-only JSONL shard ledgers. A deterministic merge step folds
-// any set of shard ledgers back into the exact response vectors a
-// single sequential run produces.
+// Package dist is the coordinator-free, crash-safe execution layer
+// behind every resumable run: any number of workers — the in-process
+// workers of a -checkpoint run (Run), cmd/pbworker processes, on any
+// mix of machines sharing one directory — claim units of work (design
+// row × benchmark scope) via lease files, execute them through the
+// fault-tolerant runner, and commit results to per-worker append-only
+// JSONL shard ledgers. A deterministic merge step folds any set of
+// shard ledgers back into the exact response vectors an in-memory run
+// produces.
 //
 // There is deliberately no coordinator process and no network
 // protocol: the shared directory IS the coordination medium, and every
@@ -23,9 +23,9 @@
 //     one stealer — and then claims fresh, so two stealers can never
 //     both hold the unit.
 //   - Commits are single appended JSONL lines (flushed, optionally
-//     fsynced), so a torn final line — the worker died mid-write — is
-//     detected and skipped on merge exactly as runner.Checkpoint skips
-//     torn checkpoint lines.
+//     fsynced), so the only damage a crash mid-write can leave is a
+//     final line without its newline. The decoder skips exactly that
+//     line, and a restarted worker truncates exactly that line.
 //
 // Correctness never rests on the leases: they only suppress duplicate
 // work. The simulator is deterministic, so a unit executed twice —
@@ -207,17 +207,23 @@ func Open(dir string) (*Campaign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: open campaign: %w", err)
 	}
-	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("dist: corrupt manifest in %s: %w", dir, err)
-	}
-	if man.Version != ManifestVersion {
-		return nil, fmt.Errorf("dist: manifest version %d, this build understands %d", man.Version, ManifestVersion)
-	}
-	if err := man.validate(); err != nil {
+	man, err := decodeManifest(data)
+	if err != nil {
 		return nil, err
 	}
 	return &Campaign{dir: dir, man: man}, nil
+}
+
+// decodeManifest parses and validates manifest bytes.
+func decodeManifest(data []byte) (Manifest, error) {
+	var man Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		return man, fmt.Errorf("dist: corrupt manifest: %w", err)
+	}
+	if man.Version != ManifestVersion {
+		return man, fmt.Errorf("dist: manifest version %d, this build understands %d", man.Version, ManifestVersion)
+	}
+	return man, man.validate()
 }
 
 // Dir returns the campaign directory.

@@ -198,9 +198,9 @@ func TestLedgerTornTailAndQuarantine(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, quarantine, err := readLedger(path, "fp-test|n=1")
-	if err != nil || quarantine != "" {
-		t.Fatalf("readLedger torn tail: %v, quarantine %q", err, quarantine)
+	entries, quarantine := readLedger(path, "fp-test|n=1")
+	if quarantine != "" {
+		t.Fatalf("readLedger torn tail: quarantine %q", quarantine)
 	}
 	if len(entries) != 2 {
 		t.Fatalf("torn tail dropped records: got %d entries", len(entries))
@@ -218,9 +218,9 @@ func TestLedgerTornTailAndQuarantine(t *testing.T) {
 	if err := led2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, quarantine, err = readLedger(path, "fp-test|n=1")
-	if err != nil || quarantine != "" {
-		t.Fatalf("readLedger after resume: %v, quarantine %q", err, quarantine)
+	entries, quarantine = readLedger(path, "fp-test|n=1")
+	if quarantine != "" {
+		t.Fatalf("readLedger after resume: quarantine %q", quarantine)
 	}
 	if len(entries) != 3 || entries[2].Row != 2 {
 		t.Fatalf("resumed append mangled: %+v", entries)
@@ -236,18 +236,17 @@ func TestLedgerTornTailAndQuarantine(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	entries, quarantine, err = readLedger(path, "fp-test|n=1")
-	if err != nil || quarantine == "" {
-		t.Fatalf("corrupt mid-file: err %v, quarantine %q; want quarantine reason", err, quarantine)
+	entries, quarantine = readLedger(path, "fp-test|n=1")
+	if quarantine == "" {
+		t.Fatal("corrupt mid-file: no quarantine reason")
 	}
 	if len(entries) != 2 {
 		t.Fatalf("quarantined shard lost intact records: %+v", entries)
 	}
 
 	// Foreign-fingerprint records are skipped.
-	entries, _, err = readLedger(path, "some-other-fp")
-	if err != nil || len(entries) != 0 {
-		t.Fatalf("foreign fp: %d entries, %v; want 0", len(entries), err)
+	if entries, _ = readLedger(path, "some-other-fp"); len(entries) != 0 {
+		t.Fatalf("foreign fp: %d entries, want 0", len(entries))
 	}
 }
 
@@ -704,5 +703,172 @@ func TestRotationStable(t *testing.T) {
 	}
 	if r := rotation("worker-7", 13); r < 0 || r >= 13 {
 		t.Fatalf("rotation out of range: %d", r)
+	}
+}
+
+// writeLeaseExcl creates a lease before writing it, so a claimant can
+// find it empty. An unreadable lease modified within the TTL is a live
+// claim caught mid-write and must be held; one older than the TTL
+// belongs to a writer that died and is stolen.
+func TestLeaseUnreadableYoungIsHeld(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Create(dir, testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	u := Unit{Scope: "alpha", Row: 2}
+	path := leasePath(dir, u)
+	now := time.Now()
+	ttl := 10 * time.Second
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, now, now); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := claim(dir, u, "w2", ttl, now); err != nil || res != claimHeld {
+		t.Fatalf("fresh empty lease claim = %v, %v; want claimHeld", res, err)
+	}
+	old := now.Add(-2 * ttl)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := claim(dir, u, "w2", ttl, now); err != nil || res != claimStolen {
+		t.Fatalf("stale empty lease claim = %v, %v; want claimStolen", res, err)
+	}
+}
+
+// The worker's incremental tail must see every commit: across a
+// partially written line, a restarted worker's torn-tail truncation,
+// and another worker's appends — and its offset only ever rests on a
+// line boundary.
+func TestShardTailFollowsTruncationAndAppends(t *testing.T) {
+	dir := t.TempDir()
+	man := testManifest()
+	c, err := Create(dir, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(worker string, units ...Unit) {
+		t.Helper()
+		led, err := openLedger(dir, worker, man.Fingerprint, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range units {
+			if err := led.Commit(u.Scope, u.Row, testValue(u.Scope, u.Row)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := led.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRaw := func(path, text string) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(text); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := newShardTail(c)
+	want := func(units ...Unit) {
+		t.Helper()
+		if len(tail.done) != len(units) {
+			t.Fatalf("done = %v, want %v", tail.done, units)
+		}
+		for _, u := range units {
+			if !tail.done[u] {
+				t.Fatalf("done = %v, missing %s", tail.done, u)
+			}
+		}
+	}
+	a0, a1, a2, b0 := Unit{"alpha", 0}, Unit{"alpha", 1}, Unit{"alpha", 2}, Unit{"beta", 0}
+	w1 := filepath.Join(dir, shardDir, "w1.jsonl")
+
+	commit("w1", a0)
+	// A line still being written is not consumed...
+	appendRaw(w1, `{"fp":"fp-test|n=1","scope":"alpha","row":1,`)
+	mustRefresh(t, tail)
+	want(a0)
+	// ...and is picked up whole once its newline lands.
+	appendRaw(w1, `"value":0.25}`+"\n")
+	mustRefresh(t, tail)
+	want(a0, a1)
+	if fi, err := os.Stat(w1); err != nil || tail.off[w1] != fi.Size() {
+		t.Fatalf("offset %d, want the file size (%v)", tail.off[w1], err)
+	}
+	// A crash tears the tail; the restarted worker truncates it and
+	// appends, and another worker commits to its own shard.
+	appendRaw(w1, `{"fp":"fp-test|n=1","scope":"alpha","ro`)
+	mustRefresh(t, tail)
+	commit("w1", a2)
+	commit("w2", b0)
+	mustRefresh(t, tail)
+	want(a0, a1, a2, b0)
+}
+
+// Committed values survive the ledger bit-exactly, however awkward.
+func TestLedgerRoundTripBitExact(t *testing.T) {
+	dir := t.TempDir()
+	man := Manifest{Fingerprint: "fp", Scopes: []ScopeSpec{{Name: "s", Rows: 4}}}
+	c, err := Create(dir, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []float64{1.0 / 3.0, math.Pi * 1e15, 5e-324, 123456789}
+	led, err := openLedger(dir, "w", man.Fingerprint, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row, v := range values {
+		if err := led.Commit("s", row, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Merge(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row, v := range values {
+		if got := res.Values["s"][row]; math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("row %d: %x, want %x", row, math.Float64bits(got), math.Float64bits(v))
+		}
+	}
+}
+
+// In Sync mode a commit is on disk when Commit returns, before Close.
+func TestLedgerSyncMode(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Create(dir, testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	led, err := openLedger(dir, "w", "fp", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Commit("alpha", 0, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := readLedger(led.Path(), "fp"); len(entries) != 1 {
+		t.Fatalf("synced commit not visible before Close: %d entries", len(entries))
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustRefresh(t *testing.T, tail *shardTail) {
+	t.Helper()
+	if err := tail.refresh(); err != nil {
+		t.Fatal(err)
 	}
 }

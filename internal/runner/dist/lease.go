@@ -38,9 +38,11 @@ const (
 //
 // The fast path is the atomic one: O_CREATE|O_EXCL arbitrates exactly
 // one winner among racing claimants. When the file already exists the
-// slow path reads it; an unexpired lease loses the claim, while an
-// expired (or unreadable — its writer died mid-write) lease enters
-// the steal protocol: rename the carcass to a unique tombstone, which
+// slow path reads it; an unexpired lease loses the claim, and so does
+// an unreadable one whose mtime is within ttl of now (its writer is
+// between create and write). An expired lease, or an unreadable one
+// older than ttl (its writer died mid-write), enters the steal
+// protocol: rename the carcass to a unique tombstone, which
 // exactly one stealer can win because rename removes the source, then
 // re-claim through the same O_EXCL gate as everyone else. A stealer
 // that dies between rename and re-claim leaves the unit unleased — any
@@ -67,6 +69,12 @@ func claim(dir string, u Unit, owner string, ttl time.Duration, now time.Time) (
 		if rerr != nil && errors.Is(rerr, os.ErrNotExist) {
 			continue // released or stolen between our create and read; retry the fast path
 		}
+		if rerr != nil && leaseYoung(path, ttl, now) {
+			// writeLeaseExcl creates the file before writing it, so an
+			// unreadable lease this young is most likely a live claim
+			// caught mid-write, not a dead writer's carcass.
+			return claimHeld, nil
+		}
 		// Expired or unreadable: steal. The tombstone name is unique
 		// per (owner, attempt time), so concurrent stealers race the
 		// rename and exactly one proceeds.
@@ -82,6 +90,18 @@ func claim(dir string, u Unit, owner string, ttl time.Duration, now time.Time) (
 		// Loop: re-claim through the O_EXCL gate. We may fairly lose
 		// to a non-stealing claimant that saw the path free.
 	}
+}
+
+// leaseYoung reports whether the lease file at path was modified
+// within ttl of now, in either direction: clocks of workers sharing a
+// directory may be skewed.
+func leaseYoung(path string, ttl time.Duration, now time.Time) bool {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return false
+	}
+	age := now.Sub(fi.ModTime())
+	return -ttl < age && age < ttl
 }
 
 // writeLeaseExcl creates the lease file atomically, failing with

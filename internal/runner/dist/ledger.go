@@ -9,9 +9,10 @@ import (
 	"sync"
 )
 
-// ledgerRecord is one committed unit: the checkpoint record shape
-// (fingerprint guard, scope, row, shortest-round-trip float value)
-// plus the committing worker, for forensics on stolen leases.
+// ledgerRecord is one committed unit: the fingerprint guard, scope,
+// row, the value (encoding/json prints the shortest round-tripping
+// representation, so a reloaded value is bit-identical), and the
+// committing worker, for forensics on stolen leases.
 type ledgerRecord struct {
 	FP     string  `json:"fp"`
 	Scope  string  `json:"scope"`
@@ -64,14 +65,22 @@ func truncateTornTail(path string) error {
 		}
 		return fmt.Errorf("dist: inspect shard ledger: %w", err)
 	}
-	if len(data) == 0 || data[len(data)-1] == '\n' {
+	keep := completeLines(data)
+	if keep == len(data) {
 		return nil
 	}
-	keep := bytes.LastIndexByte(data, '\n') + 1 // 0 when no newline at all
 	if err := os.Truncate(path, int64(keep)); err != nil {
 		return fmt.Errorf("dist: truncate torn ledger tail: %w", err)
 	}
 	return nil
+}
+
+// completeLines returns the length of data's prefix that ends in its
+// last newline: the complete lines. Whatever follows is a torn line,
+// and the decoder and the truncator both cut there, so a merge never
+// counts a unit that the next worker start erases.
+func completeLines(data []byte) int {
+	return bytes.LastIndexByte(data, '\n') + 1 // 0 when no newline at all
 }
 
 // Commit durably appends one completed unit. The line is written with
@@ -131,11 +140,24 @@ type LedgerEntry struct {
 }
 
 // readLedger parses one shard file, returning every intact record
-// whose fingerprint matches. Tolerance contract:
+// whose fingerprint matches; see parseLedger for the tolerance
+// contract. An unreadable file quarantines entirely with no records.
+func readLedger(path, fingerprint string) (entries []LedgerEntry, quarantine string) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Sprintf("unreadable: %v", err)
+	}
+	return parseLedger(data, fingerprint)
+}
+
+// parseLedger decodes shard ledger bytes. It is the one decoder of
+// the format, shared by merge and by the worker's incremental tail.
+// Tolerance contract:
 //
-//   - A torn final line (crash mid-write) is skipped silently — the
-//     expected death signature, identical to Checkpoint's.
-//   - A corrupt non-final line marks the file quarantined (reason
+//   - A final line without its newline is torn (crash mid-write) and
+//     skipped silently, whether or not it happens to parse: it is the
+//     line truncateTornTail removes on the next worker start.
+//   - A corrupt complete line marks the file quarantined (reason
 //     non-empty): something other than a clean worker death touched
 //     it. Intact records are still returned — each line is
 //     self-describing and fingerprint-guarded, so good lines lose
@@ -143,29 +165,18 @@ type LedgerEntry struct {
 //     operators know the shard needs attention.
 //   - Records under a foreign fingerprint are skipped (stale shard
 //     from a previous campaign in a reused directory).
-//
-// An unreadable file quarantines entirely with no records.
-func readLedger(path, fingerprint string) (entries []LedgerEntry, quarantine string, err error) {
-	data, rerr := os.ReadFile(path)
-	if rerr != nil {
-		return nil, fmt.Sprintf("unreadable: %v", rerr), nil
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	// A trailing newline yields one empty final element; drop it so
-	// "last line" means the last record written.
-	if len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	for i, line := range lines {
+func parseLedger(data []byte, fingerprint string) (entries []LedgerEntry, quarantine string) {
+	data = data[:completeLines(data)]
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		i := bytes.IndexByte(data, '\n')
+		line := data[:i]
+		data = data[i+1:]
 		if len(line) == 0 {
 			continue
 		}
 		var rec ledgerRecord
-		if uerr := json.Unmarshal(line, &rec); uerr != nil {
-			if i == len(lines)-1 {
-				continue // torn tail: the one loss mode a clean crash produces
-			}
-			quarantine = fmt.Sprintf("corrupt record on line %d: %v", i+1, uerr)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			quarantine = fmt.Sprintf("corrupt record on line %d: %v", lineNo, err)
 			continue
 		}
 		if rec.FP != fingerprint {
@@ -177,5 +188,5 @@ func readLedger(path, fingerprint string) (entries []LedgerEntry, quarantine str
 			Worker: rec.Worker,
 		})
 	}
-	return entries, quarantine, nil
+	return entries, quarantine
 }

@@ -102,10 +102,7 @@ func (c *Campaign) Merge(rec obs.Recorder) (*MergeResult, error) {
 	}
 	dist := obs.DistEvents(rec)
 	for _, path := range paths {
-		entries, quarantine, err := readLedger(path, c.man.Fingerprint)
-		if err != nil {
-			return nil, err
-		}
+		entries, quarantine := readLedger(path, c.man.Fingerprint)
 		if quarantine != "" {
 			res.Quarantined = append(res.Quarantined, QuarantinedShard{Path: path, Reason: quarantine})
 			dist.ShardQuarantined(path, quarantine)

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"os"
+	"runtime"
 	"time"
 
 	"pbsim/internal/obs"
@@ -37,9 +41,11 @@ type Config struct {
 	// durability from process death to machine death.
 	Sync bool
 	// Runner configures the execution of each unit (retries, timeout,
-	// backoff, fault-injection Wrap). Parallelism, Checkpoint, Scope,
-	// and Recorder are managed per-unit by the worker and ignored
-	// here. Wrap, if set, observes the real campaign row number.
+	// backoff, fault-injection Wrap, OnRow/OnRetry callbacks), which
+	// all see the unit's real campaign row. Scope, when set, prefixes
+	// every unit's scope in callbacks and row events ("Scope/unit"),
+	// as pb suites name benchmark scopes under a label. Parallelism
+	// and Recorder are ignored; cfg.Recorder observes the rows.
 	Runner runner.Config
 	// Recorder observes lease and commit events (via obs.DistEvents)
 	// and per-row runner events. Nil means no observation.
@@ -90,19 +96,21 @@ func (e unitError) Unwrap() error { return e.Err }
 // worker. It is the entire worker protocol:
 //
 //	pass:
-//	  scan every shard ledger → done set
-//	  all units done → success
-//	  for each unit not done, rotated by worker ID so workers start
-//	  in different places:
+//	  for each unit not known done, rotated by worker ID so workers
+//	  start in different places:
+//	    refresh the done set from the shard ledgers; done → skip
 //	    claim its lease (stealing if expired); held elsewhere → skip
+//	    refresh again: the previous holder may have committed and
+//	    released in between → release, skip
 //	    heartbeat the lease in the background
-//	    run the unit through runner.Evaluate (retries, timeout,
-//	    panic recovery)
+//	    run the unit through runner.EvaluateRow under its campaign
+//	    row (retries, timeout, panic recovery)
 //	    success → append to this worker's shard ledger, release lease
 //	    injected crash → return immediately, lease deliberately NOT
 //	    released: the process is "dead", the lease must expire and be
 //	    stolen, exactly as a real death
 //	    other permanent failure → record, release lease, move on
+//	  nothing left but failed units → done
 //	  no unit claimable and campaign incomplete → poll-sleep, rescan
 //	    (another worker holds the rest; it will finish or its leases
 //	    will expire)
@@ -127,7 +135,11 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 	defer led.Close() //pbcheck:ignore errdiscard commit errors are sticky and already returned by Commit; the success path closes explicitly
 
 	units := c.man.Units()
+	// Rotate the scan start by a hash of the worker ID so N workers
+	// fan out across the campaign instead of convoying on unit 0.
+	first := rotation(cfg.ID, len(units))
 	failed := make(map[Unit]unitError)
+	tail := newShardTail(c)
 	dist := obs.DistEvents(cfg.Recorder)
 
 	for {
@@ -135,21 +147,19 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 			return stats, err
 		}
 		stats.Passes++
-		done, err := c.doneUnits()
-		if err != nil {
-			return stats, err
-		}
 		remaining := 0
 		progressed := false
 		for i := range units {
-			// Rotate the scan start by a hash of the worker ID so N
-			// workers fan out across the campaign instead of convoying
-			// on unit 0.
-			u := units[(i+rotation(cfg.ID, len(units)))%len(units)]
-			if done[u] {
+			u := units[(i+first)%len(units)]
+			if _, ok := failed[u]; ok || tail.done[u] {
 				continue
 			}
-			if _, ok := failed[u]; ok {
+			// Other workers commit throughout a pass: refresh before
+			// every claim, not once per pass.
+			if err := tail.refresh(); err != nil {
+				return stats, err
+			}
+			if tail.done[u] {
 				continue
 			}
 			remaining++
@@ -169,12 +179,13 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 			}
 			dist.LeaseClaimed(u.Scope, u.Row, res == claimStolen)
 
-			// Units change hands via steals; re-check the ledgers in
-			// case the previous owner committed before losing the lease.
-			if committed, err := c.unitDone(u); err != nil {
+			// Units change hands via steals and releases; the previous
+			// holder may have committed since the refresh above.
+			if err := tail.refresh(); err != nil {
 				release(dir, u, cfg.ID)
 				return stats, err
-			} else if committed {
+			}
+			if tail.done[u] {
 				release(dir, u, cfg.ID)
 				progressed = true
 				continue
@@ -240,34 +251,115 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 	}
 }
 
-// runUnit executes one unit through runner.Evaluate to inherit its
-// retry, timeout, and panic-recovery machinery. Evaluate sees a
-// one-row problem, so cfg.Runner.Wrap — which keys fault injection by
-// row number — is adapted to observe the real campaign row rather
-// than Evaluate's index 0.
+// Run executes the campaign at dir in this process: workers
+// concurrent RunWorker calls (GOMAXPROCS when workers <= 0) named
+// cfg.ID-w0, cfg.ID-w1, ... (cfg.ID defaults to host-pid), then a
+// merge, which it returns once complete. It is how a checkpointed run
+// resumes: units committed before Run starts — by an interrupted
+// earlier run, or by other processes — are not executed again, and
+// each is reported once as a restored row (fromCheckpoint=true) to
+// cfg.Recorder and cfg.Runner.OnRow. The first worker error is
+// returned. cfg.Poll defaults to runPoll rather than LeaseTTL/4: at
+// the end of a campaign the units an idle worker waits for are mostly
+// held by its siblings in this process, which commit them in a row's
+// time, not a lease's.
+func Run(ctx context.Context, dir string, task Task, workers int, cfg Config) (*MergeResult, error) {
+	c, err := Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.reportRestored(cfg); err != nil {
+		return nil, err
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Poll <= 0 {
+		cfg.Poll = runPoll
+	}
+	if cfg.ID == "" {
+		host, err := os.Hostname()
+		if err != nil {
+			host = "worker"
+		}
+		cfg.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wcfg := cfg
+		wcfg.ID = fmt.Sprintf("%s-w%d", cfg.ID, w)
+		//pbcheck:ignore leakygo worker goroutines terminate via ctx cancellation inside RunWorker and are joined by the errs receive loop below
+		go func() {
+			_, err := RunWorker(ctx, dir, task, wcfg)
+			errs <- err
+		}()
+	}
+	var firstErr error
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	res, err := c.Merge(cfg.Recorder)
+	if err != nil {
+		return nil, err
+	}
+	if !res.Complete() {
+		return nil, fmt.Errorf("dist: campaign %s incomplete: %d units missing", dir, len(res.Missing))
+	}
+	return res, nil
+}
+
+// runPoll is Run's default wait between passes that found every
+// remaining unit leased elsewhere.
+const runPoll = 50 * time.Millisecond
+
+// reportRestored reports every unit the campaign has already
+// committed as a restored row.
+func (c *Campaign) reportRestored(cfg Config) error {
+	res, err := c.Merge(nil)
+	if err != nil {
+		return err
+	}
+	for _, u := range c.man.Units() {
+		v := res.Values[u.Scope][u.Row]
+		if math.IsNaN(v) {
+			continue
+		}
+		scope := cfg.rowScope(u)
+		if cfg.Recorder != nil {
+			cfg.Recorder.RowFinished(scope, u.Row, v, 0, 0, true)
+		}
+		if cfg.Runner.OnRow != nil {
+			cfg.Runner.OnRow(scope, u.Row, v, true)
+		}
+	}
+	return nil
+}
+
+// runUnit executes one unit through runner.EvaluateRow under its real
+// campaign row, inheriting the runner's retry, timeout,
+// panic-recovery and fault-injection machinery.
 func runUnit(ctx context.Context, u Unit, task Task, cfg Config) (float64, error) {
 	rcfg := cfg.Runner
-	rcfg.Parallelism = 1
-	rcfg.Checkpoint = nil
-	rcfg.Scope = u.Scope
+	rcfg.Scope = cfg.rowScope(u)
 	rcfg.Recorder = cfg.Recorder
-	base := func(ctx context.Context, _ int) (float64, error) {
-		return task(ctx, u.Scope, u.Row)
+	return runner.EvaluateRow(ctx, func(ctx context.Context, row int) (float64, error) {
+		return task(ctx, u.Scope, row)
+	}, u.Row, rcfg)
+}
+
+// rowScope is the scope u's row events and callbacks carry: the
+// unit's scope, under cfg.Runner.Scope when that is set — the
+// "label/benchmark" form pb suites report.
+func (cfg *Config) rowScope(u Unit) string {
+	if cfg.Runner.Scope == "" {
+		return u.Scope
 	}
-	if w := rcfg.Wrap; w != nil {
-		wrapped := w(func(ctx context.Context, i int) (float64, error) {
-			return task(ctx, u.Scope, i)
-		})
-		base = func(ctx context.Context, _ int) (float64, error) {
-			return wrapped(ctx, u.Row)
-		}
-		rcfg.Wrap = nil
-	}
-	vals, err := runner.Evaluate(ctx, 1, base, rcfg)
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
+	return cfg.Runner.Scope + "/" + u.Scope
 }
 
 // startHeartbeat renews the lease on u every cfg.Heartbeat until the
@@ -305,32 +397,65 @@ func startHeartbeat(dir string, u Unit, cfg *Config, dist obs.DistRecorder) (sto
 	}
 }
 
-// doneUnits scans every shard ledger for committed units.
-func (c *Campaign) doneUnits() (map[Unit]bool, error) {
-	paths, err := c.shardPaths()
-	if err != nil {
-		return nil, err
-	}
-	done := make(map[Unit]bool)
-	for _, p := range paths {
-		entries, _, err := readLedger(p, c.man.Fingerprint)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			done[e.Unit] = true
-		}
-	}
-	return done, nil
+// shardTail follows the campaign's shard ledgers incrementally: per
+// file it keeps the offset just past the last complete line it parsed,
+// so a refresh stats every shard but reads only what was appended
+// since. An offset always sits on a line boundary and truncateTornTail
+// only cuts after a file's last newline, so truncation never pulls a
+// file below an offset; a file that shrinks anyway (rewritten by hand)
+// is re-read from the start. The done set only grows.
+type shardTail struct {
+	c    *Campaign
+	off  map[string]int64
+	done map[Unit]bool
 }
 
-// unitDone reports whether any shard has committed u.
-func (c *Campaign) unitDone(u Unit) (bool, error) {
-	done, err := c.doneUnits()
+func newShardTail(c *Campaign) *shardTail {
+	return &shardTail{c: c, off: make(map[string]int64), done: make(map[Unit]bool)}
+}
+
+// refresh folds every complete line appended since the last refresh
+// into the done set. A shard that cannot be read contributes nothing;
+// Merge, the authority on results, quarantines it.
+func (t *shardTail) refresh() error {
+	paths, err := t.c.shardPaths()
 	if err != nil {
-		return false, err
+		return err
 	}
-	return done[u], nil
+	for _, p := range paths {
+		t.read(p)
+	}
+	return nil
+}
+
+func (t *shardTail) read(path string) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return
+	}
+	off := t.off[path]
+	if fi.Size() < off {
+		off = 0
+	}
+	if fi.Size() == off {
+		return
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return
+	}
+	defer f.Close() //pbcheck:ignore errdiscard read-only handle; a close error cannot lose data
+	buf := make([]byte, fi.Size()-off)
+	n, err := f.ReadAt(buf, off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return
+	}
+	buf = buf[:completeLines(buf[:n])]
+	entries, _ := parseLedger(buf, t.c.man.Fingerprint)
+	for _, e := range entries {
+		t.done[e.Unit] = true
+	}
+	t.off[path] = off + int64(len(buf))
 }
 
 // rotation maps a worker ID to a stable scan offset in [0, n).

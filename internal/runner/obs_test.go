@@ -4,36 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"pbsim/internal/obs"
 )
 
-// TestEvaluateRecorderEvents drives an evaluation with retries,
-// panics, timeouts, and checkpoint restores through a Metrics
-// recorder and asserts the aggregates are exact.
+// TestEvaluateRecorderEvents drives an evaluation with retries and
+// panics through a Metrics recorder and asserts the aggregates are
+// exact.
 func TestEvaluateRecorderEvents(t *testing.T) {
 	const n = 12
-	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp, err := OpenCheckpoint(path, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pre-complete rows 0 and 1 so they are restored, not simulated.
-	for row := 0; row < 2; row++ {
-		if err := cp.Record("s", row, float64(100+row)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cp.Close()
-	cp, err = OpenCheckpoint(path, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-
 	attempts := make([]int, n)
 	task := func(ctx context.Context, row int) (float64, error) {
 		attempts[row]++
@@ -51,28 +32,29 @@ func TestEvaluateRecorderEvents(t *testing.T) {
 		Retries:     2,
 		Backoff:     time.Microsecond,
 		BackoffCap:  2 * time.Microsecond,
-		Checkpoint:  cp,
 		Scope:       "s",
 		Recorder:    m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 100 || got[1] != 101 {
-		t.Errorf("restored rows = %v, %v; want 100, 101", got[0], got[1])
+	for row, v := range got {
+		if v != float64(row) {
+			t.Errorf("row %d = %v", row, v)
+		}
 	}
-	if v := m.RowsResumed.Value(); v != 2 {
-		t.Errorf("RowsResumed = %d, want 2", v)
+	if v := m.RowsResumed.Value(); v != 0 {
+		t.Errorf("RowsResumed = %d, want 0", v)
 	}
-	if v := m.RowsSimulated.Value(); v != n-2 {
-		t.Errorf("RowsSimulated = %d, want %d", v, n-2)
+	if v := m.RowsSimulated.Value(); v != n {
+		t.Errorf("RowsSimulated = %d, want %d", v, n)
 	}
 	if v := m.RowsFailed.Value(); v != 0 {
 		t.Errorf("RowsFailed = %d, want 0", v)
 	}
-	// 10 simulated rows, two of which needed a second attempt.
-	if v := m.Attempts.Value(); v != int64(n-2+2) {
-		t.Errorf("Attempts = %d, want %d", v, n-2+2)
+	// n simulated rows, two of which needed a second attempt.
+	if v := m.Attempts.Value(); v != int64(n+2) {
+		t.Errorf("Attempts = %d, want %d", v, n+2)
 	}
 	if v := m.Retries.Value(); v != 2 {
 		t.Errorf("Retries = %d, want 2", v)
@@ -80,8 +62,8 @@ func TestEvaluateRecorderEvents(t *testing.T) {
 	if v := m.Panics.Value(); v != 1 {
 		t.Errorf("Panics = %d, want 1", v)
 	}
-	if v := m.RowLatency.Count(); v != int64(n-2) {
-		t.Errorf("RowLatency count = %d, want %d (checkpoint rows carry no latency)", v, n-2)
+	if v := m.RowLatency.Count(); v != int64(n) {
+		t.Errorf("RowLatency count = %d, want %d", v, n)
 	}
 	if v := m.Workers.Peak(); v < 1 || v > 3 {
 		t.Errorf("worker peak = %d, want in [1, 3]", v)

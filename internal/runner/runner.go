@@ -7,9 +7,10 @@
 // evaluated by a bounded worker pool with context cancellation,
 // per-attempt timeouts, retry with capped exponential backoff and
 // deterministic jitter, panic recovery (a crashed worker becomes a
-// per-row error, never a dead process), and optional JSONL
-// checkpointing so an interrupted suite resumes exactly where it
-// stopped.
+// per-row error, never a dead process). Durable resume is not the
+// runner's business: a checkpointed suite runs as a campaign directory
+// of package dist, whose workers evaluate each unit through
+// EvaluateRow.
 //
 // The degradation policy is strict: a row that exhausts its retries
 // fails the whole evaluation with an aggregate *RunError naming every
@@ -43,8 +44,7 @@ const (
 )
 
 // Config tunes one Evaluate call. The zero value is a plain parallel
-// evaluation: GOMAXPROCS workers, no timeout, no retries, no
-// checkpoint.
+// evaluation: GOMAXPROCS workers, no timeout, no retries.
 type Config struct {
 	// Parallelism bounds the number of concurrently evaluated rows
 	// (GOMAXPROCS when zero or negative).
@@ -66,29 +66,27 @@ type Config struct {
 	// Seed drives the deterministic backoff jitter: the same
 	// (seed, row, attempt) always yields the same delay.
 	Seed int64
-	// Checkpoint, when non-nil, is consulted before evaluating a row
-	// and appended to after every successful one, keyed by Scope.
-	Checkpoint *Checkpoint
-	// Scope namespaces this evaluation's rows inside the checkpoint
-	// (e.g. the benchmark name); evaluations with different scopes
-	// share one checkpoint file without colliding.
+	// Scope names this evaluation's rows in every event and callback
+	// (e.g. the benchmark name).
 	Scope string
 	// Wrap, when non-nil, decorates the task before evaluation; it is
 	// the hook the fault-injection harness (Faults.Wrap) plugs into.
 	Wrap func(Task) Task
 	// OnRetry, when non-nil, is called before each backoff sleep.
 	OnRetry func(scope string, row, attempt int, delay time.Duration, err error)
-	// OnRow, when non-nil, is called after each row completes,
-	// including rows restored from the checkpoint.
+	// OnRow, when non-nil, is called after each row completes. The
+	// runner always passes fromCheckpoint=false; the flag is set by
+	// campaign runs (package dist) reporting rows a previous run
+	// already committed.
 	OnRow func(scope string, row int, value float64, fromCheckpoint bool)
 	// Recorder, when non-nil, observes the evaluation: run start and
 	// finish, per-row queue wait, worker occupancy, per-attempt
 	// latency with classified outcome (error/panic/timeout), retries,
-	// completions (checkpoint restores included), and permanent
-	// failures. A nil Recorder adds zero overhead — not even clock
-	// reads — and obs.Nop adds zero allocations (see the benchmark in
-	// this package). Recorders only observe; scheduling, retry
-	// decisions, and results are bit-identical with or without one.
+	// completions, and permanent failures. A nil Recorder adds zero
+	// overhead — not even clock reads — and obs.Nop adds zero
+	// allocations (see the benchmark in this package). Recorders only
+	// observe; scheduling, retry decisions, and results are
+	// bit-identical with or without one.
 	Recorder obs.Recorder
 
 	// sleep is the backoff clock, injectable by tests.
@@ -157,8 +155,7 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 //     cfg.Retries times with capped exponential backoff and
 //     deterministic jitter.
 //   - A row that exhausts its attempts is recorded and evaluation of
-//     the remaining rows continues (so a checkpoint captures as much
-//     completed work as possible); Evaluate then returns a *RunError
+//     the remaining rows continues; Evaluate then returns a *RunError
 //     aggregating every failed row.
 //   - Cancelling ctx stops the pool promptly: workers take no new rows,
 //     in-flight attempts see their context expire, and Evaluate joins
@@ -174,26 +171,8 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 	if parallelism > n {
 		parallelism = n
 	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = DefaultBackoff
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = DefaultBackoffCap
-	}
-	if cfg.sleep == nil {
-		cfg.sleep = ctxSleep
-	}
-	if cfg.Wrap != nil {
-		task = cfg.Wrap(task)
-	}
-	// Observability: a nil Recorder costs nothing (no clock reads);
-	// any non-nil Recorder — including obs.Nop — exercises the full
-	// instrumentation path so its overhead can be benchmarked.
-	rec := cfg.Recorder
-	instrumented := rec != nil
-	if !instrumented {
-		rec = obs.Nop{}
-	}
+	task = cfg.prepare(task)
+	rec, instrumented := cfg.recorder()
 	var runStart time.Time
 	if instrumented {
 		runStart = time.Now()
@@ -216,33 +195,16 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				var rowStart time.Time
 				if instrumented {
-					rowStart = time.Now()
-					rec.QueueWait(cfg.Scope, i, rowStart.Sub(runStart))
-					rec.WorkerActive(1)
+					rec.QueueWait(cfg.Scope, i, time.Since(runStart))
 				}
-				if cfg.Checkpoint != nil {
-					if v, ok := cfg.Checkpoint.Lookup(cfg.Scope, i); ok {
-						//pbcheck:ignore racecheck each row index i is claimed by exactly one worker via the atomic counter, so writes to responses land on disjoint elements
-						responses[i] = v
-						rec.RowFinished(cfg.Scope, i, v, 0, 0, true)
-						rec.WorkerActive(-1)
-						if cfg.OnRow != nil {
-							cfg.OnRow(cfg.Scope, i, v, true)
-						}
-						continue
-					}
-				}
-				v, attempts, err := evaluateRow(ctx, task, i, cfg, rec, instrumented)
+				v, err := runRow(ctx, task, i, cfg, rec, instrumented)
 				if err != nil {
-					rec.WorkerActive(-1)
 					if ctx.Err() != nil {
 						// The run was cancelled; the row did not fail
 						// on its own merits.
 						return
 					}
-					rec.RowFailed(cfg.Scope, i, err.Attempts, err.Err)
 					mu.Lock()
 					failed = append(failed, err)
 					mu.Unlock()
@@ -250,26 +212,6 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 				}
 				//pbcheck:ignore racecheck each row index i is claimed by exactly one worker via the atomic counter, so writes to responses land on disjoint elements
 				responses[i] = v
-				if cfg.Checkpoint != nil {
-					if cerr := cfg.Checkpoint.Record(cfg.Scope, i, v); cerr != nil {
-						werr := fmt.Errorf("checkpoint write: %w", cerr)
-						rec.RowFailed(cfg.Scope, i, attempts, werr)
-						rec.WorkerActive(-1)
-						mu.Lock()
-						failed = append(failed, &RowError{Scope: cfg.Scope, Row: i, Attempts: 1, Err: werr})
-						mu.Unlock()
-						continue
-					}
-				}
-				var rowLatency time.Duration
-				if instrumented {
-					rowLatency = time.Since(rowStart)
-				}
-				rec.RowFinished(cfg.Scope, i, v, rowLatency, attempts, false)
-				rec.WorkerActive(-1)
-				if cfg.OnRow != nil {
-					cfg.OnRow(cfg.Scope, i, v, false)
-				}
 			}
 		}()
 	}
@@ -287,6 +229,82 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 		return responses, &RunError{N: n, Rows: failed}
 	}
 	return responses, nil
+}
+
+// EvaluateRow evaluates one row with everything Evaluate applies to
+// each of its rows: cfg.Wrap, the attempt loop with timeout, retry,
+// backoff and panic recovery, and the per-row Recorder events and
+// OnRow/OnRetry callbacks under cfg.Scope. It is for callers that
+// schedule rows themselves, such as the dist worker, which runs one
+// campaign unit at a time under its real row number. Parallelism is
+// ignored, and no RunStarted/RunFinished or QueueWait events are
+// emitted. A permanent failure returns a *RowError.
+func EvaluateRow(ctx context.Context, task Task, row int, cfg Config) (float64, error) {
+	task = cfg.prepare(task)
+	rec, instrumented := cfg.recorder()
+	v, err := runRow(ctx, task, row, cfg, rec, instrumented)
+	if err != nil {
+		return 0, err
+	}
+	return v, nil
+}
+
+// prepare fills the retry-pacing defaults into cfg and returns task
+// decorated by cfg.Wrap.
+func (cfg *Config) prepare(task Task) Task {
+	if cfg.Backoff <= 0 {
+		cfg.Backoff = DefaultBackoff
+	}
+	if cfg.BackoffCap <= 0 {
+		cfg.BackoffCap = DefaultBackoffCap
+	}
+	if cfg.sleep == nil {
+		cfg.sleep = ctxSleep
+	}
+	if cfg.Wrap != nil {
+		task = cfg.Wrap(task)
+	}
+	return task
+}
+
+// recorder returns the Recorder to report to and whether the run is
+// instrumented. A nil Recorder costs nothing (no clock reads); any
+// non-nil Recorder — including obs.Nop — exercises the full
+// instrumentation path so its overhead can be benchmarked.
+func (cfg *Config) recorder() (obs.Recorder, bool) {
+	if cfg.Recorder == nil {
+		return obs.Nop{}, false
+	}
+	return cfg.Recorder, true
+}
+
+// runRow evaluates one row and reports it: worker occupancy, then
+// RowFinished and OnRow on success or RowFailed on a permanent failure.
+// A row cut short by cancelling ctx is not reported as failed.
+func runRow(ctx context.Context, task Task, row int, cfg Config, rec obs.Recorder, instrumented bool) (float64, *RowError) {
+	var rowStart time.Time
+	if instrumented {
+		rowStart = time.Now()
+		rec.WorkerActive(1)
+	}
+	v, attempts, err := evaluateRow(ctx, task, row, cfg, rec, instrumented)
+	if err != nil {
+		rec.WorkerActive(-1)
+		if ctx.Err() == nil {
+			rec.RowFailed(cfg.Scope, row, err.Attempts, err.Err)
+		}
+		return 0, err
+	}
+	var rowLatency time.Duration
+	if instrumented {
+		rowLatency = time.Since(rowStart)
+	}
+	rec.RowFinished(cfg.Scope, row, v, rowLatency, attempts, false)
+	rec.WorkerActive(-1)
+	if cfg.OnRow != nil {
+		cfg.OnRow(cfg.Scope, row, v, false)
+	}
+	return v, nil
 }
 
 // evaluateRow runs one row's full attempt loop, returning the value

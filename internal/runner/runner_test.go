@@ -288,4 +288,34 @@ func TestTimeoutRetries(t *testing.T) {
 	}
 }
 
+// EvaluateRow applies Wrap, retries and the per-row callbacks under
+// the row number it is given, and reports a permanent failure as a
+// *RowError.
+func TestEvaluateRowKeepsRowNumber(t *testing.T) {
+	faults := &Faults{FailRows: map[int]int{41: 1}}
+	var seen []int
+	cfg := Config{
+		Retries: 1,
+		Scope:   "s",
+		Wrap:    faults.Wrap,
+		OnRetry: func(_ string, row, _ int, _ time.Duration, _ error) { seen = append(seen, row) },
+		OnRow:   func(_ string, row int, _ float64, _ bool) { seen = append(seen, row) },
+		sleep:   noSleep,
+	}
+	task := func(_ context.Context, i int) (float64, error) { return float64(i), nil }
+	v, err := EvaluateRow(context.Background(), task, 41, cfg)
+	if err != nil || v != 41 {
+		t.Fatalf("EvaluateRow = %v, %v; want 41", v, err)
+	}
+	if len(seen) != 2 || seen[0] != 41 || seen[1] != 41 {
+		t.Errorf("callbacks saw rows %v, want [41 41] (one retry, one completion)", seen)
+	}
+	cfg.Wrap, cfg.OnRetry, cfg.OnRow = nil, nil, nil
+	broken := func(context.Context, int) (float64, error) { return 0, errors.New("broken") }
+	var rowErr *RowError
+	if _, err := EvaluateRow(context.Background(), broken, 9, cfg); !errors.As(err, &rowErr) || rowErr.Row != 9 || rowErr.Attempts != 2 {
+		t.Fatalf("EvaluateRow(broken) = %v, want *RowError for row 9 after 2 attempts", err)
+	}
+}
+
 func noSleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
