@@ -1,16 +1,6 @@
 GO ?= go
 
-# Pinned benchmark repetition counts: -benchtime in iterations (not
-# seconds) keeps the measured work identical across machines, and
-# -count repetitions give pbbench enough samples for its confidence
-# intervals. BENCH_0.json was captured with exactly these settings;
-# regenerate it with `make bench-baseline` after intentional
-# performance changes.
-BENCHTIME ?= 2x
-BENCHCOUNT ?= 5
-BENCHFLAGS = -run='^$$' -bench=. -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) .
-
-.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer fuzz short bench bench-baseline bench-check check cover chaos assess frontier
+.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer fuzz short bench bench-test check cover chaos assess frontier
 
 all: check
 
@@ -72,12 +62,11 @@ race-hammer:
 
 # fuzz runs every native fuzz target (stdlib testing.F) for FUZZTIME
 # each: the on-disk decoders that must never panic or accept a torn
-# record — shard ledger, campaign manifest, sampling spec, and the
-# perfbench bench-output and trajectory parsers. The CI race-hammer
-# job runs it.
+# record — shard ledger, campaign manifest and sampling spec. The CI
+# race-hammer job runs it.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/runner/dist:FuzzReadLedger ./internal/runner/dist:FuzzOpenManifest \
-	./internal/sampling:FuzzParseSpec ./internal/perfbench:FuzzParseSet ./internal/perfbench:FuzzDecode
+	./internal/sampling:FuzzParseSpec
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
@@ -99,24 +88,19 @@ chaos:
 	mkdir -p $(CHAOS_ARTIFACTS)
 	CHAOS_ARTIFACTS=$(abspath $(CHAOS_ARTIFACTS)) $(GO) test -race -count=1 -run Chaos -v ./internal/runner/dist/ | tee $(CHAOS_ARTIFACTS)/chaos.log
 
-# bench runs the pinned benchmark sweep and summarizes it into a
-# BENCH_ci.json trajectory (median + confidence interval per metric).
+# bench runs the repository benchmark (bench/, declared in
+# BENCHMARK.json): every workload in interleaved rounds plus one traced
+# rep each, written to bench/out/result.json. Compare two commits with
+# `bash bench/run.sh compare OLD.json NEW.json` (see bench/README.md).
 bench:
-	$(GO) test $(BENCHFLAGS) | tee bench.txt
-	$(GO) run ./cmd/pbbench run -input bench.txt -rev ci -out BENCH_ci.json
+	bash bench/run.sh
 
-# bench-baseline refreshes the committed baseline trajectory. Only run
-# it after an intentional, explained performance change, on the same
-# class of machine the old baseline came from (trajectories are
-# machine-relative).
-bench-baseline:
-	$(GO) test $(BENCHFLAGS) | tee bench.txt
-	$(GO) run ./cmd/pbbench run -input bench.txt -rev 0 -out BENCH_0.json
-
-# bench-check is the regression gate: fresh run vs committed baseline,
-# non-zero exit when any metric regresses beyond the threshold.
-bench-check: bench
-	$(GO) run ./cmd/pbbench check -threshold 10% BENCH_0.json BENCH_ci.json
+# bench-test builds, vets and tests the benchmark module against the
+# root module, so a root API change cannot silently break it. It runs
+# offline; the CI bench job runs it.
+bench-test:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Coverage profile plus a per-package summary; enforces floors for the
 # packages the campaign engine leans on hardest (obs, stats, runner).
@@ -129,8 +113,7 @@ cover:
 # estimator with the tuned sampling spec. pbfrontier exits non-zero
 # when any estimator's Spearman rank correlation against the full
 # ordering falls below 0.95, which is the CI gate. Artifacts (text,
-# JSON, markdown step summary, perfbench trajectory) land in
-# $(FRONTIER_ARTIFACTS).
+# JSON, markdown step summary) land in $(FRONTIER_ARTIFACTS).
 FRONTIER_ARTIFACTS ?= out/frontier
 FRONTIER_FLAGS ?= -n 100000 -warmup 30000 -region 2000 -frac 0.08 -func-warmup 24000 -seed 1
 frontier:
@@ -138,7 +121,6 @@ frontier:
 	$(GO) run ./cmd/pbfrontier $(FRONTIER_FLAGS) \
 		-json-out $(FRONTIER_ARTIFACTS)/frontier.json \
 		-md-out $(FRONTIER_ARTIFACTS)/frontier.md \
-		-bench-out $(FRONTIER_ARTIFACTS)/BENCH_frontier.json \
 		| tee $(FRONTIER_ARTIFACTS)/frontier.txt
 
 # assess runs the methodology shoot-out: PB, foldover PB,

@@ -18,7 +18,6 @@
 //	           [-func-warmup 24000] [-seed 1] [-strata 4] [-set 3]
 //	           [-min-spearman 0.95] [-par 0]
 //	           [-json-out frontier.json] [-md-out frontier.md]
-//	           [-bench-out BENCH_ci.json] [-rev ci]
 //
 // Every gated number (speedups, errors, correlations) is a
 // deterministic function of the flags; only the wall-clock columns
@@ -38,7 +37,6 @@ import (
 
 	"pbsim/internal/experiment"
 	"pbsim/internal/obs"
-	"pbsim/internal/perfbench"
 	"pbsim/internal/sampling"
 	"pbsim/internal/workload"
 )
@@ -66,8 +64,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	par := fs.Int("par", 0, "parallel simulations (default GOMAXPROCS)")
 	jsonOut := fs.String("json-out", "", "write the JSON report to this file")
 	mdOut := fs.String("md-out", "", "write the markdown report (CI step summary) to this file")
-	benchOut := fs.String("bench-out", "", "write the frontier as a perfbench trajectory file (BENCH_<rev>.json)")
-	rev := fs.String("rev", "ci", "revision label recorded in -bench-out")
 	if err := fs.Parse(args); err != nil {
 		return obs.Usagef("%v", err)
 	}
@@ -129,47 +125,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintln(stderr, "pbfrontier: wrote", *mdOut)
 	}
-	if *benchOut != "" {
-		if err := writeFile(*benchOut, func(w io.Writer) error {
-			return perfbench.Encode(w, benchFile(rep, *rev))
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintln(stderr, "pbfrontier: wrote", *benchOut)
-	}
 	if !rep.Pass {
 		return fmt.Errorf("frontier gate failed: an estimator's Spearman fell below %.2f", rep.MinSpearman)
 	}
 	return nil
-}
-
-// benchFile converts the frontier report into a perfbench trajectory
-// point, so BENCH_<rev>.json carries both axes (speedup factor and CPI
-// relative error) per estimator alongside the timing benchmarks.
-func benchFile(rep *experiment.FrontierReport, rev string) *perfbench.File {
-	f := &perfbench.File{
-		Schema: perfbench.Schema,
-		Rev:    rev,
-		Config: map[string]string{
-			"n":          fmt.Sprint(rep.Instructions),
-			"warmup":     fmt.Sprint(rep.Warmup),
-			"foldover":   fmt.Sprint(rep.Foldover),
-			"benchmarks": strings.Join(rep.Benchmarks, ","),
-			"sample":     rep.SampleSpec,
-		},
-	}
-	for _, p := range rep.Points {
-		f.Frontier = append(f.Frontier, perfbench.FrontierPoint{
-			Estimator:     p.Estimator,
-			InstrSpeedup:  p.InstrSpeedup,
-			WallSpeedup:   p.WallSpeedup,
-			MeanCPIRelErr: p.MeanCPIRelErr,
-			MaxCPIRelErr:  p.MaxCPIRelErr,
-			Spearman:      p.Spearman,
-			Pass:          p.Pass,
-		})
-	}
-	return f
 }
 
 func selectWorkloads(list string) ([]workload.Workload, error) {

@@ -25,7 +25,7 @@
 //
 // Usage:
 //
-//	pbworker -dir campaign/ [-id worker-name] [-ttl 10s] [-poll 0]
+//	pbworker -checkpoint campaign/ [-id worker-name] [-ttl 10s] [-poll 0]
 //	         [-sync] [-timeout 0] [-retries 0]
 //	         [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
@@ -53,18 +53,17 @@ func main() {
 }
 
 func run() (err error) {
-	dir := flag.String("dir", "", "campaign directory (required; created by pbrank -checkpoint)")
 	id := flag.String("id", "", "worker name; must be unique among live workers (default host-pid)")
 	ttl := flag.Duration("ttl", 10*time.Second, "lease time-to-live; a worker silent this long loses its units")
 	poll := flag.Duration("poll", 0, "wait between passes when all remaining units are leased elsewhere (default ttl/4)")
 	sync := flag.Bool("sync", false, "fsync the shard ledger after every commit (survives machine death, not just process death)")
-	timeout := flag.Duration("timeout", 0, "per-unit simulation timeout (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for a failed unit")
+	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbworker")
 	flag.Parse()
 
-	if *dir == "" {
-		return obs.Usagef("-dir is required (a campaign directory created by pbrank -checkpoint)")
+	dir := runFlags.Checkpoint
+	if dir == "" {
+		return obs.Usagef("-checkpoint is required (a campaign directory created by pbrank -checkpoint)")
 	}
 	if *id == "" {
 		host, herr := os.Hostname()
@@ -83,7 +82,7 @@ func run() (err error) {
 	}
 	defer obs.FoldClose(&err, sess)
 
-	c, err := dist.Open(*dir)
+	c, err := dist.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -99,22 +98,19 @@ func run() (err error) {
 	if rec := sess.Recorder(); rec != nil {
 		rec.SuiteStarted(man.Fingerprint, len(man.Scopes), man.TotalRows())
 	}
-	stats, err := dist.RunWorker(ctx, *dir, task, dist.Config{
+	stats, err := dist.RunWorker(ctx, dir, task, dist.Config{
 		ID:       *id,
 		LeaseTTL: *ttl,
 		Poll:     *poll,
 		Sync:     *sync,
 		Runner: runner.Config{
-			Timeout: *timeout,
-			Retries: *retries,
+			Timeout: runFlags.Timeout,
+			Retries: runFlags.Retries,
 		},
 		Recorder: sess.Recorder(),
 	})
 	if err != nil {
-		if runner.Cancelled(err) {
-			return fmt.Errorf("%w (committed units are durable; rerun pbworker -dir %s to resume)", err, *dir)
-		}
-		return err
+		return runFlags.Resumable(err)
 	}
 	fmt.Printf("pbworker %s: campaign complete — committed %d of %d units (%d leases claimed, %d stolen) over %d passes\n",
 		*id, stats.Committed, man.TotalRows(), stats.Claimed, stats.Stolen, stats.Passes)

@@ -28,7 +28,8 @@
 // its 95% confidence interval and the detailed-instruction reduction,
 // instead of the full statistics report. It is mutually exclusive with
 // -precompute (sampling measures the base pipeline, not an enhanced
-// one) and with -checkpoint (sampled runs are cheap by construction).
+// one). The sampling spec is part of the -checkpoint fingerprint, so a
+// sampled campaign resumes like a full one and never mixes with it.
 package main
 
 import (
@@ -59,8 +60,8 @@ func main() {
 
 func run() (err error) {
 	bench := flag.String("bench", "gzip", "benchmark name (or 'all')")
-	n := flag.Int64("n", 100000, "instructions to measure")
-	warmup := flag.Int64("warmup", 30000, "instructions to warm up before measuring")
+	n := flag.Int64("n", experiment.DefaultInstructions, "instructions to measure")
+	warmup := flag.Int64("warmup", experiment.DefaultWarmup, "instructions to warm up before measuring")
 	configSel := flag.String("config", "default", "configuration: default, all-low, or all-high")
 	precompute := flag.Int("precompute", 0, "enable instruction precomputation with a table of this many entries")
 	par := flag.Int("par", 1, "benchmarks simulated in parallel")
@@ -98,11 +99,8 @@ func run() (err error) {
 	fp := fmt.Sprintf("simrun|config=%s|n=%d|warmup=%d|precompute=%d|benchmarks=%s",
 		*configSel, *n, *warmup, *precompute, strings.Join(names, ","))
 	if sampleSpec != nil {
-		switch {
-		case *precompute > 0:
+		if *precompute > 0 {
 			return obs.Usagef("-sample measures the base pipeline; it cannot be combined with -precompute")
-		case runFlags.Checkpoint != "":
-			return obs.Usagef("-sample runs are cheap by construction and do not checkpoint")
 		}
 		fp += "|sample=" + sampleSpec.String()
 	}

@@ -13,6 +13,7 @@ import (
 	"pbsim/internal/pb"
 	"pbsim/internal/runner"
 	"pbsim/internal/runner/dist"
+	"pbsim/internal/sampling"
 	"pbsim/internal/sim"
 	"pbsim/internal/workload"
 )
@@ -238,19 +239,32 @@ func requireBitIdentical(t *testing.T, want, got *pb.Suite) {
 	}
 }
 
+// An interrupted checkpointed suite, full or sampled, resumes to the
+// responses of an uninterrupted in-memory run, bit for bit.
 func TestRunSuiteCheckpointResume(t *testing.T) {
 	w, _ := workload.ByName("gzip")
-	opts := Options{
-		Instructions: 2000,
-		Warmup:       1000,
-		Workloads:    []workload.Workload{w},
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"full", Options{Instructions: 2000, Warmup: 1000}},
+		{"sampled", Options{
+			Instructions: 4000,
+			Warmup:       1000,
+			Sampling:     &sampling.Spec{Fraction: 0.25, RegionWarmup: -1, FuncWarmup: 2000, Seed: 9},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Workloads = []workload.Workload{w}
+			want, err := RunSuite(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Checkpoint = filepath.Join(t.TempDir(), "campaign")
+			requireBitIdentical(t, want, resumeCheckpoint(t, opts))
+		})
 	}
-	want, err := RunSuite(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Checkpoint = filepath.Join(t.TempDir(), "campaign")
-	requireBitIdentical(t, want, resumeCheckpoint(t, opts))
 }
 
 // A Table 12 suite (an enhancement shortcut) resumes from its campaign

@@ -1,345 +1,32 @@
 package perfbench
 
 import (
-	"bytes"
-	"math"
-	"strings"
 	"testing"
 
 	"pbsim/internal/stats"
 )
 
-// goldenOutput is verbatim `go test -bench` output (trimmed) from this
-// repository, including a custom b.ReportMetric metric (instrs/s) and
-// a -cpu suffix variant.
-const goldenOutput = `goos: linux
-goarch: amd64
-pkg: pbsim
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkTable4Effects       	       2	       223.0 ns/op
-BenchmarkTable4Effects       	       2	       154.5 ns/op
-BenchmarkTable4Effects       	       2	       388.0 ns/op
-BenchmarkSimulatorThroughput-4 	       2	   6230112 ns/op	   1605518 instrs/s
-BenchmarkSimulatorThroughput-4 	       2	   6177924 ns/op	   1619073 instrs/s
-BenchmarkAblationFoldover/foldover=false 	       2	  47175494 ns/op
-PASS
-ok  	pbsim	191.618s
-`
-
-func approx(t *testing.T, got, want, tol float64, what string) {
+func approx(t *testing.T, got, want float64, what string) {
 	t.Helper()
-	if !stats.ApproxEqual(got, want, tol) {
-		t.Errorf("%s = %g, want %g (tol %g)", what, got, want, tol)
+	if !stats.ApproxEqual(got, want, 0) {
+		t.Errorf("%s = %g, want %g", what, got, want)
 	}
 }
 
-func TestParseSetGolden(t *testing.T) {
-	s, err := ParseSet(strings.NewReader(goldenOutput))
-	if err != nil {
-		t.Fatal(err)
+func TestSummarizeMedian(t *testing.T) {
+	// Odd count: exact middle.
+	in := []float64{5, 1, 4, 2, 3}
+	s := Summarize(Key{"X", "ns/op"}, in)
+	approx(t, s.Median, 3, "median(1..5)")
+	if s.Benchmark != "X" || s.Unit != "ns/op" {
+		t.Errorf("key = %q/%q, want X/ns/op", s.Benchmark, s.Unit)
 	}
-	if got := s.Config["cpu"]; got != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
-		t.Errorf("cpu config = %q", got)
-	}
-	if got := s.Config["goos"]; got != "linux" {
-		t.Errorf("goos config = %q", got)
-	}
-	wantOrder := []Key{
-		{"Table4Effects", "ns/op"},
-		{"SimulatorThroughput", "ns/op"},
-		{"SimulatorThroughput", "instrs/s"},
-		{"AblationFoldover/foldover=false", "ns/op"},
-	}
-	if len(s.Order) != len(wantOrder) {
-		t.Fatalf("Order = %v, want %v", s.Order, wantOrder)
-	}
-	for i, k := range wantOrder {
-		if s.Order[i] != k {
-			t.Errorf("Order[%d] = %v, want %v", i, s.Order[i], k)
-		}
-	}
-	effects := s.Samples[Key{"Table4Effects", "ns/op"}]
-	if len(effects) != 3 {
-		t.Fatalf("Table4Effects samples = %v", effects)
-	}
-	approx(t, effects[1], 154.5, 0, "Table4Effects sample 1")
-	// The -4 GOMAXPROCS suffix folds into the base name, and the
-	// ReportMetric pairs parse as their own metric.
-	rate := s.Samples[Key{"SimulatorThroughput", "instrs/s"}]
-	if len(rate) != 2 {
-		t.Fatalf("instrs/s samples = %v", rate)
-	}
-	approx(t, rate[0], 1605518, 0, "instrs/s sample 0")
-}
-
-func TestParseSetRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"BenchmarkX 2\n",                // no value/unit pairs
-		"BenchmarkX two 100 ns/op\n",    // bad iteration count
-		"BenchmarkX 2 fast ns/op\n",     // bad value
-		"BenchmarkX 2 100 ns/op 12\n",   // dangling value without unit
-		"PASS\nok  \tpbsim\t191.618s\n", // no benchmark lines at all
-	} {
-		if _, err := ParseSet(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseSet(%q) succeeded, want error", bad)
-		}
-	}
-}
-
-func TestSummarizeMedianAndCI(t *testing.T) {
-	// Odd count: exact middle. n=5 is below the 95% order-statistic
-	// resolution, so the interval is the full range.
-	s := Summarize(Key{"X", "ns/op"}, []float64{5, 1, 4, 2, 3})
-	approx(t, s.Median, 3, 0, "median(1..5)")
-	approx(t, s.Lo, 1, 0, "lo(1..5)")
-	approx(t, s.Hi, 5, 0, "hi(1..5)")
+	approx(t, in[0], 5, "input left unsorted")
 
 	// Even count: mean of the two middle samples.
 	s = Summarize(Key{"X", "ns/op"}, []float64{1, 2, 3, 10})
-	approx(t, s.Median, 2.5, 0, "median even")
+	approx(t, s.Median, 2.5, "median even")
 
-	// n=10 has the classic sign-test interval [x_(2), x_(9)].
-	ten := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	s = Summarize(Key{"X", "ns/op"}, ten)
-	approx(t, s.Median, 55, 0, "median n=10")
-	approx(t, s.Lo, 20, 0, "lo n=10")
-	approx(t, s.Hi, 90, 0, "hi n=10")
-
-	// n=15: [x_(4), x_(12)].
-	var fifteen []float64
-	for i := 1; i <= 15; i++ {
-		fifteen = append(fifteen, float64(i))
-	}
-	s = Summarize(Key{"X", "ns/op"}, fifteen)
-	approx(t, s.Lo, 4, 0, "lo n=15")
-	approx(t, s.Hi, 12, 0, "hi n=15")
-}
-
-func TestHigherIsBetter(t *testing.T) {
-	for unit, want := range map[string]bool{
-		"ns/op": false, "B/op": false, "allocs/op": false,
-		"instrs/s": true, "MB/s": true,
-	} {
-		if got := HigherIsBetter(unit); got != want {
-			t.Errorf("HigherIsBetter(%q) = %v, want %v", unit, got, want)
-		}
-	}
-}
-
-// summaryOf builds a File holding one ns/op benchmark.
-func fileOf(rev string, samples ...float64) *File {
-	return &File{
-		Schema: Schema, Rev: rev,
-		Benchmarks: []Summary{Summarize(Key{"Sim", "ns/op"}, samples)},
-	}
-}
-
-// TestDiffRegressionVersusNoise is the discrimination table: each case
-// feeds Diff a baseline and a candidate distribution and asserts
-// whether the 10% gate fires.
-func TestDiffRegressionVersusNoise(t *testing.T) {
-	base := []float64{100, 101, 99, 100, 102}
-	cases := []struct {
-		name            string
-		cur             []float64
-		wantRegression  bool
-		wantImprovement bool
-		wantSignificant bool
-	}{
-		{"identical", []float64{100, 101, 99, 100, 102}, false, false, false},
-		// 50% slower, tight distribution: a real regression.
-		{"regression", []float64{150, 151, 149, 150, 152}, true, false, true},
-		// 40% faster: a real improvement, not a regression.
-		{"improvement", []float64{60, 61, 59, 60, 62}, false, true, true},
-		// Median 12% high but the spread swamps the shift: the CIs
-		// overlap, so the gate must NOT fire on noise.
-		{"noise", []float64{70, 140, 112, 90, 130}, false, false, false},
-		// Significant but tiny shift (2%): within threshold, no flag.
-		{"within-threshold", []float64{102.1, 103, 102.5, 103.5, 102.8}, false, false, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := Diff(fileOf("0", base...), fileOf("ci", tc.cur...), 10)
-			if len(r.Deltas) != 1 {
-				t.Fatalf("deltas = %d, want 1", len(r.Deltas))
-			}
-			d := r.Deltas[0]
-			if d.Regression != tc.wantRegression {
-				t.Errorf("Regression = %v, want %v (pct %.2f, sig %v)",
-					d.Regression, tc.wantRegression, d.Pct, d.Significant)
-			}
-			if d.Improvement != tc.wantImprovement {
-				t.Errorf("Improvement = %v, want %v", d.Improvement, tc.wantImprovement)
-			}
-			if d.Significant != tc.wantSignificant {
-				t.Errorf("Significant = %v, want %v", d.Significant, tc.wantSignificant)
-			}
-		})
-	}
-}
-
-func TestDiffSingleSampleFallsBackToThreshold(t *testing.T) {
-	// With -count=1 there is no distribution; the threshold alone must
-	// still catch a 2x slowdown.
-	r := Diff(fileOf("0", 100), fileOf("ci", 200), 10)
-	if d := r.Deltas[0]; !d.Regression || d.Significant {
-		t.Errorf("single-sample 2x slowdown: Regression=%v Significant=%v", d.Regression, d.Significant)
-	}
-	// ... but not a 5% wobble.
-	r = Diff(fileOf("0", 100), fileOf("ci", 105), 10)
-	if d := r.Deltas[0]; d.Regression {
-		t.Error("single-sample 5% wobble flagged as regression")
-	}
-}
-
-func TestDiffHigherIsBetterDirection(t *testing.T) {
-	mk := func(rev string, samples ...float64) *File {
-		return &File{Schema: Schema, Rev: rev,
-			Benchmarks: []Summary{Summarize(Key{"Sim", "instrs/s"}, samples)}}
-	}
-	// Throughput dropping 30% is a regression even though the values
-	// got smaller.
-	r := Diff(mk("0", 1000, 1001, 999, 1000, 1002), mk("ci", 700, 701, 699, 700, 702), 10)
-	if d := r.Deltas[0]; !d.Regression {
-		t.Errorf("throughput drop not flagged: %+v", d)
-	}
-	// Throughput rising 30% is an improvement.
-	r = Diff(mk("0", 1000, 1001, 999, 1000, 1002), mk("ci", 1300, 1301, 1299, 1300, 1302), 10)
-	if d := r.Deltas[0]; d.Regression || !d.Improvement {
-		t.Errorf("throughput rise misjudged: %+v", d)
-	}
-}
-
-func TestDiffZeroBaseline(t *testing.T) {
-	// An allocs/op guard moving off zero can never be excused by a
-	// percent threshold.
-	r := Diff(fileOf("0", 0, 0, 0, 0, 0), fileOf("ci", 2, 2, 2, 2, 2), 50)
-	d := r.Deltas[0]
-	if !d.Regression || !math.IsInf(d.Pct, +1) {
-		t.Errorf("zero-baseline growth: Regression=%v Pct=%v", d.Regression, d.Pct)
-	}
-	r = Diff(fileOf("0", 0, 0, 0, 0, 0), fileOf("ci", 0, 0, 0, 0, 0), 50)
-	if d := r.Deltas[0]; d.Regression || !stats.ApproxEqual(d.Pct, 0, 0) {
-		t.Errorf("zero-to-zero: Regression=%v Pct=%v", d.Regression, d.Pct)
-	}
-}
-
-func TestDiffReportsMissingBenchmarks(t *testing.T) {
-	prev := &File{Schema: Schema, Rev: "0", Benchmarks: []Summary{
-		Summarize(Key{"Gone", "ns/op"}, []float64{1}),
-		Summarize(Key{"Kept", "ns/op"}, []float64{1}),
-	}}
-	cur := &File{Schema: Schema, Rev: "ci", Benchmarks: []Summary{
-		Summarize(Key{"Kept", "ns/op"}, []float64{1}),
-		Summarize(Key{"New", "ns/op"}, []float64{1}),
-	}}
-	r := Diff(prev, cur, 10)
-	if len(r.OnlyOld) != 1 || r.OnlyOld[0].Benchmark != "Gone" {
-		t.Errorf("OnlyOld = %v", r.OnlyOld)
-	}
-	if len(r.OnlyNew) != 1 || r.OnlyNew[0].Benchmark != "New" {
-		t.Errorf("OnlyNew = %v", r.OnlyNew)
-	}
-	if len(r.Deltas) != 1 {
-		t.Errorf("Deltas = %v", r.Deltas)
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	s, err := ParseSet(strings.NewReader(goldenOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := FromSet(s, "0")
-	var buf bytes.Buffer
-	if err := Encode(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rev != "0" || len(got.Benchmarks) != len(f.Benchmarks) {
-		t.Fatalf("round trip: %+v", got)
-	}
-	for i := range f.Benchmarks {
-		approx(t, got.Benchmarks[i].Median, f.Benchmarks[i].Median, 0, "median "+f.Benchmarks[i].Benchmark)
-	}
-}
-
-func TestDecodeRejectsBadFiles(t *testing.T) {
-	for name, in := range map[string]string{
-		"wrong-schema": `{"schema":"other/v9","rev":"0","benchmarks":[{"name":"X","unit":"ns/op","samples":[1],"median":1,"lo":1,"hi":1}]}`,
-		"empty":        `{"schema":"pbsim-bench/v1","rev":"0","benchmarks":[]}`,
-		"unknown-keys": `{"schema":"pbsim-bench/v1","rev":"0","surprise":1,"benchmarks":[]}`,
-		"not-json":     `BenchmarkX 2 100 ns/op`,
-	} {
-		if _, err := Decode(strings.NewReader(in)); err == nil {
-			t.Errorf("Decode(%s) succeeded, want error", name)
-		}
-	}
-}
-
-// TestFrontierOnlyFileRoundTrips: a trajectory carrying sampling
-// frontier points but no timing benchmarks is valid, while one with
-// neither stays rejected.
-func TestFrontierOnlyFileRoundTrips(t *testing.T) {
-	f := &File{
-		Schema: Schema,
-		Rev:    "ci",
-		Frontier: []FrontierPoint{{
-			Estimator:     "rankedset",
-			InstrSpeedup:  17.4,
-			WallSpeedup:   3.5,
-			MeanCPIRelErr: 0.078,
-			MaxCPIRelErr:  0.21,
-			Spearman:      0.963,
-			Pass:          true,
-		}},
-	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Frontier) != 1 || got.Frontier[0] != f.Frontier[0] {
-		t.Fatalf("round trip: %+v", got.Frontier)
-	}
-	if _, err := Decode(strings.NewReader(`{"schema":"pbsim-bench/v1","rev":"0","benchmarks":[],"frontier":[]}`)); err == nil {
-		t.Error("file with neither benchmarks nor frontier must be rejected")
-	}
-}
-
-func TestParseThreshold(t *testing.T) {
-	for in, want := range map[string]float64{"10%": 10, "7.5": 7.5, " 0% ": 0} {
-		got, err := ParseThreshold(in)
-		if err != nil {
-			t.Errorf("ParseThreshold(%q): %v", in, err)
-			continue
-		}
-		approx(t, got, want, 0, "ParseThreshold("+in+")")
-	}
-	for _, bad := range []string{"", "-5%", "ten", "NaN"} {
-		if _, err := ParseThreshold(bad); err == nil {
-			t.Errorf("ParseThreshold(%q) succeeded, want error", bad)
-		}
-	}
-}
-
-func TestFormatTable(t *testing.T) {
-	r := Diff(fileOf("0", 100, 101, 99, 100, 102), fileOf("ci", 150, 151, 149, 150, 152), 10)
-	r.OnlyNew = append(r.OnlyNew, Key{"Fresh", "ns/op"})
-	var buf bytes.Buffer
-	if err := FormatTable(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"| Sim |", "REGRESSION", "+50.00%", "only in ci: Fresh (ns/op)", "| 0 (median ±) | ci (median ±) |"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
+	// No samples: zero median, no panic.
+	approx(t, Summarize(Key{}, nil).Median, 0, "median of nothing")
 }

@@ -1,36 +1,33 @@
+// Package perfbench summarizes repeated performance measurements. The
+// repository benchmark (bench/) takes every median it reports from
+// Summarize, so all of its verdicts share one definition of the
+// middle of a sample.
 package perfbench
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
-// Summary condenses the repeated measurements of one metric: the
-// median and a distribution-free ~95% confidence interval for it.
-type Summary struct {
-	Benchmark string    `json:"name"`
-	Unit      string    `json:"unit"`
-	Samples   []float64 `json:"samples"`
-	Median    float64   `json:"median"`
-	// Lo and Hi bound the median at >= 95% confidence using binomial
-	// order statistics (the sign-test interval benchstat uses). With
-	// fewer than minSamples repetitions the interval degenerates to
-	// the sample range and carries no significance.
-	Lo float64 `json:"lo"`
-	Hi float64 `json:"hi"`
+// Key identifies one measured metric: a benchmark or workload name
+// plus a unit.
+type Key struct {
+	Benchmark string
+	Unit      string
 }
 
-// minSamples is the repetition count below which an interval is too
-// weak to call any difference significant (the n=3 sign-test interval
-// is already the full range at only 75% confidence).
-const minSamples = 3
+// Summary condenses the repeated measurements of one metric.
+type Summary struct {
+	Benchmark string
+	Unit      string
+	// Median is the middle sample, or the mean of the two middle
+	// samples for an even count; zero when there are no samples.
+	Median float64
+}
 
-// Summarize computes the summary of one metric's samples. It copies
-// the input.
+// Summarize computes the summary of one metric's samples. It leaves
+// the input unchanged.
 func Summarize(k Key, samples []float64) Summary {
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
-	s := Summary{Benchmark: k.Benchmark, Unit: k.Unit, Samples: sorted}
+	s := Summary{Benchmark: k.Benchmark, Unit: k.Unit}
 	n := len(sorted)
 	if n == 0 {
 		return s
@@ -40,40 +37,5 @@ func Summarize(k Key, samples []float64) Summary {
 	} else {
 		s.Median = (sorted[n/2-1] + sorted[n/2]) / 2
 	}
-	lo, hi := medianCIIndices(n)
-	s.Lo, s.Hi = sorted[lo], sorted[hi]
 	return s
-}
-
-// medianCIIndices returns order-statistic indices (0-based, inclusive)
-// such that [sorted[lo], sorted[hi]] covers the true median with
-// probability >= 0.95 under the sign test: lo is the largest index i
-// with P(Bin(n, 1/2) <= i) <= 0.025, and hi mirrors it. When no index
-// qualifies (n <= 5) the interval is the full sample range, the
-// widest — and best — interval order statistics can give.
-func medianCIIndices(n int) (lo, hi int) {
-	// Walk the binomial PMF iteratively: pmf(0) = 2^-n, and
-	// pmf(i+1) = pmf(i) * (n-i) / (i+1).
-	pmf := 1.0
-	for i := 0; i < n; i++ {
-		pmf /= 2
-	}
-	cum := 0.0
-	for i := 0; i <= n/2; i++ {
-		cum += pmf // cum = P(Bin(n, 1/2) <= i)
-		if cum > 0.025 {
-			break
-		}
-		lo = i
-		pmf *= float64(n-i) / float64(i+1)
-	}
-	return lo, n - 1 - lo
-}
-
-// HigherIsBetter reports the improvement direction of a unit. The
-// standard go test metrics (ns/op, B/op, allocs/op) are costs; rate
-// metrics reported via b.ReportMetric conventionally carry a "/s"
-// suffix (e.g. instrs/s) and grow when performance improves.
-func HigherIsBetter(unit string) bool {
-	return strings.HasSuffix(unit, "/s")
 }
