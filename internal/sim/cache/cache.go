@@ -6,7 +6,10 @@
 // block.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Replacement selects the victim-choice policy of a set.
 type Replacement int
@@ -200,10 +203,7 @@ func (c *Cache) fill(set []line, block uint64) {
 			}
 		}
 		if !found {
-			c.rng ^= c.rng << 13
-			c.rng ^= c.rng >> 7
-			c.rng ^= c.rng << 17
-			victim = int(c.rng % uint64(c.ways))
+			victim = c.randomWay()
 		}
 	default: // LRU and FIFO both evict the smallest stamp
 		oldest := set[0].meta
@@ -214,6 +214,109 @@ func (c *Cache) fill(set []line, block uint64) {
 		}
 	}
 	set[victim] = line{tag: block, meta: c.clock} // LRU: last use; FIFO: arrival time
+}
+
+// accessRun is n >= 1 consecutive Accesses of addr. All but the first
+// hit the line the first one touched, so they only advance the clock
+// and the access count and, under LRU, restamp that line.
+//
+//pbcheck:hotpath
+func (c *Cache) accessRun(addr, n uint64) {
+	c.Access(addr)
+	if n == 1 {
+		return
+	}
+	c.clock += n - 1
+	c.stats.Accesses += n - 1
+	if c.policy != LRU {
+		return
+	}
+	block := addr >> c.blockBits
+	base := int(block&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	for w := range set {
+		if set[w].meta != 0 && set[w].tag == block {
+			set[w].meta = c.clock
+			return
+		}
+	}
+}
+
+// lap writes the state a sequential warming lap over [start, end),
+// start < end, leaves in the cache when it starts empty; a cache that
+// was touched since it was built or flushed is emptied first (the
+// access counters are kept). The lap probes start and then every
+// multiple of its stride, 1<<lapShift(unit) bytes, below end, and a
+// probe of address a touches block a>>unit (unit is the line size's
+// log2 for a cache, the page size's for a TLB, whose blocks are page
+// numbers).
+//
+// The blocks are distinct and ascending: b0 = start>>unit, then
+// b_i = (q+i)*s for i >= 1, with q = start/stride and s = stride>>unit,
+// so every probe misses and fills. Probes 1.. revisit a set every
+// period = max(1, sets/s) probes, so b_i is the rank-th fill of its
+// set with rank = (i-1)/period, plus one when b0 shares the set. The
+// k-th fill of a set lands in way k under every policy while the set
+// has an invalid way; after that LRU and FIFO evict the oldest fill,
+// which is way k%ways again, and Random draws its victim from the
+// xorshift stream. Probe i installs stamp clock+i+1, and the clock
+// advances by one per probe. Under LRU and FIFO only the last ways
+// fills of each set survive: b0 and the probes from n-period*ways on.
+// Writing those in probe order reproduces every surviving line, since
+// a later write to the same (set, way) is exactly the fill that
+// evicted the earlier one. Random has no closed form for its victims,
+// so it places every probe in order, without the per-probe set scan.
+//
+//pbcheck:hotpath
+func (c *Cache) lap(start, end uint64, unit uint) {
+	if c.clock != 0 {
+		clear(c.lines)
+		c.clock = 0
+	}
+	sh := lapShift(unit)
+	q := start >> sh
+	n := ceilShift(end, sh) - q
+	sBits := sh - unit                          // log2 s
+	setBits := uint(bits.Len64(c.setMask))      // log2 sets
+	periodBits := setBits - min(setBits, sBits) // log2 period
+	first := uint64(1)
+	if span := uint64(c.ways) << periodBits; c.policy != Random && n > span {
+		first = n - span
+	}
+	b0 := start >> unit
+	c.install(b0, 0, 0)
+	for i := first; i < n; i++ {
+		b := (q + i) << sBits
+		rank := (i - 1) >> periodBits
+		if (b^b0)&c.setMask == 0 {
+			rank++
+		}
+		c.install(b, rank, i)
+	}
+	c.clock += n
+}
+
+// install places block as the rank-th fill of its set during a lap
+// (see lap), stamped as probe i of the lap.
+//
+//pbcheck:hotpath
+func (c *Cache) install(block, rank, i uint64) {
+	way := int(rank % uint64(c.ways))
+	if rank >= uint64(c.ways) && c.policy == Random {
+		way = c.randomWay()
+	}
+	c.lines[int(block&c.setMask)*c.ways+way] = line{tag: block, meta: c.clock + i + 1}
+}
+
+// randomWay advances the Random policy's xorshift stream and returns
+// the victim way it selects.
+//
+//pbcheck:hotpath
+func (c *Cache) randomWay() int {
+	c.rng ^= c.rng << 13
+	c.rng ^= c.rng >> 7
+	c.rng ^= c.rng << 17
+	return int(c.rng % uint64(c.ways))
 }
 
 // Flush invalidates every line and clears statistics.

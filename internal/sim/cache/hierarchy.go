@@ -89,13 +89,17 @@ func (h *Hierarchy) dramLatency(t int64) int64 {
 	return t + transfer
 }
 
-// PrewarmData walks [start, start+size) through the data-side
-// hierarchy (DTLB, L1D, L2) without charging any time, emulating the
-// functional-warming phase of a long simulation: the measured phase
-// then observes steady-state rather than compulsory misses.
-// Statistics are not affected. Where a structure is smaller than the
-// range, the tail of the range stays resident (LRU order), as after a
-// sequential lap of the working set.
+// PrewarmData warms the data-side hierarchy (DTLB, L1D, L2) with one
+// sequential lap over [start, start+size) without charging any time,
+// emulating the functional-warming phase of a long simulation: the
+// measured phase then observes steady-state rather than compulsory
+// misses. Statistics and DRAMAccesses are not affected. The lap probes
+// the range at a stride of one L1 block (one page for the DTLB), never
+// below 16 bytes. The L1D and DTLB are left exactly as that lap leaves
+// them when they start empty: whatever they held before is discarded,
+// so where a structure is smaller than the range the tail of the range
+// stays resident, in LRU order. The L2 is lapped in place. An empty or
+// address-wrapping range changes nothing.
 func (h *Hierarchy) PrewarmData(start, size uint64) {
 	h.prewarm(h.L1D, h.DTLB, start, size)
 }
@@ -105,50 +109,53 @@ func (h *Hierarchy) PrewarmCode(start, size uint64) {
 	h.prewarm(h.L1I, h.ITLB, start, size)
 }
 
-// prewarm performs the sequential warming lap. The walk advances one
-// L1 block (and, for the TLB, one page) at a time instead of probing
-// every 16-byte chunk: within a sequential lap, intra-block repeat
-// accesses always hit the line just filled and only refresh its own
-// recency stamp, so skipping them leaves the final tag contents,
-// relative recency order, and every later replacement decision
-// bit-identical to the fine-grained walk at a small fraction of the
-// probes. (The stride never exceeds a block, so no block in the range
-// is skipped regardless of alignment; the sub-16-byte guard keeps the
-// historical 16-byte floor for degenerate block sizes.)
+// prewarm writes the state of the sequential warming lap in closed
+// form instead of probing it block by block. Every probe of the lap
+// lands in a distinct L1 block and TLB page, so on the emptied L1 and
+// TLB every probe misses: each structure's final contents are written
+// directly (Cache.lap). The L2 therefore sees every probe address; the
+// probes inside one L2 block are hits on the line the first of them
+// just touched, so the L2 takes one real access per L2 block plus the
+// run's repeat hits in one step (Cache.accessRun). The result is
+// bit-identical, field by field, to probing every block.
 //
 //pbcheck:hotpath
 func (h *Hierarchy) prewarm(l1 *Cache, tlb *TLB, start, size uint64) {
-	dram := h.DRAMAccesses
-	l1s, l2s, tlbs := l1.stats, h.L2.stats, tlb.cache.stats
 	end := start + size
-	step := uint64(l1.BlockBytes())
-	if step < 16 {
-		step = 16
+	if end <= start {
+		return
 	}
-	for addr := start; addr < end; {
-		if !l1.Access(addr) {
-			h.L2.Access(addr)
+	l1.lap(start, end, l1.blockBits)
+	tlb.cache.lap(start, end, tlb.pageBits)
+	l2, l2s := h.L2, h.L2.stats
+	sh := lapShift(l1.blockBits)
+	q := start >> sh
+	n := ceilShift(end, sh) - q
+	for addr, i := start, uint64(0); i < n; addr = (q + i) << sh {
+		lim := end
+		if next := (addr>>l2.blockBits + 1) << l2.blockBits; next > addr && next < lim {
+			lim = next
 		}
-		next := (addr/step + 1) * step
-		if next <= addr {
-			break // address-space wraparound
-		}
-		addr = next
+		run := ceilShift(lim, sh) - q - i // probes of the lap inside addr's L2 block
+		l2.accessRun(addr, run)
+		i += run
 	}
-	pstep := tlb.PageBytes()
-	if pstep < 16 {
-		pstep = 16
+	l2.stats = l2s
+}
+
+// lapShift is log2 of the address stride of a warming lap over units
+// of 1<<bits bytes: one unit, but never below 16 bytes.
+func lapShift(bits uint) uint {
+	return max(bits, 4)
+}
+
+// ceilShift returns ⌈a / 2^s⌉ without overflowing near the top of the
+// address space.
+func ceilShift(a uint64, s uint) uint64 {
+	if a&(1<<s-1) != 0 {
+		return a>>s + 1
 	}
-	for addr := start; addr < end; {
-		tlb.Access(addr)
-		next := (addr/pstep + 1) * pstep
-		if next <= addr {
-			break // address-space wraparound
-		}
-		addr = next
-	}
-	h.DRAMAccesses = dram
-	l1.stats, h.L2.stats, tlb.cache.stats = l1s, l2s, tlbs
+	return a >> s
 }
 
 // InstFetch performs the timing of an instruction-block fetch

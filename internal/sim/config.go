@@ -205,9 +205,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// hierarchyConfig assembles the memory-system configuration from the
+// HierarchyConfig assembles the memory-system configuration from the
 // processor parameters.
-func (c *Config) hierarchyConfig() cache.HierarchyConfig {
+func (c *Config) HierarchyConfig() cache.HierarchyConfig {
 	return cache.HierarchyConfig{
 		L1I:        cache.Config{SizeBytes: c.L1ISizeKB << 10, Assoc: c.L1IAssoc, BlockBytes: c.L1IBlock, Policy: cache.LRU},
 		L1D:        cache.Config{SizeBytes: c.L1DSizeKB << 10, Assoc: c.L1DAssoc, BlockBytes: c.L1DBlock, Policy: cache.LRU},

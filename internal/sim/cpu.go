@@ -131,7 +131,7 @@ func New(cfg Config, gen *trace.Generator, shortcut ComputeShortcut) (*CPU, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	hier, err := cache.NewHierarchy(cfg.hierarchyConfig())
+	hier, err := cache.NewHierarchy(cfg.HierarchyConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 	"pbsim/internal/workload"
 )
 
-// The hot-path allocation guards below pin the two inner loops the
+// The hot-path allocation guards below pin the inner loops the
 // performance pass optimized at zero heap allocations per operation:
 // any future change that reintroduces a per-instruction allocation
 // fails these tests immediately, long before a benchmark trajectory
@@ -34,6 +34,28 @@ func TestTraceGeneratorZeroAllocs(t *testing.T) {
 	_ = sink
 	if !stats.ApproxEqual(allocs, 0, 0) {
 		t.Errorf("trace generator Next allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestPrewarmMemoryZeroAllocs pins the lap-form memory prewarm every
+// design row pays before simulating: writing the warmed cache and TLB
+// state must not touch the heap.
+func TestPrewarmMemoryZeroAllocs(t *testing.T) {
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := w.NewGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := sim.New(sim.Default(), gen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, cpu.PrewarmMemory)
+	if !stats.ApproxEqual(allocs, 0, 0) {
+		t.Errorf("PrewarmMemory allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
