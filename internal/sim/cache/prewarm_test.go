@@ -102,7 +102,7 @@ func TestPrewarmMatchesWalk(t *testing.T) {
 		"L1 Random":     func(c *HierarchyConfig) { c.L1D.Policy, c.L1D.Assoc, c.L1I.Policy = Random, 2, FIFO },
 		"tiny pages":    func(c *HierarchyConfig) { c.PageBytes = 8 },
 		"huge pages":    func(c *HierarchyConfig) { c.PageBytes = 4 << 20; c.DTLBAssoc = FullyAssociative },
-		"small L2 8way": func(c *HierarchyConfig) { c.L2.SizeBytes, c.L2.Assoc, c.L2.BlockBytes = 8 << 10, 8, 128 },
+		"small L2 8way": func(c *HierarchyConfig) { c.L2.SizeBytes, c.L2.Assoc, c.L2.BlockBytes = 8<<10, 8, 128 },
 	}
 	type lap struct {
 		code        bool

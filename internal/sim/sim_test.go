@@ -454,25 +454,28 @@ func TestMispredictBreakdownConsistent(t *testing.T) {
 	}
 }
 
+// degenerateConfigs are extreme-but-legal mutations of Default; the
+// stats golden pins their exact output too.
+var degenerateConfigs = []struct {
+	name   string
+	mutate func(*Config)
+}{
+	{"width 1", func(c *Config) { c.Width = 1 }},
+	{"IFQ 1", func(c *Config) { c.IFQEntries = 1 }},
+	{"ROB 1", func(c *Config) { c.ROBEntries = 1 }},
+	{"LSQ minimum", func(c *Config) { c.ROBEntries = 2; c.LSQRatio = 0.1 }},
+	{"zero penalty", func(c *Config) { c.MispredictPenalty = 0 }},
+	{"one of every FU", func(c *Config) {
+		c.IntALUs, c.FPALUs, c.IntMultDivs, c.FPMultDivs = 1, 1, 1, 1
+	}},
+	{"single memory port", func(c *Config) { c.MemPorts = 1 }},
+	{"huge penalty", func(c *Config) { c.MispredictPenalty = 100 }},
+	{"width 8", func(c *Config) { c.Width = 8 }},
+}
+
 func TestDegenerateConfigurations(t *testing.T) {
 	// Extreme-but-legal configurations must still simulate correctly.
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"width 1", func(c *Config) { c.Width = 1 }},
-		{"IFQ 1", func(c *Config) { c.IFQEntries = 1 }},
-		{"ROB 1", func(c *Config) { c.ROBEntries = 1 }},
-		{"LSQ minimum", func(c *Config) { c.ROBEntries = 2; c.LSQRatio = 0.1 }},
-		{"zero penalty", func(c *Config) { c.MispredictPenalty = 0 }},
-		{"one of every FU", func(c *Config) {
-			c.IntALUs, c.FPALUs, c.IntMultDivs, c.FPMultDivs = 1, 1, 1, 1
-		}},
-		{"single memory port", func(c *Config) { c.MemPorts = 1 }},
-		{"huge penalty", func(c *Config) { c.MispredictPenalty = 100 }},
-		{"width 8", func(c *Config) { c.Width = 8 }},
-	}
-	for _, tc := range cases {
+	for _, tc := range degenerateConfigs {
 		cfg := Default()
 		tc.mutate(&cfg)
 		s := runConfig(t, cfg, "parser", 4000)
