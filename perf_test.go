@@ -60,32 +60,45 @@ func TestPrewarmMemoryZeroAllocs(t *testing.T) {
 }
 
 // TestSimulatorStepZeroAllocs pins the simulator's steady-state
-// cycle loop (fetch/dispatch/issue/commit over a warmed machine).
+// cycle loop (fetch/dispatch/issue/commit over a warmed machine) on a
+// compute-bound run and on a memory-bound one, whose 200-cycle DRAM
+// fills leave most cycles idle, so the event-driven clock's jumps over
+// them are pinned too.
 func TestSimulatorStepZeroAllocs(t *testing.T) {
-	w, err := workload.ByName("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := w.NewGenerator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := sim.New(sim.Default(), gen, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu.PrewarmMemory()
-	committed := int64(2000)
-	if _, err := cpu.Run(committed); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		committed += 100
+	memBound := sim.Default()
+	memBound.ROBEntries, memBound.MemLatFirst = 64, 200
+	for _, tc := range []struct {
+		bench string
+		cfg   sim.Config
+	}{
+		{"gzip", sim.Default()},
+		{"mcf", memBound},
+	} {
+		w, err := workload.ByName(tc.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := w.NewGenerator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu, err := sim.New(tc.cfg, gen, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu.PrewarmMemory()
+		committed := int64(2000)
 		if _, err := cpu.Run(committed); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if !stats.ApproxEqual(allocs, 0, 0) {
-		t.Errorf("simulator steady-state step allocates %.1f objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			committed += 100
+			if _, err := cpu.Run(committed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !stats.ApproxEqual(allocs, 0, 0) {
+			t.Errorf("%s: simulator steady-state step allocates %.1f objects/op, want 0", tc.bench, allocs)
+		}
 	}
 }
