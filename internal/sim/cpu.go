@@ -364,7 +364,8 @@ func (c *CPU) runTo(target int64) error {
 func (c *CPU) nextEvent() int64 {
 	now := c.cycle
 	if c.ifqLen > 0 && !c.rob.Full() && (!c.ifq[c.ifqHead].instr.Class.IsMem() || !c.lsq.Full()) {
-		// Dispatch waits on no cycle threshold: it can act now.
+		// Dispatch tests no cycle threshold, so if it can act at all
+		// it acts in the next cycle.
 		return now + 1
 	}
 	next := int64(pipeline.NotReady)

@@ -87,9 +87,6 @@ func TestStatsGolden(t *testing.T) {
 func checkStatsGolden(t *testing.T, path, got string) {
 	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
