@@ -17,10 +17,9 @@ fmt-check:
 
 # pbcheck is the repository's own stdlib-only static-analysis suite
 # (see internal/analysis): determinism, nopanic, floateq, errdiscard,
-# ctxflow, hotalloc, locksafe, leakygo, purity, lockflow, errflow,
-# racecheck, chansafe — interprocedural via a module-wide call-graph
-# fact fixpoint plus an Andersen points-to/escape solve, with the last
-# four flow-sensitive over a per-function CFG. Exit 1 means an
+# ctxflow, hotalloc, leakygo, purity, lockflow, errflow —
+# interprocedural via a module-wide call-graph fact fixpoint, with the
+# last two flow-sensitive over a per-function CFG. Exit 1 means an
 # unsuppressed finding; waivers need a reasoned //pbcheck:ignore.
 lint:
 	$(GO) run ./cmd/pbcheck ./...
@@ -48,8 +47,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-hammer is the dynamic complement to the static racecheck rule:
-# it repeats the concurrent substrate's tests (runner fan-out,
+# race-hammer is the repository's race check: it repeats the concurrent substrate's tests (runner fan-out,
 # distributed leases/ledgers, observability, sampling) under the race
 # detector with -count=3 so scheduling-dependent interleavings that a
 # single pass can miss get three chances to bite. The log lands in

@@ -1,18 +1,15 @@
-// Command pbcheck runs the project's static-analysis suite: thirteen
+// Command pbcheck runs the project's static-analysis suite: ten
 // analyzers enforcing the reproducibility invariants the PB
 // methodology depends on (determinism, nopanic, floateq, errdiscard,
-// ctxflow, hotalloc, locksafe, leakygo, purity, lockflow, errflow,
-// racecheck, chansafe), built purely on the standard library's
-// go/parser + go/types. Analysis is interprocedural: a module-wide
-// call graph propagates nondeterminism/panic/allocation/write-effect
-// facts to fixpoint before any rule runs, so a sink laundered through
-// helper calls and package boundaries is still found, and a
-// module-wide Andersen points-to/escape solve feeds alias-aware
-// ownership and goroutine-sharing queries. The purity rule
-// additionally consumes //pbcheck:pure markers, and
-// lockflow/errflow/racecheck/chansafe are flow-sensitive: they solve
-// dataflow problems over a per-function CFG instead of
-// pattern-matching statements. Rule execution fans packages out over
+// ctxflow, hotalloc, leakygo, purity, lockflow, errflow), built purely
+// on the standard library's go/parser + go/types. Analysis is
+// interprocedural: a module-wide call graph propagates
+// nondeterminism/panic/allocation/write-effect facts to fixpoint
+// before any rule runs, so a sink laundered through helper calls and
+// package boundaries is still found. The purity rule additionally
+// consumes //pbcheck:pure markers, and lockflow/errflow are
+// flow-sensitive: they solve dataflow problems over a per-function CFG
+// instead of pattern-matching statements. Rule execution fans packages out over
 // a bounded worker pool (-workers) with byte-identical output at any
 // parallelism.
 //
@@ -70,7 +67,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 	if *list {
-		for _, a := range rules.All() {
+		for _, a := range rules.Suite() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0

@@ -90,7 +90,7 @@ func analyzeModule(t *testing.T, root, pkgDir string) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunUniverse(pkgs, loader.Universe(), rules.All())
+	diags, err := analysis.RunUniverse(pkgs, loader.Universe(), rules.Suite())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
-
-	"pbsim/internal/analysis/pointsto"
 )
 
 // A Fact is one propagated per-function property.
@@ -78,13 +75,6 @@ const (
 	// allocated itself (see ownedLocals) — carry no fact: they die
 	// with the frame.
 	FactWritesState
-	// FactSpawned marks functions that can run on a spawned goroutine:
-	// the direct target of a go statement, a function called from a
-	// go'd function literal, or any transitive callee of either. It
-	// propagates caller→callee — the reverse of every other fact —
-	// because running on a goroutine is a property of the execution
-	// context, not of the body.
-	FactSpawned
 
 	numFacts
 )
@@ -161,10 +151,6 @@ type FuncInfo struct {
 	// ("trace.Generator.Next → make").
 	why [numFacts]string
 
-	// spawn identifies the go statement behind FactSpawned (the
-	// deterministically first one to reach this function).
-	spawn *pointsto.Spawn
-
 	edges []calleeEdge
 }
 
@@ -174,10 +160,6 @@ func (fi *FuncInfo) Facts() FactSet { return fi.facts }
 // Why returns the chain explaining how the function acquired f
 // ("" when the fact is absent).
 func (fi *FuncInfo) Why(f Fact) string { return fi.why[f] }
-
-// SpawnedBy returns the go statement that makes this function run on
-// a spawned goroutine, or nil when FactSpawned is absent.
-func (fi *FuncInfo) SpawnedBy() *pointsto.Spawn { return fi.spawn }
 
 // DisplayName returns the short package-qualified name used in
 // diagnostics: "trace.Generator.Next", "stats.Mean".
@@ -219,25 +201,11 @@ type FactIndex struct {
 	// definition.
 	analyzed map[string]bool
 
-	// pts is the module-wide points-to/escape analysis (see the
-	// pointsto package), computed once per BuildFacts over the same
-	// universe as the call graph; ptsTime is its wall time, surfaced
-	// by -stats.
-	pts     *pointsto.Result
-	ptsTime time.Duration
-
 	// sups tracks which waiver lines actually cut a fact during
 	// seeding; the stale-waiver check in the driver consults it before
 	// declaring a suppression dead.
 	sups *suppressionIndex
 }
-
-// PointsTo returns the module-wide points-to/escape result. Never nil
-// after BuildFacts.
-func (x *FactIndex) PointsTo() *pointsto.Result { return x.pts }
-
-// PointsToTime returns the wall time the points-to fixpoint took.
-func (x *FactIndex) PointsToTime() time.Duration { return x.ptsTime }
 
 // WaiverUsedAt reports whether the waiver for rule on the given line
 // cut at least one fact during seeding.
@@ -395,24 +363,6 @@ func BuildFacts(universe []*Package, known map[string]bool) *FactIndex {
 		b.collectTypes(pkg)
 		b.collectFuncs(pkg)
 	}
-
-	// The alias layer: one Andersen fixpoint over the same universe,
-	// before seed scanning so the write-effect fact can consult
-	// points-to ownership.
-	ptsStart := time.Now()
-	units := make([]*pointsto.Unit, 0, len(b.pkgs))
-	for _, pkg := range b.pkgs {
-		units = append(units, &pointsto.Unit{
-			Path:  pkg.Path,
-			Name:  pkg.Name,
-			Fset:  pkg.Fset,
-			Files: pkg.Files,
-			Info:  pkg.Info,
-			Types: pkg.Types,
-		})
-	}
-	x.pts = pointsto.Analyze(units)
-	x.ptsTime = time.Since(ptsStart)
 
 	for _, fi := range x.ordered {
 		b.scanFunc(fi)
@@ -580,7 +530,7 @@ func (b *factBuilder) scanFunc(fi *FuncInfo) {
 	// attributed to the enclosing declaration, same as every other
 	// fact; the owned-locals analysis never claims a literal's own
 	// parameters, so those writes classify conservatively as escaping.
-	ws := newWriteScan(fi, b.index.pts)
+	ws := newWriteScan(fi)
 	write := func(pos token.Pos, what string) {
 		if b.sups.covered(fset.Position(pos), RulePurity) {
 			return
@@ -601,7 +551,6 @@ func (b *factBuilder) scanFunc(fi *FuncInfo) {
 			alloc(n.Pos(), "function literal (closure capture)")
 		case *ast.GoStmt:
 			alloc(n.Pos(), "go statement (new goroutine)")
-			b.seedSpawn(fi, n)
 		case *ast.CompositeLit:
 			switch info.TypeOf(n).Underlying().(type) {
 			case *types.Slice:
@@ -695,55 +644,6 @@ func (b *factBuilder) scanCall(fi *FuncInfo, call *ast.CallExpr, selfAppends map
 	}
 }
 
-// seedSpawn marks the functions a go statement puts on a new
-// goroutine: the go'd function itself, or — for a go'd function
-// literal — every module function the literal's body calls
-// statically. (Interface calls from a spawned literal stay unmarked:
-// the zero-false-positive bias prefers a missed spawn context over a
-// speculative one.) Transitive callees acquire the fact through the
-// reverse propagation in propagate.
-func (b *factBuilder) seedSpawn(fi *FuncInfo, g *ast.GoStmt) {
-	info := fi.Pkg.Info
-	ls, le, inLoop := pointsto.SpawnLoop(fi.Decl.Body, g.Go)
-	sp := &pointsto.Spawn{
-		Pos:       g.Go,
-		Fn:        fi.DisplayName(),
-		PkgPath:   fi.Pkg.Path,
-		InLoop:    inLoop,
-		LoopStart: ls,
-		LoopEnd:   le,
-	}
-	mark := func(obj types.Object) {
-		fj := b.index.Lookup(obj)
-		if fj == nil {
-			return
-		}
-		if fj.setFact(FactSpawned, "launched by a go statement in "+fi.DisplayName()) {
-			fj.spawn = sp
-		}
-	}
-	switch fun := ast.Unparen(g.Call.Fun).(type) {
-	case *ast.Ident:
-		mark(info.Uses[fun])
-	case *ast.SelectorExpr:
-		mark(info.Uses[fun.Sel])
-	case *ast.FuncLit:
-		ast.Inspect(fun.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch f := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				mark(info.Uses[f])
-			case *ast.SelectorExpr:
-				mark(info.Uses[f.Sel])
-			}
-			return true
-		})
-	}
-}
-
 // resolveStatic handles a call to a known function object: a module
 // function becomes an edge, fmt seeds the allocation fact, the pure
 // whitelist is free, and everything else is the unknown bottom.
@@ -829,30 +729,10 @@ func (b *factBuilder) propagate() {
 			for _, e := range fi.edges {
 				callee := b.index.funcs[e.callee]
 				for f := Fact(0); f < numFacts; f++ {
-					if f == FactSpawned {
-						continue // flows caller→callee, handled below
-					}
 					if callee.facts.Has(f) && !fi.facts.Has(f) {
 						fi.setFact(f, callee.DisplayName()+" → "+callee.why[f])
 						changed = true
 					}
-				}
-			}
-		}
-	}
-	// Spawn reachability flows the other way: everything a spawned
-	// function calls also runs on that goroutine.
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range b.index.ordered {
-			if !fi.facts.Has(FactSpawned) {
-				continue
-			}
-			for _, e := range fi.edges {
-				callee := b.index.funcs[e.callee]
-				if callee.setFact(FactSpawned, fi.DisplayName()+" → "+fi.why[FactSpawned]) {
-					callee.spawn = fi.spawn
-					changed = true
 				}
 			}
 		}

@@ -577,8 +577,8 @@ func TestBuildUnreachableAfterReturn(t *testing.T) {
 
 func TestBuildSelectSendAndDefault(t *testing.T) {
 	// A send arm is a statement, not a binding: the CommClause's
-	// channel operation must land inside its own select.case block so
-	// chansafe sees the send on the branch that performs it.
+	// channel operation must land inside its own select.case block, on
+	// the branch that performs it.
 	g := buildFunc(t, `
 ch := make(chan int)
 v := 1
@@ -614,9 +614,8 @@ _ = v`)
 }
 
 func TestBuildGoInLoop(t *testing.T) {
-	// The spawn-in-loop shape racecheck's SharedAcrossIterations
-	// evidence depends on: the go statement is an ordinary node inside
-	// the loop body, and the back edge makes it re-executable.
+	// The spawn-in-loop shape: the go statement is an ordinary node
+	// inside the loop body, and the back edge makes it re-executable.
 	g := buildFunc(t, `
 for i := 0; i < 4; i++ {
 	go func() { _ = i }()

@@ -71,16 +71,16 @@ func millis(d time.Duration) float64 {
 }
 
 // WriteStats renders the -stats table in plain text: fact-build time
-// (with the points-to solve broken out) first, then each rule's
-// summed per-package wall time and finding count in suite order
-// (timing is nondeterministic; everything else on the row is not),
-// then the phase-2 parallelism summary: real elapsed time under N
-// workers next to the sequential cost the per-rule rows add up to.
+// first, then each rule's summed per-package wall time and finding
+// count in suite order (timing is nondeterministic; everything else on
+// the row is not), then the phase-2 parallelism summary: real elapsed
+// time under N workers next to the sequential cost the per-rule rows
+// add up to.
 func WriteStats(w io.Writer, stats *RunStats) {
 	if stats == nil {
 		return
 	}
-	fmt.Fprintf(w, "fact build: %.1fms (points-to %.1fms)\n", millis(stats.FactBuild), millis(stats.PointsTo))
+	fmt.Fprintf(w, "fact build: %.1fms\n", millis(stats.FactBuild))
 	for _, rs := range stats.Rules {
 		fmt.Fprintf(w, "%-12s %8.1fms  %d finding(s)\n", rs.Rule, millis(rs.Time), rs.Findings)
 	}
@@ -94,7 +94,7 @@ func WriteStatsMarkdown(w io.Writer, stats *RunStats) {
 		return
 	}
 	fmt.Fprintf(w, "\n### pbcheck timing\n\n")
-	fmt.Fprintf(w, "fact build: %.1fms (points-to %.1fms)\n\n", millis(stats.FactBuild), millis(stats.PointsTo))
+	fmt.Fprintf(w, "fact build: %.1fms\n\n", millis(stats.FactBuild))
 	fmt.Fprintf(w, "| Rule | Time | Findings |\n|---|---:|---:|\n")
 	for _, rs := range stats.Rules {
 		fmt.Fprintf(w, "| %s | %.1fms | %d |\n", rs.Rule, millis(rs.Time), rs.Findings)
@@ -113,7 +113,6 @@ type jsonRuleStat struct {
 // jsonStats is the optional "stats" member of the -json document.
 type jsonStats struct {
 	FactBuildMillis float64        `json:"fact_build_ms"`
-	PointsToMillis  float64        `json:"points_to_ms"`
 	Rules           []jsonRuleStat `json:"rules"`
 	RuleWallMillis  float64        `json:"rule_wall_ms"`
 	RuleSeqMillis   float64        `json:"rule_sequential_ms"`
@@ -140,7 +139,6 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) er
 	if stats != nil {
 		js := &jsonStats{
 			FactBuildMillis: millis(stats.FactBuild),
-			PointsToMillis:  millis(stats.PointsTo),
 			RuleWallMillis:  millis(stats.RuleWall),
 			RuleSeqMillis:   millis(stats.RuleSeq),
 			Workers:         stats.Workers,

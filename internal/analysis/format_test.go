@@ -60,7 +60,6 @@ func TestWriteMarkdownGolden(t *testing.T) {
 func TestWriteStats(t *testing.T) {
 	stats := &analysis.RunStats{
 		FactBuild: 12 * time.Millisecond,
-		PointsTo:  3 * time.Millisecond,
 		Rules: []analysis.RuleStat{
 			{Rule: "determinism", Time: 1500 * time.Microsecond, Findings: 2},
 			{Rule: "errflow", Time: 25 * time.Millisecond, Findings: 0},
@@ -73,7 +72,7 @@ func TestWriteStats(t *testing.T) {
 	var plain bytes.Buffer
 	analysis.WriteStats(&plain, stats)
 	for _, want := range []string{
-		"fact build: 12.0ms (points-to 3.0ms)", "determinism", "2 finding(s)", "errflow",
+		"fact build: 12.0ms\n", "determinism", "2 finding(s)", "errflow",
 		"rule phase: 9.0ms wall on 4 worker(s), 26.5ms sequential",
 	} {
 		if !strings.Contains(plain.String(), want) {
@@ -85,7 +84,7 @@ func TestWriteStats(t *testing.T) {
 	analysis.WriteStatsMarkdown(&md, stats)
 	for _, want := range []string{
 		"### pbcheck timing", "| determinism | 1.5ms | 2 |", "| errflow | 25.0ms | 0 |",
-		"points-to 3.0ms", "rule phase: 9.0ms wall on 4 worker(s)",
+		"fact build: 12.0ms\n", "rule phase: 9.0ms wall on 4 worker(s)",
 	} {
 		if !strings.Contains(md.String(), want) {
 			t.Errorf("markdown stats missing %q:\n%s", want, md.String())
@@ -97,12 +96,15 @@ func TestWriteStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"fact_build_ms": 12`, `"points_to_ms": 3`, `"rule": "determinism"`, `"findings": 2`,
+		`"fact_build_ms": 12`, `"rule": "determinism"`, `"findings": 2`,
 		`"rule_wall_ms": 9`, `"rule_sequential_ms": 26.5`, `"workers": 4`,
 	} {
 		if !strings.Contains(js.String(), want) {
 			t.Errorf("JSON stats missing %q:\n%s", want, js.String())
 		}
+	}
+	if strings.Contains(js.String(), "points_to") {
+		t.Errorf("JSON stats still report the removed points-to timer:\n%s", js.String())
 	}
 
 	var empty bytes.Buffer

@@ -20,7 +20,7 @@ func TestDeterministicOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dirs []string
-	for _, d := range []string{"locksafe", "leakygo"} {
+	for _, d := range []string{"lockflow", "leakygo"} {
 		abs, err := filepath.Abs(filepath.Join("rules", "testdata", d))
 		if err != nil {
 			t.Fatal(err)
@@ -37,7 +37,7 @@ func TestDeterministicOrdering(t *testing.T) {
 	reversed := []*analysis.Package{pkgs[1], pkgs[0]}
 
 	render := func(order []*analysis.Package) (string, string) {
-		diags, err := analysis.RunUniverse(order, loader.Universe(), rules.All())
+		diags, err := analysis.RunUniverse(order, loader.Universe(), rules.Suite())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dirs []string
-	for _, d := range []string{"locksafe", "leakygo", "racecheck", "chansafe", "errflow"} {
+	for _, d := range []string{"lockflow", "leakygo", "errflow"} {
 		abs, err := filepath.Abs(filepath.Join("rules", "testdata", d))
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +83,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	render := func(workers int) string {
-		diags, stats, err := analysis.RunUniverseTimedWorkers(pkgs, loader.Universe(), rules.All(), workers)
+		diags, stats, err := analysis.RunUniverseTimedWorkers(pkgs, loader.Universe(), rules.Suite(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,13 +10,15 @@ import (
 	"pbsim/internal/analysis/flow"
 )
 
-// LockFlow is the path-sensitive companion to LockSafe. LockSafe's
-// linear scan answers "is there an unlock somewhere after this lock";
-// LockFlow runs a forward dataflow over the CFG and answers the
-// questions that need actual paths:
+// LockFlow guards the sync primitives the concurrent runner, the obs
+// metrics scopes and the trace program cache lean on. Lock bugs are
+// timing-dependent, so tests rarely catch them; LockFlow runs a
+// forward dataflow over the CFG and answers the questions that need
+// actual paths:
 //
-//   - a lock released on some branches but not on the one that falls
-//     off the end (the hole LockSafe's first-unlock window misses);
+//   - a lock still held on some path out of the function, including
+//     one released on some branches but not on the one that falls off
+//     the end;
 //   - a second Lock() on a path where the mutex is *definitely* still
 //     held (self-deadlock along that branch);
 //   - an Unlock() on a path where the mutex is *definitely* not held
@@ -28,10 +30,16 @@ import (
 // set {0} alone for unlock-before-lock — never on "maybe", so merged
 // branches with correlated conditions cannot produce false positives.
 // Deferred unlocks (directly or inside deferred closures) cover their
-// lock expression on every exit path, exactly as in LockSafe.
+// lock expression on every exit path.
+//
+// Two order defects need no dataflow and are found by a source-order
+// walk of the same scope: defer mu.Lock() (the classic typo for defer
+// mu.Unlock()) and wg.Add after wg.Wait on the same WaitGroup, which
+// races the Wait. Sync values copied by value are go vet's copylocks
+// check.
 var LockFlow = &analysis.Analyzer{
 	Name: "lockflow",
-	Doc:  "path-sensitive lock pairing: no exit path may leave a lock held, no path may re-lock a definitely-held mutex or unlock a definitely-free one",
+	Doc:  "path-sensitive lock pairing: no exit path may leave a lock held, no path may re-lock a definitely-held mutex or unlock a definitely-free one; no defer mu.Lock(), no WaitGroup Add after Wait",
 	Run:  runLockFlow,
 }
 
@@ -249,9 +257,9 @@ func isDeferredClosure(file *ast.File, lit *ast.FuncLit) bool {
 	return found
 }
 
-// syncMutexMethod resolves a call to a sync lock-family method,
-// returning receiver text and method name.
-func syncMutexMethod(info *types.Info, call *ast.CallExpr) (string, string, bool) {
+// syncMethod resolves a call to a method of a sync type, returning
+// receiver text and method name.
+func syncMethod(info *types.Info, call *ast.CallExpr) (string, string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", "", false
@@ -260,11 +268,56 @@ func syncMutexMethod(info *types.Info, call *ast.CallExpr) (string, string, bool
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return "", "", false
 	}
-	switch fn.Name() {
+	return types.ExprString(sel.X), fn.Name(), true
+}
+
+// syncMutexMethod resolves a call to a sync lock-family method,
+// returning receiver text and method name.
+func syncMutexMethod(info *types.Info, call *ast.CallExpr) (string, string, bool) {
+	recv, method, ok := syncMethod(info, call)
+	if !ok {
+		return "", "", false
+	}
+	switch method {
 	case "Lock", "Unlock", "RLock", "RUnlock":
-		return types.ExprString(sel.X), fn.Name(), true
+		return recv, method, true
 	}
 	return "", "", false
+}
+
+// checkSyncOrder reports the two order defects in one source-order
+// walk of a scope. Nested function literals are scopes of their own,
+// and deferred calls run at exit, so neither is walked.
+func checkSyncOrder(pass *analysis.Pass, body *ast.BlockStmt) {
+	info := pass.TypesInfo()
+	waited := make(map[string]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.DeferStmt:
+			recv, method, ok := syncMethod(info, n.Call)
+			if ok && (method == "Lock" || method == "RLock") {
+				unlock := "Unlock"
+				if method == "RLock" {
+					unlock = "RUnlock"
+				}
+				pass.Reportf(n.Pos(), "defer %s.%s() acquires the lock on function exit; this is almost always a typo for defer %s.%s()",
+					recv, method, recv, unlock)
+			}
+			return false
+		case *ast.CallExpr:
+			recv, method, ok := syncMethod(info, n)
+			if ok && method == "Wait" {
+				waited[recv] = true
+			}
+			if ok && method == "Add" && waited[recv] {
+				pass.Reportf(n.Pos(), "%s.Add after %s.Wait races the Wait: a waiter may have already been released; call Add before starting the Wait",
+					recv, recv)
+			}
+		}
+		return true
+	})
 }
 
 // lockKeyFor separates the read side of an RWMutex from its write
@@ -279,6 +332,7 @@ func lockKeyFor(recv, method string) string {
 // checkLockFlowScope runs the dataflow over one function (or
 // independent literal) body and reports the three definite defects.
 func checkLockFlowScope(pass *analysis.Pass, body *ast.BlockStmt) {
+	checkSyncOrder(pass, body)
 	info := pass.TypesInfo()
 	g := flow.Build(body)
 

@@ -85,13 +85,10 @@ func TestGolden(t *testing.T) {
 		{"ctxflow", "ctxflow"},
 		{"ignore", ""},
 		{"hotalloc", "hotalloc"},
-		{"locksafe", "locksafe"},
 		{"leakygo", "leakygo"},
 		{"purity", "purity"},
 		{"lockflow", "lockflow"},
 		{"errflow", "errflow"},
-		{"racecheck", "racecheck"},
-		{"chansafe", "chansafe"},
 		// The interprocedural golden: only facts/sim is analyzed; flow
 		// and clock enter the universe as dependencies, so every
 		// finding crosses at least one package boundary.
@@ -121,6 +118,40 @@ func TestGolden(t *testing.T) {
 				t.Errorf("diagnostics differ from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 			}
 		})
+	}
+}
+
+// TestAllKeepsRetiredSlots holds the benchmark's rule list to the
+// suite: All is Suite with the three retired rules in their old slots,
+// and over a package with findings it reports exactly what Suite does.
+func TestAllKeepsRetiredSlots(t *testing.T) {
+	var names []string
+	for _, a := range rules.All() {
+		names = append(names, a.Name)
+	}
+	want := "determinism nopanic floateq errdiscard ctxflow hotalloc locksafe leakygo purity lockflow errflow racecheck chansafe"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("All() = %s\nwant    %s", got, want)
+	}
+	abs, err := filepath.Abs(filepath.Join("testdata", "lockflow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := sharedLoader(t).Load([]string{abs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(analyzers []*analysis.Analyzer) string {
+		diags, err := analysis.RunUniverse(pkgs, sharedLoader(t).Universe(), analyzers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		analysis.WritePlain(&buf, abs, diags, true)
+		return buf.String()
+	}
+	if all, suite := report(rules.All()), report(rules.Suite()); all != suite {
+		t.Errorf("All reports\n%s\nSuite reports\n%s", all, suite)
 	}
 }
 

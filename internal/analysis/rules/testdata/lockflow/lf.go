@@ -1,7 +1,7 @@
 // Package lockflow seeds the three path-sensitive lock defects — a
 // branch that leaks the lock, a definite double-lock, a definite
-// unlock-of-free — plus the maybe-states and deferred shapes that
-// must stay silent.
+// unlock-of-free — the deferred Lock typo and Add after Wait, plus
+// the maybe-states and deferred shapes that must stay silent.
 package lockflow
 
 import "sync"
@@ -96,4 +96,33 @@ func (s *store) LoopBalanced(keys []string) {
 		work()
 		s.mu.Unlock()
 	}
+}
+
+// DeferTypo acquires on exit instead of releasing.
+func (s *store) DeferTypo() {
+	defer s.mu.Lock()
+	work()
+}
+
+// AddAfterWait races the Wait it may already have released.
+func AddAfterWait(wg *sync.WaitGroup) {
+	wg.Wait()
+	wg.Add(1)
+}
+
+// AddBeforeWait is the canonical clean order.
+func AddBeforeWait(wg *sync.WaitGroup) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		work()
+	}()
+	wg.Wait()
+}
+
+// ReadMismatch pairs RLock with Unlock instead of RUnlock.
+func (s *store) ReadMismatch() {
+	s.rw.RLock()
+	work()
+	s.rw.Unlock()
 }

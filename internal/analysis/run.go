@@ -19,19 +19,22 @@ type RuleStat struct {
 }
 
 // RunStats is the -stats payload: where a pbcheck run spent its time.
-// FactBuild covers phase 1 (call graph + fixpoint over the universe),
-// of which PointsTo is the Andersen solve; Rules lists every analyzer
-// in suite order. RuleWall is the real elapsed time of phase 2 under
-// Workers concurrent package workers, RuleSeq the sum of every
-// per-package analyzer slice — what the same run would have cost
-// sequentially. RuleSeq/RuleWall is the measured speedup.
+// FactBuild covers phase 1 (call graph + fixpoint over the universe);
+// Rules lists every analyzer in suite order. RuleWall is the real
+// elapsed time of phase 2 under Workers concurrent package workers,
+// RuleSeq the sum of every per-package analyzer slice — what the same
+// run would have cost sequentially. RuleSeq/RuleWall is the measured
+// speedup.
 type RunStats struct {
 	FactBuild time.Duration
-	PointsTo  time.Duration
-	Rules     []RuleStat
-	RuleWall  time.Duration
-	RuleSeq   time.Duration
-	Workers   int
+	// PointsTo is always zero: the engine no longer runs a points-to
+	// solve. The field stays because the repository benchmark still
+	// reports it as a metric.
+	PointsTo time.Duration
+	Rules    []RuleStat
+	RuleWall time.Duration
+	RuleSeq  time.Duration
+	Workers  int
 }
 
 // DefaultWorkers is the phase-2 parallelism the drivers use when the
@@ -92,8 +95,8 @@ type pkgResult struct {
 
 // analyzePackage runs the full analyzer suite over one package. It
 // touches only its own pkgResult plus read-only shared state (the
-// fact index and points-to result are frozen after phase 1), so any
-// number of packages can run concurrently.
+// fact index is frozen after phase 1), so any number of packages can
+// run concurrently.
 func analyzePackage(pkg *Package, facts *FactIndex, analyzers []*Analyzer, known map[string]bool) pkgResult {
 	res := pkgResult{
 		ruleTime:  make([]time.Duration, len(analyzers)),
@@ -155,10 +158,7 @@ func RunUniverseTimedWorkers(pkgs, universe []*Package, analyzers []*Analyzer, w
 	}
 	factStart := time.Now()
 	facts := BuildFacts(all, factKnown)
-	stats := &RunStats{
-		FactBuild: time.Since(factStart),
-		PointsTo:  facts.PointsToTime(),
-	}
+	stats := &RunStats{FactBuild: time.Since(factStart)}
 	for _, pkg := range pkgs {
 		facts.analyzed[pkg.Path] = true
 	}
@@ -188,7 +188,6 @@ func RunUniverseTimedWorkers(pkgs, universe []*Package, analyzers []*Analyzer, w
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					//pbcheck:ignore racecheck the index channel deals each slot i to exactly one worker, and wg.Wait orders every write before the merge reads
 					results[i] = analyzePackage(pkgs[i], facts, analyzers, known)
 				}
 			}()

@@ -30,7 +30,7 @@ func TestRepositoryInvariantsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunUniverse(pkgs, loader.Universe(), rules.All())
+	diags, err := analysis.RunUniverse(pkgs, loader.Universe(), rules.Suite())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"pbsim/internal/analysis/pointsto"
 )
 
 // writeScan is the per-function context for write-effect seeding.
@@ -39,22 +37,14 @@ type writeScan struct {
 	owned  map[*types.Var]bool
 	params map[*types.Var]bool // parameters + receiver + named results
 	recv   *types.Var          // the receiver, when the function is a method
-	// pts upgrades the syntactic ownership proof: a variable whose
-	// every points-to target is a non-escaping fresh allocation is
-	// owned even when the syntactic whitelist cannot see it (fresh
-	// memory returned by a callee, aliases of owned allocations).
-	pts   *pointsto.Result
-	fnObj *types.Func
 }
 
 // newWriteScan precomputes the owned-locals and parameter sets for one
 // function declaration.
-func newWriteScan(fi *FuncInfo, pts *pointsto.Result) *writeScan {
+func newWriteScan(fi *FuncInfo) *writeScan {
 	ws := &writeScan{
 		info:   fi.Pkg.Info,
 		params: make(map[*types.Var]bool),
-		pts:    pts,
-		fnObj:  fi.Obj,
 	}
 	addFields := func(fl *ast.FieldList) {
 		if fl == nil {
@@ -313,9 +303,6 @@ func (ws *writeScan) classifyBase(id *ast.Ident, indirect bool) (string, bool) {
 	if ws.owned[v] {
 		return "", false // memory this function allocated itself
 	}
-	if ws.pts != nil && ws.pts.Owned(v, ws.fnObj, ws.params) {
-		return "", false // points-to proof: every target is frame-private
-	}
 	if v == ws.recv {
 		return "writes through receiver " + v.Name(), true
 	}
@@ -386,72 +373,4 @@ func (ws *writeScan) scanWrites(n ast.Node, report func(pos token.Pos, what stri
 // (caller-visible)").
 func describeChan(expr ast.Expr, what string) string {
 	return "channel " + types.ExprString(expr) + " (" + what + ")"
-}
-
-// A WriteTarget is the resolved destination of one lvalue write, the
-// exported form of writeTarget's walk for flow-sensitive rules
-// (racecheck) that need the base variable rather than a description.
-type WriteTarget struct {
-	// Base is the variable the lvalue path bottoms out at; nil when
-	// the write lands through a computed expression.
-	Base *types.Var
-	// Indirect reports that the path crossed a pointer, slice, map, or
-	// interface boundary, so the write touches whatever Base points
-	// to, not Base's own storage.
-	Indirect bool
-	// Global is set when Base is a package-level variable.
-	Global bool
-}
-
-// ClassifyWrite resolves where the lvalue expr lands. ok is false for
-// writes the caller should not track (blank identifier,
-// non-variables).
-func ClassifyWrite(info *types.Info, expr ast.Expr, indirect bool) (WriteTarget, bool) {
-	e := ast.Unparen(expr)
-	for {
-		switch t := e.(type) {
-		case *ast.Ident:
-			var v *types.Var
-			if dv, ok := info.Defs[t].(*types.Var); ok {
-				v = dv
-			} else if uv, ok := info.Uses[t].(*types.Var); ok {
-				v = uv
-			}
-			if v == nil {
-				return WriteTarget{}, false
-			}
-			global := v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-			return WriteTarget{Base: v, Indirect: indirect, Global: global}, true
-		case *ast.SelectorExpr:
-			if id, isID := ast.Unparen(t.X).(*ast.Ident); isID {
-				if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
-					if v, isVar := info.Uses[t.Sel].(*types.Var); isVar {
-						return WriteTarget{Base: v, Indirect: indirect, Global: true}, true
-					}
-					return WriteTarget{}, false
-				}
-			}
-			if typ := info.TypeOf(t.X); typ != nil {
-				if _, isPtr := typ.Underlying().(*types.Pointer); isPtr {
-					indirect = true
-				}
-			}
-			e = t.X
-		case *ast.StarExpr:
-			indirect = true
-			e = ast.Unparen(t.X)
-		case *ast.IndexExpr:
-			if typ := info.TypeOf(t.X); typ != nil {
-				switch typ.Underlying().(type) {
-				case *types.Slice, *types.Map, *types.Pointer:
-					indirect = true
-				}
-			}
-			e = ast.Unparen(t.X)
-		case *ast.ParenExpr:
-			e = t.X
-		default:
-			return WriteTarget{}, false // computed expression
-		}
-	}
 }

@@ -210,7 +210,9 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 					mu.Unlock()
 					continue
 				}
-				//pbcheck:ignore racecheck each row index i is claimed by exactly one worker via the atomic counter, so writes to responses land on disjoint elements
+				// Each row index i is claimed by exactly one worker via the
+				// atomic counter, so writes to responses land on disjoint
+				// elements.
 				responses[i] = v
 			}
 		}()

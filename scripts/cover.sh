@@ -21,6 +21,7 @@ declare -A floors=(
 	["pbsim/internal/truth"]=85
 	["pbsim/internal/assess"]=80
 	["pbsim/internal/sampling"]=80
+	["pbsim/internal/sim/cache"]=95
 )
 
 go test -covermode=atomic -coverprofile="$profile" ./... | tee /tmp/cover-packages.txt
