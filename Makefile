@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer fuzz short bench bench-test check cover chaos assess frontier
+.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer fuzz short bench bench-test check cover chaos assess frontier examples
 
 all: check
 
@@ -99,6 +99,16 @@ bench:
 bench-test:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# examples runs every program under examples/ end to end (about 10 s
+# in all), so a change that builds but breaks a walkthrough fails.
+# resilientrun checks its own fault-injection and resume accounting
+# and exits 1 on a mismatch. The CI check job runs it.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 # Coverage profile plus a per-package summary; enforces floors for the
 # packages the campaign engine leans on hardest (obs, stats, runner).

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pbsim/internal/experiment"
@@ -53,12 +54,9 @@ func main() {
 
 	// Step 3: full-factorial sensitivity analysis over the critical
 	// parameters for one benchmark, non-critical parameters held high.
-	resp, respErr := experiment.Response(ws[0], warmup, instructions, nil).Infallible()
-	sens, err := methodology.SensitivityAnalysis(suite.Design.Columns, screening.Critical, resp, pb.High)
+	resp := experiment.Response(ws[0], warmup, instructions, nil)
+	sens, err := methodology.SensitivityAnalysis(context.Background(), suite.Design.Columns, screening.Critical, resp, pb.High)
 	if err != nil {
-		panic(err)
-	}
-	if err := respErr(); err != nil {
 		panic(err)
 	}
 	fmt.Printf("\nFull 2^%d factorial ANOVA over the critical parameters (%s):\n",

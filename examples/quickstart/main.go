@@ -13,9 +13,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pbsim/internal/pb"
+	"pbsim/internal/runner"
 )
 
 func main() {
@@ -33,7 +35,10 @@ func main() {
 	// helps a little, and batch writes only pay off when the pool is
 	// large (an interaction the foldover protects the main effects
 	// from). Logging and NUMA pinning are noise-level.
-	latency := func(l []pb.Level) float64 {
+	latency := func(ctx context.Context, l []pb.Level) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		ms := 100.0
 		ms -= 30 * float64(l[0])                // cache
 		ms -= 12 * float64(l[1])                // pool
@@ -41,10 +46,14 @@ func main() {
 		ms -= 3 * float64(l[1]) * float64(l[3]) // batch x pool interaction
 		ms -= 0.3 * float64(l[5])
 		ms -= 0.2 * float64(l[6])
-		return ms
+		return ms, nil
 	}
 
-	result, err := pb.Run(factors, latency, pb.Options{Foldover: true})
+	design, err := pb.New(len(factors), true) // foldover
+	if err != nil {
+		panic(err)
+	}
+	result, err := pb.Run(context.Background(), design, factors, latency, runner.Config{})
 	if err != nil {
 		panic(err)
 	}

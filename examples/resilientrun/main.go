@@ -53,7 +53,7 @@ func main() {
 
 // The suite: five factors, three synthetic "benchmarks" whose
 // deterministic responses weight the factors differently.
-func suite() ([]pb.Factor, []string, []pb.FallibleResponse) {
+func suite() ([]pb.Factor, []string, []pb.Response) {
 	factors := []pb.Factor{
 		{Name: "ROB Entries", Low: "8", High: "64"},
 		{Name: "L2 Cache Size", Low: "256 KB", High: "8 MB"},
@@ -67,7 +67,7 @@ func suite() ([]pb.Factor, []string, []pb.FallibleResponse) {
 		{8, 50, 45, 4, 2},
 		{30, 12, 10, 6, 20},
 	}
-	responses := make([]pb.FallibleResponse, len(benchmarks))
+	responses := make([]pb.Response, len(benchmarks))
 	for bi := range benchmarks {
 		w := weights[bi]
 		//pbcheck:ignore ctxflow the synthetic response is pure arithmetic with nothing cancellable; ctx is unused by design
@@ -96,8 +96,11 @@ func run() (err error) {
 		SlowRows:  map[int]time.Duration{5: 300 * time.Millisecond}, // row 5's first attempt hangs
 	}
 	metrics := obs.NewMetrics()
-	opts := pb.Options{Foldover: true}
-	opts.Runner = runner.Config{
+	design, err := pb.New(len(factors), true)
+	if err != nil {
+		return err
+	}
+	cfg := runner.Config{
 		Retries:    5,
 		Timeout:    100 * time.Millisecond, // row 5's first attempt times out
 		Backoff:    5 * time.Millisecond,
@@ -108,7 +111,7 @@ func run() (err error) {
 			fmt.Printf("  retry %s row %d (attempt %d, backoff %v): %v\n", scope, row, attempt, delay, err)
 		},
 	}
-	faulted, err := pb.RunSuiteCtx(context.Background(), factors, benchmarks, responses, opts)
+	faulted, err := pb.RunSuite(context.Background(), design, factors, benchmarks, responses, cfg)
 	if err != nil {
 		return fmt.Errorf("faulted suite: %w", err)
 	}
@@ -124,7 +127,6 @@ func run() (err error) {
 	}
 	defer os.RemoveAll(dir) //pbcheck:ignore errdiscard best-effort temp-dir cleanup; nothing actionable on failure
 	campaign := filepath.Join(dir, "campaign")
-	design := faulted.Design
 	man := dist.Manifest{Fingerprint: "example"}
 	index := make(map[string]int, len(benchmarks))
 	for bi, b := range benchmarks {
@@ -167,7 +169,11 @@ func run() (err error) {
 	rmetrics := obs.NewMetrics()
 	rec := obs.Multi(rmetrics, sink)
 	rec.SuiteStarted("example", len(benchmarks), design.Runs())
-	res, err := dist.Run(context.Background(), campaign, task, 2, dist.Config{ID: "restart", LeaseTTL: ttl, Recorder: rec})
+	// The restarted workers keep dist's default lease TTL. The dead
+	// worker's short lease still expires at once, but a restarted worker
+	// stalled on a loaded machine must not look dead to its sibling,
+	// which would steal its unit and simulate it twice.
+	res, err := dist.Run(context.Background(), campaign, task, 2, dist.Config{ID: "restart", Recorder: rec})
 	if err != nil {
 		return fmt.Errorf("resumed suite: %w", err)
 	}

@@ -16,11 +16,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"pbsim/internal/experiment"
 	"pbsim/internal/pb"
+	"pbsim/internal/runner"
 	"pbsim/internal/sim"
 	"pbsim/internal/stats"
 	"pbsim/internal/workload"
@@ -32,7 +34,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	resp, respErr := experiment.Response(w, warmup, instructions, nil).Infallible()
+	response := experiment.Response(w, warmup, instructions, nil)
+	resp, respErr := response.Infallible()
 	factors := []string{}
 	for _, f := range experimentFactors() {
 		factors = append(factors, f.Name)
@@ -53,14 +56,18 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	if err := respErr(); err != nil {
+		panic(err)
+	}
 
 	// The PB foldover design: 88 simulations, effects averaged over
 	// the whole parameter space.
-	pbRes, err := pb.Run(experimentFactors(), resp, pb.Options{Foldover: true})
+	design, err := pb.New(len(factors), true)
 	if err != nil {
 		panic(err)
 	}
-	if err := respErr(); err != nil {
+	pbRes, err := pb.Run(context.Background(), design, experimentFactors(), response, runner.Config{})
+	if err != nil {
 		panic(err)
 	}
 

@@ -14,7 +14,7 @@ import (
 // the retry/backoff policy. A library that panics on data errors
 // bypasses that machinery — it either kills the process or gets
 // recovered far from the fault with the row's state lost. Failures
-// must flow through error returns (FallibleResponse) so the runner's
+// must flow through error returns (pb.Response) so the runner's
 // recovery path stays the sole recovery path. Invariant guards for
 // programmer errors (impossible states) may be waived with
 // //pbcheck:ignore nopanic <reason>.

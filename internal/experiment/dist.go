@@ -79,11 +79,37 @@ func planCampaign(opts Options) (*campaignPlan, error) {
 }
 
 // response is the per-row response function of workload w.
-func (p *campaignPlan) response(w workload.Workload) pb.FallibleResponse {
+func (p *campaignPlan) response(w workload.Workload) pb.Response {
 	if p.opts.Sampling != nil {
 		return SampledResponse(w, p.opts.Warmup, p.opts.Instructions, *p.opts.Sampling)
 	}
 	return Response(w, p.opts.Warmup, p.opts.Instructions, p.opts.Shortcut)
+}
+
+// runnerConfig is the row-execution config both paths share: the
+// in-memory suite reads all of it, and a campaign's dist.Run reads
+// everything but Parallelism and Recorder, which it takes on its own.
+// Rows are scoped by the label, so each reports as "label/benchmark".
+func (p *campaignPlan) runnerConfig() runner.Config {
+	return runner.Config{
+		Parallelism: p.opts.Parallelism,
+		Timeout:     p.opts.Timeout,
+		Retries:     p.opts.Retries,
+		Backoff:     p.opts.Backoff,
+		Scope:       label(p.opts),
+		OnRow:       p.opts.OnRow,
+		OnRetry:     p.opts.OnRetry,
+		Recorder:    p.opts.Recorder,
+	}
+}
+
+// names lists the suite's benchmark names in workload order.
+func (p *campaignPlan) names() []string {
+	names := make([]string, len(p.ws))
+	for i, w := range p.ws {
+		names[i] = w.Name
+	}
+	return names
 }
 
 // runCampaign runs the suite over the campaign directory
@@ -101,15 +127,8 @@ func (p *campaignPlan) runCampaign(ctx context.Context) (*pb.Suite, error) {
 		return nil, err
 	}
 	res, err := dist.Run(ctx, c.Dir(), task, p.opts.Parallelism, dist.Config{
-		Sync: p.opts.Sync,
-		Runner: runner.Config{
-			Timeout: p.opts.Timeout,
-			Retries: p.opts.Retries,
-			Backoff: p.opts.Backoff,
-			Scope:   label(p.opts),
-			OnRow:   p.opts.OnRow,
-			OnRetry: p.opts.OnRetry,
-		},
+		Sync:     p.opts.Sync,
+		Runner:   p.runnerConfig(),
 		Recorder: p.opts.Recorder,
 	})
 	if err != nil {
@@ -147,7 +166,7 @@ func (p *campaignPlan) manifest() dist.Manifest {
 		specWarmup:     strconv.FormatInt(p.opts.Warmup, 10),
 		specFoldover:   strconv.FormatBool(p.opts.Foldover),
 		specLabel:      label(p.opts),
-		specBenchmarks: benchNames(p.ws),
+		specBenchmarks: strings.Join(p.names(), ","),
 	}
 	if p.opts.Sampling != nil {
 		man.Spec[specSample] = p.opts.Sampling.String()
@@ -214,7 +233,7 @@ func (p *campaignPlan) task(man dist.Manifest) (dist.Task, error) {
 	if fp := Fingerprint(p.design, p.opts); fp != man.Fingerprint {
 		return nil, fmt.Errorf("experiment: options fingerprint %q does not match campaign %q", fp, man.Fingerprint)
 	}
-	byName := make(map[string]pb.FallibleResponse, len(p.ws))
+	byName := make(map[string]pb.Response, len(p.ws))
 	for _, w := range p.ws {
 		byName[w.Name] = p.response(w)
 	}
@@ -256,23 +275,13 @@ func (p *campaignPlan) suite(m *dist.MergeResult) (*pb.Suite, error) {
 	if fp := Fingerprint(p.design, p.opts); fp != m.Fingerprint {
 		return nil, fmt.Errorf("experiment: options fingerprint %q does not match merged campaign %q", fp, m.Fingerprint)
 	}
-	names := make([]string, len(p.ws))
 	vecs := make([][]float64, len(p.ws))
 	for i, w := range p.ws {
-		names[i] = w.Name
 		vec, err := m.Responses(w.Name)
 		if err != nil {
 			return nil, err
 		}
 		vecs[i] = vec
 	}
-	return pb.SuiteFromResponses(p.design, p.factors, names, vecs)
-}
-
-func benchNames(ws []workload.Workload) string {
-	names := make([]string, len(ws))
-	for i, w := range ws {
-		names[i] = w.Name
-	}
-	return strings.Join(names, ",")
+	return pb.SuiteFromResponses(p.design, p.factors, p.names(), vecs)
 }

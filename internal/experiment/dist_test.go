@@ -72,33 +72,45 @@ func TestCampaignManifestRejectsShortcuts(t *testing.T) {
 	}
 }
 
-// In a two-worker campaign every unit is run exactly once and reported
-// under its real campaign row, with the label as scope prefix.
+// Every row is run exactly once and reported under its real design
+// row, scoped "label/benchmark" — both in memory and as a two-worker
+// campaign.
 func TestCheckpointReportsRealRows(t *testing.T) {
-	opts := distOptions(t)
-	opts.Parallelism = 2
-	opts.Checkpoint = t.TempDir()
-	var mu sync.Mutex
-	seen := make(map[string]int)
-	opts.OnRow = func(scope string, row int, _ float64, fromCheckpoint bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		seen[fmt.Sprintf("%s/%d/%t", scope, row, fromCheckpoint)]++
-	}
-	if _, err := RunSuite(opts); err != nil {
-		t.Fatal(err)
-	}
-	man, err := CampaignManifest(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range man.Units() {
-		if key := fmt.Sprintf("base/%s/%d/false", u.Scope, u.Row); seen[key] != 1 {
-			t.Errorf("%s reported %d times, want once", key, seen[key])
-		}
-	}
-	if len(seen) != man.TotalRows() {
-		t.Errorf("OnRow saw %d distinct rows, want %d: %v", len(seen), man.TotalRows(), seen)
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%t", checkpoint), func(t *testing.T) {
+			opts := distOptions(t)
+			mcf, err := workload.ByName("mcf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Workloads = append(opts.Workloads, mcf)
+			opts.Parallelism = 2
+			if checkpoint {
+				opts.Checkpoint = t.TempDir()
+			}
+			var mu sync.Mutex
+			seen := make(map[string]int)
+			opts.OnRow = func(scope string, row int, _ float64, fromCheckpoint bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				seen[fmt.Sprintf("%s/%d/%t", scope, row, fromCheckpoint)]++
+			}
+			if _, err := RunSuite(opts); err != nil {
+				t.Fatal(err)
+			}
+			man, err := CampaignManifest(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range man.Units() {
+				if key := fmt.Sprintf("base/%s/%d/false", u.Scope, u.Row); seen[key] != 1 {
+					t.Errorf("%s reported %d times, want once", key, seen[key])
+				}
+			}
+			if len(seen) != man.TotalRows() {
+				t.Errorf("OnRow saw %d distinct rows, want %d: %v", len(seen), man.TotalRows(), seen)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"pbsim/internal/obs"
 	"pbsim/internal/pb"
-	"pbsim/internal/runner"
 	"pbsim/internal/sampling"
 	"pbsim/internal/sim"
 	"pbsim/internal/trace"
@@ -100,13 +99,13 @@ type Options struct {
 	Recorder obs.Recorder
 }
 
-// Response builds the pb.FallibleResponse for one workload: each
+// Response builds the pb.Response for one workload: each
 // design row is translated to a processor configuration, a fresh CPU
 // simulates the workload's deterministic stream, and the simulated
 // execution time in cycles is the response value. Failures are
 // returned as errors carrying the benchmark name (the runner adds the
 // row), never raised as panics.
-func Response(w workload.Workload, warmup, instructions int64, shortcut ShortcutFactory) pb.FallibleResponse {
+func Response(w workload.Workload, warmup, instructions int64, shortcut ShortcutFactory) pb.Response {
 	// All rows of one benchmark replay the identical instruction
 	// stream, so a Reset generator is indistinguishable from a fresh
 	// one; pooling lets concurrent workers recycle the visit table and
@@ -153,7 +152,7 @@ func Response(w workload.Workload, warmup, instructions int64, shortcut Shortcut
 // extrapolated cycle count. The spec must be normalized and valid; all
 // rows of one workload share a memoized schedule, so the functional
 // pre-passes are paid once, not per row.
-func SampledResponse(w workload.Workload, warmup, instructions int64, spec sampling.Spec) pb.FallibleResponse {
+func SampledResponse(w workload.Workload, warmup, instructions int64, spec sampling.Spec) pb.Response {
 	var gens sync.Pool
 	return func(ctx context.Context, levels []pb.Level) (float64, error) {
 		if err := ctx.Err(); err != nil {
@@ -194,32 +193,17 @@ func RunSuiteCtx(ctx context.Context, opts Options) (*pb.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = p.opts
-	if opts.Recorder != nil {
-		opts.Recorder.SuiteStarted(Fingerprint(p.design, opts), len(p.ws), p.design.Runs())
+	if p.opts.Recorder != nil {
+		p.opts.Recorder.SuiteStarted(Fingerprint(p.design, p.opts), len(p.ws), p.design.Runs())
 	}
-	if opts.Checkpoint != "" {
+	if p.opts.Checkpoint != "" {
 		return p.runCampaign(ctx)
 	}
-	names := make([]string, len(p.ws))
-	responses := make([]pb.FallibleResponse, len(p.ws))
+	responses := make([]pb.Response, len(p.ws))
 	for i, w := range p.ws {
-		names[i] = w.Name
 		responses[i] = p.response(w)
 	}
-	return pb.RunSuiteWithDesignCtx(ctx, p.design, p.factors, names, responses, pb.Options{
-		Foldover:    opts.Foldover,
-		Parallelism: opts.Parallelism,
-		Runner: runner.Config{
-			Timeout:  opts.Timeout,
-			Retries:  opts.Retries,
-			Backoff:  opts.Backoff,
-			Scope:    label(opts),
-			OnRow:    opts.OnRow,
-			OnRetry:  opts.OnRetry,
-			Recorder: opts.Recorder,
-		},
-	})
+	return pb.RunSuite(ctx, p.design, p.factors, p.names(), responses, p.runnerConfig())
 }
 
 // Fingerprint identifies one experiment variant: the design geometry

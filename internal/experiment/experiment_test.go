@@ -430,8 +430,12 @@ func TestTable9ShapeFullSuite(t *testing.T) {
 
 func TestCSVExports(t *testing.T) {
 	factors := []pb.Factor{{Name: "A"}, {Name: "B"}}
-	resp := func(l []pb.Level) float64 { return 100 + 10*float64(l[0]) }
-	suite, err := pb.RunSuite(factors, []string{"w1"}, []pb.Response{resp}, pb.Options{Foldover: true})
+	resp := func(_ context.Context, l []pb.Level) (float64, error) { return 100 + 10*float64(l[0]), nil }
+	design, err := pb.New(len(factors), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := pb.RunSuite(context.Background(), design, factors, []string{"w1"}, []pb.Response{resp}, runner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package methodology
 
 import (
+	"context"
 	"fmt"
 
 	"pbsim/internal/cluster"
@@ -25,19 +26,9 @@ type Screening struct {
 	NonCritical []int
 }
 
-// Screen runs step 1 over a benchmark suite and cuts the factor list
-// at the sum-of-ranks significance gap, bounded by maxCritical (<= 0
-// means no bound).
-func Screen(factors []pb.Factor, benchmarks []string, responses []pb.Response, opts pb.Options, maxCritical int) (*Screening, error) {
-	suite, err := pb.RunSuite(factors, benchmarks, responses, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ScreenFromSuite(suite, maxCritical), nil
-}
-
-// ScreenFromSuite applies the significance cut to an existing suite
-// result.
+// ScreenFromSuite runs step 1 over a PB suite result (pb.RunSuite or
+// a merged campaign): it cuts the factor list at the sum-of-ranks
+// significance gap, bounded by maxCritical (<= 0 means no bound).
 func ScreenFromSuite(suite *pb.Suite, maxCritical int) *Screening {
 	cut := pb.SignificanceGap(suite.Sums)
 	if maxCritical > 0 && cut > maxCritical {
@@ -70,8 +61,9 @@ const maxSensitivityFactors = 12
 // SensitivityAnalysis performs step 3 for one response: every
 // combination of the critical factors' levels is simulated (2^k runs),
 // non-critical factors held at baseLevel, and the variation is
-// allocated over main effects and interactions.
-func SensitivityAnalysis(numFactors int, critical []int, response pb.Response, baseLevel pb.Level) (*Sensitivity, error) {
+// allocated over main effects and interactions. The first failed run
+// fails the analysis; ctx is passed to every run.
+func SensitivityAnalysis(ctx context.Context, numFactors int, critical []int, response pb.Response, baseLevel pb.Level) (*Sensitivity, error) {
 	k := len(critical)
 	if k < 1 {
 		return nil, fmt.Errorf("methodology: no critical factors")
@@ -97,7 +89,9 @@ func SensitivityAnalysis(numFactors int, critical []int, response pb.Response, b
 		for j, f := range critical {
 			levels[f] = pb.Level(row[j])
 		}
-		responses[i] = response(levels)
+		if responses[i], err = response(ctx, levels); err != nil {
+			return nil, fmt.Errorf("methodology: sensitivity run %d: %w", i, err)
+		}
 	}
 	anova, err := stats.ANOVA(k, responses)
 	if err != nil {

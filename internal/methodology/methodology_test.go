@@ -1,10 +1,13 @@
 package methodology
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"pbsim/internal/pb"
+	"pbsim/internal/runner"
 )
 
 // syntheticFactors builds n generic factors.
@@ -19,24 +22,35 @@ func syntheticFactors(n int) []pb.Factor {
 // weightedResponse returns a response with known factor weights and an
 // optional interaction between factors 0 and 1.
 func weightedResponse(weights []float64, interact float64) pb.Response {
-	return func(levels []pb.Level) float64 {
+	return func(_ context.Context, levels []pb.Level) (float64, error) {
 		y := 1000.0
 		for i, w := range weights {
 			y += w * float64(levels[i])
 		}
 		y += interact * float64(levels[0]) * float64(levels[1])
-		return y
+		return y, nil
 	}
+}
+
+// runSuite runs a PB suite over the smallest design for factors.
+func runSuite(t *testing.T, factors []pb.Factor, foldover bool, benchmarks []string, responses ...pb.Response) *pb.Suite {
+	t.Helper()
+	design, err := pb.New(len(factors), foldover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := pb.RunSuite(context.Background(), design, factors, benchmarks, responses, runner.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return suite
 }
 
 func TestScreenSeparatesCriticalFactors(t *testing.T) {
 	weights := []float64{100, 80, 60, 1, 0.5, 0.2, 0}
 	factors := syntheticFactors(len(weights))
 	resp := weightedResponse(weights, 0)
-	scr, err := Screen(factors, []string{"b1", "b2"}, []pb.Response{resp, resp}, pb.Options{Foldover: true}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scr := ScreenFromSuite(runSuite(t, factors, true, []string{"b1", "b2"}, resp, resp), 0)
 	if len(scr.Critical) == 0 {
 		t.Fatal("no critical factors found")
 	}
@@ -64,10 +78,7 @@ func TestScreenMaxCriticalBound(t *testing.T) {
 	weights := []float64{100, 80, 60, 40}
 	factors := syntheticFactors(len(weights))
 	resp := weightedResponse(weights, 0)
-	scr, err := Screen(factors, []string{"b"}, []pb.Response{resp}, pb.Options{Foldover: true}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scr := ScreenFromSuite(runSuite(t, factors, true, []string{"b"}, resp), 2)
 	if len(scr.Critical) > 2 {
 		t.Errorf("bound ignored: %v", scr.Critical)
 	}
@@ -76,7 +87,7 @@ func TestScreenMaxCriticalBound(t *testing.T) {
 func TestSensitivityAnalysisRecoversEffects(t *testing.T) {
 	weights := []float64{50, 30, 0, 0, 0}
 	resp := weightedResponse(weights, 10)
-	sens, err := SensitivityAnalysis(5, []int{0, 1}, resp, pb.Low)
+	sens, err := SensitivityAnalysis(context.Background(), 5, []int{0, 1}, resp, pb.Low)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +119,30 @@ func TestSensitivityAnalysisRecoversEffects(t *testing.T) {
 }
 
 func TestSensitivityAnalysisValidation(t *testing.T) {
+	ctx := context.Background()
 	resp := weightedResponse([]float64{1}, 0)
-	if _, err := SensitivityAnalysis(5, nil, resp, pb.Low); err == nil {
+	if _, err := SensitivityAnalysis(ctx, 5, nil, resp, pb.Low); err == nil {
 		t.Error("empty critical list accepted")
 	}
-	if _, err := SensitivityAnalysis(5, []int{7}, resp, pb.Low); err == nil {
+	if _, err := SensitivityAnalysis(ctx, 5, []int{7}, resp, pb.Low); err == nil {
 		t.Error("out-of-range index accepted")
 	}
 	big := make([]int, 13)
-	if _, err := SensitivityAnalysis(20, big, resp, pb.Low); err == nil {
+	if _, err := SensitivityAnalysis(ctx, 20, big, resp, pb.Low); err == nil {
 		t.Error("oversized factorial accepted")
+	}
+	// A failed run fails the analysis with the response's error instead
+	// of feeding a NaN into the ANOVA.
+	errRow := errors.New("row cannot be simulated")
+	failing := func(_ context.Context, levels []pb.Level) (float64, error) {
+		if levels[1] == pb.High {
+			return 0, errRow
+		}
+		return 1, nil
+	}
+	sens, err := SensitivityAnalysis(ctx, 5, []int{0, 1}, failing, pb.Low)
+	if !errors.Is(err, errRow) || sens != nil {
+		t.Errorf("failing response = %v, %v; want nil and an error wrapping %v", sens, err, errRow)
 	}
 }
 
@@ -128,13 +153,8 @@ func TestClassify(t *testing.T) {
 	weights2 := []float64{95, 85, 2, 1}
 	weights3 := []float64{1, 2, 100, 90}
 	factors := syntheticFactors(4)
-	suite, err := pb.RunSuite(factors,
-		[]string{"x1", "x2", "y"},
-		[]pb.Response{weightedResponse(weights1, 0), weightedResponse(weights2, 0), weightedResponse(weights3, 0)},
-		pb.Options{Foldover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	suite := runSuite(t, factors, true, []string{"x1", "x2", "y"},
+		weightedResponse(weights1, 0), weightedResponse(weights2, 0), weightedResponse(weights3, 0))
 	// x1 and x2 have identical rank vectors (distance 0); y differs.
 	c, err := Classify(suite, 1.0)
 	if err != nil {
@@ -153,17 +173,9 @@ func TestClassify(t *testing.T) {
 
 func TestCompareEnhancement(t *testing.T) {
 	factors := syntheticFactors(3)
-	before, err := pb.RunSuite(factors, []string{"b"},
-		[]pb.Response{weightedResponse([]float64{100, 50, 10}, 0)}, pb.Options{Foldover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := runSuite(t, factors, true, []string{"b"}, weightedResponse([]float64{100, 50, 10}, 0))
 	// The "enhancement" removes most of factor 1's influence.
-	after, err := pb.RunSuite(factors, []string{"b"},
-		[]pb.Response{weightedResponse([]float64{100, 2, 10}, 0)}, pb.Options{Foldover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := runSuite(t, factors, true, []string{"b"}, weightedResponse([]float64{100, 2, 10}, 0))
 	shifts, err := CompareEnhancement(before, after)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +220,8 @@ func TestCompareEnhancementMismatch(t *testing.T) {
 	fa := syntheticFactors(3)
 	fb := syntheticFactors(8)
 	resp := weightedResponse([]float64{1, 1, 1}, 0)
-	a, _ := pb.RunSuite(fa, []string{"b"}, []pb.Response{resp}, pb.Options{})
-	b, _ := pb.RunSuite(fb, []string{"b"}, []pb.Response{resp}, pb.Options{})
+	a := runSuite(t, fa, false, []string{"b"}, resp)
+	b := runSuite(t, fb, false, []string{"b"}, resp)
 	if _, err := CompareEnhancement(a, b); err == nil {
 		t.Error("mismatched suites accepted")
 	}

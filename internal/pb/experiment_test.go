@@ -1,9 +1,31 @@
 package pb
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"pbsim/internal/runner"
 )
+
+// pure lifts a closed-form response into a Response that never fails.
+func pure(f func([]Level) float64) Response {
+	return func(_ context.Context, levels []Level) (float64, error) {
+		return f(levels), nil
+	}
+}
+
+// mustNew builds a design or fails the test.
+func mustNew(t *testing.T, factors int, foldover bool) *Design {
+	t.Helper()
+	d, err := New(factors, foldover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 func TestRunIdentifiesSignificantFactors(t *testing.T) {
 	factors := []Factor{
@@ -14,7 +36,7 @@ func TestRunIdentifiesSignificantFactors(t *testing.T) {
 	response := func(levels []Level) float64 {
 		return 1000 + 50*float64(levels[0]) + 5*float64(levels[1])
 	}
-	res, err := Run(factors, response, Options{Foldover: true})
+	res, err := Run(context.Background(), mustNew(t, len(factors), true), factors, pure(response), runner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +53,8 @@ func TestRunIdentifiesSignificantFactors(t *testing.T) {
 
 func TestRunPadsWithDummies(t *testing.T) {
 	factors := []Factor{{Name: "only", Low: "l", High: "h"}}
-	res, err := Run(factors, func([]Level) float64 { return 1 }, Options{})
+	res, err := Run(context.Background(), mustNew(t, len(factors), false), factors,
+		pure(func([]Level) float64 { return 1 }), runner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,41 +69,58 @@ func TestRunPadsWithDummies(t *testing.T) {
 	}
 }
 
-func TestRunWithDesignRejectsOverflow(t *testing.T) {
+func TestRunRejectsOverflow(t *testing.T) {
 	d, _ := NewWithSize(4, false)
 	factors := make([]Factor, 5)
-	if _, err := RunWithDesign(d, factors, func([]Level) float64 { return 0 }, Options{}); err == nil {
+	var calls atomic.Int64
+	resp := pure(func([]Level) float64 { calls.Add(1); return 0 })
+	if _, err := Run(context.Background(), d, factors, resp, runner.Config{}); err == nil {
 		t.Error("expected error when factors exceed design columns")
+	}
+	if calls.Load() != 0 {
+		t.Errorf("%d rows evaluated before the overflow was refused", calls.Load())
 	}
 }
 
-func TestEvaluateRowsCoversEveryRowOnce(t *testing.T) {
+// Run evaluates every design row exactly once at any parallelism and
+// reports each row under cfg.Scope, unprefixed.
+func TestRunCoversEveryRowOnce(t *testing.T) {
 	d, _ := NewWithSize(12, true)
-	var calls int64
-	resp := func(levels []Level) float64 {
-		atomic.AddInt64(&calls, 1)
+	var calls atomic.Int64
+	resp := pure(func(levels []Level) float64 {
+		calls.Add(1)
 		s := 0.0
 		for _, lv := range levels {
 			s += float64(lv)
 		}
 		return s
-	}
+	})
 	for _, par := range []int{0, 1, 3, 64} {
-		atomic.StoreInt64(&calls, 0)
-		got, err := EvaluateRows(d, resp, par)
+		calls.Store(0)
+		var mu sync.Mutex
+		seen := make(map[string]int)
+		cfg := runner.Config{Parallelism: par, Scope: "only", OnRow: func(scope string, row int, _ float64, _ bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[fmt.Sprintf("%s/%d", scope, row)]++
+		}}
+		res, err := Run(context.Background(), d, nil, resp, cfg)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
-		if int(atomic.LoadInt64(&calls)) != d.Runs() {
-			t.Errorf("parallelism %d: %d calls, want %d", par, calls, d.Runs())
+		if int(calls.Load()) != d.Runs() || len(seen) != d.Runs() {
+			t.Errorf("parallelism %d: %d calls, %d distinct rows reported, want %d", par, calls.Load(), len(seen), d.Runs())
 		}
 		for i, row := range d.Matrix {
 			want := 0.0
 			for _, lv := range row {
 				want += float64(lv)
 			}
-			if got[i] != want {
-				t.Errorf("parallelism %d row %d: got %g want %g", par, i, got[i], want)
+			if got := res.Responses[i]; got != want {
+				t.Errorf("parallelism %d row %d: got %g want %g", par, i, got, want)
+			}
+			if key := fmt.Sprintf("only/%d", i); seen[key] != 1 {
+				t.Errorf("parallelism %d: %s reported %d times, want once", par, key, seen[key])
 			}
 		}
 	}
@@ -91,9 +131,10 @@ func TestRunSuite(t *testing.T) {
 		{Name: "A"}, {Name: "B"}, {Name: "C"},
 	}
 	// Two "benchmarks" that are sensitive to different factors.
-	respA := func(levels []Level) float64 { return 10 * float64(levels[0]) }
-	respB := func(levels []Level) float64 { return 10 * float64(levels[1]) }
-	suite, err := RunSuite(factors, []string{"ba", "bb"}, []Response{respA, respB}, Options{Foldover: true})
+	respA := pure(func(levels []Level) float64 { return 10 * float64(levels[0]) })
+	respB := pure(func(levels []Level) float64 { return 10 * float64(levels[1]) })
+	suite, err := RunSuite(context.Background(), mustNew(t, len(factors), true), factors,
+		[]string{"ba", "bb"}, []Response{respA, respB}, runner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +161,12 @@ func TestRunSuite(t *testing.T) {
 }
 
 func TestRunSuiteValidation(t *testing.T) {
-	if _, err := RunSuite(nil, []string{"x"}, nil, Options{}); err == nil {
+	ctx := context.Background()
+	d := mustNew(t, 1, false)
+	if _, err := RunSuite(ctx, d, nil, []string{"x"}, nil, runner.Config{}); err == nil {
 		t.Error("mismatched benchmark/response lengths should fail")
 	}
-	if _, err := RunSuite([]Factor{{Name: "A"}}, nil, nil, Options{}); err == nil {
+	if _, err := RunSuite(ctx, d, []Factor{{Name: "A"}}, nil, nil, runner.Config{}); err == nil {
 		t.Error("empty suite should fail")
 	}
 }

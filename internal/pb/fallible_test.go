@@ -16,12 +16,12 @@ import (
 
 // suiteFixture is a deterministic 3-benchmark suite whose responses
 // exercise non-trivial float64 bit patterns.
-func suiteFixture() ([]Factor, []string, []FallibleResponse) {
+func suiteFixture() ([]Factor, []string, []Response) {
 	factors := []Factor{
 		{Name: "A"}, {Name: "B"}, {Name: "C"}, {Name: "D"}, {Name: "E"},
 	}
 	benchmarks := []string{"alpha", "beta", "gamma"}
-	responses := make([]FallibleResponse, len(benchmarks))
+	responses := make([]Response, len(benchmarks))
 	for bi := range benchmarks {
 		weight := float64(bi + 1)
 		responses[bi] = func(_ context.Context, levels []Level) (float64, error) {
@@ -41,14 +41,13 @@ func suiteFixture() ([]Factor, []string, []FallibleResponse) {
 // an uninterrupted in-memory run.
 func TestSuiteCheckpointResumeBitIdentical(t *testing.T) {
 	factors, benchmarks, responses := suiteFixture()
-	opts := Options{Foldover: true, Parallelism: 2}
+	design := mustNew(t, len(factors), true)
 
 	// Reference: uninterrupted, in memory.
-	want, err := RunSuiteCtx(context.Background(), factors, benchmarks, responses, opts)
+	want, err := RunSuite(context.Background(), design, factors, benchmarks, responses, runner.Config{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	design := want.Design
 	man := dist.Manifest{Fingerprint: "fixture"}
 	for _, b := range benchmarks {
 		man.Scopes = append(man.Scopes, dist.ScopeSpec{Name: b, Rows: design.Runs()})
@@ -148,7 +147,8 @@ func TestSuiteCheckpointResumeBitIdentical(t *testing.T) {
 // and matches the fault-free result exactly.
 func TestSuiteCompletesDespiteInjectedFaults(t *testing.T) {
 	factors, benchmarks, responses := suiteFixture()
-	clean, err := RunSuiteCtx(context.Background(), factors, benchmarks, responses, Options{Foldover: true})
+	design := mustNew(t, len(factors), true)
+	clean, err := RunSuite(context.Background(), design, factors, benchmarks, responses, runner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +158,14 @@ func TestSuiteCompletesDespiteInjectedFaults(t *testing.T) {
 		PanicRows: map[int]int{4: 1},
 		SlowRows:  map[int]time.Duration{6: 150 * time.Millisecond},
 	}
-	opts := Options{Foldover: true}
-	opts.Runner = runner.Config{
+	cfg := runner.Config{
 		Retries:    6,
 		Timeout:    50 * time.Millisecond,
 		Backoff:    time.Millisecond,
 		BackoffCap: 2 * time.Millisecond,
 		Wrap:       faults.Wrap,
 	}
-	got, err := RunSuiteCtx(context.Background(), factors, benchmarks, responses, opts)
+	got, err := RunSuite(context.Background(), design, factors, benchmarks, responses, cfg)
 	if err != nil {
 		t.Fatalf("faulted suite failed: %v", err)
 	}
@@ -192,7 +191,7 @@ func TestSuiteCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	gated := make([]FallibleResponse, len(responses))
+	gated := make([]Response, len(responses))
 	for i, resp := range responses {
 		gated[i] = func(ctx context.Context, levels []Level) (float64, error) {
 			if calls.Add(1) == 5 {
@@ -204,7 +203,7 @@ func TestSuiteCancellation(t *testing.T) {
 			return resp(ctx, levels)
 		}
 	}
-	_, err := RunSuiteCtx(ctx, factors, benchmarks, gated, Options{Foldover: true, Parallelism: 2})
+	_, err := RunSuite(ctx, mustNew(t, len(factors), true), factors, benchmarks, gated, runner.Config{Parallelism: 2})
 	if err == nil {
 		t.Fatal("cancelled suite succeeded")
 	}
@@ -217,7 +216,7 @@ func TestSuiteCancellation(t *testing.T) {
 // with an aggregate error, and no NaN ever reaches the effects.
 func TestSuiteNeverSilentNaN(t *testing.T) {
 	factors, benchmarks, responses := suiteFixture()
-	broken := make([]FallibleResponse, len(responses))
+	broken := make([]Response, len(responses))
 	for i, resp := range responses {
 		bi := i
 		broken[bi] = func(ctx context.Context, levels []Level) (float64, error) {
@@ -227,10 +226,8 @@ func TestSuiteNeverSilentNaN(t *testing.T) {
 			return resp(ctx, levels)
 		}
 	}
-	opts := Options{Foldover: true}
-	opts.Runner.Retries = 1
-	opts.Runner.Backoff = time.Microsecond
-	_, err := RunSuiteCtx(context.Background(), factors, benchmarks, broken, opts)
+	cfg := runner.Config{Retries: 1, Backoff: time.Microsecond}
+	_, err := RunSuite(context.Background(), mustNew(t, len(factors), true), factors, benchmarks, broken, cfg)
 	if err == nil {
 		t.Fatal("broken suite succeeded")
 	}
@@ -243,24 +240,26 @@ func TestSuiteNeverSilentNaN(t *testing.T) {
 	}
 }
 
-// Legacy adapters must behave exactly as before.
-func TestLegacyAdapters(t *testing.T) {
-	factors := []Factor{{Name: "A"}, {Name: "B"}}
-	resp := func(levels []Level) float64 { return 10 + float64(levels[0]) }
-	res, err := Run(factors, resp, Options{Foldover: true})
-	if err != nil {
-		t.Fatal(err)
+// Infallible turns a failed row into NaN and reports the first error
+// through errf, so an infallible-only analysis can never mistake a
+// failure for a measurement.
+func TestInfallibleReportsFirstError(t *testing.T) {
+	var calls atomic.Int64
+	resp, errf := Response(func(_ context.Context, levels []Level) (float64, error) {
+		if n := calls.Add(1); n > 1 {
+			return 0, fmt.Errorf("row failure %d", n)
+		}
+		return float64(levels[0]), nil
+	}).Infallible()
+	if v := resp([]Level{High}); v != 1 || errf() != nil {
+		t.Fatalf("healthy row = %g, %v; want 1, nil", v, errf())
 	}
-	if res.Ranks[0] != 1 {
-		t.Errorf("rank(A) = %d", res.Ranks[0])
+	for i := 0; i < 2; i++ {
+		if v := resp([]Level{High}); !math.IsNaN(v) {
+			t.Errorf("failed row = %g, want NaN", v)
+		}
 	}
-	// A panicking infallible response surfaces as an error from the
-	// legacy entry point: the runner recovers the panic and routes it
-	// through the same error path as every other failure.
-	d, _ := NewWithSize(4, false)
-	if _, err := EvaluateRows(d, func([]Level) float64 { panic("boom") }, 1); err == nil {
-		t.Error("legacy EvaluateRows swallowed the response panic")
-	} else if !strings.Contains(err.Error(), "boom") {
-		t.Errorf("panic cause lost from error: %v", err)
+	if err := errf(); err == nil || err.Error() != "row failure 2" {
+		t.Errorf("errf() = %v, want the first failure", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pbsim/internal/methodology"
 	"pbsim/internal/paperdata"
 	"pbsim/internal/pb"
+	"pbsim/internal/runner"
 	"pbsim/internal/sim"
 )
 
@@ -92,9 +93,17 @@ func TestParameterValues(t *testing.T) {
 func suiteForTest(t *testing.T) *pb.Suite {
 	t.Helper()
 	factors := []pb.Factor{{Name: "A"}, {Name: "B"}, {Name: "C"}}
-	resp1 := func(l []pb.Level) float64 { return 100*float64(l[0]) + 10*float64(l[1]) }
-	resp2 := func(l []pb.Level) float64 { return 100*float64(l[1]) + 10*float64(l[2]) }
-	suite, err := pb.RunSuite(factors, []string{"w1", "w2"}, []pb.Response{resp1, resp2}, pb.Options{Foldover: true})
+	resp1 := func(_ context.Context, l []pb.Level) (float64, error) {
+		return 100*float64(l[0]) + 10*float64(l[1]), nil
+	}
+	resp2 := func(_ context.Context, l []pb.Level) (float64, error) {
+		return 100*float64(l[1]) + 10*float64(l[2]), nil
+	}
+	design, err := pb.New(len(factors), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := pb.RunSuite(context.Background(), design, factors, []string{"w1", "w2"}, []pb.Response{resp1, resp2}, runner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

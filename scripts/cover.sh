@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # cover.sh — run the test suite with coverage, print a per-package
 # summary, and enforce per-package floors on the packages whose
-# correctness the campaign engine leans on hardest.
+# correctness the campaign engine leans on hardest, and on the paper's
+# core (pb, methodology).
 #
 # Usage: scripts/cover.sh [output-profile]
 set -euo pipefail
@@ -22,6 +23,8 @@ declare -A floors=(
 	["pbsim/internal/assess"]=80
 	["pbsim/internal/sampling"]=80
 	["pbsim/internal/sim/cache"]=95
+	["pbsim/internal/pb"]=95
+	["pbsim/internal/methodology"]=95
 )
 
 go test -covermode=atomic -coverprofile="$profile" ./... | tee /tmp/cover-packages.txt
