@@ -49,9 +49,7 @@ func main() {
 func run() (err error) {
 	mechanism := flag.String("mechanism", "precompute", "enhancement: 'precompute' (static table) or 'valuereuse' (dynamic)")
 	tableSize := flag.Int("table", 128, "enhancement table entries (paper uses 128)")
-	n := flag.Int64("n", experiment.DefaultInstructions, "instructions measured per configuration")
-	warmup := flag.Int64("warmup", experiment.DefaultWarmup, "warmup instructions per configuration")
-	par := flag.Int("par", 0, "parallel simulations (default GOMAXPROCS)")
+	size := experiment.RegisterSizeFlags(flag.CommandLine)
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	compare := flag.Bool("compare", false, "print the enhanced ordering next to the paper's Table 12 sums")
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbenhance")
@@ -66,17 +64,12 @@ func run() (err error) {
 	}
 	defer obs.FoldClose(&err, sess)
 
-	factory, err := shortcutFactory(*mechanism, *tableSize, *warmup+*n)
+	factory, err := shortcutFactory(*mechanism, *tableSize, size.Warmup+size.Instructions)
 	if err != nil {
 		return err
 	}
-	opts := experiment.Options{
-		Instructions: *n,
-		Warmup:       *warmup,
-		Foldover:     true,
-		Parallelism:  *par,
-		Recorder:     sess.Recorder(),
-	}
+	opts := experiment.Options{Foldover: true, Recorder: sess.Recorder()}
+	size.Apply(&opts)
 	runFlags.Apply(&opts)
 	// phase runs one suite, its campaign in the label's subdirectory.
 	phase := func(name, label string, shortcut experiment.ShortcutFactory) (*pb.Suite, error) {

@@ -48,8 +48,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pbfrontier", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	n := fs.Int64("n", experiment.DefaultInstructions, "instructions measured per configuration")
-	warmup := fs.Int64("warmup", experiment.DefaultWarmup, "warmup instructions per configuration")
+	size := experiment.RegisterSizeFlags(fs)
 	foldover := fs.Bool("foldover", true, "run the 2X-configuration foldover design")
 	benchList := fs.String("benchmarks", "", "comma-separated subset of benchmarks (default: all 13)")
 	estList := fs.String("estimators", "", "comma-separated estimators to sweep (default: "+strings.Join(sampling.Names(), ",")+")")
@@ -61,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	strata := fs.Int("strata", sampling.DefaultStrata, "proxy-quantile strata (stratified estimator)")
 	set := fs.Int("set", sampling.DefaultSetSize, "judgment-ranking set size (rankedset estimator)")
 	minSpearman := fs.Float64("min-spearman", experiment.DefaultMinSpearman, "rank-correlation gate; any estimator below it fails the run")
-	par := fs.Int("par", 0, "parallel simulations (default GOMAXPROCS)")
 	jsonOut := fs.String("json-out", "", "write the JSON report to this file")
 	mdOut := fs.String("md-out", "", "write the markdown report (CI step summary) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -85,10 +83,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer stop()
 
 	rep, err := experiment.RunFrontier(ctx, experiment.FrontierOptions{
-		Instructions: *n,
-		Warmup:       *warmup,
+		Instructions: size.Instructions,
+		Warmup:       size.Warmup,
 		Foldover:     *foldover,
-		Parallelism:  *par,
+		Parallelism:  size.Par,
 		Workloads:    ws,
 		Estimators:   ests,
 		MinSpearman:  *minSpearman,

@@ -71,14 +71,12 @@ func main() {
 }
 
 func run() (err error) {
-	n := flag.Int64("n", experiment.DefaultInstructions, "instructions measured per configuration")
-	warmup := flag.Int64("warmup", experiment.DefaultWarmup, "warmup instructions per configuration")
+	size := experiment.RegisterSizeFlags(flag.CommandLine)
 	benchList := flag.String("benchmarks", "", "comma-separated subset of benchmarks (default: all 13)")
 	compare := flag.Bool("compare", false, "print the measured ordering next to the paper's Table 9 sums")
 	gap := flag.Bool("gap", false, "report the significance gap (the paper's 'first ten parameters' cut)")
 	pov := flag.Bool("pov", false, "print percent-of-variation dominance per benchmark (exposes what ranks hide)")
 	stability := flag.Bool("stability", false, "print leave-one-benchmark-out stability of the ordering")
-	par := flag.Int("par", 0, "parallel simulations (default GOMAXPROCS)")
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	verbose := flag.Bool("v", false, "log retries and checkpoint restores")
 	csvRanks := flag.String("csv", "", "also write the rank matrix to this CSV file")
@@ -106,15 +104,13 @@ func run() (err error) {
 		return obs.Usagef("%v", err)
 	}
 	opts := experiment.Options{
-		Instructions: *n,
-		Warmup:       *warmup,
-		Foldover:     true,
-		Parallelism:  *par,
-		Workloads:    ws,
-		Sync:         *shardSync,
-		Recorder:     sess.Recorder(),
-		Sampling:     sampleSpec,
+		Foldover:  true,
+		Workloads: ws,
+		Sync:      *shardSync,
+		Recorder:  sess.Recorder(),
+		Sampling:  sampleSpec,
 	}
+	size.Apply(&opts)
 	runFlags.Apply(&opts)
 	if *verbose {
 		opts.OnRetry = func(scope string, row, attempt int, delay time.Duration, err error) {
@@ -131,7 +127,7 @@ func run() (err error) {
 		return runFlags.Resumable(err)
 	}
 	title := fmt.Sprintf("Table 9: Plackett and Burman Design Results (X=%d foldover, %d configurations, %d instructions/run)",
-		suite.Design.X, suite.Design.Runs(), *n)
+		suite.Design.X, suite.Design.Runs(), size.Instructions)
 	if sampleSpec != nil {
 		title += fmt.Sprintf("\nsampled responses: %s", sampleSpec)
 	}

@@ -49,9 +49,10 @@ func main() {
 func run() (err error) {
 	out := flag.String("out", "out", "output directory")
 	table := flag.Int("table", 0, "table to generate (1..12, 0 = all)")
-	n := flag.Int64("n", experiment.DefaultInstructions, "instructions per configuration for tables 9-12")
-	warmup := flag.Int64("warmup", experiment.DefaultWarmup, "warmup instructions per configuration")
-	par := flag.Int("par", 0, "parallel simulations")
+	size := experiment.RegisterSizeFlags(flag.CommandLine)
+	// -n also sizes Tables 10-12 here, and -par keeps its original text.
+	flag.Lookup("n").Usage = "instructions per configuration for tables 9-12"
+	flag.Lookup("par").Usage = "parallel simulations"
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "tablegen")
 	flag.Parse()
@@ -66,7 +67,7 @@ func run() (err error) {
 	defer obs.FoldClose(&err, sess)
 
 	g := &generator{
-		ctx: ctx, out: *out, n: *n, warmup: *warmup, par: *par,
+		ctx: ctx, out: *out, size: size,
 		run: runFlags, recorder: sess.Recorder(),
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -95,9 +96,7 @@ func run() (err error) {
 type generator struct {
 	ctx      context.Context
 	out      string
-	n        int64
-	warmup   int64
-	par      int
+	size     *experiment.SizeFlags
 	run      *experiment.RunFlags
 	recorder obs.Recorder
 	// cached experiment results shared between tables
@@ -150,14 +149,8 @@ func (g *generator) tables678() error {
 }
 
 func (g *generator) options(label string) experiment.Options {
-	opts := experiment.Options{
-		Instructions: g.n,
-		Warmup:       g.warmup,
-		Foldover:     true,
-		Parallelism:  g.par,
-		Label:        label,
-		Recorder:     g.recorder,
-	}
+	opts := experiment.Options{Foldover: true, Label: label, Recorder: g.recorder}
+	g.size.Apply(&opts)
 	g.run.Apply(&opts)
 	if opts.Checkpoint != "" {
 		opts.Checkpoint = filepath.Join(opts.Checkpoint, label)
@@ -216,7 +209,7 @@ func (g *generator) table12() error {
 	}
 	profiles := make(map[string]map[uint32]uint64, 13)
 	for _, w := range workload.All() {
-		freq, err := enhance.Profile(w.Params, g.warmup+g.n)
+		freq, err := enhance.Profile(w.Params, g.size.Warmup+g.size.Instructions)
 		if err != nil {
 			return err
 		}

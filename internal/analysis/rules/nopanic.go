@@ -37,7 +37,7 @@ func runNoPanic(pass *analysis.Pass) {
 			}
 			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					pass.Reportf(call.Pos(), "panic in library code: return an error (FallibleResponse path) so the runner's panic-recovery and retry semantics stay the sole recovery path")
+					pass.Reportf(call.Pos(), "panic in library code: return an error (pb.Response path) so the runner's panic-recovery and retry semantics stay the sole recovery path")
 					return true
 				}
 			}

@@ -107,10 +107,13 @@ type Options struct {
 // row), never raised as panics.
 func Response(w workload.Workload, warmup, instructions int64, shortcut ShortcutFactory) pb.Response {
 	// All rows of one benchmark replay the identical instruction
-	// stream, so a Reset generator is indistinguishable from a fresh
-	// one; pooling lets concurrent workers recycle the visit table and
-	// RNG scratch across the design's 44-88 rows instead of
-	// reallocating them per row.
+	// stream: the first row to run records it as a shared tape and
+	// every later row replays that (trace.Generator.Replay), so the
+	// stream is generated once per benchmark, not once per row. The
+	// tape covers the measured run plus the pipeline's fetch
+	// lookahead. Pooling lets concurrent workers recycle a generator's
+	// visit table across rows; a Reset generator is indistinguishable
+	// from a fresh one.
 	var gens sync.Pool
 	return func(ctx context.Context, levels []pb.Level) (float64, error) {
 		if err := ctx.Err(); err != nil {
@@ -127,6 +130,7 @@ func Response(w workload.Workload, warmup, instructions int64, shortcut Shortcut
 			gen.Reset()
 		}
 		defer gens.Put(gen)
+		gen.Replay(warmup + instructions + sampling.FetchSlack)
 		var err error
 		var sc sim.ComputeShortcut
 		if shortcut != nil {

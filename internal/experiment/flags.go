@@ -8,6 +8,32 @@ import (
 	"pbsim/internal/runner"
 )
 
+// SizeFlags holds the run-size flag family the suite-running CLIs
+// share: -n, -warmup and -par.
+type SizeFlags struct {
+	Instructions int64
+	Warmup       int64
+	Par          int
+}
+
+// RegisterSizeFlags registers the run-size flag family on fs with the
+// experiment's defaults. The returned SizeFlags is filled in when fs
+// is parsed.
+func RegisterSizeFlags(fs *flag.FlagSet) *SizeFlags {
+	f := &SizeFlags{}
+	fs.Int64Var(&f.Instructions, "n", DefaultInstructions, "instructions measured per configuration")
+	fs.Int64Var(&f.Warmup, "warmup", DefaultWarmup, "warmup instructions per configuration")
+	fs.IntVar(&f.Par, "par", 0, "parallel simulations (default GOMAXPROCS)")
+	return f
+}
+
+// Apply copies the flags into opts.
+func (f *SizeFlags) Apply(opts *Options) {
+	opts.Instructions = f.Instructions
+	opts.Warmup = f.Warmup
+	opts.Parallelism = f.Par
+}
+
 // RunFlags holds the run-control flag family every suite-running CLI
 // shares: -timeout, -retries and -checkpoint.
 type RunFlags struct {

@@ -54,3 +54,26 @@ func TestRegisterRunFlagsRejectsBadValues(t *testing.T) {
 		}
 	}
 }
+
+func TestRegisterSizeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want Options
+	}{
+		{nil, Options{Instructions: DefaultInstructions, Warmup: DefaultWarmup}},
+		{[]string{"-n", "3000", "-warmup", "1500", "-par", "4"}, Options{Instructions: 3000, Warmup: 1500, Parallelism: 4}},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := RegisterSizeFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		var opts Options
+		f.Apply(&opts)
+		if opts.Instructions != tc.want.Instructions || opts.Warmup != tc.want.Warmup || opts.Parallelism != tc.want.Parallelism {
+			t.Errorf("%v: got n=%d warmup=%d par=%d, want %d/%d/%d", tc.args,
+				opts.Instructions, opts.Warmup, opts.Parallelism, tc.want.Instructions, tc.want.Warmup, tc.want.Parallelism)
+		}
+	}
+}

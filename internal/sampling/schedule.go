@@ -192,10 +192,16 @@ func validateRegions(regions []int, numRegions int) error {
 func (sch *schedule) detailedPerRun(instructions int64) int64 {
 	var total int64
 	for _, g := range sch.groups {
-		total += g.warmup
-		for r := g.first; r <= g.last; r++ {
-			total += regionLen(r, sch.numRegions, sch.spec.RegionSize, instructions)
-		}
+		total += g.warmup + sch.regionsLen(g, instructions)
+	}
+	return total
+}
+
+// regionsLen returns the measured instructions of one group's regions.
+func (sch *schedule) regionsLen(g group, instructions int64) int64 {
+	var total int64
+	for r := g.first; r <= g.last; r++ {
+		total += regionLen(r, sch.numRegions, sch.spec.RegionSize, instructions)
 	}
 	return total
 }

@@ -179,6 +179,12 @@ type Generator struct {
 	rng  *RNG
 	zipf *Zipf
 
+	// tape, when set, supplies the instructions from tape.start up to
+	// its end (see Replay), tapePC being the next one's PC; meanwhile
+	// the fields below except seq keep the state at tape.start.
+	tape   *tape
+	tapePC uint64
+
 	cur       int // current block
 	pos       int // next body position within the block
 	visits    []uint32
@@ -363,6 +369,7 @@ func (pr *program) newGenerator() *Generator {
 // lets a worker reuse one generator's allocations across many
 // simulation runs.
 func (g *Generator) Reset() {
+	g.tape = nil
 	g.rng.state = g.prog.p.Seed
 	g.zipf.rng.state = g.prog.p.Seed ^ zipfSeedMix
 	g.cur, g.pos, g.seq = 0, 0, 0
@@ -384,6 +391,51 @@ func (g *Generator) Emitted() int64 { return g.seq }
 //
 //pbcheck:hotpath
 func (g *Generator) Next() Instr {
+	if t := g.tape; t != nil {
+		if i := g.seq - t.start; i < int64(len(t.recs)) {
+			// Decode the record (the inverse of pack) here rather than
+			// in a method: passing the Instr back through one more call
+			// frame doubled the cost of a taped Next.
+			g.seq++
+			r := t.recs[i]
+			c := Class(r.meta & metaClass)
+			pc := g.tapePC
+			fall := pc + 4
+			if r.meta&metaWrap != 0 {
+				fall = CodeBase
+			}
+			g.tapePC = fall
+			var addr, target uint64
+			var taken bool
+			var comp uint32
+			switch {
+			case c == Load || c == Store:
+				addr = DataBase + uint64(r.payload)
+			case c >= Branch:
+				if r.meta&metaTaken != 0 {
+					taken = true
+					target = CodeBase + uint64(r.payload)
+					g.tapePC = target
+				}
+				if c == Call {
+					addr = fall // the return address
+				}
+			default:
+				comp = r.payload
+			}
+			return Instr{
+				PC:     pc,
+				Class:  c,
+				Dep1:   int32(r.meta >> 5 & metaDep),
+				Dep2:   int32(r.meta >> 12 & metaDep),
+				Addr:   addr,
+				Taken:  taken,
+				Target: target,
+				CompID: comp,
+			}
+		}
+		g.load(&t.end)
+	}
 	b := &g.prog.blocks[g.cur]
 	var in Instr
 	if g.pos < b.bodyLen {

@@ -29,8 +29,10 @@ type Snapshot struct {
 func (s *Snapshot) Pos() int64 { return s.seq }
 
 // Snapshot copies the generator's dynamic state. The generator keeps
-// producing instructions unaffected.
+// producing instructions unaffected. Taken mid-replay, it first brings
+// the live state up to the current position and leaves the tape.
 func (g *Generator) Snapshot() Snapshot {
+	g.catchUp()
 	s := Snapshot{
 		params:    g.prog.p,
 		rngState:  g.rng.state,
@@ -55,14 +57,25 @@ func (g *Generator) Restore(s Snapshot) error {
 	if g.prog.p != s.params {
 		return fmt.Errorf("trace: snapshot is from a different workload parameterization")
 	}
+	g.load(&s)
+	return nil
+}
+
+// load installs a snapshot's state, leaving any tape, without checking
+// its parameters: Restore checks them, and a tape's end state comes
+// from the same workload by construction.
+//
+//pbcheck:hotpath
+func (g *Generator) load(s *Snapshot) {
+	g.tape = nil
 	g.rng.state = s.rngState
 	g.zipf.rng.state = s.zipfState
 	g.cur, g.pos = s.cur, s.pos
 	g.seq = s.seq
 	g.seqAddr = s.seqAddr
 	copy(g.visits, s.visits)
-	g.callStack = append(g.callStack[:0], s.callStack...)
-	return nil
+	g.callStack = g.callStack[:0]
+	g.callStack = append(g.callStack, s.callStack...)
 }
 
 // Skip fast-forwards the stream past n instructions without handing

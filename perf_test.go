@@ -37,6 +37,29 @@ func TestTraceGeneratorZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestTapedNextZeroAllocs pins replaying a shared tape, the path
+// every design row after a benchmark's first reads its stream from:
+// decoding a recorded instruction must not touch the heap.
+func TestTapedNextZeroAllocs(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := w.NewGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.Replay(4096) // records the tape; AllocsPerRun reads 1001 of it
+	var sink trace.Instr
+	allocs := testing.AllocsPerRun(1000, func() {
+		sink = gen.Next()
+	})
+	_ = sink
+	if !stats.ApproxEqual(allocs, 0, 0) {
+		t.Errorf("taped Next allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // TestPrewarmMemoryZeroAllocs pins the lap-form memory prewarm every
 // design row pays before simulating: writing the warmed cache and TLB
 // state must not touch the heap.

@@ -25,6 +25,7 @@ declare -A floors=(
 	["pbsim/internal/sim/cache"]=95
 	["pbsim/internal/pb"]=95
 	["pbsim/internal/methodology"]=95
+	["pbsim/internal/trace"]=90
 )
 
 go test -covermode=atomic -coverprofile="$profile" ./... | tee /tmp/cover-packages.txt
