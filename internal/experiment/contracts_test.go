@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pbsim/internal/pb"
-	"pbsim/internal/sampling"
 	"pbsim/internal/sim"
 	"pbsim/internal/workload"
 )
@@ -54,7 +53,7 @@ func tapedStats(t *testing.T, w workload.Workload, cfg sim.Config) sim.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen.Replay(contractWarmup + contractN + sampling.FetchSlack)
+	gen.Replay(contractWarmup + contractN)
 	cpu, err := sim.New(cfg, gen, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -110,8 +110,8 @@ func Response(w workload.Workload, warmup, instructions int64, shortcut Shortcut
 	// stream: the first row to run records it as a shared tape and
 	// every later row replays that (trace.Generator.Replay), so the
 	// stream is generated once per benchmark, not once per row. The
-	// tape covers the measured run plus the pipeline's fetch
-	// lookahead. Pooling lets concurrent workers recycle a generator's
+	// tape covers the committed instructions; the few the pipeline
+	// fetches beyond them are generated live. Pooling lets concurrent workers recycle a generator's
 	// visit table across rows; a Reset generator is indistinguishable
 	// from a fresh one.
 	var gens sync.Pool
@@ -130,7 +130,7 @@ func Response(w workload.Workload, warmup, instructions int64, shortcut Shortcut
 			gen.Reset()
 		}
 		defer gens.Put(gen)
-		gen.Replay(warmup + instructions + sampling.FetchSlack)
+		gen.Replay(warmup + instructions)
 		var err error
 		var sc sim.ComputeShortcut
 		if shortcut != nil {

@@ -95,7 +95,7 @@ func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec 
 // for bit.
 func runCensus(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec Spec, numRegions int) (Result, error) {
 	gen.Reset()
-	gen.Replay(warmup + instructions + FetchSlack)
+	gen.Replay(warmup + instructions)
 	cpu, err := sim.New(cfg, gen, nil)
 	if err != nil {
 		return Result{}, err
@@ -117,12 +117,6 @@ func runCensus(cfg sim.Config, gen *trace.Generator, warmup, instructions int64,
 	}, nil
 }
 
-// FetchSlack is the stream a simulation reads beyond the instructions
-// it commits: fetch runs at most the instruction queue plus the reorder
-// buffer (at most 32 + 64 across the PB design) ahead of commit. A
-// tape covering the committed count plus FetchSlack covers the run.
-const FetchSlack = 128
-
 // measure detail-simulates the schedule's groups: per group, the
 // generator is restored to the recorded snapshot and replays the
 // group's shared tape, a fresh CPU is functionally prewarmed,
@@ -136,7 +130,7 @@ func measure(cfg sim.Config, gen *trace.Generator, sch *schedule, instructions i
 		if err := gen.Restore(g.snap); err != nil {
 			return nil, 0, 0, err
 		}
-		gen.Replay(g.funcWarm + g.warmup + sch.regionsLen(g, instructions) + FetchSlack)
+		gen.Replay(g.funcWarm + g.warmup + sch.regionsLen(g, instructions))
 		cpu, err := sim.New(cfg, gen, nil)
 		if err != nil {
 			return nil, 0, 0, err

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"runtime"
 	"sync"
 )
 
@@ -69,55 +70,92 @@ type tape struct {
 	end   Snapshot // the dynamic state after the last record
 }
 
-// tapeKey names a tape: the workload, the stream position it starts
-// at, and its length.
-type tapeKey struct {
-	params   Params
-	start, n int64
+// workloadTapes is one workload's tapes, keyed by the stream span
+// they cover. The memo evicts whole workloads, never a single tape: a
+// sampled row replays every region group of its schedule in turn, so
+// evicting one group's tape to make room for the next would record
+// each group again on every row.
+type workloadTapes struct {
+	params  Params
+	entries map[tapeSpan]*tapeEntry
+	recs    int64 // records the entries hold or will hold
 }
 
+// tapeSpan names a requested tape: the stream position it starts at
+// (the stream is deterministic from its origin, so the position names
+// the dynamic state) and the length asked for.
+type tapeSpan struct{ start, n int64 }
+
 type tapeEntry struct {
-	key  tapeKey
+	n    int64 // records to tape: the request, clamped to the workload's cap
 	once sync.Once
 	t    *tape
 }
 
-// maxTapes bounds the memo. In-memory suites run benchmark-major, so
-// two workers need at most two benchmarks' tapes, and a sampled row
-// tapes each of its region groups in turn; distributed workers claim
-// units across benchmarks and recycle entries through the LRU order.
-// An evicted tape lives on only while a generator still replays it.
-const maxTapes = 4
+// maxWorkloadRecs caps one workload's tapes at 8 MiB of records. A
+// request past the cap is taped up to it and continues live; once the
+// cap is reached, later requests for the workload play live.
+const maxWorkloadRecs = 1 << 20
 
-// maxTapeLen caps one tape at 8 MiB of records. A longer request is
-// taped this far and continues live.
-const maxTapeLen = 1 << 20
+// memoWorkloads bounds how many workloads the memo holds: one per
+// worker that may be simulating (GOMAXPROCS, the default worker
+// count) plus one, so that a worker moving on to its next benchmark
+// evicts the one it left rather than one still in use. In-memory
+// suites run benchmark-major, so their workers share one or two
+// benchmarks; dist workers each walk units from their own starting
+// point, one benchmark each. An evicted tape lives on only while a
+// generator still replays it.
+func memoWorkloads() int { return runtime.GOMAXPROCS(0) + 1 }
 
-// tapes is the process-wide memo, most recently used first.
+// tapes is the process-wide memo, most recently used workload first.
 var tapes struct {
-	mu      sync.Mutex
-	entries []*tapeEntry
+	mu        sync.Mutex
+	workloads []*workloadTapes
 }
 
-// tapeFor returns the memo entry for key, creating it (and evicting the
-// least recently used entry beyond maxTapes) on a miss.
-func tapeFor(key tapeKey) *tapeEntry {
+// tapeFor returns the memo entry for a tape of n records of workload
+// p from stream position start, creating it on a miss, or nil when
+// the workload's cap leaves no room for it.
+func tapeFor(p Params, start, n int64) *tapeEntry {
 	tapes.mu.Lock()
 	defer tapes.mu.Unlock()
-	for i, e := range tapes.entries {
-		if e.key == key {
-			copy(tapes.entries[1:i+1], tapes.entries[:i])
-			tapes.entries[0] = e
-			return e
+	w := workloadFor(p)
+	span := tapeSpan{start: start, n: n}
+	if e, ok := w.entries[span]; ok {
+		return e
+	}
+	n = min(n, maxWorkloadRecs-w.recs)
+	if n <= 0 {
+		return nil
+	}
+	e := &tapeEntry{n: n}
+	w.entries[span] = e
+	w.recs += n
+	return e
+}
+
+// workloadFor returns p's tapes, moved to the front of the memo,
+// creating them (and evicting the least recently used workloads beyond
+// memoWorkloads) on a miss. The caller holds tapes.mu.
+func workloadFor(p Params) *workloadTapes {
+	ws := tapes.workloads
+	for i, w := range ws {
+		if w.params == p {
+			copy(ws[1:i+1], ws[:i])
+			ws[0] = w
+			return w
 		}
 	}
-	e := &tapeEntry{key: key}
-	if len(tapes.entries) < maxTapes {
-		tapes.entries = append(tapes.entries, nil)
+	w := &workloadTapes{params: p, entries: make(map[tapeSpan]*tapeEntry)}
+	if keep := memoWorkloads() - 1; len(ws) > keep {
+		clear(ws[keep:])
+		ws = ws[:keep]
 	}
-	copy(tapes.entries[1:], tapes.entries)
-	tapes.entries[0] = e
-	return e
+	ws = append(ws, nil)
+	copy(ws[1:], ws)
+	ws[0] = w
+	tapes.workloads = ws
+	return w
 }
 
 // Replay makes the generator's next n instructions come from the
@@ -125,18 +163,18 @@ func tapeFor(key tapeKey) *tapeEntry {
 // from the current state on first use. The stream is unchanged: past
 // the tape's end Next resumes live generation exactly where the
 // recording stopped, and Snapshot, Restore and Reset work anywhere.
-// Callers pass the number of instructions the run will read, so the
-// tape covers the run and no more.
+// Callers pass the number of instructions the run commits; the few
+// the pipeline fetches beyond them are generated live.
 func (g *Generator) Replay(n int64) {
 	g.catchUp()
-	if n > maxTapeLen {
-		n = maxTapeLen
-	}
 	if n <= 0 || !g.prog.tapeable() {
 		return
 	}
-	e := tapeFor(tapeKey{params: g.prog.p, start: g.seq, n: n})
-	e.once.Do(func() { e.t = g.record(n) })
+	e := tapeFor(g.prog.p, g.seq, n)
+	if e == nil {
+		return
+	}
+	e.once.Do(func() { e.t = g.record(e.n) })
 	g.tape, g.tapePC = e.t, e.t.pc
 }
 

@@ -129,28 +129,83 @@ func TestReplayConcurrentFirstUseRecordsOnce(t *testing.T) {
 	}
 }
 
-// TestTapeMemoBounded: GIVEN more distinct stream segments than the
-// memo holds, WHEN each is replayed, THEN the memo never holds more
-// than its bound and a re-requested recent tape is shared.
-func TestTapeMemoBounded(t *testing.T) {
+// mcfVariant returns mcf's parameters under a seed no other test
+// uses, so that each test sees the memo fresh for its workloads.
+func mcfVariant(t *testing.T, salt uint64) trace.Params {
+	t.Helper()
 	w, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newGen(t, w.Params)
-	for i := 0; i < 3*trace.MaxTapes; i++ {
-		g.Reset()
-		g.Skip(int64(100 * i))
-		g.Replay(200)
-		if got := trace.MemoLen(); got > trace.MaxTapes {
-			t.Fatalf("memo holds %d tapes after %d segments, bound %d", got, i+1, trace.MaxTapes)
+	p := w.Params
+	p.Seed ^= salt
+	return p
+}
+
+// TestTapeMemoBounded: GIVEN more workloads than the memo holds, WHEN
+// each replays a tape, THEN the memo never holds more workloads than
+// its bound and the most recent workload's tape is shared.
+func TestTapeMemoBounded(t *testing.T) {
+	bound := trace.MemoWorkloads()
+	var last *trace.Generator
+	var p trace.Params
+	for i := 0; i < bound+3; i++ {
+		p = mcfVariant(t, 0x3b00+uint64(i))
+		last = newGen(t, p)
+		last.Replay(200)
+		if got := trace.MemoLen(); got > bound {
+			t.Fatalf("memo holds %d workloads after %d, bound %d", got, i+1, bound)
 		}
 	}
-	last := trace.TapeOf(g)
-	h := newGen(t, w.Params)
-	h.Skip(int64(100 * (3*trace.MaxTapes - 1)))
+	h := newGen(t, p)
 	h.Replay(200)
-	if trace.TapeOf(h) != last {
-		t.Fatal("the most recent tape was not shared")
+	if trace.TapeOf(h) != trace.TapeOf(last) {
+		t.Fatal("the most recent workload's tape was not shared")
 	}
+}
+
+// TestTapeMemoKeepsEverySampleGroup: GIVEN one workload whose rows
+// each replay more stream segments, in turn, than the memo holds
+// workloads (a uniform sample's ten region groups), WHEN a second row
+// runs after the first, THEN it plays the first row's recording of
+// every segment instead of recording any again.
+func TestTapeMemoKeepsEverySampleGroup(t *testing.T) {
+	p := mcfVariant(t, 0x5a3c)
+	groups := trace.MemoWorkloads() + 6
+	row := func() []any {
+		g := newGen(t, p)
+		var played []any
+		for i := 0; i < groups; i++ {
+			g.Reset()
+			g.Skip(int64(1000 * i))
+			g.Replay(300)
+			played = append(played, trace.TapeOf(g))
+		}
+		return played
+	}
+	first, second := row(), row()
+	for i := range first {
+		if first[i] == nil || first[i] != second[i] {
+			t.Fatalf("group %d: the second row played tape %p, the first %p", i, second[i], first[i])
+		}
+	}
+}
+
+// TestTapeWorkloadCap: GIVEN a request longer than a workload's cap,
+// WHEN it is replayed, THEN the tape stops at the cap, the stream stays
+// exact across it, and a later request for the full workload plays
+// live.
+func TestTapeWorkloadCap(t *testing.T) {
+	p := mcfVariant(t, 0xc4a9)
+	live, taped := newGen(t, p), newGen(t, p)
+	taped.Replay(trace.MaxWorkloadRecs + 1000)
+	if got := trace.TapeLen(taped); got != trace.MaxWorkloadRecs {
+		t.Fatalf("tape holds %d records, want the cap %d", got, trace.MaxWorkloadRecs)
+	}
+	requireSame(t, "across the cap", taped, live, trace.MaxWorkloadRecs+1000)
+	taped.Replay(500)
+	if trace.TapeOf(taped) != nil {
+		t.Fatal("a request past the workload's cap attached a tape")
+	}
+	requireSame(t, "past the cap", taped, live, 500)
 }
