@@ -6,6 +6,7 @@ import (
 
 	"pbsim/internal/pb"
 	"pbsim/internal/sim"
+	"pbsim/internal/trace"
 	"pbsim/internal/workload"
 )
 
@@ -98,5 +99,45 @@ func TestMoreL1DWaysNeverMissMore(t *testing.T) {
 				prev, prevWays = misses, ways
 			}
 		}
+	}
+}
+
+// TestAlwaysHitL2StillReachesDRAM pins a counterexample to "an
+// always-hit hierarchy makes zero DRAM accesses". GIVEN gzip on the
+// largest PB L2 (8 MiB, 8-way), which holds its 96 KiB working set and
+// its code many times over, prewarmed by PrewarmMemory; WHEN the taped
+// stream runs through the warmup and the measured window; THEN the
+// window makes one DRAM access, not zero. The data side always hits:
+// every data address lies inside the prewarmed working set. The miss
+// is on the code side: PrewarmMemory warms the code footprint that
+// Params.CodeFootprintBytes estimates (blocks × mean block length),
+// and the stream's code runs past it.
+func TestAlwaysHitL2StillReachesDRAM(t *testing.T) {
+	w, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Default()
+	cfg.L2SizeKB, cfg.L2Assoc = 8192, 8
+	if st := tapedStats(t, w, cfg); st.DRAMAccesses != 1 {
+		t.Errorf("gzip on an 8 MiB 8-way L2: %d DRAM accesses in the measured window, want the pinned 1", st.DRAMAccesses)
+	}
+	gen, err := w.NewGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var codeEnd, dataEnd uint64
+	for i := 0; i < contractWarmup+contractN; i++ {
+		in := gen.Next()
+		codeEnd = max(codeEnd, in.PC+4)
+		if in.Class.IsMem() {
+			dataEnd = max(dataEnd, in.Addr+8)
+		}
+	}
+	if warmed := trace.DataBase + w.Params.WorkingSetBytes; dataEnd > warmed {
+		t.Errorf("data reaches %#x, past the prewarmed working set's end %#x", dataEnd, warmed)
+	}
+	if warmed := trace.CodeBase + w.Params.CodeFootprintBytes(); codeEnd <= warmed {
+		t.Errorf("code ends at %#x, inside the prewarmed footprint ending at %#x: the DRAM access has another cause", codeEnd, warmed)
 	}
 }

@@ -111,9 +111,11 @@ func Response(w workload.Workload, warmup, instructions int64, shortcut Shortcut
 	// every later row replays that (trace.Generator.Replay), so the
 	// stream is generated once per benchmark, not once per row. The
 	// tape covers the committed instructions; the few the pipeline
-	// fetches beyond them are generated live. Pooling lets concurrent workers recycle a generator's
-	// visit table across rows; a Reset generator is indistinguishable
-	// from a fresh one.
+	// fetches beyond them are generated live. Pooling lets concurrent
+	// workers recycle a generator's visit table across rows; a Reset
+	// generator is indistinguishable from a fresh one. Each row's CPU
+	// is released once its cycles are read, so the next row's reuses
+	// its cache arrays.
 	var gens sync.Pool
 	return func(ctx context.Context, levels []pb.Level) (float64, error) {
 		if err := ctx.Err(); err != nil {
@@ -142,6 +144,7 @@ func Response(w workload.Workload, warmup, instructions int64, shortcut Shortcut
 		if err != nil {
 			return 0, fmt.Errorf("config for %s: %w", w.Name, err)
 		}
+		defer cpu.Release()
 		cpu.PrewarmMemory()
 		stats, err := cpu.RunWithWarmup(warmup, instructions)
 		if err != nil {

@@ -67,7 +67,7 @@ func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec 
 	if err != nil {
 		return Result{}, err
 	}
-	cpi, detailed, funcWarm, err := measure(cfg, gen, sch, instructions)
+	cpi, err := measure(cfg, gen, sch, instructions)
 	if err != nil {
 		return Result{}, err
 	}
@@ -83,8 +83,8 @@ func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec 
 		CIHalf:                 half,
 		Cycles:                 mean * float64(instructions),
 		CyclesCIHalf:           half * float64(instructions),
-		DetailedInstructions:   detailed,
-		FunctionalInstructions: funcWarm,
+		DetailedInstructions:   sch.detailedPerRun(instructions),
+		FunctionalInstructions: sch.funcWarmPerRun(),
 		ScheduleFunctional:     sch.functional,
 	}, nil
 }
@@ -100,6 +100,7 @@ func runCensus(cfg sim.Config, gen *trace.Generator, warmup, instructions int64,
 	if err != nil {
 		return Result{}, err
 	}
+	defer cpu.Release()
 	cpu.PrewarmMemory()
 	st, err := cpu.RunWithWarmup(warmup, instructions)
 	if err != nil {
@@ -117,46 +118,54 @@ func runCensus(cfg sim.Config, gen *trace.Generator, warmup, instructions int64,
 	}, nil
 }
 
-// measure detail-simulates the schedule's groups: per group, the
-// generator is restored to the recorded snapshot and replays the
-// group's shared tape, a fresh CPU is functionally prewarmed,
-// functionally warmed through the group's history window,
-// detail-warmed, and each region's cycle count is read as one RunMore
-// increment off the continuous pipeline.
-func measure(cfg sim.Config, gen *trace.Generator, sch *schedule, instructions int64) (map[int]float64, int64, int64, error) {
+// measure detail-simulates the schedule's groups in order
+// (measureGroup) and returns each region's CPI.
+func measure(cfg sim.Config, gen *trace.Generator, sch *schedule, instructions int64) (map[int]float64, error) {
 	cpi := make(map[int]float64, len(sch.regions))
-	var detailed, funcWarm int64
 	for _, g := range sch.groups {
-		if err := gen.Restore(g.snap); err != nil {
-			return nil, 0, 0, err
-		}
-		gen.Replay(g.funcWarm + g.warmup + sch.regionsLen(g, instructions))
-		cpu, err := sim.New(cfg, gen, nil)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		cpu.PrewarmMemory()
-		if g.funcWarm > 0 {
-			cpu.WarmFunctional(g.funcWarm)
-			funcWarm += g.funcWarm
-		}
-		if g.warmup > 0 {
-			if _, err := cpu.RunMore(g.warmup); err != nil {
-				return nil, 0, 0, fmt.Errorf("sampling: warmup before region %d: %w", g.first, err)
-			}
-			detailed += g.warmup
-		}
-		for r := g.first; r <= g.last; r++ {
-			n := regionLen(r, sch.numRegions, sch.spec.RegionSize, instructions)
-			st, err := cpu.RunMore(n)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("sampling: region %d: %w", r, err)
-			}
-			cpi[r] = float64(st.Cycles) / float64(n)
-			detailed += n
+		if err := measureGroup(cfg, gen, sch, g, instructions, cpi); err != nil {
+			return nil, err
 		}
 	}
-	return cpi, detailed, funcWarm, nil
+	return cpi, nil
+}
+
+// measureGroup detail-simulates one group: the generator is restored
+// to the recorded snapshot and replays the group's shared tape, a new
+// CPU (its cache arrays recycled from an earlier group's, cleared) is
+// functionally prewarmed, functionally warmed through the group's
+// history window, detail-warmed, and each region's cycle count is read
+// into cpi as one RunMore increment off the continuous pipeline. The
+// CPU is released when the group ends, so the next group's reuses its
+// arrays.
+func measureGroup(cfg sim.Config, gen *trace.Generator, sch *schedule, g group, instructions int64, cpi map[int]float64) error {
+	if err := gen.Restore(g.snap); err != nil {
+		return err
+	}
+	gen.Replay(g.funcWarm + g.warmup + sch.regionsLen(g, instructions))
+	cpu, err := sim.New(cfg, gen, nil)
+	if err != nil {
+		return err
+	}
+	defer cpu.Release()
+	cpu.PrewarmMemory()
+	if g.funcWarm > 0 {
+		cpu.WarmFunctional(g.funcWarm)
+	}
+	if g.warmup > 0 {
+		if _, err := cpu.RunMore(g.warmup); err != nil {
+			return fmt.Errorf("sampling: warmup before region %d: %w", g.first, err)
+		}
+	}
+	for r := g.first; r <= g.last; r++ {
+		n := regionLen(r, sch.numRegions, sch.spec.RegionSize, instructions)
+		st, err := cpu.RunMore(n)
+		if err != nil {
+			return fmt.Errorf("sampling: region %d: %w", r, err)
+		}
+		cpi[r] = float64(st.Cycles) / float64(n)
+	}
+	return nil
 }
 
 // Cost summarizes what a sampled run costs without simulating

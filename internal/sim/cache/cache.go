@@ -96,6 +96,13 @@ type Cache struct {
 // multiple of BlockBytes, and BlockBytes a power of two; Assoc must
 // divide the block count (or be FullyAssociative).
 func New(cfg Config) (*Cache, error) {
+	return newCache(cfg, nil)
+}
+
+// newCache is New, taking its line array from spare when spare's
+// capacity holds it (the array is cleared) and allocating one
+// otherwise.
+func newCache(cfg Config, spare []line) (*Cache, error) {
 	if cfg.BlockBytes <= 0 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: block size %d is not a positive power of two", cfg.BlockBytes)
 	}
@@ -121,12 +128,19 @@ func New(cfg Config) (*Cache, error) {
 	for 1<<blockBits < cfg.BlockBytes {
 		blockBits++
 	}
+	var lines []line
+	if n := sets * assoc; cap(spare) >= n {
+		lines = spare[:n]
+		clear(lines)
+	} else {
+		lines = make([]line, n)
+	}
 	return &Cache{
 		sets:      sets,
 		ways:      assoc,
 		blockBits: blockBits,
 		setMask:   uint64(sets - 1),
-		lines:     make([]line, sets*assoc),
+		lines:     lines,
 		policy:    cfg.Policy,
 		rng:       0x9e3779b97f4a7c15,
 	}, nil
@@ -164,7 +178,7 @@ func (c *Cache) Access(addr uint64) bool {
 		}
 	}
 	c.stats.Misses++
-	c.fill(set, block)
+	c.fill(set, block, c.clock)
 	return false
 }
 
@@ -184,13 +198,13 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// fill victimizes a way of the set and installs the block. Invalid
-// lines carry stamp 0, so the smallest-stamp scan of the LRU/FIFO
-// policies selects the first invalid way exactly as an explicit
-// invalid-first pass would.
+// fill victimizes a way of the set and installs the block with the
+// given stamp. Invalid lines carry stamp 0, so the smallest-stamp scan
+// of the LRU/FIFO policies selects the first invalid way exactly as an
+// explicit invalid-first pass would.
 //
 //pbcheck:hotpath
-func (c *Cache) fill(set []line, block uint64) {
+func (c *Cache) fill(set []line, block, stamp uint64) {
 	victim := 0
 	switch c.policy {
 	case Random:
@@ -213,33 +227,161 @@ func (c *Cache) fill(set []line, block uint64) {
 			}
 		}
 	}
-	set[victim] = line{tag: block, meta: c.clock} // LRU: last use; FIFO: arrival time
+	set[victim] = line{tag: block, meta: stamp} // LRU: last use; FIFO: arrival time
 }
 
-// accessRun is n >= 1 consecutive Accesses of addr. All but the first
-// hit the line the first one touched, so they only advance the clock
-// and the access count and, under LRU, restamp that line.
+// lapInPlace writes the state a sequential warming lap over [start,
+// end), start < end, leaves in the cache. The lap probes start and
+// then every multiple of its stride, 1<<sh bytes, below end; unlike
+// lap, it keeps whatever the cache held, and several probes may share
+// a block. The access counters are kept; the clock advances by one per
+// probe. A block's probes form a run: the first misses (unless the
+// block was resident) and the rest hit the line it touched, so the
+// line ends up stamped as the run's last probe under LRU and its first
+// under FIFO.
+//
+// With blocks no smaller than the stride, the lap touches every block
+// from start's to end-1's, in ascending order, so block b0+j is fill
+// j>>log2(sets) of its set, and every fill carries a stamp above any
+// the set held before. LRU and FIFO evict the smallest stamp, lowest
+// way first, so a set that starts empty takes fill m in way m%ways and
+// keeps only its last ways fills: those are written directly. A set
+// that holds lines is walked fill by fill (lapFill) until it has taken
+// ways fills. If none of them hit, they evicted every line the set
+// held; fill m then lands where fill m-ways did, so each way takes
+// the last fill congruent to the one it holds. A set where a lap block
+// was already resident is walked to the end. Random replacement, and
+// blocks smaller than the stride, have no such form: they take one
+// real access per block plus its run's repeat hits (walkRuns).
 //
 //pbcheck:hotpath
-func (c *Cache) accessRun(addr, n uint64) {
-	c.Access(addr)
-	if n == 1 {
+func (c *Cache) lapInPlace(start, end uint64, sh uint) {
+	q := start >> sh
+	n := ceilShift(end, sh) - q
+	if c.policy == Random || c.blockBits < sh {
+		c.walkRuns(start, end, sh, q, n)
 		return
 	}
-	c.clock += n - 1
-	c.stats.Accesses += n - 1
-	if c.policy != LRU {
-		return
+	b0 := start >> c.blockBits
+	l := lapRuns{
+		b0:    b0,
+		nb:    (end-1)>>c.blockBits - b0 + 1,
+		q:     q,
+		n:     n,
+		d:     c.blockBits - sh,
+		clock: c.clock,
+		lru:   c.policy == LRU,
 	}
-	block := addr >> c.blockBits
-	base := int(block&c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
-	for w := range set {
-		if set[w].meta != 0 && set[w].tag == block {
-			set[w].meta = c.clock
-			return
+	setBits := uint(bits.Len64(c.setMask))
+	ways := uint64(c.ways)
+	fresh := c.clock == 0 // never touched: every set is empty
+	for r := uint64(0); r < min(l.nb, uint64(c.sets)); r++ {
+		base := int((l.b0+r)&c.setMask) * c.ways
+		set := c.lines[base : base+c.ways]
+		fills := (l.nb-r-1)>>setBits + 1
+		if fresh || emptySet(set) {
+			for m := fills - min(fills, ways); m < fills; m++ {
+				j := r + m<<setBits
+				set[m%ways] = line{tag: l.b0 + j, meta: l.stamp(j)}
+			}
+			continue
+		}
+		m, hit := uint64(0), false
+		for ; m < fills && (m < ways || hit); m++ {
+			j := r + m<<setBits
+			hit = c.lapFill(set, l.b0+j, l.stamp(j)) || hit
+		}
+		if m == fills {
+			continue
+		}
+		for w := range set {
+			m0 := (set[w].tag - l.b0 - r) >> setBits
+			j := r + (m0+(fills-1-m0)/ways*ways)<<setBits
+			set[w] = line{tag: l.b0 + j, meta: l.stamp(j)}
 		}
 	}
+	c.clock += n
+}
+
+// lapRuns locates the runs of an in-place lap (see lapInPlace) over a
+// cache whose blocks are 1<<d probes long: block b0+j, j < nb, holds
+// the run of probes from (b0+j)<<d - q (probe 0 for j = 0) to the next
+// block's first probe, or to probe n-1 for the last block. clock is
+// the cache's clock before the lap, so probe i is stamped clock+i+1.
+type lapRuns struct {
+	b0, nb, q, n, clock uint64
+	d                   uint
+	lru                 bool
+}
+
+// stamp returns the stamp the lap leaves on block b0+j's line: its
+// run's last probe under LRU, its first under FIFO.
+//
+//pbcheck:hotpath
+func (l lapRuns) stamp(j uint64) uint64 {
+	if l.lru {
+		if j == l.nb-1 {
+			return l.clock + l.n
+		}
+		return l.clock + (l.b0+j+1)<<l.d - l.q
+	}
+	if j == 0 {
+		return l.clock + 1
+	}
+	return l.clock + (l.b0+j)<<l.d - l.q + 1
+}
+
+// emptySet reports whether every way of the set is invalid.
+//
+//pbcheck:hotpath
+func emptySet(set []line) bool {
+	for w := range set {
+		if set[w].meta != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// lapFill is one block's run of an in-place lap on its set under LRU
+// or FIFO: a resident line hits (and, under LRU, takes the stamp);
+// otherwise the block fills the smallest-stamp way. It reports whether
+// the block was resident.
+//
+//pbcheck:hotpath
+func (c *Cache) lapFill(set []line, block, stamp uint64) bool {
+	for w := range set {
+		if set[w].meta != 0 && set[w].tag == block {
+			if c.policy == LRU {
+				set[w].meta = stamp
+			}
+			return true
+		}
+	}
+	c.fill(set, block, stamp)
+	return false
+}
+
+// walkRuns is lapInPlace by one real access per block of the lap (its
+// n probes from q on). Only Random replacement reaches it with runs
+// longer than one probe (blocks smaller than the stride take one probe
+// each), and a Random hit changes nothing but the clock, so the run's
+// repeat hits only advance it.
+//
+//pbcheck:hotpath
+func (c *Cache) walkRuns(start, end uint64, sh uint, q, n uint64) {
+	stats := c.stats
+	for addr, i := start, uint64(0); i < n; addr = (q + i) << sh {
+		lim := end
+		if next := (addr>>c.blockBits + 1) << c.blockBits; next > addr && next < lim {
+			lim = next
+		}
+		run := ceilShift(lim, sh) - q - i // probes of the lap inside addr's block
+		c.Access(addr)
+		c.clock += run - 1
+		i += run
+	}
+	c.stats = stats
 }
 
 // lap writes the state a sequential warming lap over [start, end),

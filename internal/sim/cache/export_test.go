@@ -127,3 +127,20 @@ func diffCache(a, b *Cache) string {
 	}
 	return ""
 }
+
+// DrainFreeList empties the free list of released hierarchies, so the
+// next NewHierarchy calls build fresh arrays, and returns how many
+// hierarchies it held.
+func DrainFreeList() int {
+	for n := 0; ; n++ {
+		select {
+		case <-free:
+		default:
+			return n
+		}
+	}
+}
+
+// FreeListLen returns how many released hierarchies the free list
+// holds.
+func FreeListLen() int { return len(free) }

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // HierarchyConfig wires the full memory system of Table 8: split L1
 // instruction/data caches, a unified L2, split instruction/data TLBs,
@@ -43,7 +46,21 @@ type Hierarchy struct {
 	DRAMAccesses uint64
 }
 
-// NewHierarchy validates the configuration and allocates all arrays.
+// spareLines holds the line arrays of one released hierarchy: L1I,
+// L1D, L2, ITLB, DTLB.
+type spareLines [5][]line
+
+// free is the free list of released hierarchies' line arrays, bounded
+// at one hierarchy per processor that may be simulating. A hierarchy
+// released when it is full is left to the garbage collector. It is a
+// channel, not a sync.Pool: a pool's victim generation keeps a second
+// set of arrays, up to 2 MiB per hierarchy, alive across each
+// collection.
+var free = make(chan spareLines, runtime.GOMAXPROCS(0))
+
+// NewHierarchy validates the configuration and builds all arrays,
+// reusing those of a released hierarchy (Release) when the free list
+// holds one, in which case they are cleared first.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if cfg.MemBandwidthBytes <= 0 {
 		return nil, fmt.Errorf("cache: memory bandwidth %d invalid", cfg.MemBandwidthBytes)
@@ -51,24 +68,49 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if cfg.MemLatencyFirst < 1 || cfg.MemLatencyRest < 0 {
 		return nil, fmt.Errorf("cache: memory latencies (%d, %d) invalid", cfg.MemLatencyFirst, cfg.MemLatencyRest)
 	}
+	var spare spareLines
+	select {
+	case spare = <-free:
+	default:
+	}
 	h := &Hierarchy{cfg: cfg}
 	var err error
-	if h.L1I, err = New(cfg.L1I); err != nil {
+	if h.L1I, err = newCache(cfg.L1I, spare[0]); err != nil {
 		return nil, fmt.Errorf("L1I: %w", err)
 	}
-	if h.L1D, err = New(cfg.L1D); err != nil {
+	if h.L1D, err = newCache(cfg.L1D, spare[1]); err != nil {
 		return nil, fmt.Errorf("L1D: %w", err)
 	}
-	if h.L2, err = New(cfg.L2); err != nil {
+	if h.L2, err = newCache(cfg.L2, spare[2]); err != nil {
 		return nil, fmt.Errorf("L2: %w", err)
 	}
-	if h.ITLB, err = NewTLB(cfg.ITLBEntries, cfg.ITLBAssoc, cfg.PageBytes); err != nil {
+	if h.ITLB, err = newTLB(cfg.ITLBEntries, cfg.ITLBAssoc, cfg.PageBytes, spare[3]); err != nil {
 		return nil, fmt.Errorf("ITLB: %w", err)
 	}
-	if h.DTLB, err = NewTLB(cfg.DTLBEntries, cfg.DTLBAssoc, cfg.PageBytes); err != nil {
+	if h.DTLB, err = newTLB(cfg.DTLBEntries, cfg.DTLBAssoc, cfg.PageBytes, spare[4]); err != nil {
 		return nil, fmt.Errorf("DTLB: %w", err)
 	}
 	return h, nil
+}
+
+// Release returns the hierarchy's arrays to the free list for the
+// next NewHierarchy and leaves h unusable: its structures are nil and
+// theirs hold no lines, so any later access panics instead of sharing
+// arrays with another hierarchy. Releasing twice does nothing. A
+// hierarchy that is never released is garbage-collected as usual.
+func (h *Hierarchy) Release() {
+	if h.L2 == nil {
+		return
+	}
+	var spare spareLines
+	for i, c := range [...]*Cache{h.L1I, h.L1D, h.L2, h.ITLB.cache, h.DTLB.cache} {
+		spare[i], c.lines = c.lines, nil
+	}
+	h.L1I, h.L1D, h.L2, h.ITLB, h.DTLB = nil, nil, nil, nil, nil
+	select {
+	case free <- spare:
+	default:
+	}
 }
 
 // Config returns the hierarchy's configuration.
@@ -113,11 +155,9 @@ func (h *Hierarchy) PrewarmCode(start, size uint64) {
 // form instead of probing it block by block. Every probe of the lap
 // lands in a distinct L1 block and TLB page, so on the emptied L1 and
 // TLB every probe misses: each structure's final contents are written
-// directly (Cache.lap). The L2 therefore sees every probe address; the
-// probes inside one L2 block are hits on the line the first of them
-// just touched, so the L2 takes one real access per L2 block plus the
-// run's repeat hits in one step (Cache.accessRun). The result is
-// bit-identical, field by field, to probing every block.
+// directly (Cache.lap). The L2 therefore sees every probe address and
+// is lapped in place (Cache.lapInPlace). The result is bit-identical,
+// field by field, to probing every block.
 //
 //pbcheck:hotpath
 func (h *Hierarchy) prewarm(l1 *Cache, tlb *TLB, start, size uint64) {
@@ -127,20 +167,7 @@ func (h *Hierarchy) prewarm(l1 *Cache, tlb *TLB, start, size uint64) {
 	}
 	l1.lap(start, end, l1.blockBits)
 	tlb.cache.lap(start, end, tlb.pageBits)
-	l2, l2s := h.L2, h.L2.stats
-	sh := lapShift(l1.blockBits)
-	q := start >> sh
-	n := ceilShift(end, sh) - q
-	for addr, i := start, uint64(0); i < n; addr = (q + i) << sh {
-		lim := end
-		if next := (addr>>l2.blockBits + 1) << l2.blockBits; next > addr && next < lim {
-			lim = next
-		}
-		run := ceilShift(lim, sh) - q - i // probes of the lap inside addr's L2 block
-		l2.accessRun(addr, run)
-		i += run
-	}
-	l2.stats = l2s
+	h.L2.lapInPlace(start, end, lapShift(l1.blockBits))
 }
 
 // lapShift is log2 of the address stride of a warming lap over units

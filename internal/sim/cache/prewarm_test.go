@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -151,6 +152,71 @@ func TestPrewarmMatchesWalk(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestL2LapMatchesWalkRandomized checks the L2's in-place lap
+// (Cache.lapInPlace) against the per-block walk on random hierarchies
+// and random prior contents. GIVEN an L2 with a random geometry and
+// policy (LRU, FIFO, Random) under L1 blocks above, at and below its
+// own, and either empty, touched by random traffic, or holding blocks
+// of the lap itself (the per-set walk to the end), WHEN a code or data
+// lap runs over a random range, some wrapping past the top of the
+// address space, THEN every field of the hierarchy equals the walk's.
+func TestL2LapMatchesWalkRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(xs ...int) int { return xs[rng.Intn(len(xs))] }
+	top := ^uint64(0)
+	for trial := 0; trial < 1000; trial++ {
+		cfg := testHierCfg()
+		cfg.L2.BlockBytes = pick(16, 32, 64, 128, 256)
+		cfg.L2.Assoc = pick(1, 2, 3, 4, 8, FullyAssociative)
+		sets := pick(1, 2, 4, 16, 64)
+		assoc := cfg.L2.Assoc
+		if assoc == FullyAssociative {
+			assoc = pick(4, 16)
+		}
+		cfg.L2.SizeBytes = sets * assoc * cfg.L2.BlockBytes
+		cfg.L2.Policy = Replacement(rng.Intn(3))
+		cfg.L1D.BlockBytes = pick(8, 16, 32, 64, 128)
+		cfg.L1I.BlockBytes = pick(8, 16, 32, 64)
+		capacity := uint64(cfg.L2.SizeBytes)
+
+		var start uint64
+		switch rng.Intn(4) {
+		case 0:
+			start = top - uint64(rng.Intn(int(4*capacity))) // may wrap: then the lap changes nothing
+		case 1:
+			start = uint64(rng.Intn(1 << 20))
+		default:
+			start = 1<<32 + uint64(rng.Intn(1<<16))
+		}
+		size := uint64(rng.Intn(int(6*capacity))) + 1
+		code := rng.Intn(2) == 0
+
+		lapH, walkH := mustHier(t, cfg), mustHier(t, cfg)
+		prior := rng.Intn(3) // 0: empty, 1: unrelated traffic, 2: traffic inside the lap
+		for i := 0; prior > 0 && i < 4*int(capacity)/cfg.L2.BlockBytes; i++ {
+			addr := uint64(rng.Intn(1 << 24))
+			if prior == 2 {
+				addr = start + uint64(rng.Int63n(int64(size)))
+			}
+			for _, h := range []*Hierarchy{lapH, walkH} {
+				h.DataAccess(addr, int64(i))
+			}
+		}
+		name := fmt.Sprintf("trial %d: L2 %+v, L1 blocks %d/%d, prior %d, code=%v, [%#x, +%d)",
+			trial, cfg.L2, cfg.L1I.BlockBytes, cfg.L1D.BlockBytes, prior, code, start, size)
+		if code {
+			lapH.PrewarmCode(start, size)
+			walkH.WalkPrewarmCode(start, size)
+		} else {
+			lapH.PrewarmData(start, size)
+			walkH.WalkPrewarmData(start, size)
+		}
+		if d := DiffHierarchy(lapH, walkH); d != "" {
+			t.Fatalf("%s: %s", name, d)
 		}
 	}
 }

@@ -13,6 +13,12 @@ type TLB struct {
 // NewTLB builds a TLB with the given number of entries, associativity
 // (FullyAssociative allowed) and page size in bytes (power of two).
 func NewTLB(entries, assoc int, pageBytes uint64) (*TLB, error) {
+	return newTLB(entries, assoc, pageBytes, nil)
+}
+
+// newTLB is NewTLB with the line array taken from spare as newCache
+// takes it.
+func newTLB(entries, assoc int, pageBytes uint64, spare []line) (*TLB, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("cache: TLB entries %d invalid", entries)
 	}
@@ -24,7 +30,7 @@ func NewTLB(entries, assoc int, pageBytes uint64) (*TLB, error) {
 		pageBits++
 	}
 	// Reuse the cache array with 1-byte "blocks" over page numbers.
-	c, err := New(Config{SizeBytes: entries, Assoc: assoc, BlockBytes: 1, Policy: LRU})
+	c, err := newCache(Config{SizeBytes: entries, Assoc: assoc, BlockBytes: 1, Policy: LRU}, spare)
 	if err != nil {
 		return nil, fmt.Errorf("cache: TLB geometry: %w", err)
 	}

@@ -32,8 +32,10 @@ type fetched struct {
 }
 
 // CPU is one simulated processor instance bound to one instruction
-// stream. Create a fresh CPU per run; it is not reusable or
-// goroutine-safe.
+// stream. It serves one run and is not goroutine-safe. Once the run's
+// statistics are read, Release hands its cache and TLB arrays to the
+// next New instead of the garbage collector; a CPU that is never
+// released is collected as usual.
 type CPU struct {
 	cfg  Config
 	gen  *trace.Generator
@@ -213,6 +215,17 @@ func New(cfg Config, gen *trace.Generator, shortcut ComputeShortcut) (*CPU, erro
 		return nil, err
 	}
 	return c, nil
+}
+
+// Release returns the CPU's memory-hierarchy arrays to the free list
+// New draws from (cache.Hierarchy.Release). The CPU is unusable
+// afterwards: running, warming or prewarming it panics rather than
+// share arrays with another CPU. Releasing twice does nothing.
+func (c *CPU) Release() {
+	if c.hier != nil {
+		c.hier.Release()
+		c.hier = nil
+	}
 }
 
 // PrewarmMemory performs functional cache warming: it touches the

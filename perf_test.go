@@ -1,6 +1,7 @@
 package pbsim
 
 import (
+	"runtime"
 	"testing"
 
 	"pbsim/internal/sim"
@@ -79,6 +80,43 @@ func TestPrewarmMemoryZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, cpu.PrewarmMemory)
 	if !stats.ApproxEqual(allocs, 0, 0) {
 		t.Errorf("PrewarmMemory allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestRecycledNewAllocBytes pins what the free list of hierarchy
+// arrays saves every design row: once a released CPU's arrays are
+// waiting, New + PrewarmMemory + Release at the largest PB L2 (8 MiB
+// of 64 B lines, 2 MiB of tag array) allocates only the CPU's small
+// structures, under 64 KiB per row.
+func TestRecycledNewAllocBytes(t *testing.T) {
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := w.NewGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Default()
+	cfg.L2SizeKB, cfg.L2Assoc, cfg.L2Block = 8192, 8, 64
+	row := func() {
+		cpu, err := sim.New(cfg, gen, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu.PrewarmMemory()
+		cpu.Release()
+	}
+	row() // warms the free list
+	const rows = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rows; i++ {
+		row()
+	}
+	runtime.ReadMemStats(&after)
+	if perRow := (after.TotalAlloc - before.TotalAlloc) / rows; perRow >= 64<<10 {
+		t.Errorf("New + PrewarmMemory + Release allocates %d B per row with the free list warm, want < 64 KiB", perRow)
 	}
 }
 

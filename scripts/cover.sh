@@ -22,6 +22,7 @@ declare -A floors=(
 	["pbsim/internal/truth"]=85
 	["pbsim/internal/assess"]=80
 	["pbsim/internal/sampling"]=80
+	["pbsim/internal/sim"]=90
 	["pbsim/internal/sim/cache"]=95
 	["pbsim/internal/pb"]=95
 	["pbsim/internal/methodology"]=95
