@@ -62,11 +62,11 @@ race-hammer:
 
 # fuzz runs every native fuzz target (stdlib testing.F) for FUZZTIME
 # each: the on-disk decoders that must never panic or accept a torn
-# record — shard ledger, campaign manifest and sampling spec. The CI
-# race-hammer job runs it.
+# record — shard ledger, campaign manifest, the manifest's experiment
+# spec and sampling spec. The CI race-hammer job runs it.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/runner/dist:FuzzReadLedger ./internal/runner/dist:FuzzOpenManifest \
-	./internal/sampling:FuzzParseSpec
+	./internal/experiment:FuzzOptionsFromSpec ./internal/sampling:FuzzParseSpec
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

@@ -185,11 +185,6 @@ func BenchmarkTable11Groups(b *testing.B) {
 // (instruction precomputation, 128-entry table) on one benchmark.
 func BenchmarkTable12Enhanced(b *testing.B) {
 	ws := benchWorkloads(b, "gzip")
-	freq, err := enhance.Profile(ws[0].Params, benchWarmup+benchInstr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := experiment.Options{
 			Instructions: benchInstr,
@@ -201,9 +196,7 @@ func BenchmarkTable12Enhanced(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts.Shortcut = func(workload.Workload) (sim.ComputeShortcut, error) {
-			return enhance.NewPrecomputation(freq, 128)
-		}
+		opts.Enhance = enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: 128}
 		after, err := experiment.RunSuite(opts)
 		if err != nil {
 			b.Fatal(err)
@@ -240,7 +233,7 @@ func BenchmarkAblationFoldover(b *testing.B) {
 // benchmarks above.
 func BenchmarkAblationOneAtATime(b *testing.B) {
 	ws := benchWorkloads(b, "gzip")
-	resp, respErr := experiment.Response(ws[0], benchWarmup, benchInstr, nil).Infallible()
+	resp, respErr := experiment.Response(ws[0], benchWarmup, benchInstr, enhance.Spec{}).Infallible()
 	defer func() {
 		if err := respErr(); err != nil {
 			b.Fatal(err)

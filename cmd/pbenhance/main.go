@@ -8,7 +8,9 @@
 // -checkpoint directory, holding each phase's campaign in a
 // subdirectory named after its label (base, precompute-128, ...), so
 // an interrupted comparison resumes without repeating either phase's
-// completed configurations.
+// completed configurations. pbworker -checkpoint DIR/<label> can join
+// or finish either phase. Sampling is not offered: the experiment
+// layer refuses it together with an enhancement.
 //
 // Observability: -metrics journals both phases' events to one JSONL
 // file (each phase keyed by its own fingerprint), -progress prints
@@ -38,8 +40,6 @@ import (
 	"pbsim/internal/paperdata"
 	"pbsim/internal/pb"
 	"pbsim/internal/report"
-	"pbsim/internal/sim"
-	"pbsim/internal/workload"
 )
 
 func main() {
@@ -64,19 +64,21 @@ func run() (err error) {
 	}
 	defer obs.FoldClose(&err, sess)
 
-	factory, err := shortcutFactory(*mechanism, *tableSize, size.Warmup+size.Instructions)
+	// The flags name the enhancement by its label, which must be valid
+	// before either suite simulates anything.
+	enh, err := enhance.ParseSpec(fmt.Sprintf("%s-%d", *mechanism, *tableSize))
 	if err != nil {
-		return err
+		return obs.Usagef("%v", err)
 	}
 	opts := experiment.Options{Foldover: true, Recorder: sess.Recorder()}
 	size.Apply(&opts)
 	runFlags.Apply(&opts)
 	// phase runs one suite, its campaign in the label's subdirectory.
-	phase := func(name, label string, shortcut experiment.ShortcutFactory) (*pb.Suite, error) {
+	phase := func(name string, enh enhance.Spec) (*pb.Suite, error) {
 		o := opts
-		o.Label, o.Shortcut = label, shortcut
+		o.Enhance = enh
 		if o.Checkpoint != "" {
-			o.Checkpoint = filepath.Join(o.Checkpoint, label)
+			o.Checkpoint = filepath.Join(o.Checkpoint, enh.String())
 		}
 		suite, err := experiment.RunSuiteCtx(ctx, o)
 		if err != nil {
@@ -84,11 +86,11 @@ func run() (err error) {
 		}
 		return suite, nil
 	}
-	before, err := phase("base experiment", "base", nil)
+	before, err := phase("base experiment", enhance.Spec{})
 	if err != nil {
 		return err
 	}
-	after, err := phase("enhanced experiment", fmt.Sprintf("%s-%d", *mechanism, *tableSize), factory)
+	after, err := phase("enhanced experiment", enh)
 	if err != nil {
 		return err
 	}
@@ -111,37 +113,4 @@ func run() (err error) {
 			"Enhanced ordering vs the paper's published Table 12"))
 	}
 	return nil
-}
-
-func shortcutFactory(mechanism string, tableSize int, profileLen int64) (experiment.ShortcutFactory, error) {
-	switch mechanism {
-	case "precompute":
-		// The compiler's profiling pass runs once per benchmark; every
-		// simulated configuration then loads its own copy of the
-		// resulting table (table state is per-run).
-		profiles := make(map[string]map[uint32]uint64, 13)
-		for _, w := range workload.All() {
-			freq, err := enhance.Profile(w.Params, profileLen)
-			if err != nil {
-				return nil, err
-			}
-			profiles[w.Name] = freq
-		}
-		return func(w workload.Workload) (sim.ComputeShortcut, error) {
-			freq, ok := profiles[w.Name]
-			if !ok {
-				var err error
-				if freq, err = enhance.Profile(w.Params, profileLen); err != nil {
-					return nil, err
-				}
-			}
-			return enhance.NewPrecomputation(freq, tableSize)
-		}, nil
-	case "valuereuse":
-		return func(workload.Workload) (sim.ComputeShortcut, error) {
-			return enhance.NewValueReuse(tableSize)
-		}, nil
-	default:
-		return nil, obs.Usagef("unknown mechanism %q", mechanism)
-	}
 }

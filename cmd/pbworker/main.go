@@ -8,9 +8,9 @@
 // their leases after -ttl and their units are stolen by the rest.
 // Results land in per-worker append-only shard ledgers that
 // pbrank -checkpoint (or any later pbrank with the same flags) merges
-// into the exact Table 9 an in-memory run prints. Campaigns whose
-// suite runs an enhancement shortcut (pbenhance, tablegen's Table 12)
-// carry no spec to reconstruct and are refused.
+// into the exact Table 9 an in-memory run prints. Table 12 campaigns
+// (pbenhance/tablegen -checkpoint DIR keep DIR/precompute-128, ...)
+// join the same way; sampling with an enhancement is still refused.
 //
 // The worker validates its reconstruction: the fingerprint recomputed
 // from the manifest's spec must match the manifest's, so a version-

@@ -245,17 +245,13 @@ func runOne(name string, cfg sim.Config, n, warmup int64, precompute int) (strin
 	if err != nil {
 		return "", 0, err
 	}
-	var shortcut sim.ComputeShortcut
+	var enh enhance.Spec
 	if precompute > 0 {
-		freq, err := enhance.Profile(w.Params, warmup+n)
-		if err != nil {
-			return "", 0, err
-		}
-		table, err := enhance.NewPrecomputation(freq, precompute)
-		if err != nil {
-			return "", 0, err
-		}
-		shortcut = table
+		enh = enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: precompute}
+	}
+	shortcut, err := enh.Shortcuts(w.Params, warmup+n)()
+	if err != nil {
+		return "", 0, err
 	}
 	cpu, err := sim.New(cfg, gen, shortcut)
 	if err != nil {

@@ -6,7 +6,7 @@
 // and Ctrl-C leaves a resumable checkpoint instead of lost work. Each
 // experimental suite keeps its campaign in its own subdirectory of the
 // -checkpoint directory, named after its label (base,
-// precompute-128).
+// precompute-128), which pbworker -checkpoint can join or finish.
 //
 // Observability: -metrics journals every experimental suite's events
 // to one JSONL file, -progress prints live progress and a combined
@@ -38,8 +38,6 @@ import (
 	"pbsim/internal/paperdata"
 	"pbsim/internal/pb"
 	"pbsim/internal/report"
-	"pbsim/internal/sim"
-	"pbsim/internal/workload"
 )
 
 func main() {
@@ -148,12 +146,12 @@ func (g *generator) tables678() error {
 	return g.write("table06_07_08_parameters.txt", report.ParameterValues())
 }
 
-func (g *generator) options(label string) experiment.Options {
-	opts := experiment.Options{Foldover: true, Label: label, Recorder: g.recorder}
+func (g *generator) options(enh enhance.Spec) experiment.Options {
+	opts := experiment.Options{Foldover: true, Enhance: enh, Recorder: g.recorder}
 	g.size.Apply(&opts)
 	g.run.Apply(&opts)
 	if opts.Checkpoint != "" {
-		opts.Checkpoint = filepath.Join(opts.Checkpoint, label)
+		opts.Checkpoint = filepath.Join(opts.Checkpoint, enh.String())
 	}
 	return opts
 }
@@ -162,7 +160,7 @@ func (g *generator) baseSuite() (*pb.Suite, error) {
 	if g.base != nil {
 		return g.base, nil
 	}
-	suite, err := experiment.RunSuiteCtx(g.ctx, g.options("base"))
+	suite, err := experiment.RunSuiteCtx(g.ctx, g.options(enhance.Spec{}))
 	if err != nil {
 		return nil, err
 	}
@@ -207,19 +205,7 @@ func (g *generator) table12() error {
 	if err != nil {
 		return err
 	}
-	profiles := make(map[string]map[uint32]uint64, 13)
-	for _, w := range workload.All() {
-		freq, err := enhance.Profile(w.Params, g.size.Warmup+g.size.Instructions)
-		if err != nil {
-			return err
-		}
-		profiles[w.Name] = freq
-	}
-	opts := g.options("precompute-128")
-	opts.Shortcut = func(w workload.Workload) (sim.ComputeShortcut, error) {
-		return enhance.NewPrecomputation(profiles[w.Name], 128)
-	}
-	after, err := experiment.RunSuiteCtx(g.ctx, opts)
+	after, err := experiment.RunSuiteCtx(g.ctx, g.options(enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: 128}))
 	if err != nil {
 		return err
 	}

@@ -34,18 +34,13 @@ func main() {
 		ws = append(ws, w)
 	}
 
+	// The enhancement is data: a mechanism and its table size.
+	precompute := enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: 128}
+
 	// First, the conventional single-number view: the speedup.
 	for _, w := range ws {
-		base := runOnce(w, nil)
-		freq, err := enhance.Profile(w.Params, warmup+instructions)
-		if err != nil {
-			panic(err)
-		}
-		table, err := enhance.NewPrecomputation(freq, 128)
-		if err != nil {
-			panic(err)
-		}
-		enh := runOnce(w, table)
+		base := runOnce(w, enhance.Spec{}, warmup, instructions)
+		enh := runOnce(w, precompute, warmup, instructions)
 		fmt.Printf("%-8s base %7d cycles, precomputed %7d cycles, speedup %.3fx (%d table hits)\n",
 			w.Name, base.Cycles, enh.Cycles, float64(base.Cycles)/float64(enh.Cycles), enh.PrecompHits)
 	}
@@ -61,13 +56,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	opts.Shortcut = func(w workload.Workload) (sim.ComputeShortcut, error) {
-		freq, err := enhance.Profile(w.Params, warmup+instructions)
-		if err != nil {
-			return nil, err
-		}
-		return enhance.NewPrecomputation(freq, 128)
-	}
+	opts.Enhance = precompute
 	after, err := experiment.RunSuite(opts)
 	if err != nil {
 		panic(err)
@@ -87,8 +76,13 @@ func main() {
 	fmt.Println("since precomputation removes work precisely from the integer ALUs.)")
 }
 
-func runOnce(w workload.Workload, shortcut sim.ComputeShortcut) sim.Stats {
+// runOnce simulates w on the default processor with the enhancement.
+func runOnce(w workload.Workload, enh enhance.Spec, warmup, instructions int64) sim.Stats {
 	gen, err := w.NewGenerator()
+	if err != nil {
+		panic(err)
+	}
+	shortcut, err := enh.Shortcuts(w.Params, warmup+instructions)()
 	if err != nil {
 		panic(err)
 	}
@@ -97,7 +91,7 @@ func runOnce(w workload.Workload, shortcut sim.ComputeShortcut) sim.Stats {
 		panic(err)
 	}
 	cpu.PrewarmMemory()
-	stats, err := cpu.RunWithWarmup(10000, 20000)
+	stats, err := cpu.RunWithWarmup(warmup, instructions)
 	if err != nil {
 		panic(err)
 	}

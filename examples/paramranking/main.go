@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 
+	"pbsim/internal/enhance"
 	"pbsim/internal/experiment"
 	"pbsim/internal/methodology"
 	"pbsim/internal/pb"
@@ -54,7 +55,7 @@ func main() {
 
 	// Step 3: full-factorial sensitivity analysis over the critical
 	// parameters for one benchmark, non-critical parameters held high.
-	resp := experiment.Response(ws[0], warmup, instructions, nil)
+	resp := experiment.Response(ws[0], warmup, instructions, enhance.Spec{})
 	sens, err := methodology.SensitivityAnalysis(context.Background(), suite.Design.Columns, screening.Critical, resp, pb.High)
 	if err != nil {
 		panic(err)

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pbsim/internal/enhance"
 	"pbsim/internal/experiment"
 	"pbsim/internal/pb"
 	"pbsim/internal/runner"
@@ -34,7 +35,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	response := experiment.Response(w, warmup, instructions, nil)
+	response := experiment.Response(w, warmup, instructions, enhance.Spec{})
 	resp, respErr := response.Infallible()
 	factors := []string{}
 	for _, f := range experimentFactors() {

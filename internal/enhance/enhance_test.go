@@ -1,6 +1,7 @@
 package enhance
 
 import (
+	"maps"
 	"testing"
 
 	"pbsim/internal/sim"
@@ -59,9 +60,6 @@ func TestPrecomputationKeepsTopIdentities(t *testing.T) {
 			t.Errorf("identity %d should not be loaded", id)
 		}
 	}
-	if hr := p.HitRate(); hr <= 0 || hr >= 1 {
-		t.Errorf("hit rate = %g", hr)
-	}
 	// The static table never trains.
 	p.Observe(4)
 	if p.Hit(4) {
@@ -73,9 +71,6 @@ func TestPrecomputationKeepsTopIdentities(t *testing.T) {
 	empty, err := NewPrecomputation(nil, 8)
 	if err != nil || empty.Size() != 0 {
 		t.Errorf("empty profile: %v, size %d", err, empty.Size())
-	}
-	if empty.HitRate() != 0 {
-		t.Error("empty hit rate")
 	}
 }
 
@@ -114,9 +109,6 @@ func TestValueReuseLRU(t *testing.T) {
 	if v.Size() != 2 {
 		t.Errorf("size = %d", v.Size())
 	}
-	if hr := v.HitRate(); hr <= 0 || hr > 1 {
-		t.Errorf("hit rate = %g", hr)
-	}
 	v.Observe(0) // ignored
 	if v.Size() != 2 {
 		t.Error("CompID 0 must not be inserted")
@@ -127,10 +119,6 @@ func TestValueReuseLRU(t *testing.T) {
 	}
 	if _, err := NewValueReuse(0); err == nil {
 		t.Error("zero capacity accepted")
-	}
-	fresh, _ := NewValueReuse(4)
-	if fresh.HitRate() != 0 {
-		t.Error("fresh hit rate")
 	}
 }
 
@@ -183,5 +171,80 @@ func TestValueReuseVsPrecomputation(t *testing.T) {
 	}
 	if vr.Size() == 0 || vr.Size() > 128 {
 		t.Errorf("table size = %d", vr.Size())
+	}
+}
+
+func TestSpecValidate(t *testing.T) {
+	for _, s := range []Spec{{}, {MechPrecompute, 1}, {MechValueReuse, 128}} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", s, err)
+		}
+	}
+	for _, s := range []Spec{{MechPrecompute, 0}, {MechValueReuse, -1}, {"turbo", 128}, {"", 128}, {"base", 0}} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%+v accepted", s)
+		}
+	}
+}
+
+func TestParseSpecRoundTrip(t *testing.T) {
+	for text, want := range map[string]Spec{
+		"base":           {},
+		"precompute-128": {MechPrecompute, 128},
+		"valuereuse-1":   {MechValueReuse, 1},
+	} {
+		s, err := ParseSpec(text)
+		if err != nil || s != want {
+			t.Errorf("ParseSpec(%q) = %+v, %v; want %+v", text, s, err, want)
+		}
+		if s.String() != text {
+			t.Errorf("%+v.String() = %q, want %q", s, s.String(), text)
+		}
+	}
+	for _, text := range []string{"", "-0", "precompute", "precompute-", "precompute-0", "precompute--1",
+		"precompute-0128", "precompute-+128", "turbo-128", "Base", "precompute-128 ", "valuereuse-1-2"} {
+		if s, err := ParseSpec(text); err == nil {
+			t.Errorf("ParseSpec(%q) accepted as %+v", text, s)
+		}
+	}
+}
+
+func TestSpecShortcuts(t *testing.T) {
+	w, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc, err := (Spec{}).Shortcuts(w.Params, 1000)(); sc != nil || err != nil {
+		t.Errorf("base spec built %v, %v; want no shortcut", sc, err)
+	}
+	if _, err := (Spec{MechPrecompute, 0}).Shortcuts(w.Params, 1000)(); err == nil {
+		t.Error("invalid spec built a shortcut")
+	}
+	for _, s := range []Spec{{MechPrecompute, 16}, {MechValueReuse, 16}} {
+		build := s.Shortcuts(w.Params, 5000)
+		a, errA := build()
+		b, errB := build()
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v, %v", s, errA, errB)
+		}
+		if a == b {
+			t.Errorf("%s: two runs share one table", s)
+		}
+	}
+	// The precomputation table is the one a hand profile loads.
+	freq, err := Profile(w.Params, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewPrecomputation(freq, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := (Spec{MechPrecompute, 16}).Shortcuts(w.Params, 5000)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := got.(*Precomputation); !ok || !maps.Equal(p.table, want.table) {
+		t.Errorf("precomputation table differs from the profiled one")
 	}
 }

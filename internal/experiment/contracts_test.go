@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"pbsim/internal/enhance"
 	"pbsim/internal/pb"
 	"pbsim/internal/sim"
 	"pbsim/internal/trace"
@@ -32,7 +33,7 @@ func TestIPCNeverExceedsWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := Response(w, contractWarmup, contractN, nil)
+		resp := Response(w, contractWarmup, contractN, enhance.Spec{})
 		for r := 0; r < design.Runs(); r++ {
 			cycles, err := resp(context.Background(), design.Row(r))
 			if err != nil {

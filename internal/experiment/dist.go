@@ -3,9 +3,11 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 
+	"pbsim/internal/enhance"
 	"pbsim/internal/pb"
 	"pbsim/internal/runner"
 	"pbsim/internal/runner/dist"
@@ -51,9 +53,12 @@ func planCampaign(opts Options) (*campaignPlan, error) {
 	if opts.Warmup < 0 {
 		opts.Warmup = DefaultWarmup
 	}
+	if err := opts.Enhance.Validate(); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
 	if opts.Sampling != nil {
-		if opts.Shortcut != nil {
-			return nil, fmt.Errorf("experiment: sampling cannot be combined with an enhancement shortcut")
+		if opts.Enhance != (enhance.Spec{}) {
+			return nil, fmt.Errorf("experiment: sampling cannot be combined with an enhancement (%s)", opts.Enhance)
 		}
 		// Normalize here so the manifest, the fingerprint, and every
 		// reconstructing worker agree on one canonical spec.
@@ -83,20 +88,21 @@ func (p *campaignPlan) response(w workload.Workload) pb.Response {
 	if p.opts.Sampling != nil {
 		return SampledResponse(w, p.opts.Warmup, p.opts.Instructions, *p.opts.Sampling)
 	}
-	return Response(w, p.opts.Warmup, p.opts.Instructions, p.opts.Shortcut)
+	return Response(w, p.opts.Warmup, p.opts.Instructions, p.opts.Enhance)
 }
 
 // runnerConfig is the row-execution config both paths share: the
 // in-memory suite reads all of it, and a campaign's dist.Run reads
 // everything but Parallelism and Recorder, which it takes on its own.
-// Rows are scoped by the label, so each reports as "label/benchmark".
+// Rows are scoped by the enhancement's label, so each reports as
+// "label/benchmark".
 func (p *campaignPlan) runnerConfig() runner.Config {
 	return runner.Config{
 		Parallelism: p.opts.Parallelism,
 		Timeout:     p.opts.Timeout,
 		Retries:     p.opts.Retries,
 		Backoff:     p.opts.Backoff,
-		Scope:       label(p.opts),
+		Scope:       p.opts.Enhance.String(),
 		OnRow:       p.opts.OnRow,
 		OnRetry:     p.opts.OnRetry,
 		Recorder:    p.opts.Recorder,
@@ -139,11 +145,8 @@ func (p *campaignPlan) runCampaign(ctx context.Context) (*pb.Suite, error) {
 
 // CampaignManifest builds the dist manifest for opts: one scope per
 // benchmark with Design.Runs() rows each, fingerprinted as Fingerprint
-// does, and a Spec from which OptionsFromSpec reconstructs the task.
-// A suite with a Shortcut gets no Spec: an enhancement is Go code, not
-// data, so no joining worker could rebuild it, and OptionsFromSpec
-// refuses the manifest instead of letting a worker commit unenhanced
-// rows under the enhanced fingerprint.
+// does, and a Spec from which OptionsFromSpec reconstructs the task;
+// its label key carries the enhancement's canonical string.
 func CampaignManifest(opts Options) (dist.Manifest, error) {
 	p, err := planCampaign(opts)
 	if err != nil {
@@ -157,15 +160,12 @@ func (p *campaignPlan) manifest() dist.Manifest {
 	for _, w := range p.ws {
 		man.Scopes = append(man.Scopes, dist.ScopeSpec{Name: w.Name, Rows: p.design.Runs()})
 	}
-	if p.opts.Shortcut != nil {
-		return man
-	}
 	man.Spec = map[string]string{
 		specTool:       "pbrank",
 		specN:          strconv.FormatInt(p.opts.Instructions, 10),
 		specWarmup:     strconv.FormatInt(p.opts.Warmup, 10),
 		specFoldover:   strconv.FormatBool(p.opts.Foldover),
-		specLabel:      label(p.opts),
+		specLabel:      p.opts.Enhance.String(),
 		specBenchmarks: strings.Join(p.names(), ","),
 	}
 	if p.opts.Sampling != nil {
@@ -176,13 +176,12 @@ func (p *campaignPlan) manifest() dist.Manifest {
 
 // OptionsFromSpec reconstructs the experiment Options a joining
 // worker needs from a campaign manifest written by CampaignManifest.
-// The caller must still verify the reconstruction by comparing the
-// recomputed fingerprint against the manifest's (CampaignTask does).
+// It accepts only the canonical spec of the options it decodes to, the
+// map CampaignManifest writes for them. The caller must still verify
+// the reconstruction by comparing the recomputed fingerprint against
+// the manifest's (CampaignTask does).
 func OptionsFromSpec(spec map[string]string) (Options, error) {
 	var opts Options
-	if len(spec) == 0 {
-		return opts, fmt.Errorf("experiment: campaign manifest has no spec (its suite runs an enhancement shortcut, which only the process that created the campaign can execute)")
-	}
 	if tool := spec[specTool]; tool != "pbrank" {
 		return opts, fmt.Errorf("experiment: campaign spec is for tool %q, not a pbrank experiment", tool)
 	}
@@ -196,8 +195,8 @@ func OptionsFromSpec(spec map[string]string) (Options, error) {
 	if opts.Foldover, err = strconv.ParseBool(spec[specFoldover]); err != nil {
 		return opts, fmt.Errorf("experiment: campaign spec %s: %w", specFoldover, err)
 	}
-	if l := spec[specLabel]; l != "base" {
-		opts.Label = l
+	if opts.Enhance, err = enhance.ParseSpec(spec[specLabel]); err != nil {
+		return opts, fmt.Errorf("experiment: campaign spec %s: %w", specLabel, err)
 	}
 	if text, ok := spec[specSample]; ok {
 		s, err := sampling.ParseSpec(text)
@@ -213,7 +212,11 @@ func OptionsFromSpec(spec map[string]string) (Options, error) {
 		}
 		opts.Workloads = append(opts.Workloads, w)
 	}
-	return opts, nil
+	man, err := CampaignManifest(opts)
+	if err == nil && !maps.Equal(man.Spec, spec) {
+		err = fmt.Errorf("experiment: campaign spec %v is not canonical", spec)
+	}
+	return opts, err
 }
 
 // CampaignTask builds the dist.Task for opts and validates it against

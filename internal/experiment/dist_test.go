@@ -3,13 +3,15 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"pbsim/internal/enhance"
 	"pbsim/internal/runner/dist"
-	"pbsim/internal/sim"
+	"pbsim/internal/sampling"
 	"pbsim/internal/workload"
 )
 
@@ -27,49 +29,80 @@ func distOptions(t *testing.T) Options {
 	}
 }
 
+var (
+	precompute128 = enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: 128}
+	valueReuse128 = enhance.Spec{Mechanism: enhance.MechValueReuse, TableSize: 128}
+)
+
+// Base and enhanced suites alike write a manifest spec that a joining
+// worker turns back into the identical task.
 func TestCampaignManifestSpecRoundTrip(t *testing.T) {
-	opts := distOptions(t)
-	man, err := CampaignManifest(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Scopes) != 1 || man.Scopes[0].Name != "gzip" || man.Scopes[0].Rows != 44 {
-		t.Fatalf("scopes = %+v, want gzip with the 44-run design", man.Scopes)
-	}
-	back, err := OptionsFromSpec(man.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reconstruction is only trusted if its fingerprint matches;
-	// CampaignTask is the gate, so it must accept the round trip.
-	if _, err := CampaignTask(back, man); err != nil {
-		t.Fatalf("round-tripped options rejected: %v", err)
-	}
-	// A worker with skewed flags is refused.
-	skew := back
-	skew.Instructions++
-	if _, err := CampaignTask(skew, man); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("skewed options accepted: %v", err)
+	for _, enh := range []enhance.Spec{{}, precompute128, valueReuse128} {
+		t.Run(enh.String(), func(t *testing.T) {
+			opts := distOptions(t)
+			opts.Enhance = enh
+			man, err := CampaignManifest(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(man.Scopes) != 1 || man.Scopes[0].Name != "gzip" || man.Scopes[0].Rows != 44 {
+				t.Fatalf("scopes = %+v, want gzip with the 44-run design", man.Scopes)
+			}
+			if got := man.Spec[specLabel]; got != enh.String() {
+				t.Fatalf("spec label = %q, want %q", got, enh)
+			}
+			back, err := OptionsFromSpec(man.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Enhance != enh {
+				t.Fatalf("round-tripped enhancement = %+v, want %+v", back.Enhance, enh)
+			}
+			// The reconstruction is only trusted if its fingerprint
+			// matches; CampaignTask is the gate, so it must accept the
+			// round trip.
+			if _, err := CampaignTask(back, man); err != nil {
+				t.Fatalf("round-tripped options rejected: %v", err)
+			}
+			// A worker with skewed flags is refused.
+			skew := back
+			skew.Instructions++
+			if _, err := CampaignTask(skew, man); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+				t.Fatalf("skewed options accepted: %v", err)
+			}
+		})
 	}
 }
 
-// A shortcut suite's manifest carries no spec: an enhancement is code
-// a joining worker cannot rebuild, so OptionsFromSpec (and with it
-// pbworker) refuses the campaign rather than commit unenhanced rows
-// under the enhanced fingerprint.
-func TestCampaignManifestRejectsShortcuts(t *testing.T) {
-	opts := distOptions(t)
-	opts.Shortcut = func(workload.Workload) (sim.ComputeShortcut, error) { return nil, nil }
-	man, err := CampaignManifest(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Spec != nil {
-		t.Fatalf("shortcut campaign has spec %v", man.Spec)
-	}
-	if _, err := OptionsFromSpec(man.Spec); err == nil || !strings.Contains(err.Error(), "shortcut") {
-		t.Fatalf("joining a shortcut campaign = %v, want refusal", err)
-	}
+// FuzzOptionsFromSpec: the manifest spec decoder never panics, and any
+// spec it accepts is exactly the map CampaignManifest writes for the
+// options it decodes to.
+func FuzzOptionsFromSpec(f *testing.F) {
+	f.Add("pbrank", "1000", "500", "false", "base", "gzip", "")
+	f.Add("pbrank", "2000", "1000", "true", "precompute-128", "gzip,mcf", "")
+	f.Add("pbrank", "2000", "0", "true", "valuereuse-64", "mcf", "")
+	f.Add("pbrank", "8000", "2000", "false", "base", "gzip", (&sampling.Spec{}).Normalized().String())
+	f.Add("pbrank", "+1000", "500", "1", "precompute-0128", "gzip,", "uniform")
+	f.Fuzz(func(t *testing.T, tool, n, warmup, foldover, label, benchmarks, sample string) {
+		spec := map[string]string{
+			specTool: tool, specN: n, specWarmup: warmup, specFoldover: foldover,
+			specLabel: label, specBenchmarks: benchmarks,
+		}
+		if sample != "" {
+			spec[specSample] = sample
+		}
+		opts, err := OptionsFromSpec(spec)
+		if err != nil {
+			return
+		}
+		man, err := CampaignManifest(opts)
+		if err != nil {
+			t.Fatalf("accepted spec %v does not plan: %v", spec, err)
+		}
+		if !maps.Equal(man.Spec, spec) {
+			t.Fatalf("accepted spec %v round-trips to %v", spec, man.Spec)
+		}
+	})
 }
 
 // Every row is run exactly once and reported under its real design
@@ -132,6 +165,11 @@ func TestOptionsFromSpecErrors(t *testing.T) {
 		"bad n":         bad(func(s map[string]string) { s["n"] = "many" }),
 		"bad foldover":  bad(func(s map[string]string) { s["foldover"] = "?" }),
 		"bad benchmark": bad(func(s map[string]string) { s["benchmarks"] = "gzip,doom" }),
+		"bad label":     bad(func(s map[string]string) { s["label"] = "turbo-128" }),
+		"table size 0":  bad(func(s map[string]string) { s["label"] = "precompute-0" }),
+		"padded n":      bad(func(s map[string]string) { s["n"] = "01000" }),
+		"extra key":     bad(func(s map[string]string) { s["shortcut"] = "yes" }),
+		"no spec":       nil,
 	}
 	for name, spec := range cases {
 		if _, err := OptionsFromSpec(spec); err == nil {
@@ -143,9 +181,19 @@ func TestOptionsFromSpecErrors(t *testing.T) {
 // TestDistributedMatchesSequential is the end-to-end bit-identity
 // pin at the experiment layer: one worker executes the campaign, and
 // the merged suite must carry the exact response vector and ranks the
-// sequential path computes.
+// sequential path computes. The enhanced campaign's worker, like
+// pbworker, rebuilds its task from the manifest spec alone.
 func TestDistributedMatchesSequential(t *testing.T) {
-	opts := distOptions(t)
+	for _, enh := range []enhance.Spec{{}, precompute128} {
+		t.Run(enh.String(), func(t *testing.T) {
+			opts := distOptions(t)
+			opts.Enhance = enh
+			checkDistributedMatchesSequential(t, opts)
+		})
+	}
+}
+
+func checkDistributedMatchesSequential(t *testing.T, opts Options) {
 	seq, err := RunSuiteCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +208,11 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := CampaignTask(opts, c.Manifest())
+	joined, err := OptionsFromSpec(c.Manifest().Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := CampaignTask(joined, c.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}

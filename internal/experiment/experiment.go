@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"pbsim/internal/enhance"
 	"pbsim/internal/obs"
 	"pbsim/internal/pb"
 	"pbsim/internal/sampling"
@@ -29,11 +30,6 @@ const DefaultInstructions = 100000
 // not distort the factor effects.
 const DefaultWarmup = 30000
 
-// ShortcutFactory builds a fresh enhancement instance for one
-// simulation run (runs execute concurrently, so state cannot be
-// shared). A nil factory simulates the unenhanced processor.
-type ShortcutFactory func(w workload.Workload) (sim.ComputeShortcut, error)
-
 // Options configures a suite experiment.
 type Options struct {
 	// Instructions measured per simulation run.
@@ -47,12 +43,14 @@ type Options struct {
 	// Parallelism bounds concurrently simulated configurations
 	// (GOMAXPROCS when 0).
 	Parallelism int
-	// Shortcut optionally enables an enhancement (Table 12).
-	Shortcut ShortcutFactory
+	// Enhance selects the enhancement every row simulates (Table 12);
+	// the zero value is the base processor. Its string is the suite's
+	// label in the fingerprint, the manifest's spec and row scopes.
+	Enhance enhance.Spec
 	// Sampling, when non-nil, replaces every row's full simulation with
 	// a region-sampled one (see internal/sampling): the response becomes
-	// the extrapolated cycle count. Mutually exclusive with Shortcut
-	// (the enhancement's observation stream assumes a full run).
+	// the extrapolated cycle count. Mutually exclusive with Enhance
+	// (value reuse trains on every instruction, so it assumes a full run).
 	Sampling *sampling.Spec
 	// Workloads restricts the benchmark suite; nil selects all 13.
 	Workloads []workload.Workload
@@ -72,18 +70,14 @@ type Options struct {
 	// an interrupted suite rerun with the same options resumes where
 	// it stopped and reproduces identical effects and ranks. A
 	// directory holding a campaign under another fingerprint (changed
-	// budget, label, sampling, ...) is refused. pbworker processes can
-	// join the campaign, unless it runs a Shortcut, which a manifest
-	// cannot describe.
+	// budget, enhancement, sampling, ...) is refused. pbworker
+	// processes can join any campaign, Table 12's enhanced suites
+	// included: the manifest's spec carries the enhancement.
 	Checkpoint string
 	// Sync fsyncs every checkpoint commit, so a committed
 	// configuration survives a machine crash, not only a process
 	// crash.
 	Sync bool
-	// Label distinguishes experiment variants (e.g. the base and
-	// enhanced suites of Table 12); it is part of the fingerprint.
-	// Empty means "base".
-	Label string
 	// OnRow, when non-nil, observes every completed configuration
 	// (scope is "label/benchmark"); fromCheckpoint marks rows the
 	// Checkpoint campaign had already committed when the run started.
@@ -104,8 +98,9 @@ type Options struct {
 // simulates the workload's deterministic stream, and the simulated
 // execution time in cycles is the response value. Failures are
 // returned as errors carrying the benchmark name (the runner adds the
-// row), never raised as panics.
-func Response(w workload.Workload, warmup, instructions int64, shortcut ShortcutFactory) pb.Response {
+// row), never raised as panics. An enhancement's table is fresh per
+// row, built from one profile per workload (enhance.Spec.Shortcuts).
+func Response(w workload.Workload, warmup, instructions int64, enh enhance.Spec) pb.Response {
 	// All rows of one benchmark replay the identical instruction
 	// stream: the first row to run records it as a shared tape and
 	// every later row replays that (trace.Generator.Replay), so the
@@ -117,6 +112,7 @@ func Response(w workload.Workload, warmup, instructions int64, shortcut Shortcut
 	// is released once its cycles are read, so the next row's reuses
 	// its cache arrays.
 	var gens sync.Pool
+	shortcut := enh.Shortcuts(w.Params, warmup+instructions)
 	return func(ctx context.Context, levels []pb.Level) (float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
@@ -133,12 +129,9 @@ func Response(w workload.Workload, warmup, instructions int64, shortcut Shortcut
 		}
 		defer gens.Put(gen)
 		gen.Replay(warmup + instructions)
-		var err error
-		var sc sim.ComputeShortcut
-		if shortcut != nil {
-			if sc, err = shortcut(w); err != nil {
-				return 0, fmt.Errorf("shortcut for %s: %w", w.Name, err)
-			}
+		sc, err := shortcut()
+		if err != nil {
+			return 0, fmt.Errorf("%s for %s: %w", enh, w.Name, err)
 		}
 		cpu, err := sim.New(cfg, gen, sc)
 		if err != nil {
@@ -217,21 +210,15 @@ func RunSuiteCtx(ctx context.Context, opts Options) (*pb.Suite, error) {
 // plus every option that changes the simulated cycle counts. A
 // campaign directory is bound to one fingerprint, so restarting with
 // different budgets (or with an enhancement toggled) can never splice
-// stale responses into the effects.
+// stale responses into the effects. The label is the enhancement's
+// canonical string, so it always names what the rows simulate.
 func Fingerprint(design *pb.Design, opts Options) string {
 	fp := fmt.Sprintf("%s|n=%d|warmup=%d|label=%s",
-		design.Fingerprint(), opts.Instructions, opts.Warmup, label(opts))
+		design.Fingerprint(), opts.Instructions, opts.Warmup, opts.Enhance)
 	if opts.Sampling != nil {
 		// The canonical spec string, so equivalent specs collide and any
 		// change in sampling parameters binds a different campaign.
 		fp += "|sample=" + opts.Sampling.String()
 	}
 	return fp
-}
-
-func label(opts Options) string {
-	if opts.Label == "" {
-		return "base"
-	}
-	return opts.Label
 }

@@ -14,7 +14,6 @@ import (
 	"pbsim/internal/runner"
 	"pbsim/internal/runner/dist"
 	"pbsim/internal/sampling"
-	"pbsim/internal/sim"
 	"pbsim/internal/workload"
 )
 
@@ -23,7 +22,7 @@ func TestResponseDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, respErr := Response(w, 2000, 4000, nil).Infallible()
+	resp, respErr := Response(w, 2000, 4000, enhance.Spec{}).Infallible()
 	design, err := pb.New(41, false)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func TestResponseDeterministic(t *testing.T) {
 
 func TestResponseDependsOnLevels(t *testing.T) {
 	w, _ := workload.ByName("mcf")
-	resp, respErr := Response(w, 2000, 4000, nil).Infallible()
+	resp, respErr := Response(w, 2000, 4000, enhance.Spec{}).Infallible()
 	low := make([]pb.Level, 43)
 	high := make([]pb.Level, 43)
 	for i := range low {
@@ -121,7 +120,7 @@ func TestResponsePropagatesErrors(t *testing.T) {
 	// fail validation) must surface an error naming the benchmark —
 	// the historical behavior was a panic that killed the whole suite.
 	bad := workload.Workload{Name: "broken"}
-	resp := Response(bad, 0, 1000, nil)
+	resp := Response(bad, 0, 1000, enhance.Spec{})
 	_, err := resp(context.Background(), make([]pb.Level, 43))
 	if err == nil {
 		t.Fatal("invalid workload accepted")
@@ -130,14 +129,12 @@ func TestResponsePropagatesErrors(t *testing.T) {
 		t.Errorf("error %q does not name the workload", err)
 	}
 
-	// A failing shortcut factory is also an error, not a panic.
+	// An enhancement whose table cannot be built is also an error,
+	// not a panic.
 	w, _ := workload.ByName("gzip")
-	factoryErr := errors.New("table allocation failed")
-	resp = Response(w, 0, 1000, func(workload.Workload) (sim.ComputeShortcut, error) {
-		return nil, factoryErr
-	})
-	if _, err := resp(context.Background(), make([]pb.Level, 43)); !errors.Is(err, factoryErr) {
-		t.Errorf("shortcut error not propagated: %v", err)
+	resp = Response(w, 0, 1000, enhance.Spec{Mechanism: enhance.MechPrecompute})
+	if _, err := resp(context.Background(), make([]pb.Level, 43)); err == nil || !strings.Contains(err.Error(), "table size 0") {
+		t.Errorf("enhancement error not propagated: %v", err)
 	}
 
 	// A whole suite over the broken workload fails with an aggregate
@@ -267,23 +264,15 @@ func TestRunSuiteCheckpointResume(t *testing.T) {
 	}
 }
 
-// A Table 12 suite (an enhancement shortcut) resumes from its campaign
-// like any other; only joining workers are refused (see
-// TestCampaignManifestRejectsShortcuts).
+// A Table 12 suite (an enhancement) resumes from its campaign like
+// any other.
 func TestCheckpointShortcutSuiteResumes(t *testing.T) {
 	w, _ := workload.ByName("gzip")
-	freq, err := enhance.Profile(w.Params, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := Options{
 		Instructions: 2000,
 		Warmup:       1000,
 		Workloads:    []workload.Workload{w},
-		Label:        "precompute-128",
-		Shortcut: func(workload.Workload) (sim.ComputeShortcut, error) {
-			return enhance.NewPrecomputation(freq, 128)
-		},
+		Enhance:      enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: 128},
 	}
 	want, err := RunSuite(opts)
 	if err != nil {
@@ -331,15 +320,8 @@ func TestRunSuiteDefaults(t *testing.T) {
 
 func TestResponseWithShortcut(t *testing.T) {
 	w, _ := workload.ByName("gzip")
-	factory := func(w workload.Workload) (sim.ComputeShortcut, error) {
-		freq, err := enhance.Profile(w.Params, 20000)
-		if err != nil {
-			return nil, err
-		}
-		return enhance.NewPrecomputation(freq, 128)
-	}
-	base, baseErr := Response(w, 2000, 5000, nil).Infallible()
-	enhanced, enhancedErr := Response(w, 2000, 5000, factory).Infallible()
+	base, baseErr := Response(w, 2000, 5000, enhance.Spec{}).Infallible()
+	enhanced, enhancedErr := Response(w, 2000, 5000, enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: 128}).Infallible()
 	levels := make([]pb.Level, 43)
 	for i := range levels {
 		levels[i] = pb.Low

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pbsim/internal/enhance"
 	"pbsim/internal/pb"
 	"pbsim/internal/sampling"
 	"pbsim/internal/sim"
@@ -118,16 +119,16 @@ func TestSampledSuiteFractionOneBitIdentical(t *testing.T) {
 }
 
 // TestSamplingRefusesShortcut pins the mutual exclusion: an enhanced
-// (shortcut) suite cannot be sampled.
+// suite cannot be sampled.
 func TestSamplingRefusesShortcut(t *testing.T) {
 	opts := Options{
 		Instructions: 8000,
 		Workloads:    frontierWorkloads(t, "gzip"),
 		Sampling:     &sampling.Spec{},
-		Shortcut:     func(w workload.Workload) (sim.ComputeShortcut, error) { return nil, nil },
+		Enhance:      enhance.Spec{Mechanism: enhance.MechValueReuse, TableSize: 128},
 	}
-	if _, err := RunSuite(opts); err == nil {
-		t.Fatal("sampling + shortcut must be rejected")
+	if _, err := RunSuite(opts); err == nil || !strings.Contains(err.Error(), "sampling cannot be combined") {
+		t.Fatalf("sampling + enhancement = %v, want a refusal", err)
 	}
 }
 
