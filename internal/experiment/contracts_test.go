@@ -142,3 +142,28 @@ func TestAlwaysHitL2StillReachesDRAM(t *testing.T) {
 		t.Errorf("code ends at %#x, inside the prewarmed footprint ending at %#x: the DRAM access has another cause", codeEnd, warmed)
 	}
 }
+
+// TestBiggerROBNeverSlower: GIVEN each benchmark on the default
+// machine, WHEN its reorder buffer grows 8 → 16 → 32 → 64 → 192 (the
+// load-store queue grows with it, at the default LSQ ratio), THEN the
+// measured window never takes more cycles. This is checked, not
+// derived: a bigger window holds every instruction a smaller one does,
+// but the memory system sees their accesses in a different order.
+func TestBiggerROBNeverSlower(t *testing.T) {
+	for _, name := range workload.Names() {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, prevROB := int64(0), 0
+		for _, rob := range []int{8, 16, 32, 64, 192} {
+			cfg := sim.Default()
+			cfg.ROBEntries = rob
+			cycles := tapedStats(t, w, cfg).Cycles
+			if prevROB > 0 && cycles > prev {
+				t.Errorf("%s: ROB %d takes %d cycles, ROB %d %d", name, rob, cycles, prevROB, prev)
+			}
+			prev, prevROB = cycles, rob
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pbsim/internal/sim/bpred"
 	"pbsim/internal/sim/cache"
@@ -395,17 +396,16 @@ func (c *CPU) nextEvent() int64 {
 	} else if c.ifqLen < len(c.ifq) {
 		next = min(next, c.fetchBlockedUntil)
 	}
-	// Issue: an entry issues once both operands are ready and, for an
-	// arithmetic or control class, a unit of its pool is free. Memory
-	// ports are free in every cycle that begins with nothing issued.
-	older, younger := c.rob.Window()
-	for _, win := range [2][]pipeline.Entry{older, younger} {
-		for i := range win {
-			e := &win[i]
-			if e.Issued {
-				continue
-			}
-			at := c.operandsAt(e)
+	// Issue: a candidate issues once both operands are ready and, for
+	// an arithmetic or control class, a unit of its pool is free.
+	// Memory ports are free in every cycle that begins with nothing
+	// issued. An entry that is not a candidate awaits a producer that
+	// has not issued, which is itself a candidate or awaits one.
+	for k, n := 0, c.rob.AgeWords(); k < n; k++ {
+		base, word := c.rob.AgeWord(k)
+		for ; word != 0; word &= word - 1 {
+			e := c.rob.Slot(base + bits.TrailingZeros64(word))
+			at := e.OpsAt
 			if at >= next {
 				continue
 			}
@@ -631,13 +631,23 @@ func (c *CPU) dispatchStage() bool {
 		e.Instr = f.instr
 		e.Seq = f.seq
 		e.Mispredict = f.mispredict
-		c.readyRing[f.seq&c.ringMask] = pipeline.NotReady
 		if f.instr.CompID != 0 && c.shortcut != nil && c.shortcut.Hit(f.instr.CompID) {
+			// Satisfied at dispatch: never a candidate.
 			e.Issued = true
 			e.Precomputed = true
 			e.ReadyAt = c.cycle + 1
 			c.readyRing[f.seq&c.ringMask] = e.ReadyAt
 			c.stats.PrecompHits++
+		} else {
+			c.readyRing[f.seq&c.ringMask] = pipeline.NotReady
+			at := int64(0)
+			if d := f.instr.Dep1; d > 0 {
+				at = c.operand(e, d, at)
+			}
+			if d := f.instr.Dep2; d > 0 && d != f.instr.Dep1 {
+				at = c.operand(e, d, at)
+			}
+			c.rob.Arm(e, at)
 		}
 		c.ifqHead++
 		if c.ifqHead == len(c.ifq) {
@@ -648,58 +658,37 @@ func (c *CPU) dispatchStage() bool {
 	return n > 0
 }
 
-// operandsAt returns the cycle from which both source operands of e
-// are available: pipeline.NotReady while a producer has not issued.
+// operand resolves the source operand of the entry e being dispatched
+// that the instruction d places older produces. A producer that has not
+// issued is still in the ROB, and e awaits it there; otherwise the
+// operand's ready cycle is folded into at, which is returned.
 //
 //pbcheck:hotpath
-func (c *CPU) operandsAt(e *pipeline.Entry) int64 {
-	at := int64(0)
-	if d := e.Instr.Dep1; d > 0 {
-		at = c.readyRing[(e.Seq-int64(d))&c.ringMask]
+func (c *CPU) operand(e *pipeline.Entry, d int32, at int64) int64 {
+	ready := c.readyRing[(e.Seq-int64(d))&c.ringMask]
+	if ready == pipeline.NotReady {
+		c.rob.Await(e, d)
+		return at
 	}
-	if d := e.Instr.Dep2; d > 0 {
-		at = max(at, c.readyRing[(e.Seq-int64(d))&c.ringMask])
-	}
-	return at
-}
-
-// depsReady reports whether both source operands of e are available:
-// operandsAt(e) <= c.cycle, but it stops at the first operand that is
-// not. The issue scan calls it for every waiting entry in every cycle,
-// and the early exit makes a full campaign about 9% faster than
-// calling operandsAt there.
-//
-//pbcheck:hotpath
-func (c *CPU) depsReady(e *pipeline.Entry) bool {
-	if d := e.Instr.Dep1; d > 0 {
-		if c.readyRing[(e.Seq-int64(d))&c.ringMask] > c.cycle {
-			return false
-		}
-	}
-	if d := e.Instr.Dep2; d > 0 {
-		if c.readyRing[(e.Seq-int64(d))&c.ringMask] > c.cycle {
-			return false
-		}
-	}
-	return true
+	return max(at, ready)
 }
 
 // issueStage selects up to Width ready instructions, oldest first,
-// subject to functional-unit and memory-port availability. It reports
-// whether it issued any.
+// subject to functional-unit and memory-port availability. It walks
+// only the ROB's issue candidates, the entries whose producers have
+// all issued; an entry whose producer has not cannot be ready. It
+// reports whether it issued any.
 //
 //pbcheck:hotpath
 func (c *CPU) issueStage() bool {
 	issued := 0
 	portsUsed := 0
-	// Walk the ROB as its two contiguous windows (oldest first) rather
-	// than via At(i): the windows are stable for the whole scan, so the
-	// per-entry wrap arithmetic disappears from the hottest loop.
-	older, younger := c.rob.Window()
-	for _, win := range [2][]pipeline.Entry{older, younger} {
-		for i := range win {
-			e := &win[i]
-			if e.Issued || !c.depsReady(e) {
+	for k, n := 0, c.rob.AgeWords(); k < n; k++ {
+		base, word := c.rob.AgeWord(k)
+		for ; word != 0; word &= word - 1 {
+			s := base + bits.TrailingZeros64(word)
+			e := c.rob.Slot(s)
+			if e.OpsAt > c.cycle {
 				continue
 			}
 			var ready int64
@@ -724,8 +713,9 @@ func (c *CPU) issueStage() bool {
 				// updated at commit.
 				ready = c.cycle + int64(c.cfg.L1DLat)
 			}
-			e.Issued = true
-			e.ReadyAt = ready
+			// Every latency is at least one cycle (Config.Validate), so
+			// the consumers this wakes cannot issue before the next one.
+			c.rob.Issue(s, ready)
 			c.readyRing[e.Seq&c.ringMask] = ready
 			if e.Mispredict && e.Seq == c.haltSeq {
 				c.resumeAt = ready + int64(c.cfg.MispredictPenalty)

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -131,6 +133,118 @@ func TestROBPanics(t *testing.T) {
 	if r.Head() != nil {
 		t.Error("head of empty ROB not nil")
 	}
+}
+
+func TestROBSlotsAndWakeup(t *testing.T) {
+	r, _ := NewROB(4)
+	p1, p2, c := r.Push(), r.Push(), r.Push()
+	for s, e := range []*Entry{p1, p2, c} {
+		if r.Slot(s) != e {
+			t.Fatalf("Slot(%d) is not the entry pushed %d-th", s, s)
+		}
+	}
+	r.Arm(p1, 0)
+	r.Arm(p2, 3)
+	// c reads both producers, one and two places older.
+	r.Await(c, 1)
+	r.Await(c, 2)
+	r.Arm(c, 5)
+	if got := candidateSlots(r); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("candidates %v, want [0 1]", got)
+	}
+	r.Issue(1, 20)
+	if !p2.Issued || p2.ReadyAt != 20 {
+		t.Errorf("issued entry: Issued %v, ReadyAt %d", p2.Issued, p2.ReadyAt)
+	}
+	if got := candidateSlots(r); !slices.Equal(got, []int{0}) {
+		t.Fatalf("after one producer issued: candidates %v, want [0]", got)
+	}
+	r.Issue(0, 10)
+	if got := candidateSlots(r); !slices.Equal(got, []int{2}) {
+		t.Fatalf("after both producers issued: candidates %v, want [2]", got)
+	}
+	if c.OpsAt != 20 {
+		t.Errorf("consumer OpsAt %d, want the later producer's 20", c.OpsAt)
+	}
+	r.Issue(2, 21)
+	if got := candidateSlots(r); len(got) != 0 {
+		t.Errorf("candidates %v after every entry issued", got)
+	}
+	// The freed slots come back clean: no candidate bit, no waiters.
+	r.PopHead()
+	r.PopHead()
+	r.PopHead()
+	r.Push()
+	e := r.Push()
+	if r.Slot(0) != e || e.waiters != -1 || e.pending != 0 || e.Issued {
+		t.Errorf("slot 0 reused dirty: %+v", *e)
+	}
+	if got := candidateSlots(r); len(got) != 0 {
+		t.Errorf("candidates %v before Arm", got)
+	}
+}
+
+func TestROBAgeWalk(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		capacity, head, n int
+	}{
+		{"head mid-word", 128, 37, 50},
+		{"head in the second word", 192, 100, 60},
+		{"full", 130, 5, 130},
+		{"full from slot 0", 64, 0, 64},
+		{"wrapped", 70, 60, 30},
+		{"wrapped, full, head mid-word", 200, 150, 200},
+		{"one slot", 1, 0, 1},
+	} {
+		r, _ := NewROB(tc.capacity)
+		// Move the head: push, issue and retire head entries.
+		for i := 0; i < tc.head; i++ {
+			e := r.Push()
+			r.Arm(e, 0)
+			r.Issue(int(e.slot), 1)
+			r.PopHead()
+		}
+		// Of every three entries, the first is a candidate, the second
+		// has issued and the third awaits the first.
+		var want []int
+		for i := 0; i < tc.n; i++ {
+			e := r.Push()
+			e.Seq = int64(i)
+			switch i % 3 {
+			case 1:
+				r.Arm(e, 0)
+				r.Issue(int(e.slot), 1)
+			case 2:
+				r.Await(e, 2)
+				r.Arm(e, 0)
+			default:
+				r.Arm(e, 0)
+				want = append(want, int(e.slot))
+			}
+		}
+		got := candidateSlots(r)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: walk visits %v, want %v", tc.name, got, want)
+		}
+		for j := 1; j < len(got); j++ {
+			if r.Slot(got[j]).Seq <= r.Slot(got[j-1]).Seq {
+				t.Errorf("%s: walk visits seq %d after seq %d", tc.name, r.Slot(got[j]).Seq, r.Slot(got[j-1]).Seq)
+			}
+		}
+	}
+}
+
+// candidateSlots collects the oldest-first candidate walk.
+func candidateSlots(r *ROB) []int {
+	var slots []int
+	for k, n := 0, r.AgeWords(); k < n; k++ {
+		base, word := r.AgeWord(k)
+		for ; word != 0; word &= word - 1 {
+			slots = append(slots, base+bits.TrailingZeros64(word))
+		}
+	}
+	return slots
 }
 
 func TestLSQ(t *testing.T) {

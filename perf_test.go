@@ -124,16 +124,20 @@ func TestRecycledNewAllocBytes(t *testing.T) {
 // cycle loop (fetch/dispatch/issue/commit over a warmed machine) on a
 // compute-bound run and on a memory-bound one, whose 200-cycle DRAM
 // fills leave most cycles idle, so the event-driven clock's jumps over
-// them are pinned too.
+// them are pinned too. The 192-entry ROB spans three words of the
+// issue-candidate bitset, so the multi-word wakeup walk is pinned too.
 func TestSimulatorStepZeroAllocs(t *testing.T) {
 	memBound := sim.Default()
 	memBound.ROBEntries, memBound.MemLatFirst = 64, 200
+	bigROB := sim.Default()
+	bigROB.ROBEntries = 192
 	for _, tc := range []struct {
 		bench string
 		cfg   sim.Config
 	}{
 		{"gzip", sim.Default()},
 		{"mcf", memBound},
+		{"art", bigROB},
 	} {
 		w, err := workload.ByName(tc.bench)
 		if err != nil {
