@@ -63,10 +63,13 @@ race-hammer:
 # fuzz runs every native fuzz target (stdlib testing.F) for FUZZTIME
 # each: the on-disk decoders that must never panic or accept a torn
 # record — shard ledger, campaign manifest, the manifest's experiment
-# spec and sampling spec. The CI race-hammer job runs it.
+# spec and sampling spec — and the fully-associative cache index,
+# which must match a scan of every way under any operation stream.
+# The CI race-hammer job runs it.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/runner/dist:FuzzReadLedger ./internal/runner/dist:FuzzOpenManifest \
-	./internal/experiment:FuzzOptionsFromSpec ./internal/sampling:FuzzParseSpec
+	./internal/experiment:FuzzOptionsFromSpec ./internal/sampling:FuzzParseSpec \
+	./internal/sim/cache:FuzzFullyAssociative
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

@@ -151,12 +151,17 @@ func TestBTBBasic(t *testing.T) {
 	if tgt != 0x400900 {
 		t.Errorf("target not updated: %#x", tgt)
 	}
-	if hr := b.HitRate(); hr <= 0 || hr > 1 {
-		t.Errorf("hit rate = %g", hr)
+	// A branch never inserted misses, in the same set and in another.
+	for _, pc := range []uint64{0x400000 + 8*4, 0x400004} {
+		if _, ok := b.Lookup(pc); ok {
+			t.Errorf("lookup of %#x hit before any insert", pc)
+		}
 	}
 	empty, _ := NewBTB(4, 1)
-	if empty.HitRate() != 0 {
-		t.Error("empty hit rate")
+	for pc := uint64(0); pc < 64; pc += 4 {
+		if _, ok := empty.Lookup(pc); ok {
+			t.Fatalf("empty BTB hit at %#x", pc)
+		}
 	}
 }
 

@@ -1,72 +1,47 @@
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+
+	"pbsim/internal/sim/cache"
+)
 
 // BTB is a set-associative branch target buffer mapping branch PCs to
 // their most recent taken targets (Table 6: entries, associativity).
+// Its tags are a cache.Cache of 4-byte blocks, one per instruction, so
+// a branch's key is pc>>2, replaced LRU; a fully-associative BTB thus
+// looks its tags up in O(1). targets holds each line's target.
 type BTB struct {
-	sets    int
-	ways    int
-	setMask uint64
-	tags    []uint64
+	tags    *cache.Cache
 	targets []uint64
-	valid   []bool
-	stamp   []uint64
-	clock   uint64
-	// stats
-	lookups, hits uint64
 }
 
 // FullyAssociative requests a single set covering all entries.
-const FullyAssociative = -1
+const FullyAssociative = cache.FullyAssociative
 
-// NewBTB builds a BTB with the given entry count and associativity.
+// NewBTB builds a BTB with the given entry count and associativity
+// (clamped to the entry count); the set count must be a power of two.
 func NewBTB(entries, assoc int) (*BTB, error) {
-	if entries <= 0 {
-		return nil, fmt.Errorf("bpred: BTB entries %d invalid", entries)
+	tags, err := cache.New(cache.Config{SizeBytes: entries * 4, Assoc: assoc, BlockBytes: 4, Policy: cache.LRU})
+	if err != nil {
+		return nil, fmt.Errorf("bpred: BTB of %d entries, associativity %d: %w", entries, assoc, err)
 	}
-	if assoc == FullyAssociative || assoc > entries {
-		assoc = entries
-	}
-	if assoc <= 0 || entries%assoc != 0 {
-		return nil, fmt.Errorf("bpred: BTB associativity %d invalid for %d entries", assoc, entries)
-	}
-	sets := entries / assoc
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("bpred: BTB set count %d not a power of two", sets)
-	}
-	return &BTB{
-		sets:    sets,
-		ways:    assoc,
-		setMask: uint64(sets - 1),
-		tags:    make([]uint64, entries),
-		targets: make([]uint64, entries),
-		valid:   make([]bool, entries),
-		stamp:   make([]uint64, entries),
-	}, nil
+	return &BTB{tags: tags, targets: make([]uint64, entries)}, nil
 }
 
 // Sets returns the number of sets; Ways the associativity.
-func (b *BTB) Sets() int { return b.sets }
+func (b *BTB) Sets() int { return b.tags.Sets() }
 
 // Ways returns the associativity.
-func (b *BTB) Ways() int { return b.ways }
+func (b *BTB) Ways() int { return b.tags.Ways() }
 
 // Lookup returns the predicted target for the branch at pc and whether
 // the BTB held an entry for it.
 //
 //pbcheck:hotpath
 func (b *BTB) Lookup(pc uint64) (uint64, bool) {
-	b.lookups++
-	b.clock++
-	key := pc >> 2
-	base := int(key&b.setMask) * b.ways
-	for w := 0; w < b.ways; w++ {
-		if b.valid[base+w] && b.tags[base+w] == key {
-			b.stamp[base+w] = b.clock
-			b.hits++
-			return b.targets[base+w], true
-		}
+	if i := b.tags.Lookup(pc); i >= 0 {
+		return b.targets[i], true
 	}
 	return 0, false
 }
@@ -76,38 +51,7 @@ func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 //
 //pbcheck:hotpath
 func (b *BTB) Insert(pc, target uint64) {
-	b.clock++
-	key := pc >> 2
-	base := int(key&b.setMask) * b.ways
-	victim := base
-	oldest := b.stamp[base]
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.valid[i] && b.tags[i] == key {
-			b.targets[i] = target
-			b.stamp[i] = b.clock
-			return
-		}
-		if !b.valid[i] {
-			victim = i
-			oldest = 0
-		} else if b.stamp[i] < oldest {
-			victim = i
-			oldest = b.stamp[i]
-		}
-	}
-	b.tags[victim] = key
-	b.targets[victim] = target
-	b.valid[victim] = true
-	b.stamp[victim] = b.clock
-}
-
-// HitRate returns the fraction of lookups that hit.
-func (b *BTB) HitRate() float64 {
-	if b.lookups == 0 {
-		return 0
-	}
-	return float64(b.hits) / float64(b.lookups)
+	b.targets[b.tags.Insert(pc)] = target
 }
 
 // RAS is a return address stack of fixed depth. Pushes beyond the

@@ -79,7 +79,10 @@ type line struct {
 }
 
 // Cache is a set-associative tag array. It tracks presence only (no
-// data), which is all a timing model needs.
+// data), which is all a timing model needs. A set-associative cache
+// scans its set's ways (at most 8 in every Table 8 geometry); a
+// single-set one, every fully-associative TLB and BTB, looks its tags
+// up in an index instead (assocIndex).
 type Cache struct {
 	sets      int
 	ways      int
@@ -90,19 +93,27 @@ type Cache struct {
 	policy    Replacement
 	rng       uint64 // xorshift state for Random policy
 	stats     Stats
+	fa        assocIndex // used when sets == 1
 }
 
 // New builds a cache from the configuration. Size must be a positive
 // multiple of BlockBytes, and BlockBytes a power of two; Assoc must
 // divide the block count (or be FullyAssociative).
 func New(cfg Config) (*Cache, error) {
-	return newCache(cfg, nil)
+	return newCache(cfg, spareArrays{})
 }
 
-// newCache is New, taking its line array from spare when spare's
-// capacity holds it (the array is cleared) and allocating one
+// spareArrays holds the arrays of one released cache: its lines and,
+// for a single-set cache, its index.
+type spareArrays struct {
+	lines []line
+	index []int32
+}
+
+// newCache is New, taking its arrays from spare when spare's
+// capacity holds them (they are cleared) and allocating them
 // otherwise.
-func newCache(cfg Config, spare []line) (*Cache, error) {
+func newCache(cfg Config, spare spareArrays) (*Cache, error) {
 	if cfg.BlockBytes <= 0 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: block size %d is not a positive power of two", cfg.BlockBytes)
 	}
@@ -129,13 +140,13 @@ func newCache(cfg Config, spare []line) (*Cache, error) {
 		blockBits++
 	}
 	var lines []line
-	if n := sets * assoc; cap(spare) >= n {
-		lines = spare[:n]
+	if n := sets * assoc; cap(spare.lines) >= n {
+		lines = spare.lines[:n]
 		clear(lines)
 	} else {
 		lines = make([]line, n)
 	}
-	return &Cache{
+	c := &Cache{
 		sets:      sets,
 		ways:      assoc,
 		blockBits: blockBits,
@@ -143,7 +154,22 @@ func newCache(cfg Config, spare []line) (*Cache, error) {
 		lines:     lines,
 		policy:    cfg.Policy,
 		rng:       0x9e3779b97f4a7c15,
-	}, nil
+	}
+	if sets == 1 {
+		c.fa = newAssocIndex(assoc, spare.index)
+		c.fa.rebuild(lines)
+	} else {
+		c.fa.buf = spare.index // unused; release hands it on
+	}
+	return c, nil
+}
+
+// release hands the cache's arrays over for reuse and leaves it with
+// none, so any later access panics.
+func (c *Cache) release() spareArrays {
+	s := spareArrays{lines: c.lines, index: c.fa.buf}
+	c.lines, c.fa = nil, assocIndex{}
+	return s
 }
 
 // Sets returns the number of sets.
@@ -165,8 +191,76 @@ func (c *Cache) Stats() Stats { return c.stats }
 //pbcheck:hotpath
 func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
+	_, hit := c.access(addr)
+	if !hit {
+		c.stats.Misses++
+	}
+	return hit
+}
+
+// AccessRun is n >= 1 Access calls for addr in a row: the first may
+// miss, and the rest hit the line it left, which under LRU ends
+// stamped as the last. It reports whether the first hit.
+//
+//pbcheck:hotpath
+func (c *Cache) AccessRun(addr, n uint64) bool {
+	c.stats.Accesses += n
+	i, hit := c.access(addr)
+	if !hit {
+		c.stats.Misses++
+	}
+	if n > 1 {
+		c.clock += n - 1
+		if c.policy == LRU {
+			c.touch(i, c.clock)
+		}
+	}
+	return hit
+}
+
+// Insert is Access without the counters: it returns the index of the
+// line that holds addr's block afterwards, allocating it on a miss.
+// Line indices run over [0, Sets()*Ways()), so a caller can keep a
+// payload per line in a parallel array (a BTB's targets).
+//
+//pbcheck:hotpath
+func (c *Cache) Insert(addr uint64) int {
+	i, _ := c.access(addr)
+	return i
+}
+
+// Lookup is Insert without the allocation: it returns the index of
+// the line holding addr's block, marked used as Access marks it, or
+// -1 when the block is absent.
+//
+//pbcheck:hotpath
+func (c *Cache) Lookup(addr uint64) int {
 	c.clock++
 	block := addr >> c.blockBits
+	i := c.find(block)
+	if i >= 0 && c.policy == LRU {
+		c.touch(i, c.clock)
+	}
+	return i
+}
+
+// access advances the clock and probes for addr's block: a hit marks
+// its line used (LRU), a miss fills a way. It returns the line's index
+// and whether the probe hit.
+//
+//pbcheck:hotpath
+func (c *Cache) access(addr uint64) (int, bool) {
+	c.clock++
+	block := addr >> c.blockBits
+	if c.sets == 1 {
+		if w := c.fa.find(c.lines, block); w >= 0 {
+			if c.policy == LRU {
+				c.touch(w, c.clock)
+			}
+			return w, true
+		}
+		return c.fillAssoc(block, c.clock), false
+	}
 	base := int(block&c.setMask) * c.ways
 	set := c.lines[base : base+c.ways]
 	for w := range set {
@@ -174,12 +268,37 @@ func (c *Cache) Access(addr uint64) bool {
 			if c.policy == LRU {
 				ln.meta = c.clock
 			}
-			return true
+			return base + w, true
 		}
 	}
-	c.stats.Misses++
-	c.fill(set, block, c.clock)
-	return false
+	return base + c.fill(set, block, c.clock), false
+}
+
+// find returns the index of the line holding block, or -1.
+//
+//pbcheck:hotpath
+func (c *Cache) find(block uint64) int {
+	if c.sets == 1 {
+		return c.fa.find(c.lines, block)
+	}
+	base := int(block&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	for w := range set {
+		if set[w].meta != 0 && set[w].tag == block {
+			return base + w
+		}
+	}
+	return -1
+}
+
+// touch stamps the valid line i as used at stamp, the newest.
+//
+//pbcheck:hotpath
+func (c *Cache) touch(i int, stamp uint64) {
+	c.lines[i].meta = stamp
+	if c.sets == 1 {
+		c.fa.touch(i)
+	}
 }
 
 // Contains reports whether the block holding addr is present, without
@@ -187,24 +306,41 @@ func (c *Cache) Access(addr uint64) bool {
 //
 //pbcheck:hotpath
 func (c *Cache) Contains(addr uint64) bool {
-	block := addr >> c.blockBits
-	base := int(block&c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
-	for w := range set {
-		if set[w].meta != 0 && set[w].tag == block {
-			return true
+	return c.find(addr>>c.blockBits) >= 0
+}
+
+// fillAssoc is fill for a single-set cache, by its index: the lowest
+// invalid way, else the list's head (the smallest stamp) under LRU and
+// FIFO or the Random draw, exactly the way fill's scan selects. It
+// returns the way.
+//
+//pbcheck:hotpath
+func (c *Cache) fillAssoc(block, stamp uint64) int {
+	x := &c.fa
+	var w int
+	if n := len(x.free); n > 0 {
+		w = int(x.free[n-1])
+		x.free = x.free[:n-1]
+	} else {
+		if c.policy == Random {
+			w = c.randomWay()
+		} else {
+			w = int(x.head)
 		}
+		x.evict(c.lines, w)
 	}
-	return false
+	c.lines[w] = line{tag: block, meta: stamp}
+	x.add(c.lines, w)
+	return w
 }
 
 // fill victimizes a way of the set and installs the block with the
-// given stamp. Invalid lines carry stamp 0, so the smallest-stamp scan
-// of the LRU/FIFO policies selects the first invalid way exactly as an
-// explicit invalid-first pass would.
+// given stamp, returning the way. Invalid lines carry stamp 0, so the
+// smallest-stamp scan of the LRU/FIFO policies selects the first
+// invalid way exactly as an explicit invalid-first pass would.
 //
 //pbcheck:hotpath
-func (c *Cache) fill(set []line, block, stamp uint64) {
+func (c *Cache) fill(set []line, block, stamp uint64) int {
 	victim := 0
 	switch c.policy {
 	case Random:
@@ -228,6 +364,7 @@ func (c *Cache) fill(set []line, block, stamp uint64) {
 		}
 	}
 	set[victim] = line{tag: block, meta: stamp} // LRU: last use; FIFO: arrival time
+	return victim
 }
 
 // lapInPlace writes the state a sequential warming lap over [start,
@@ -301,6 +438,9 @@ func (c *Cache) lapInPlace(start, end uint64, sh uint) {
 		}
 	}
 	c.clock += n
+	if c.sets == 1 {
+		c.fa.rebuild(c.lines)
+	}
 }
 
 // lapRuns locates the runs of an in-place lap (see lapInPlace) over a
@@ -350,15 +490,17 @@ func emptySet(set []line) bool {
 //
 //pbcheck:hotpath
 func (c *Cache) lapFill(set []line, block, stamp uint64) bool {
-	for w := range set {
-		if set[w].meta != 0 && set[w].tag == block {
-			if c.policy == LRU {
-				set[w].meta = stamp
-			}
-			return true
+	if i := c.find(block); i >= 0 {
+		if c.policy == LRU {
+			c.touch(i, stamp)
 		}
+		return true
 	}
-	c.fill(set, block, stamp)
+	if c.sets == 1 {
+		c.fillAssoc(block, stamp)
+	} else {
+		c.fill(set, block, stamp)
+	}
 	return false
 }
 
@@ -436,6 +578,9 @@ func (c *Cache) lap(start, end uint64, unit uint) {
 		c.install(b, rank, i)
 	}
 	c.clock += n
+	if c.sets == 1 {
+		c.fa.rebuild(c.lines)
+	}
 }
 
 // install places block as the rank-th fill of its set during a lap
@@ -463,9 +608,10 @@ func (c *Cache) randomWay() int {
 
 // Flush invalidates every line and clears statistics.
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.lines)
 	c.clock = 0
 	c.stats = Stats{}
+	if c.sets == 1 {
+		c.fa.rebuild(c.lines)
+	}
 }

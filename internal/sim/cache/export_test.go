@@ -1,10 +1,5 @@
 package cache
 
-import (
-	"fmt"
-	"reflect"
-)
-
 // walkPrewarm is the per-block prewarm walk that Hierarchy.prewarm
 // writes in closed form, kept as the oracle the lap form is checked
 // against: it probes the L1 (and, on a miss, the L2) once per L1 block
@@ -79,53 +74,6 @@ func bareWalk(c *Cache, start, end uint64, bits uint) {
 		addr = next
 	}
 	c.stats = stats
-}
-
-// DiffHierarchy names the first field in which two hierarchies differ,
-// or returns "" when they are identical in every field.
-func DiffHierarchy(a, b *Hierarchy) string {
-	if !reflect.DeepEqual(a.cfg, b.cfg) {
-		return "cfg"
-	}
-	if a.DRAMAccesses != b.DRAMAccesses {
-		return fmt.Sprintf("DRAMAccesses %d != %d", a.DRAMAccesses, b.DRAMAccesses)
-	}
-	if a.ITLB.pageBits != b.ITLB.pageBits || a.DTLB.pageBits != b.DTLB.pageBits {
-		return "TLB pageBits"
-	}
-	for _, c := range []struct {
-		name string
-		x, y *Cache
-	}{
-		{"L1I", a.L1I, b.L1I}, {"L1D", a.L1D, b.L1D}, {"L2", a.L2, b.L2},
-		{"ITLB", a.ITLB.cache, b.ITLB.cache}, {"DTLB", a.DTLB.cache, b.DTLB.cache},
-	} {
-		if d := diffCache(c.x, c.y); d != "" {
-			return c.name + ": " + d
-		}
-	}
-	return ""
-}
-
-// diffCache names the first field in which two caches differ. It
-// compares the line arrays directly and every other field by
-// reflect.DeepEqual, which on a multi-megabyte line array would cost
-// far more than the laps under test.
-func diffCache(a, b *Cache) string {
-	if len(a.lines) != len(b.lines) {
-		return fmt.Sprintf("%d lines != %d", len(a.lines), len(b.lines))
-	}
-	for i := range a.lines {
-		if a.lines[i] != b.lines[i] {
-			return fmt.Sprintf("line %d (set %d way %d): %+v != %+v", i, i/a.ways, i%a.ways, a.lines[i], b.lines[i])
-		}
-	}
-	x, y := *a, *b
-	x.lines, y.lines = nil, nil
-	if !reflect.DeepEqual(x, y) {
-		return fmt.Sprintf("%+v != %+v", x, y)
-	}
-	return ""
 }
 
 // DrainFreeList empties the free list of released hierarchies, so the

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 )
 
@@ -44,13 +45,39 @@ type Hierarchy struct {
 	DTLB *TLB
 	// DRAMAccesses counts block transfers from memory.
 	DRAMAccesses uint64
+	// iMiss logs the L1I misses of a functional warming window in
+	// position order; the L2 has taken the first iDone.
+	iMiss []miss
+	iDone int
+	// itlb, dtlb and l1d hold the run of consecutive warming accesses
+	// to one page or block that the structure has yet to take.
+	itlb, dtlb, l1d warmRun
 }
 
-// spareLines holds the line arrays of one released hierarchy: L1I,
-// L1D, L2, ITLB, DTLB.
-type spareLines [5][]line
+// warmRun is n consecutive warming accesses to the block of addr, the
+// first made by the instruction at pos.
+type warmRun struct {
+	addr uint64
+	pos  uint32
+	n    uint64
+}
 
-// free is the free list of released hierarchies' line arrays, bounded
+// miss is an L1I miss a functional warming pass leaves for the L2:
+// the address and the position, in the warming window, of the
+// instruction that made it.
+type miss struct {
+	addr uint64
+	pos  uint32
+}
+
+// spareLines holds the arrays of one released hierarchy: those of the
+// L1I, L1D, L2, ITLB and DTLB, and its warming log.
+type spareLines struct {
+	caches [5]spareArrays
+	iMiss  []miss
+}
+
+// free is the free list of released hierarchies' arrays, bounded
 // at one hierarchy per processor that may be simulating. A hierarchy
 // released when it is full is left to the garbage collector. It is a
 // channel, not a sync.Pool: a pool's victim generation keeps a second
@@ -73,21 +100,21 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	case spare = <-free:
 	default:
 	}
-	h := &Hierarchy{cfg: cfg}
+	h := &Hierarchy{cfg: cfg, iMiss: spare.iMiss[:0]}
 	var err error
-	if h.L1I, err = newCache(cfg.L1I, spare[0]); err != nil {
+	if h.L1I, err = newCache(cfg.L1I, spare.caches[0]); err != nil {
 		return nil, fmt.Errorf("L1I: %w", err)
 	}
-	if h.L1D, err = newCache(cfg.L1D, spare[1]); err != nil {
+	if h.L1D, err = newCache(cfg.L1D, spare.caches[1]); err != nil {
 		return nil, fmt.Errorf("L1D: %w", err)
 	}
-	if h.L2, err = newCache(cfg.L2, spare[2]); err != nil {
+	if h.L2, err = newCache(cfg.L2, spare.caches[2]); err != nil {
 		return nil, fmt.Errorf("L2: %w", err)
 	}
-	if h.ITLB, err = newTLB(cfg.ITLBEntries, cfg.ITLBAssoc, cfg.PageBytes, spare[3]); err != nil {
+	if h.ITLB, err = newTLB(cfg.ITLBEntries, cfg.ITLBAssoc, cfg.PageBytes, spare.caches[3]); err != nil {
 		return nil, fmt.Errorf("ITLB: %w", err)
 	}
-	if h.DTLB, err = newTLB(cfg.DTLBEntries, cfg.DTLBAssoc, cfg.PageBytes, spare[4]); err != nil {
+	if h.DTLB, err = newTLB(cfg.DTLBEntries, cfg.DTLBAssoc, cfg.PageBytes, spare.caches[4]); err != nil {
 		return nil, fmt.Errorf("DTLB: %w", err)
 	}
 	return h, nil
@@ -104,9 +131,11 @@ func (h *Hierarchy) Release() {
 	}
 	var spare spareLines
 	for i, c := range [...]*Cache{h.L1I, h.L1D, h.L2, h.ITLB.cache, h.DTLB.cache} {
-		spare[i], c.lines = c.lines, nil
+		spare.caches[i] = c.release()
 	}
+	spare.iMiss = h.iMiss
 	h.L1I, h.L1D, h.L2, h.ITLB, h.DTLB = nil, nil, nil, nil, nil
+	h.iMiss = nil
 	select {
 	case free <- spare:
 	default:
@@ -225,4 +254,108 @@ func (h *Hierarchy) DataAccess(addr uint64, cycle int64) int64 {
 		}
 	}
 	return t - cycle
+}
+
+// WarmFetch is the ITLB and L1I part of InstFetch, for functional
+// warming. An L1I miss is logged, with the position pos of the
+// fetching instruction in the warming window, and reaches the L2 in
+// position order with the L1D misses (WarmData). Consecutive fetches
+// from one page reach the ITLB as one run (Cache.AccessRun). The
+// hierarchy ends as the window's InstFetch and DataAccess calls,
+// interleaved in instruction order, leave it once FinishWarm has run,
+// which must come before any other use of it.
+//
+//pbcheck:hotpath
+func (h *Hierarchy) WarmFetch(addr uint64, pos uint32) {
+	h.ITLB.run(&h.itlb, addr)
+	if !h.L1I.Access(addr) {
+		h.iMiss = append(h.iMiss, miss{addr: addr, pos: pos})
+	}
+}
+
+// WarmData is WarmFetch for DataAccess: the DTLB and L1D. It comes
+// after every WarmFetch of the window. Consecutive accesses to one
+// page reach the DTLB, and to one block the L1D, as one run; only a
+// run's first access can miss, and its miss goes to the L2 after the
+// logged L1I misses at or before its position, since an instruction
+// fetches before it accesses data, and before the later ones.
+//
+//pbcheck:hotpath
+func (h *Hierarchy) WarmData(addr uint64, pos uint32) {
+	h.DTLB.run(&h.dtlb, addr)
+	if r := &h.l1d; r.n > 0 && (addr^r.addr)>>h.L1D.blockBits == 0 {
+		r.n++
+		return
+	}
+	h.flushL1D()
+	h.l1d = warmRun{addr: addr, pos: pos, n: 1}
+}
+
+// flushL1D hands the L1D its pending run, and the L2 the run's miss.
+//
+//pbcheck:hotpath
+func (h *Hierarchy) flushL1D() {
+	if r := h.l1d; r.n > 0 && !h.L1D.AccessRun(r.addr, r.n) {
+		h.fetchMissesThrough(r.pos)
+		h.warmL2(r.addr)
+	}
+	h.l1d.n = 0
+}
+
+// fetchMissesThrough hands the L2 the logged L1I misses at positions
+// up to pos.
+//
+//pbcheck:hotpath
+func (h *Hierarchy) fetchMissesThrough(pos uint32) {
+	for ; h.iDone < len(h.iMiss) && h.iMiss[h.iDone].pos <= pos; h.iDone++ {
+		h.warmL2(h.iMiss[h.iDone].addr)
+	}
+}
+
+// warmL2 is the L2 part of an access that missed its L1, counting a
+// DRAM transfer on an L2 miss.
+//
+//pbcheck:hotpath
+func (h *Hierarchy) warmL2(addr uint64) {
+	if !h.L2.Access(addr) {
+		h.DRAMAccesses++
+	}
+}
+
+// run adds an access to addr to the TLB's pending run r, handing the
+// TLB the run first when addr is on another page.
+//
+//pbcheck:hotpath
+func (t *TLB) run(r *warmRun, addr uint64) {
+	if r.n > 0 && (addr^r.addr)>>t.pageBits == 0 {
+		r.n++
+		return
+	}
+	t.flush(r)
+	*r = warmRun{addr: addr, n: 1}
+}
+
+// flush hands the TLB its pending run r.
+//
+//pbcheck:hotpath
+func (t *TLB) flush(r *warmRun) {
+	if r.n > 0 {
+		t.cache.AccessRun(r.addr>>t.pageBits, r.n)
+	}
+	r.n = 0
+}
+
+// FinishWarm ends a functional warming window: it hands the TLBs and
+// the L1D their pending runs and the L2 the L1I misses left in the log,
+// which it empties. The L1s and TLBs see only their own accesses, so
+// only the L2, which takes the misses of both L1s in instruction order,
+// depends on how the window's fetches and data accesses interleave.
+//
+//pbcheck:hotpath
+func (h *Hierarchy) FinishWarm() {
+	h.ITLB.flush(&h.itlb)
+	h.DTLB.flush(&h.dtlb)
+	h.flushL1D()
+	h.fetchMissesThrough(math.MaxUint32)
+	h.iMiss, h.iDone = h.iMiss[:0], 0
 }

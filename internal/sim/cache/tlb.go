@@ -13,12 +13,12 @@ type TLB struct {
 // NewTLB builds a TLB with the given number of entries, associativity
 // (FullyAssociative allowed) and page size in bytes (power of two).
 func NewTLB(entries, assoc int, pageBytes uint64) (*TLB, error) {
-	return newTLB(entries, assoc, pageBytes, nil)
+	return newTLB(entries, assoc, pageBytes, spareArrays{})
 }
 
-// newTLB is NewTLB with the line array taken from spare as newCache
-// takes it.
-func newTLB(entries, assoc int, pageBytes uint64, spare []line) (*TLB, error) {
+// newTLB is NewTLB with the arrays taken from spare as newCache takes
+// them.
+func newTLB(entries, assoc int, pageBytes uint64, spare spareArrays) (*TLB, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("cache: TLB entries %d invalid", entries)
 	}

@@ -85,6 +85,10 @@ type CPU struct {
 	redirectPending   bool
 	lastFetchBlock    uint64
 
+	// refs is the buffer WarmFunctional lends the generator to build
+	// an untaped window's view into.
+	refs trace.Refs
+
 	stats Stats
 }
 
@@ -246,35 +250,112 @@ func (c *CPU) PrewarmMemory() {
 // execution would — but without advancing the pipeline or charging
 // cycles. It is the functional-warming phase of sampled simulation
 // (SMARTS-style): history-dependent structures enter a sampled region
-// in the trained state a continuous run would have given them, at
-// generator-walk cost. Call it only before detailed simulation begins;
-// once instructions are in flight the pipeline owns the stream.
+// in the trained state a continuous run would have given them, at a
+// fraction of the detailed cost. Call it only before detailed
+// simulation begins; once instructions are in flight the pipeline owns
+// the stream.
 //
-//pbcheck:hotpath
+// It warms by structure, not by instruction: the generator hands over
+// the window's reference view (trace.Generator.Refs), which every
+// design row shares when a tape covers the window, and each structure
+// takes the whole window's accesses in turn: the ITLB and L1I, the
+// DTLB and L1D, the L2 (over the L1 misses, merged back into
+// instruction order), then the predictor, BTB and RAS. Each structure
+// sees the access sequence an instruction-by-instruction walk gives
+// it, and only the L2 sees two streams, so every state ends as that
+// walk leaves it.
 func (c *CPU) WarmFunctional(n int64) {
-	blockBytes := uint64(c.cfg.L1IBlock)
-	for i := int64(0); i < n; i++ {
-		in := c.nextInstr()
+	if n > 0 && c.pendingSet {
+		// An instruction fetch left pending (a stalled fetch) comes
+		// before the generator's next one.
 		c.consumeInstr()
-		if block := in.PC / blockBytes; block != c.lastFetchBlock {
-			c.hier.InstFetch(in.PC, c.cycle)
-			c.lastFetchBlock = block
+		c.warmPending(c.pending)
+		n--
+	}
+	for n > 0 {
+		v := c.gen.Refs(n, &c.refs)
+		c.warmFetch(v)
+		c.warmData(v)
+		c.hier.FinishWarm()
+		if c.pred != nil {
+			c.warmControl(v)
 		}
-		if in.Class.IsControl() && c.pred != nil {
-			c.warmControl(in)
-		}
-		if in.Class.IsMem() {
-			c.hier.DataAccess(in.Addr, c.cycle)
-		}
+		n -= v.Len()
 	}
 }
 
-// warmControl applies the predictor-training side effects of one
-// control instruction — the same updates predictControl and commitStage
+// warmFetch is the I-side pass: every instruction whose cache block
+// differs from its predecessor's is fetched through the ITLB and L1I,
+// as fetchStage does. A run's blocks follow from its PCs, so the
+// fetches are one per block the run enters, whatever the L1I block
+// size.
+//
+//pbcheck:hotpath
+func (c *CPU) warmFetch(v *trace.Refs) {
+	shift := uint(bits.TrailingZeros(uint(c.cfg.L1IBlock)))
+	last := c.lastFetchBlock
+	pos := uint32(0) // the window position of the instruction at pc
+	for i, runs := 0, v.Runs(); i < runs; i++ {
+		pc, n := v.Run(i)
+		next := pos + n
+		for end := pc + 4*uint64(n); pc < end; {
+			blk := pc >> shift
+			if blk != last {
+				c.hier.WarmFetch(pc, pos)
+				last = blk
+			}
+			// Skip to the first instruction of the next block.
+			k := ((blk+1)<<shift - pc + 3) >> 2
+			pc += k << 2
+			pos += uint32(k)
+		}
+		pos = next
+	}
+	c.lastFetchBlock = last
+}
+
+// warmData is the D-side pass: every load and store through the DTLB
+// and L1D.
+//
+//pbcheck:hotpath
+func (c *CPU) warmData(v *trace.Refs) {
+	for i, n := 0, v.Mems(); i < n; i++ {
+		c.hier.WarmData(v.Mem(i))
+	}
+}
+
+// warmControl is the predictor pass: the direction predictor, BTB and
+// RAS trained by every control instruction in order.
+//
+//pbcheck:hotpath
+func (c *CPU) warmControl(v *trace.Refs) {
+	for i, n := 0, v.Ctrls(); i < n; i++ {
+		c.train(v.Ctrl(i))
+	}
+}
+
+// warmPending warms one instruction the way the passes warm a window.
+//
+//pbcheck:hotpath
+func (c *CPU) warmPending(in trace.Instr) {
+	if block := in.PC / uint64(c.cfg.L1IBlock); block != c.lastFetchBlock {
+		c.hier.InstFetch(in.PC, c.cycle)
+		c.lastFetchBlock = block
+	}
+	if in.Class.IsControl() && c.pred != nil {
+		c.train(in)
+	}
+	if in.Class.IsMem() {
+		c.hier.DataAccess(in.Addr, c.cycle)
+	}
+}
+
+// train applies the predictor-training side effects of one control
+// instruction — the same updates predictControl and commitStage
 // perform, minus the prediction itself.
 //
 //pbcheck:hotpath
-func (c *CPU) warmControl(in trace.Instr) {
+func (c *CPU) train(in trace.Instr) {
 	switch in.Class {
 	case trace.Branch:
 		c.pred.Update(in.PC, in.Taken)

@@ -78,7 +78,8 @@ type tape struct {
 type workloadTapes struct {
 	params  Params
 	entries map[tapeSpan]*tapeEntry
-	recs    int64 // records the entries hold or will hold
+	views   map[tapeSpan]*refsEntry
+	recs    int64 // records the entries hold or will hold, views charged as n each
 }
 
 // tapeSpan names a requested tape: the stream position it starts at
@@ -90,6 +91,12 @@ type tapeEntry struct {
 	n    int64 // records to tape: the request, clamped to the workload's cap
 	once sync.Once
 	t    *tape
+}
+
+// refsEntry is the shared reference view of one taped window (Refs).
+type refsEntry struct {
+	once sync.Once
+	v    *Refs
 }
 
 // maxWorkloadRecs caps one workload's tapes at 8 MiB of records. A
@@ -134,6 +141,27 @@ func tapeFor(p Params, start, n int64) *tapeEntry {
 	return e
 }
 
+// refsFor returns the memo entry for the view of the n instructions
+// of workload p from stream position start, creating it on a miss, or
+// nil when the workload's cap leaves no room for it. A view is charged
+// as n records, a tape's 8 bytes an instruction: it holds fewer.
+func refsFor(p Params, start, n int64) *refsEntry {
+	tapes.mu.Lock()
+	defer tapes.mu.Unlock()
+	w := workloadFor(p)
+	span := tapeSpan{start: start, n: n}
+	if e, ok := w.views[span]; ok {
+		return e
+	}
+	if n > maxWorkloadRecs-w.recs {
+		return nil
+	}
+	e := &refsEntry{}
+	w.views[span] = e
+	w.recs += n
+	return e
+}
+
 // workloadFor returns p's tapes, moved to the front of the memo,
 // creating them (and evicting the least recently used workloads beyond
 // memoWorkloads) on a miss. The caller holds tapes.mu.
@@ -146,7 +174,7 @@ func workloadFor(p Params) *workloadTapes {
 			return w
 		}
 	}
-	w := &workloadTapes{params: p, entries: make(map[tapeSpan]*tapeEntry)}
+	w := &workloadTapes{params: p, entries: make(map[tapeSpan]*tapeEntry), views: make(map[tapeSpan]*refsEntry)}
 	if keep := memoWorkloads() - 1; len(ws) > keep {
 		clear(ws[keep:])
 		ws = ws[:keep]

@@ -83,6 +83,42 @@ func TestPrewarmMemoryZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestTapedWarmFunctionalZeroAllocs pins functional warming over a
+// taped window, the path every region group of a sampled design row
+// takes: once the window's shared reference view is built and the
+// hierarchy's miss logs have grown, warming the window again, from
+// the restored stream position, must not touch the heap.
+func TestTapedWarmFunctionalZeroAllocs(t *testing.T) {
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := w.NewGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.Skip(1000)
+	snap := gen.Snapshot()
+	cpu, err := sim.New(sim.Default(), gen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu.PrewarmMemory()
+	const window = 8000
+	warm := func() {
+		if err := gen.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		gen.Replay(window)
+		cpu.WarmFunctional(window)
+	}
+	warm() // records the tape and builds the view
+	allocs := testing.AllocsPerRun(20, warm)
+	if !stats.ApproxEqual(allocs, 0, 0) {
+		t.Errorf("taped WarmFunctional allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // TestRecycledNewAllocBytes pins what the free list of hierarchy
 // arrays saves every design row: once a released CPU's arrays are
 // waiting, New + PrewarmMemory + Release at the largest PB L2 (8 MiB
