@@ -50,14 +50,15 @@ race:
 # race-hammer is the repository's race check: it repeats the concurrent
 # substrate's tests (runner fan-out, distributed leases/ledgers,
 # observability, sampling, the shared trace tape memo, the simulator's
-# free list of cache arrays) under the race detector with -count=3 so
-# scheduling-dependent interleavings that a single pass can miss get
-# three chances to bite. The log lands in
+# free list of cache arrays, pbcheck's loader, which discovers and
+# type-checks packages on every CPU) under the race detector with
+# -count=3 so scheduling-dependent interleavings that a single pass can
+# miss get three chances to bite. The log lands in
 # $(RACE_ARTIFACTS) and is uploaded by the CI race-hammer job.
 RACE_ARTIFACTS ?= out/race-hammer
 race-hammer:
 	mkdir -p $(RACE_ARTIFACTS)
-	$(GO) test -race -count=3 ./internal/runner/... ./internal/obs/ ./internal/sampling/ ./internal/trace/ ./internal/sim/... 2>&1 | tee $(RACE_ARTIFACTS)/race.log
+	$(GO) test -race -count=3 ./internal/runner/... ./internal/obs/ ./internal/sampling/ ./internal/trace/ ./internal/sim/... ./internal/analysis/ 2>&1 | tee $(RACE_ARTIFACTS)/race.log
 	@! grep -qE '^(FAIL|--- FAIL)|WARNING: DATA RACE' $(RACE_ARTIFACTS)/race.log || { echo "race-hammer: failures in $(RACE_ARTIFACTS)/race.log"; exit 1; }
 
 # fuzz runs every native fuzz target (stdlib testing.F) for FUZZTIME

@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		dir        = fs.String("C", ".", "directory whose enclosing module to analyze")
 		baseline   = fs.String("baseline", "", "baseline file: findings fingerprinted there are reported but do not fail the run")
 		writeBase  = fs.String("write-baseline", "", "write the current unsuppressed findings to this baseline file and exit 0")
-		statsOut   = fs.Bool("stats", false, "append per-rule wall time and finding counts to the report (all output modes)")
+		statsOut   = fs.Bool("stats", false, "append load and fact-build time and per-rule wall time and finding counts to the report (all output modes)")
 		workers    = fs.Int("workers", analysis.DefaultWorkers(), "packages analyzed concurrently in the rule phase (1 = sequential; output is identical at any value)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -97,7 +97,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "pbcheck: %v\n", err)
 		return 2
 	}
-	if !*statsOut {
+	if *statsOut {
+		stats.Load = loader.Stats()
+	} else {
 		stats = nil
 	}
 

@@ -70,8 +70,9 @@ func millis(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
-// WriteStats renders the -stats table in plain text: fact-build time
-// first, then each rule's summed per-package wall time and finding
+// WriteStats renders the -stats table in plain text: the load phase
+// (wall time, module and standard-library packages type-checked) and
+// the fact-build time first, then each rule's summed per-package wall time and finding
 // count in suite order (timing is nondeterministic; everything else on
 // the row is not), then the phase-2 parallelism summary: real elapsed
 // time under N workers next to the sequential cost the per-rule rows
@@ -80,6 +81,7 @@ func WriteStats(w io.Writer, stats *RunStats) {
 	if stats == nil {
 		return
 	}
+	fmt.Fprintf(w, "load: %s\n", loadLine(stats.Load))
 	fmt.Fprintf(w, "fact build: %.1fms\n", millis(stats.FactBuild))
 	for _, rs := range stats.Rules {
 		fmt.Fprintf(w, "%-12s %8.1fms  %d finding(s)\n", rs.Rule, millis(rs.Time), rs.Findings)
@@ -94,6 +96,7 @@ func WriteStatsMarkdown(w io.Writer, stats *RunStats) {
 		return
 	}
 	fmt.Fprintf(w, "\n### pbcheck timing\n\n")
+	fmt.Fprintf(w, "load: %s\n\n", loadLine(stats.Load))
 	fmt.Fprintf(w, "fact build: %.1fms\n\n", millis(stats.FactBuild))
 	fmt.Fprintf(w, "| Rule | Time | Findings |\n|---|---:|---:|\n")
 	for _, rs := range stats.Rules {
@@ -101,6 +104,11 @@ func WriteStatsMarkdown(w io.Writer, stats *RunStats) {
 	}
 	fmt.Fprintf(w, "\nrule phase: %.1fms wall on %d worker(s), %.1fms sequential\n",
 		millis(stats.RuleWall), stats.Workers, millis(stats.RuleSeq))
+}
+
+// loadLine summarizes the load phase for both stats renderings.
+func loadLine(ls LoadStats) string {
+	return fmt.Sprintf("%.1fms, %d module + %d std package(s)", millis(ls.Wall), ls.Module, ls.Std)
 }
 
 // jsonRuleStat is the wire form of one analyzer's timing row.
@@ -112,6 +120,7 @@ type jsonRuleStat struct {
 
 // jsonStats is the optional "stats" member of the -json document.
 type jsonStats struct {
+	LoadMillis      float64        `json:"load_ms"`
 	FactBuildMillis float64        `json:"fact_build_ms"`
 	Rules           []jsonRuleStat `json:"rules"`
 	RuleWallMillis  float64        `json:"rule_wall_ms"`
@@ -138,6 +147,7 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) er
 	report := jsonReport{Diags: []jsonDiagnostic{}}
 	if stats != nil {
 		js := &jsonStats{
+			LoadMillis:      millis(stats.Load.Wall),
 			FactBuildMillis: millis(stats.FactBuild),
 			RuleWallMillis:  millis(stats.RuleWall),
 			RuleSeqMillis:   millis(stats.RuleSeq),

@@ -55,10 +55,12 @@ func TestWriteMarkdownGolden(t *testing.T) {
 }
 
 // TestWriteStats covers the -stats renderings: the plain table, the
-// markdown table, and the JSON block — all three must name every rule
-// in suite order and survive a nil stats (no-stats run) silently.
+// markdown table, and the JSON block — all three must report the load
+// phase, name every rule in suite order and survive a nil stats
+// (no-stats run) silently.
 func TestWriteStats(t *testing.T) {
 	stats := &analysis.RunStats{
+		Load:      analysis.LoadStats{Wall: 1250 * time.Millisecond, Module: 43, Std: 222},
 		FactBuild: 12 * time.Millisecond,
 		Rules: []analysis.RuleStat{
 			{Rule: "determinism", Time: 1500 * time.Microsecond, Findings: 2},
@@ -72,6 +74,7 @@ func TestWriteStats(t *testing.T) {
 	var plain bytes.Buffer
 	analysis.WriteStats(&plain, stats)
 	for _, want := range []string{
+		"load: 1250.0ms, 43 module + 222 std package(s)\n",
 		"fact build: 12.0ms\n", "determinism", "2 finding(s)", "errflow",
 		"rule phase: 9.0ms wall on 4 worker(s), 26.5ms sequential",
 	} {
@@ -83,7 +86,8 @@ func TestWriteStats(t *testing.T) {
 	var md bytes.Buffer
 	analysis.WriteStatsMarkdown(&md, stats)
 	for _, want := range []string{
-		"### pbcheck timing", "| determinism | 1.5ms | 2 |", "| errflow | 25.0ms | 0 |",
+		"### pbcheck timing", "load: 1250.0ms, 43 module + 222 std package(s)\n",
+		"| determinism | 1.5ms | 2 |", "| errflow | 25.0ms | 0 |",
 		"fact build: 12.0ms\n", "rule phase: 9.0ms wall on 4 worker(s)",
 	} {
 		if !strings.Contains(md.String(), want) {
@@ -96,6 +100,7 @@ func TestWriteStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
+		`"load_ms": 1250`,
 		`"fact_build_ms": 12`, `"rule": "determinism"`, `"findings": 2`,
 		`"rule_wall_ms": 9`, `"rule_sequential_ms": 26.5`, `"workers": 4`,
 	} {

@@ -16,8 +16,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the expect.txt goldens from current analyzer output")
 
 // The loader is shared across subtests: type-checking the seeded
-// packages pulls in stdlib dependencies through the source importer,
-// and one loader amortizes that cost over the whole suite.
+// packages pulls in their standard-library dependencies from
+// GOROOT/src, and one loader amortizes that cost over the whole suite.
 var (
 	loaderOnce sync.Once
 	loader     *analysis.Loader

@@ -19,13 +19,16 @@ type RuleStat struct {
 }
 
 // RunStats is the -stats payload: where a pbcheck run spent its time.
-// FactBuild covers phase 1 (call graph + fixpoint over the universe);
+// Load is the loader's phase 0, which the driver that ran the Load
+// copies in (RunUniverse never sees the loader). FactBuild covers
+// phase 1 (call graph + fixpoint over the universe);
 // Rules lists every analyzer in suite order. RuleWall is the real
 // elapsed time of phase 2 under Workers concurrent package workers,
 // RuleSeq the sum of every per-package analyzer slice — what the same
 // run would have cost sequentially. RuleSeq/RuleWall is the measured
 // speedup.
 type RunStats struct {
+	Load      LoadStats
 	FactBuild time.Duration
 	// PointsTo is always zero: the engine no longer runs a points-to
 	// solve. The field stays because the repository benchmark still
