@@ -7,6 +7,7 @@
 package pbsim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -233,22 +234,17 @@ func BenchmarkAblationFoldover(b *testing.B) {
 // benchmarks above.
 func BenchmarkAblationOneAtATime(b *testing.B) {
 	ws := benchWorkloads(b, "gzip")
-	resp, respErr := experiment.Response(ws[0], benchWarmup, benchInstr, enhance.Spec{}).Infallible()
-	defer func() {
-		if err := respErr(); err != nil {
-			b.Fatal(err)
-		}
-	}()
+	resp := experiment.Response(ws[0], benchWarmup, benchInstr, enhance.Spec{})
 	base := make([]int8, 41)
 	for i := range base {
 		base[i] = -1
 	}
-	wrapped := func(levels []int8) float64 {
+	wrapped := func(levels []int8) (float64, error) {
 		lv := make([]pb.Level, len(levels))
 		for i, l := range levels {
 			lv[i] = pb.Level(l)
 		}
-		return resp(lv)
+		return resp(context.Background(), lv)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -113,14 +113,7 @@ func run() (err error) {
 	size.Apply(&opts)
 	runFlags.Apply(&opts)
 	if *verbose {
-		opts.OnRetry = func(scope string, row, attempt int, delay time.Duration, err error) {
-			fmt.Fprintf(os.Stderr, "pbrank: retrying %s row %d (attempt %d, in %v): %v\n", scope, row, attempt, delay, err)
-		}
-		opts.OnRow = func(scope string, row int, _ float64, fromCheckpoint bool) {
-			if fromCheckpoint {
-				fmt.Fprintf(os.Stderr, "pbrank: %s row %d restored from checkpoint\n", scope, row)
-			}
-		}
+		opts.Recorder = obs.Multi(opts.Recorder, verboseLog{})
 	}
 	suite, err := experiment.RunSuiteCtx(ctx, opts)
 	if err != nil {
@@ -199,4 +192,17 @@ func writeCSV(path string, suite *pb.Suite, fn func(w io.Writer, s *pb.Suite) er
 	}
 	fmt.Println("wrote", path)
 	return f.Close()
+}
+
+// verboseLog prints -v's retry and checkpoint-restore lines.
+type verboseLog struct{ obs.Nop }
+
+func (verboseLog) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
+	fmt.Fprintf(os.Stderr, "pbrank: retrying %s row %d (attempt %d, in %v): %v\n", scope, row, attempt, delay, err)
+}
+
+func (verboseLog) RowFinished(scope string, row int, _ float64, _ time.Duration, _ int, fromCheckpoint bool) {
+	if fromCheckpoint {
+		fmt.Fprintf(os.Stderr, "pbrank: %s row %d restored from checkpoint\n", scope, row)
+	}
 }

@@ -95,9 +95,7 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	if rec := sess.Recorder(); rec != nil {
-		rec.SuiteStarted(man.Fingerprint, len(man.Scopes), man.TotalRows())
-	}
+	sess.Recorder().SuiteStarted(man.Fingerprint, len(man.Scopes), man.TotalRows())
 	stats, err := dist.RunWorker(ctx, dir, task, dist.Config{
 		ID:       *id,
 		LeaseTTL: *ttl,

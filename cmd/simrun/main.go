@@ -105,9 +105,7 @@ func run() (err error) {
 		fp += "|sample=" + sampleSpec.String()
 	}
 	rec := sess.Recorder()
-	if rec != nil {
-		rec.SuiteStarted(fp, 1, len(names))
-	}
+	rec.SuiteStarted(fp, 1, len(names))
 
 	// Row i simulates names[i] and leaves its report in reports[i]. A
 	// campaign can execute a row twice (a stolen lease), so the slot is

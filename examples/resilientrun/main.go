@@ -106,10 +106,7 @@ func run() (err error) {
 		Backoff:    5 * time.Millisecond,
 		BackoffCap: 50 * time.Millisecond,
 		Wrap:       faults.Wrap,
-		Recorder:   metrics,
-		OnRetry: func(scope string, row, attempt int, delay time.Duration, err error) {
-			fmt.Printf("  retry %s row %d (attempt %d, backoff %v): %v\n", scope, row, attempt, delay, err)
-		},
+		Recorder:   obs.Multi(metrics, retryLog{}),
 	}
 	faulted, err := pb.RunSuite(context.Background(), design, factors, benchmarks, responses, cfg)
 	if err != nil {
@@ -224,6 +221,13 @@ func run() (err error) {
 			pos+1, resumed.Factors[f].Name, resumed.Sums[f], same)
 	}
 	return nil
+}
+
+// retryLog prints one line per scheduled retry.
+type retryLog struct{ obs.Nop }
+
+func (retryLog) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
+	fmt.Printf("  retry %s row %d (attempt %d, backoff %v): %v\n", scope, row, attempt, delay, err)
 }
 
 // countEvents reads a metrics JSONL back and tallies the two row

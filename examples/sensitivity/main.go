@@ -36,7 +36,6 @@ func main() {
 		panic(err)
 	}
 	response := experiment.Response(w, warmup, instructions, enhance.Spec{})
-	resp, respErr := response.Infallible()
 	factors := []string{}
 	for _, f := range experimentFactors() {
 		factors = append(factors, f.Name)
@@ -47,17 +46,14 @@ func main() {
 	for i := range base {
 		base[i] = +1
 	}
-	oat, err := stats.OneAtATime(base, func(levels []int8) float64 {
+	oat, err := stats.OneAtATime(base, func(levels []int8) (float64, error) {
 		lv := make([]pb.Level, len(levels))
 		for i, l := range levels {
 			lv[i] = pb.Level(l)
 		}
-		return resp(lv)
+		return response(context.Background(), lv)
 	})
 	if err != nil {
-		panic(err)
-	}
-	if err := respErr(); err != nil {
 		panic(err)
 	}
 

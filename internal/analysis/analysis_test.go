@@ -10,7 +10,20 @@ import (
 	"testing"
 
 	"pbsim/internal/analysis"
+	"pbsim/internal/analysis/rules"
 )
+
+// runSuite runs the full rule suite over pkgs, with universe feeding
+// the fact engine, through the pbcheck driver at its default worker
+// count.
+func runSuite(t *testing.T, pkgs, universe []*analysis.Package) []analysis.Diagnostic {
+	t.Helper()
+	diags, _, err := analysis.RunUniverseTimedWorkers(pkgs, universe, rules.Suite(), analysis.DefaultWorkers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags
+}
 
 // TestFrameworkImportsStdlibOnly pins the ISSUE's central constraint:
 // the analysis framework, its rules, and the pbcheck driver are built

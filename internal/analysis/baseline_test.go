@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pbsim/internal/analysis"
-	"pbsim/internal/analysis/rules"
 )
 
 func mkDiag(rule, pkg, fn, msg string, line int) analysis.Diagnostic {
@@ -90,11 +89,7 @@ func analyzeModule(t *testing.T, root, pkgDir string) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunUniverse(pkgs, loader.Universe(), rules.Suite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags
+	return runSuite(t, pkgs, loader.Universe())
 }
 
 // TestBaselineFingerprintStability is the end-to-end drift contract,

@@ -82,11 +82,11 @@ func (p *Package) EnclosingFunc(pos token.Pos) string {
 // token.Pos order within a package is file-name order, as rules that
 // compare positions expect.
 //
-// Standard-library packages are only an export surface here: files
-// are selected with build.Context.MatchFile under the default context
-// with cgo disabled, _test.go files are never read, function bodies
-// are not checked, and their syntax is dropped after the check. No
-// process is started.
+// Every package's files are selected with build.Context.MatchFile
+// under the default context with cgo disabled. Standard-library
+// packages are only an export surface here: their _test.go files are
+// never read, function bodies are not checked, and their syntax is
+// dropped after the check. No process is started.
 //
 // A Loader caches every package across Load calls and is not safe for
 // concurrent use.
@@ -415,13 +415,11 @@ func (l *Loader) scan(n *node) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != n.test {
 			continue
 		}
-		// Module sources are taken whole, as before; build constraints
-		// select standard-library files and test files (a race /
-		// !race pair of _test.go files must not both be checked).
-		if n.std || n.test {
-			if ok, err := l.ctxt.MatchFile(n.dir, name); err != nil || !ok {
-				continue
-			}
+		// Build constraints select every file, so a _linux/_windows
+		// pair or a race / !race pair of _test.go files is never
+		// checked together.
+		if ok, err := l.ctxt.MatchFile(n.dir, name); err != nil || !ok {
+			continue
 		}
 		names = append(names, name) // ReadDir sorts by name
 	}

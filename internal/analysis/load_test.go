@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pbsim/internal/analysis"
-	"pbsim/internal/analysis/rules"
 )
 
 // writeTree lays out a throwaway module from module-relative file
@@ -102,6 +101,37 @@ func TestLoadDependencyErrors(t *testing.T) {
 	}
 }
 
+// TestLoadModuleBuildConstraints pins one file-selection rule for
+// module packages, build.Context.MatchFile, as for std and test files:
+// of a _linux/_windows pair declaring the same constant only the one
+// for this platform is checked, and a //go:build ignore generator in
+// package main, sorting first, is not read at all.
+func TestLoadModuleBuildConstraints(t *testing.T) {
+	root := writeTree(t, "plat", map[string]string{
+		"impl/gen.go":          "//go:build ignore\n\npackage main\n\nfunc main() {}\n",
+		"impl/impl.go":         "package impl\n\nfunc Platform() string { return name }\n",
+		"impl/impl_linux.go":   "package impl\n\nconst name = \"linux\"\n",
+		"impl/impl_windows.go": "package impl\n\nconst name = \"windows\"\n",
+		"impl/impl_other.go":   "//go:build !linux && !windows\n\npackage impl\n\nconst name = \"other\"\n",
+		"app/app.go":           "package app\n\nimport \"plat/impl\"\n\nvar P = impl.Platform()\n",
+	})
+	_, pkgs, err := loadTree(t, root, "app", "impl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("got %d packages, want app and impl", len(pkgs))
+	}
+	for _, pkg := range pkgs {
+		if len(pkg.TypeErrors) > 0 {
+			t.Errorf("%s: type errors %v; want a clean package", pkg.Path, pkg.TypeErrors)
+		}
+	}
+	if impl := pkgs[1]; impl.Types.Name() != "impl" || len(impl.Files) != 2 {
+		t.Errorf("%s: package %s of %d files, want package impl of impl.go and one platform file", impl.Path, impl.Types.Name(), len(impl.Files))
+	}
+}
+
 // TestLoadStdVendoredAndCgo loads a package importing net/http, whose
 // dependencies include packages the standard library vendors
 // (GOROOT/src/vendor/golang.org/x/...), and os/user, which has cgo
@@ -179,10 +209,7 @@ func TestLoadFileOrder(t *testing.T) {
 				cur.Name(), cur.Base(), prev.Name(), prev.Base())
 		}
 	}
-	diags, err := analysis.Run(pkgs, rules.Suite())
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := runSuite(t, pkgs, nil)
 	var buf bytes.Buffer
 	analysis.WritePlain(&buf, root, diags, true)
 	if want := "stats/z.go:5:3: determinism: accumulating float total across a map range"; !strings.Contains(buf.String(), want) {
@@ -211,10 +238,7 @@ func TestLoadDeterministicAcrossProcs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diags, err := analysis.RunUniverse(pkgs, loader.Universe(), rules.Suite())
-		if err != nil {
-			t.Fatal(err)
-		}
+		diags := runSuite(t, pkgs, loader.Universe())
 		var js bytes.Buffer
 		if err := analysis.WriteJSON(&js, loader.Root, diags, nil); err != nil {
 			t.Fatal(err)

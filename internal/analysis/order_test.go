@@ -37,10 +37,7 @@ func TestDeterministicOrdering(t *testing.T) {
 	reversed := []*analysis.Package{pkgs[1], pkgs[0]}
 
 	render := func(order []*analysis.Package) (string, string) {
-		diags, err := analysis.RunUniverse(order, loader.Universe(), rules.Suite())
-		if err != nil {
-			t.Fatal(err)
-		}
+		diags := runSuite(t, order, loader.Universe())
 		var plain, js bytes.Buffer
 		analysis.WritePlain(&plain, loader.Root, diags, true)
 		if err := analysis.WriteJSON(&js, loader.Root, diags, nil); err != nil {

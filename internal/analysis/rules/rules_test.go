@@ -52,13 +52,19 @@ func runDir(t *testing.T, dir, ruleList string) []analysis.Diagnostic {
 	if len(unknown) > 0 {
 		t.Fatalf("unknown rules in %q: %v", ruleList, unknown)
 	}
-	// The loader's universe carries every dependency package parsed so
-	// far (including other testdata packages from earlier subtests —
-	// harmless: facts for the analyzed package derive only from its
-	// own call graph), exactly as the pbcheck driver wires it.
-	diags, err := analysis.RunUniverse(pkgs, sharedLoader(t).Universe(), analyzers)
+	return run(t, pkgs, analyzers)
+}
+
+// run runs analyzers over pkgs through the pbcheck driver. The shared
+// loader's universe carries every dependency package parsed so far
+// (including other testdata packages from earlier subtests — harmless:
+// facts for the analyzed package derive only from its own call graph),
+// exactly as pbcheck wires it.
+func run(t *testing.T, pkgs []*analysis.Package, analyzers []*analysis.Analyzer) []analysis.Diagnostic {
+	t.Helper()
+	diags, _, err := analysis.RunUniverseTimedWorkers(pkgs, sharedLoader(t).Universe(), analyzers, analysis.DefaultWorkers())
 	if err != nil {
-		t.Fatalf("run %s: %v", dir, err)
+		t.Fatal(err)
 	}
 	return diags
 }
@@ -142,12 +148,8 @@ func TestAllKeepsRetiredSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := func(analyzers []*analysis.Analyzer) string {
-		diags, err := analysis.RunUniverse(pkgs, sharedLoader(t).Universe(), analyzers)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		analysis.WritePlain(&buf, abs, diags, true)
+		analysis.WritePlain(&buf, abs, run(t, pkgs, analyzers), true)
 		return buf.String()
 	}
 	if all, suite := report(rules.All()), report(rules.Suite()); all != suite {

@@ -20,7 +20,7 @@ type RuleStat struct {
 
 // RunStats is the -stats payload: where a pbcheck run spent its time.
 // Load is the loader's phase 0, which the driver that ran the Load
-// copies in (RunUniverse never sees the loader). FactBuild covers
+// copies in (RunUniverseTimedWorkers never sees the loader). FactBuild covers
 // phase 1 (call graph + fixpoint over the universe);
 // Rules lists every analyzer in suite order. RuleWall is the real
 // elapsed time of phase 2 under Workers concurrent package workers,
@@ -52,39 +52,6 @@ func DefaultWorkers() int {
 		n = 16
 	}
 	return n
-}
-
-// Run executes every analyzer over every package with a fact universe
-// limited to the packages themselves. Callers holding a Loader should
-// prefer RunUniverse(pkgs, loader.Universe(), analyzers) so the fact
-// engine sees dependency bodies too.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunUniverse(pkgs, nil, analyzers)
-}
-
-// RunUniverse is the two-phase driver. Phase 1 builds the
-// interprocedural fact index over the union of pkgs and universe
-// (universe normally comes from Loader.Universe() and includes every
-// module dependency the loader pulled in — its bodies feed fact
-// propagation but it is not analyzed for reporting). Phase 2 runs
-// every analyzer over every package in pkgs with fact access, applies
-// the packages' //pbcheck:ignore suppressions, and returns all
-// diagnostics (suppressed ones included, marked) in deterministic
-// file/line/column order regardless of package-load order.
-//
-// Packages with type errors are rejected: findings over code that
-// does not compile are unreliable, and the repo's tier-1 gate
-// guarantees compilable input anyway.
-func RunUniverse(pkgs, universe []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunUniverseTimed(pkgs, universe, analyzers)
-	return diags, err
-}
-
-// RunUniverseTimed is RunUniverse plus per-phase timing, at the
-// default phase-2 parallelism. The diagnostics are byte-identical to
-// RunUniverse's — timing observes the run, it never alters it.
-func RunUniverseTimed(pkgs, universe []*Package, analyzers []*Analyzer) ([]Diagnostic, *RunStats, error) {
-	return RunUniverseTimedWorkers(pkgs, universe, analyzers, DefaultWorkers())
 }
 
 // pkgResult is one package's phase-2 output: its diagnostics (in
@@ -120,12 +87,27 @@ func analyzePackage(pkg *Package, facts *FactIndex, analyzers []*Analyzer, known
 	return res
 }
 
-// RunUniverseTimedWorkers is the fully parameterized driver: phase 2
-// fans packages out over a bounded pool of `workers` goroutines.
-// Each package's analysis writes only its own result slot, results
-// are merged in input-package order, and the final sort is position
-// based — the diagnostics are byte-identical at every worker count,
-// only the wall time moves.
+// RunUniverseTimedWorkers is the two-phase driver. Phase 1 builds the
+// interprocedural fact index over the union of pkgs and universe
+// (universe normally comes from Loader.Universe() and includes every
+// module dependency the loader pulled in — its bodies feed fact
+// propagation but it is not analyzed for reporting). Phase 2 runs
+// every analyzer over every package in pkgs with fact access, applies
+// the packages' //pbcheck:ignore suppressions, and returns all
+// diagnostics (suppressed ones included, marked) in deterministic
+// file/line/column order regardless of package-load order, plus
+// per-phase timing (DefaultWorkers is the usual worker count).
+//
+// Phase 2 fans packages out over a bounded pool of `workers`
+// goroutines. Each package's analysis writes only its own result
+// slot, results are merged in input-package order, and the final sort
+// is position based — the diagnostics are byte-identical at every
+// worker count, only the wall time moves. Timing observes the run; it
+// never alters it.
+//
+// Packages with type errors are rejected: findings over code that
+// does not compile are unreliable, and the repo's tier-1 gate
+// guarantees compilable input anyway.
 func RunUniverseTimedWorkers(pkgs, universe []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, *RunStats, error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -179,28 +161,22 @@ func RunUniverseTimedWorkers(pkgs, universe []*Package, analyzers []*Analyzer, w
 	stats.Workers = workers
 	ruleStart := time.Now()
 	results := make([]pkgResult, len(pkgs))
-	if workers <= 1 {
-		for i, pkg := range pkgs {
-			results[i] = analyzePackage(pkg, facts, analyzers, known)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = analyzePackage(pkgs[i], facts, analyzers, known)
-				}
-			}()
-		}
-		for i := range pkgs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				results[i] = analyzePackage(pkgs[i], facts, analyzers, known)
+			}
+		}()
 	}
+	for i := range pkgs {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	stats.RuleWall = time.Since(ruleStart)
 
 	// Merge in input-package order; per-rule times sum across packages

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pbsim/internal/analysis"
-	"pbsim/internal/analysis/rules"
 )
 
 // TestRepositoryInvariantsHold runs the whole analyzer suite over the
@@ -30,10 +29,7 @@ func TestRepositoryInvariantsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunUniverse(pkgs, loader.Universe(), rules.Suite())
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := runSuite(t, pkgs, loader.Universe())
 	if n := analysis.Active(diags); n != 0 {
 		var buf bytes.Buffer
 		analysis.WritePlain(&buf, loader.Root, diags, false)

@@ -74,8 +74,8 @@ type Config struct {
 	Workers int
 	// WarnThreshold overrides DefaultWarnThreshold when > 0.
 	WarnThreshold float64
-	// Recorder, when non-nil, observes the campaign through the
-	// shared runner (per-surface latency, worker occupancy, ...).
+	// Recorder observes the campaign through the shared runner
+	// (per-surface latency, worker occupancy, ...). Nil means obs.Nop.
 	Recorder obs.Recorder
 }
 
@@ -286,7 +286,7 @@ func estimate(m Method, s *truth.Surface, budget int) ([]float64, int, error) {
 		for j := range base {
 			base[j] = -1
 		}
-		res, err := stats.OneAtATime(base, s.Eval)
+		res, err := stats.OneAtATime(base, func(levels []int8) (float64, error) { return s.Eval(levels), nil })
 		if err != nil {
 			return nil, 0, err
 		}

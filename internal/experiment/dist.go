@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"pbsim/internal/enhance"
+	"pbsim/internal/obs"
 	"pbsim/internal/pb"
 	"pbsim/internal/runner"
 	"pbsim/internal/runner/dist"
@@ -52,6 +53,9 @@ func planCampaign(opts Options) (*campaignPlan, error) {
 	}
 	if opts.Warmup < 0 {
 		opts.Warmup = DefaultWarmup
+	}
+	if opts.Recorder == nil {
+		opts.Recorder = obs.Nop{}
 	}
 	if err := opts.Enhance.Validate(); err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
@@ -103,8 +107,6 @@ func (p *campaignPlan) runnerConfig() runner.Config {
 		Retries:     p.opts.Retries,
 		Backoff:     p.opts.Backoff,
 		Scope:       p.opts.Enhance.String(),
-		OnRow:       p.opts.OnRow,
-		OnRetry:     p.opts.OnRetry,
 		Recorder:    p.opts.Recorder,
 	}
 }

@@ -8,12 +8,31 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pbsim/internal/enhance"
+	"pbsim/internal/obs"
 	"pbsim/internal/runner/dist"
 	"pbsim/internal/sampling"
 	"pbsim/internal/workload"
 )
+
+// rowEvents counts RowFinished events by
+// "scope/row/fromCheckpoint".
+type rowEvents struct {
+	obs.Nop
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (e *rowEvents) RowFinished(scope string, row int, _ float64, _ time.Duration, _ int, fromCheckpoint bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.seen == nil {
+		e.seen = make(map[string]int)
+	}
+	e.seen[fmt.Sprintf("%s/%d/%t", scope, row, fromCheckpoint)]++
+}
 
 func distOptions(t *testing.T) Options {
 	t.Helper()
@@ -121,16 +140,12 @@ func TestCheckpointReportsRealRows(t *testing.T) {
 			if checkpoint {
 				opts.Checkpoint = t.TempDir()
 			}
-			var mu sync.Mutex
-			seen := make(map[string]int)
-			opts.OnRow = func(scope string, row int, _ float64, fromCheckpoint bool) {
-				mu.Lock()
-				defer mu.Unlock()
-				seen[fmt.Sprintf("%s/%d/%t", scope, row, fromCheckpoint)]++
-			}
+			rows := &rowEvents{}
+			opts.Recorder = rows
 			if _, err := RunSuite(opts); err != nil {
 				t.Fatal(err)
 			}
+			seen := rows.seen
 			man, err := CampaignManifest(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +156,7 @@ func TestCheckpointReportsRealRows(t *testing.T) {
 				}
 			}
 			if len(seen) != man.TotalRows() {
-				t.Errorf("OnRow saw %d distinct rows, want %d: %v", len(seen), man.TotalRows(), seen)
+				t.Errorf("recorder saw %d distinct rows, want %d: %v", len(seen), man.TotalRows(), seen)
 			}
 		})
 	}

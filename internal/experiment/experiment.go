@@ -78,18 +78,15 @@ type Options struct {
 	// configuration survives a machine crash, not only a process
 	// crash.
 	Sync bool
-	// OnRow, when non-nil, observes every completed configuration
-	// (scope is "label/benchmark"); fromCheckpoint marks rows the
-	// Checkpoint campaign had already committed when the run started.
-	OnRow func(scope string, row int, value float64, fromCheckpoint bool)
-	// OnRetry, when non-nil, observes every retry decision.
-	OnRetry func(scope string, row, attempt int, delay time.Duration, err error)
-	// Recorder, when non-nil, receives the full observability event
-	// stream (suite/run lifecycle, per-attempt latency, retries,
-	// checkpoint restores, worker occupancy). The suite announcement
-	// carries the fingerprint a Checkpoint campaign's shard ledgers
-	// carry, so the two join on it.
-	// Recording never changes scheduling or results.
+	// Recorder receives the full observability event stream
+	// (suite/run lifecycle, per-attempt latency, retries, worker
+	// occupancy, and every completed configuration, scoped
+	// "label/benchmark", with fromCheckpoint marking rows the
+	// Checkpoint campaign had already committed when the run
+	// started). The suite announcement carries the fingerprint a
+	// Checkpoint campaign's shard ledgers carry, so the two join on
+	// it. Nil means obs.Nop. Recording never changes scheduling or
+	// results.
 	Recorder obs.Recorder
 }
 
@@ -193,9 +190,7 @@ func RunSuiteCtx(ctx context.Context, opts Options) (*pb.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.opts.Recorder != nil {
-		p.opts.Recorder.SuiteStarted(Fingerprint(p.design, p.opts), len(p.ws), p.design.Runs())
-	}
+	p.opts.Recorder.SuiteStarted(Fingerprint(p.design, p.opts), len(p.ws), p.design.Runs())
 	if p.opts.Checkpoint != "" {
 		return p.runCampaign(ctx)
 	}

@@ -3,10 +3,13 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pbsim/internal/enhance"
 	"pbsim/internal/obs"
@@ -17,42 +20,46 @@ import (
 	"pbsim/internal/workload"
 )
 
+// eval runs resp on one row, failing the test on an error.
+func eval(t *testing.T, resp pb.Response, levels []pb.Level) float64 {
+	t.Helper()
+	v, err := resp(context.Background(), levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestResponseDeterministic(t *testing.T) {
 	w, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, respErr := Response(w, 2000, 4000, enhance.Spec{}).Infallible()
+	resp := Response(w, 2000, 4000, enhance.Spec{})
 	design, err := pb.New(41, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	row := design.Row(0)
-	if a, b := resp(row), resp(row); a != b {
+	if a, b := eval(t, resp, row), eval(t, resp, row); a != b {
 		t.Errorf("response not deterministic: %g vs %g", a, b)
 	}
 	// The 4-wide machine cannot beat IPC 4.
-	if y := resp(row); y < 1000 {
+	if y := eval(t, resp, row); y < 1000 {
 		t.Errorf("cycles = %g, below the 4-wide bound", y)
-	}
-	if err := respErr(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestResponseDependsOnLevels(t *testing.T) {
 	w, _ := workload.ByName("mcf")
-	resp, respErr := Response(w, 2000, 4000, enhance.Spec{}).Infallible()
+	resp := Response(w, 2000, 4000, enhance.Spec{})
 	low := make([]pb.Level, 43)
 	high := make([]pb.Level, 43)
 	for i := range low {
 		low[i] = pb.Low
 		high[i] = pb.High
 	}
-	yl, yh := resp(low), resp(high)
-	if err := respErr(); err != nil {
-		t.Fatal(err)
-	}
+	yl, yh := eval(t, resp, low), eval(t, resp, high)
 	if yh >= yl {
 		t.Errorf("all-high (%g cycles) should beat all-low (%g)", yh, yl)
 	}
@@ -168,27 +175,32 @@ func TestRunSuiteCancellation(t *testing.T) {
 	}
 }
 
-// interruptAfter returns an OnRow that cancels the run once the given
-// number of rows has been simulated.
-func interruptAfter(rows int, cancel context.CancelFunc) func(string, int, float64, bool) {
-	done := 0
-	return func(string, int, float64, bool) {
-		if done++; done == rows {
-			cancel()
-		}
+// interrupter cancels the run once the given number of rows has
+// finished.
+type interrupter struct {
+	obs.Nop
+	rows   int64
+	done   atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (i *interrupter) RowFinished(string, int, float64, time.Duration, int, bool) {
+	if i.done.Add(1) == i.rows {
+		i.cancel()
 	}
 }
 
 // resumeCheckpoint interrupts a checkpointed run of opts after a few
-// rows, resumes it, and returns the resumed suite after checking that
-// every unit committed before the interruption was reported restored
-// — to OnRow and to the Recorder — and every other one simulated.
+// rows, resumes it through RunSuiteCtx, and returns the resumed suite
+// after checking the Recorder saw every unit committed before the
+// interruption exactly once as restored (RowFinished with
+// fromCheckpoint=true), every other one exactly once as simulated,
+// and counted the restored ones in RowsResumed.
 func resumeCheckpoint(t *testing.T, opts Options) *pb.Suite {
 	t.Helper()
-	opts.Parallelism = 1 // serialize so the OnRow counters need no lock
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts.OnRow = interruptAfter(10, cancel)
+	opts.Recorder = &interrupter{rows: 10, cancel: cancel}
 	if _, err := RunSuiteCtx(ctx, opts); !runner.Cancelled(err) {
 		t.Fatalf("interrupted run = %v, want cancellation", err)
 	}
@@ -199,28 +211,40 @@ func resumeCheckpoint(t *testing.T, opts Options) *pb.Suite {
 	if before.Committed == 0 || before.Complete() {
 		t.Fatalf("interrupted campaign committed %d units, want a partial campaign", before.Committed)
 	}
-	var restored, simulated int
-	opts.OnRow = func(_ string, _ int, _ float64, fromCheckpoint bool) {
-		if fromCheckpoint {
-			restored++
-		} else {
-			simulated++
-		}
-	}
+	rows := &rowEvents{}
 	m := obs.NewMetrics()
-	opts.Recorder = m
-	suite, err := RunSuite(opts)
+	opts.Recorder = obs.Multi(rows, m)
+	suite, err := RunSuiteCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := suite.Design.Runs() * len(suite.Benchmarks)
-	if restored != before.Committed || simulated != total-before.Committed {
-		t.Errorf("resume restored %d and simulated %d rows, want %d and %d", restored, simulated, before.Committed, total-before.Committed)
+	man, err := CampaignManifest(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range man.Units() {
+		restored := !math.IsNaN(before.Values[u.Scope][u.Row])
+		if key := fmt.Sprintf("%s/%s/%d/%t", opts.Enhance, u.Scope, u.Row, restored); rows.seen[key] != 1 {
+			t.Errorf("%s reported %d times, want once", key, rows.seen[key])
+		}
+	}
+	if len(rows.seen) != man.TotalRows() {
+		t.Errorf("resume reported %d distinct rows, want %d: %v", len(rows.seen), man.TotalRows(), rows.seen)
 	}
 	if r := m.RowsResumed.Value(); r != int64(before.Committed) {
 		t.Errorf("RowsResumed = %d, want the %d committed units", r, before.Committed)
 	}
 	return suite
+}
+
+// A -checkpoint suite interrupted and rerun through RunSuiteCtx by
+// several in-process workers reports each restored row once, not once
+// per worker.
+func TestRunSuiteCtxReportsRestoredRowsOnce(t *testing.T) {
+	opts := distOptions(t)
+	opts.Parallelism = 3
+	opts.Checkpoint = t.TempDir()
+	resumeCheckpoint(t, opts)
 }
 
 // requireBitIdentical fails unless both suites carry the same response
@@ -320,19 +344,13 @@ func TestRunSuiteDefaults(t *testing.T) {
 
 func TestResponseWithShortcut(t *testing.T) {
 	w, _ := workload.ByName("gzip")
-	base, baseErr := Response(w, 2000, 5000, enhance.Spec{}).Infallible()
-	enhanced, enhancedErr := Response(w, 2000, 5000, enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: 128}).Infallible()
+	base := Response(w, 2000, 5000, enhance.Spec{})
+	enhanced := Response(w, 2000, 5000, enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: 128})
 	levels := make([]pb.Level, 43)
 	for i := range levels {
 		levels[i] = pb.Low
 	}
-	yb, ye := base(levels), enhanced(levels)
-	if err := baseErr(); err != nil {
-		t.Fatal(err)
-	}
-	if err := enhancedErr(); err != nil {
-		t.Fatal(err)
-	}
+	yb, ye := eval(t, base, levels), eval(t, enhanced, levels)
 	if ye >= yb {
 		t.Errorf("precomputation did not speed up the run: %g vs %g", ye, yb)
 	}

@@ -55,8 +55,7 @@ type Session struct {
 
 // Start builds the session from the parsed flags. When no
 // observability flag was given the session is inert: Recorder()
-// returns nil (the runner's zero-overhead path) and Close does
-// nothing.
+// returns Nop and Close does nothing.
 func (c *CLIFlags) Start(stderr io.Writer) (*Session, error) {
 	s := &Session{
 		tool:     c.Tool,
@@ -153,11 +152,11 @@ func FoldClose(err *error, c io.Closer) {
 	}
 }
 
-// Recorder returns the session's event fan-out, or nil when
-// observability is off (which the runner treats as the no-op path).
+// Recorder returns the session's event fan-out, or Nop when
+// observability is off.
 func (s *Session) Recorder() Recorder {
 	if !s.enabled {
-		return nil
+		return Nop{}
 	}
 	return s.rec
 }

@@ -42,18 +42,17 @@ func TestExit(t *testing.T) {
 }
 
 func TestDistEvents(t *testing.T) {
-	// A Metrics recorder counts dist events; a Nop (or nil) recorder
-	// absorbs them; a Multi fans them out to dist-aware members only.
+	// A Metrics recorder counts dist events; a Multi fans them out to
+	// every member; Nop and the inert session's recorder absorb them.
 	m := NewMetrics()
 	var sink bytes.Buffer
 	j := NewJSONL(&sink)
 	fan := Multi(m, j, Nop{})
-	d := DistEvents(fan)
-	d.LeaseClaimed("gzip", 3, false)
-	d.LeaseClaimed("gzip", 4, true)
-	d.LeaseLost("gzip", 4)
-	d.CommitAppended("w1", "gzip", 3)
-	d.ShardQuarantined("shards/w9.jsonl", "mid-file corruption")
+	fan.LeaseClaimed("gzip", 3, false)
+	fan.LeaseClaimed("gzip", 4, true)
+	fan.LeaseLost("gzip", 4)
+	fan.CommitAppended("w1", "gzip", 3)
+	fan.ShardQuarantined("shards/w9.jsonl", "mid-file corruption")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +81,17 @@ func TestDistEvents(t *testing.T) {
 	if plain := NewMetrics().Summary("t").Table(); strings.Contains(plain, "dist") {
 		t.Errorf("dist line printed for a campaign with no dist events:\n%s", plain)
 	}
-	// Nop and nil degrade to no-ops instead of panicking.
-	DistEvents(Nop{}).LeaseClaimed("s", 0, false)
-	DistEvents(nil).CommitAppended("w", "s", 0)
+	// Nop and the inert session's recorder take every dist event.
+	inert, err := (&CLIFlags{Tool: "t"}).Start(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Recorder{Nop{}, inert.Recorder()} {
+		r.LeaseClaimed("s", 0, false)
+		r.LeaseLost("s", 0)
+		r.CommitAppended("w", "s", 0)
+		r.ShardQuarantined("p", "r")
+	}
 }
 
 func TestRegisterCLIFlags(t *testing.T) {
@@ -109,8 +116,8 @@ func TestInertSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Recorder() != nil {
-		t.Error("inert session must hand the runner a nil recorder")
+	if rec := sess.Recorder(); rec != (Nop{}) {
+		t.Errorf("inert session recorder = %#v, want Nop", rec)
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
@@ -129,8 +136,8 @@ func TestSessionMetricsAndSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := sess.Recorder()
-	if rec == nil {
-		t.Fatal("enabled session returned nil recorder")
+	if rec == (Nop{}) {
+		t.Fatal("enabled session returned Nop")
 	}
 	rec.SuiteStarted("fp", 1, 3)
 	rec.RunStarted("s", 3)

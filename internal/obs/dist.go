@@ -1,13 +1,8 @@
 package obs
 
-// DistRecorder is the optional Recorder extension for distributed
+// DistRecorder is the part of Recorder that observes distributed
 // campaign execution (internal/runner/dist): lease claims and steals,
-// lost leases, shard-ledger commits, and quarantined shard files. It
-// is a separate interface rather than new Recorder methods so every
-// existing Recorder implementation — including test fakes outside
-// this package — keeps compiling; obtain a view of any Recorder with
-// DistEvents, which degrades to a no-op when the recorder does not
-// care about dist events.
+// lost leases, shard-ledger commits, and quarantined shard files.
 type DistRecorder interface {
 	// LeaseClaimed reports one successfully acquired work-unit lease;
 	// stolen marks claims that reclaimed an expired lease from a dead
@@ -24,50 +19,43 @@ type DistRecorder interface {
 	ShardQuarantined(path, reason string)
 }
 
-// DistEvents returns the DistRecorder view of r: r itself when it
-// implements the interface (Metrics, JSONL, and Multi fan-outs do), a
-// no-op otherwise — including for nil and for Nop. Callers can
-// therefore record dist events unconditionally.
-func DistEvents(r Recorder) DistRecorder {
-	if d, ok := r.(DistRecorder); ok {
-		return d
-	}
-	return nopDist{}
-}
+// LeaseClaimed implements DistRecorder.
+func (Nop) LeaseClaimed(string, int, bool) {}
 
-type nopDist struct{}
+// LeaseLost implements DistRecorder.
+func (Nop) LeaseLost(string, int) {}
 
-func (nopDist) LeaseClaimed(string, int, bool)     {}
-func (nopDist) LeaseLost(string, int)              {}
-func (nopDist) CommitAppended(string, string, int) {}
-func (nopDist) ShardQuarantined(string, string)    {}
+// CommitAppended implements DistRecorder.
+func (Nop) CommitAppended(string, string, int) {}
 
-// LeaseClaimed implements DistRecorder by fanning out to every member
-// that implements it.
+// ShardQuarantined implements DistRecorder.
+func (Nop) ShardQuarantined(string, string) {}
+
+// LeaseClaimed implements DistRecorder.
 func (m multi) LeaseClaimed(scope string, row int, stolen bool) {
 	for _, r := range m {
-		DistEvents(r).LeaseClaimed(scope, row, stolen)
+		r.LeaseClaimed(scope, row, stolen)
 	}
 }
 
 // LeaseLost implements DistRecorder.
 func (m multi) LeaseLost(scope string, row int) {
 	for _, r := range m {
-		DistEvents(r).LeaseLost(scope, row)
+		r.LeaseLost(scope, row)
 	}
 }
 
 // CommitAppended implements DistRecorder.
 func (m multi) CommitAppended(worker, scope string, row int) {
 	for _, r := range m {
-		DistEvents(r).CommitAppended(worker, scope, row)
+		r.CommitAppended(worker, scope, row)
 	}
 }
 
 // ShardQuarantined implements DistRecorder.
 func (m multi) ShardQuarantined(path, reason string) {
 	for _, r := range m {
-		DistEvents(r).ShardQuarantined(path, reason)
+		r.ShardQuarantined(path, reason)
 	}
 }
 

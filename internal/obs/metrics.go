@@ -1,8 +1,8 @@
 // Package obs is the observability layer of the PB campaign engine:
 // lock-free counters, gauges, and latency histograms; a Recorder
 // interface the fault-tolerant runner publishes its lifecycle events
-// through (with a zero-overhead no-op default); a JSONL event sink
-// keyed by the same experiment fingerprint the checkpoint uses; an
+// through (with an allocation-free no-op default, Nop); a JSONL event
+// sink keyed by the same experiment fingerprint the checkpoint uses; an
 // end-of-run summary table (throughput, latency quantiles, retry and
 // fault totals, resumed-vs-simulated accounting); and an opt-in debug
 // HTTP server exposing expvar and pprof.

@@ -33,16 +33,20 @@ func (o Outcome) String() string {
 	return "unknown"
 }
 
-// Recorder observes the lifecycle of a fault-tolerant evaluation.
-// Implementations must be safe for concurrent use: the runner invokes
-// them from every worker goroutine. Methods must not block — they sit
-// on the evaluation hot path.
+// Recorder observes the lifecycle of a fault-tolerant evaluation. It
+// is the one way to observe a campaign: the runner, the dist layer and
+// the experiment harness report every row, retry, lease and commit
+// event through it. Implementations must be safe for concurrent use:
+// the runner invokes them from every worker goroutine. Methods must
+// not block — they sit on the evaluation hot path.
 //
-// The nil Recorder inside runner.Config and the Nop type here are the
-// zero-overhead defaults; Metrics aggregates events into counters and
-// histograms; JSONL journals them to a file; Multi fans out to
-// several recorders at once.
+// Nop is the do-nothing default (a nil Recorder in runner.Config and
+// experiment.Options means Nop); Metrics aggregates events into
+// counters and histograms; JSONL journals them to a file; Multi fans
+// out to several recorders at once. A recorder that cares about a few
+// events embeds Nop and overrides those.
 type Recorder interface {
+	DistRecorder
 	// SuiteStarted announces a whole campaign: its checkpoint
 	// fingerprint, the number of benchmarks, and the design rows per
 	// benchmark. Emitted by the experiment harness before the first
@@ -76,8 +80,8 @@ type Recorder interface {
 }
 
 // Nop is the do-nothing Recorder. Every method is an empty,
-// allocation-free shim, so instrumented code paths cost nothing
-// beyond the (inlineable) interface calls; see the benchmark in
+// allocation-free shim, so observed code paths cost nothing beyond
+// the interface calls and their clock reads; see the benchmark in
 // internal/runner proving 0 allocs/op on the evaluation hot path.
 type Nop struct{}
 

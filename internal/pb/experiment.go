@@ -3,8 +3,6 @@ package pb
 import (
 	"context"
 	"fmt"
-	"math"
-	"sync"
 
 	"pbsim/internal/runner"
 )
@@ -38,37 +36,6 @@ func Dummy(n int) Factor {
 // the effects. Implementations must be safe for concurrent use; the
 // runner fans rows out across goroutines.
 type Response func(ctx context.Context, levels []Level) (float64, error)
-
-// Infallible adapts a response for infallible-only analyses (the
-// one-at-a-time baseline), which predate the error path. The adapted
-// function has no way to report failure, so the adapter routes it
-// through the error path out of band: a failed row yields NaN —
-// poisoning any statistic derived from it rather than inventing a
-// plausible value — and the first error is recorded and returned by
-// errf once the analysis finishes. Callers must check errf() before
-// trusting the results. The adapter is safe for concurrent rows.
-func (r Response) Infallible() (resp func([]Level) float64, errf func() error) {
-	var mu sync.Mutex
-	var first error
-	resp = func(levels []Level) float64 {
-		v, err := r(context.Background(), levels)
-		if err != nil {
-			mu.Lock()
-			if first == nil {
-				first = err
-			}
-			mu.Unlock()
-			return math.NaN()
-		}
-		return v
-	}
-	errf = func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		return first
-	}
-	return resp, errf
-}
 
 // Result holds everything produced by one PB experiment on a single
 // benchmark/response.
@@ -133,7 +100,7 @@ func RunSuite(ctx context.Context, design *Design, factors []Factor, benchmarks 
 			return resp(ctx, design.Row(i))
 		}
 		var err error
-		//pbcheck:ignore determinism runner.Evaluate's wall-clock reads feed latency metrics only; row values are bit-identical under Nop vs instrumented recorders (pinned by obs bit-identity tests)
+		//pbcheck:ignore determinism runner.Evaluate's wall-clock reads feed latency metrics only; row values are bit-identical whichever Recorder observes them (pinned by obs bit-identity tests)
 		if vecs[bi], err = runner.Evaluate(ctx, design.Runs(), task, cfg); err != nil {
 			return nil, fmt.Errorf("pb: benchmark %s: %w", benchmarks[bi], err)
 		}

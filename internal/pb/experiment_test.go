@@ -6,7 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"pbsim/internal/obs"
 	"pbsim/internal/runner"
 )
 
@@ -15,6 +17,19 @@ func pure(f func([]Level) float64) Response {
 	return func(_ context.Context, levels []Level) (float64, error) {
 		return f(levels), nil
 	}
+}
+
+// rowCounter counts the RowFinished events of each "scope/row".
+type rowCounter struct {
+	obs.Nop
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (c *rowCounter) RowFinished(scope string, row int, _ float64, _ time.Duration, _ int, _ bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seen[fmt.Sprintf("%s/%d", scope, row)]++
 }
 
 // mustNew builds a design or fails the test.
@@ -97,14 +112,10 @@ func TestRunCoversEveryRowOnce(t *testing.T) {
 	})
 	for _, par := range []int{0, 1, 3, 64} {
 		calls.Store(0)
-		var mu sync.Mutex
-		seen := make(map[string]int)
-		cfg := runner.Config{Parallelism: par, Scope: "only", OnRow: func(scope string, row int, _ float64, _ bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			seen[fmt.Sprintf("%s/%d", scope, row)]++
-		}}
+		rows := &rowCounter{seen: make(map[string]int)}
+		cfg := runner.Config{Parallelism: par, Scope: "only", Recorder: rows}
 		res, err := Run(context.Background(), d, nil, resp, cfg)
+		seen := rows.seen
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pbsim/internal/obs"
 	"pbsim/internal/runner"
 	"pbsim/internal/runner/dist"
 )
@@ -88,16 +89,13 @@ func TestSuiteCheckpointResumeBitIdentical(t *testing.T) {
 
 	// Resume: a fresh worker over the same directory.
 	evaluated.Store(0)
-	restored := 0
+	m := obs.NewMetrics()
 	res, err := dist.Run(context.Background(), dir, task, 2, dist.Config{
 		ID:       "second",
 		LeaseTTL: ttl, // the dead worker's lease expires while this one works
-		Runner: runner.Config{OnRow: func(_ string, _ int, _ float64, fromCheckpoint bool) {
-			if fromCheckpoint {
-				restored++
-			}
-		}},
+		Recorder: m,
 	})
+	restored := m.RowsResumed.Value()
 	if err != nil {
 		t.Fatalf("resumed run failed: %v", err)
 	}
@@ -237,29 +235,5 @@ func TestSuiteNeverSilentNaN(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "benchmark beta") {
 		t.Errorf("error %q does not name the failing benchmark", err)
-	}
-}
-
-// Infallible turns a failed row into NaN and reports the first error
-// through errf, so an infallible-only analysis can never mistake a
-// failure for a measurement.
-func TestInfallibleReportsFirstError(t *testing.T) {
-	var calls atomic.Int64
-	resp, errf := Response(func(_ context.Context, levels []Level) (float64, error) {
-		if n := calls.Add(1); n > 1 {
-			return 0, fmt.Errorf("row failure %d", n)
-		}
-		return float64(levels[0]), nil
-	}).Infallible()
-	if v := resp([]Level{High}); v != 1 || errf() != nil {
-		t.Fatalf("healthy row = %g, %v; want 1, nil", v, errf())
-	}
-	for i := 0; i < 2; i++ {
-		if v := resp([]Level{High}); !math.IsNaN(v) {
-			t.Errorf("failed row = %g, want NaN", v)
-		}
-	}
-	if err := errf(); err == nil || err.Error() != "row failure 2" {
-		t.Errorf("errf() = %v, want the first failure", err)
 	}
 }

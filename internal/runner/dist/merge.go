@@ -80,8 +80,11 @@ func (e *ConflictError) Error() string {
 // is verified bit-equal before being folded (and a mismatch aborts
 // the merge with a *ConflictError rather than picking a winner).
 //
-// rec, when non-nil and dist-aware, observes quarantined shards.
+// rec observes quarantined shards; nil means obs.Nop.
 func (c *Campaign) Merge(rec obs.Recorder) (*MergeResult, error) {
+	if rec == nil {
+		rec = obs.Nop{}
+	}
 	paths, err := c.shardPaths()
 	if err != nil {
 		return nil, err
@@ -100,12 +103,11 @@ func (c *Campaign) Merge(rec obs.Recorder) (*MergeResult, error) {
 		res.Values[s.Name] = vec
 		rows[s.Name] = s.Rows
 	}
-	dist := obs.DistEvents(rec)
 	for _, path := range paths {
 		entries, quarantine := readLedger(path, c.man.Fingerprint)
 		if quarantine != "" {
 			res.Quarantined = append(res.Quarantined, QuarantinedShard{Path: path, Reason: quarantine})
-			dist.ShardQuarantined(path, quarantine)
+			rec.ShardQuarantined(path, quarantine)
 		}
 		for _, e := range entries {
 			n, ok := rows[e.Scope]

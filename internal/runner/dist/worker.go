@@ -41,14 +41,14 @@ type Config struct {
 	// durability from process death to machine death.
 	Sync bool
 	// Runner configures the execution of each unit (retries, timeout,
-	// backoff, fault-injection Wrap, OnRow/OnRetry callbacks), which
-	// all see the unit's real campaign row. Scope, when set, prefixes
-	// every unit's scope in callbacks and row events ("Scope/unit"),
-	// as pb suites name benchmark scopes under a label. Parallelism
-	// and Recorder are ignored; cfg.Recorder observes the rows.
+	// backoff, fault-injection Wrap), which all see the unit's real
+	// campaign row. Scope, when set, prefixes every unit's scope in
+	// row events ("Scope/unit"), as pb suites name benchmark scopes
+	// under a label. Parallelism and Recorder are ignored;
+	// cfg.Recorder observes the rows.
 	Runner runner.Config
-	// Recorder observes lease and commit events (via obs.DistEvents)
-	// and per-row runner events. Nil means no observation.
+	// Recorder observes lease and commit events, restored rows and
+	// per-row runner events. Nil means obs.Nop.
 	Recorder obs.Recorder
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -69,6 +69,9 @@ func (cfg *Config) fill() error {
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
+	}
+	if cfg.Recorder == nil {
+		cfg.Recorder = obs.Nop{}
 	}
 	return nil
 }
@@ -140,7 +143,6 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 	first := rotation(cfg.ID, len(units))
 	failed := make(map[Unit]unitError)
 	tail := newShardTail(c)
-	dist := obs.DistEvents(cfg.Recorder)
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -177,7 +179,7 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 			if res == claimStolen {
 				stats.Stolen++
 			}
-			dist.LeaseClaimed(u.Scope, u.Row, res == claimStolen)
+			cfg.Recorder.LeaseClaimed(u.Scope, u.Row, res == claimStolen)
 
 			// Units change hands via steals and releases; the previous
 			// holder may have committed since the refresh above.
@@ -191,7 +193,7 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 				continue
 			}
 
-			stop := startHeartbeat(dir, u, &cfg, dist)
+			stop := startHeartbeat(dir, u, &cfg)
 			v, rerr := runUnit(ctx, u, task, cfg)
 			stop()
 			if rerr != nil {
@@ -220,7 +222,7 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 				return stats, fmt.Errorf("dist: commit %s: %w", u, err)
 			}
 			stats.Committed++
-			dist.CommitAppended(cfg.ID, u.Scope, u.Row)
+			cfg.Recorder.CommitAppended(cfg.ID, u.Scope, u.Row)
 			release(dir, u, cfg.ID)
 			progressed = true
 		}
@@ -257,8 +259,8 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 // merge, which it returns once complete. It is how a checkpointed run
 // resumes: units committed before Run starts — by an interrupted
 // earlier run, or by other processes — are not executed again, and
-// each is reported once as a restored row (fromCheckpoint=true) to
-// cfg.Recorder and cfg.Runner.OnRow. The first worker error is
+// each is reported once to cfg.Recorder as a restored row
+// (RowFinished with fromCheckpoint=true). The first worker error is
 // returned. cfg.Poll defaults to runPoll rather than LeaseTTL/4: at
 // the end of a campaign the units an idle worker waits for are mostly
 // held by its siblings in this process, which commit them in a row's
@@ -266,9 +268,6 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 func Run(ctx context.Context, dir string, task Task, workers int, cfg Config) (*MergeResult, error) {
 	c, err := Open(dir)
 	if err != nil {
-		return nil, err
-	}
-	if err := c.reportRestored(cfg); err != nil {
 		return nil, err
 	}
 	if workers <= 0 {
@@ -283,6 +282,12 @@ func Run(ctx context.Context, dir string, task Task, workers int, cfg Config) (*
 			host = "worker"
 		}
 		cfg.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	if err := c.reportRestored(cfg); err != nil {
+		return nil, err
 	}
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -329,13 +334,7 @@ func (c *Campaign) reportRestored(cfg Config) error {
 		if math.IsNaN(v) {
 			continue
 		}
-		scope := cfg.rowScope(u)
-		if cfg.Recorder != nil {
-			cfg.Recorder.RowFinished(scope, u.Row, v, 0, 0, true)
-		}
-		if cfg.Runner.OnRow != nil {
-			cfg.Runner.OnRow(scope, u.Row, v, true)
-		}
+		cfg.Recorder.RowFinished(cfg.rowScope(u), u.Row, v, 0, 0, true)
 	}
 	return nil
 }
@@ -352,9 +351,9 @@ func runUnit(ctx context.Context, u Unit, task Task, cfg Config) (float64, error
 	}, u.Row, rcfg)
 }
 
-// rowScope is the scope u's row events and callbacks carry: the
-// unit's scope, under cfg.Runner.Scope when that is set — the
-// "label/benchmark" form pb suites report.
+// rowScope is the scope u's row events carry: the unit's scope, under
+// cfg.Runner.Scope when that is set — the "label/benchmark" form pb
+// suites report.
 func (cfg *Config) rowScope(u Unit) string {
 	if cfg.Runner.Scope == "" {
 		return u.Scope
@@ -366,7 +365,7 @@ func (cfg *Config) rowScope(u Unit) string {
 // returned stop function is called. A renewal that finds the lease
 // lost reports it and stops renewing — the unit keeps executing; its
 // commit stays safe because merge proves duplicates identical.
-func startHeartbeat(dir string, u Unit, cfg *Config, dist obs.DistRecorder) (stop func()) {
+func startHeartbeat(dir string, u Unit, cfg *Config) (stop func()) {
 	if cfg.Heartbeat < 0 {
 		return func() {}
 	}
@@ -384,7 +383,7 @@ func startHeartbeat(dir string, u Unit, cfg *Config, dist obs.DistRecorder) (sto
 				ok, err := renew(dir, u, cfg.ID, cfg.LeaseTTL, cfg.now())
 				if err != nil || !ok {
 					if !ok {
-						dist.LeaseLost(u.Scope, u.Row)
+						cfg.Recorder.LeaseLost(u.Scope, u.Row)
 					}
 					return
 				}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pbsim/internal/obs"
 	"pbsim/internal/runner"
 	"pbsim/internal/runner/dist"
 )
@@ -63,25 +64,21 @@ func TestEvaluateResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("interrupted run: err = %v, want %v", err, errInterrupted)
 	}
 
-	var calls, restored atomic.Int64
+	var calls atomic.Int64
 	counting := func(_ context.Context, _ string, i int) (float64, error) {
 		calls.Add(1)
 		return value(i), nil
 	}
-	onRow := func(_ string, _ int, _ float64, fromCheckpoint bool) {
-		if fromCheckpoint {
-			restored.Add(1)
-		}
-	}
-	res, err := dist.Run(ctx, dir, counting, 4, dist.Config{ID: "second", Runner: runner.Config{OnRow: onRow}})
+	m := obs.NewMetrics()
+	res, err := dist.Run(ctx, dir, counting, 4, dist.Config{ID: "second", Recorder: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != n-cut {
 		t.Errorf("resumed run evaluated %d rows, want the %d uncommitted ones", calls.Load(), n-cut)
 	}
-	if restored.Load() != cut {
-		t.Errorf("resumed run restored %d rows, want %d", restored.Load(), cut)
+	if r := m.RowsResumed.Value(); r != cut {
+		t.Errorf("resumed run restored %d rows, want %d", r, cut)
 	}
 	resumed, err := res.Responses("s")
 	if err != nil {

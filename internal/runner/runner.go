@@ -66,27 +66,21 @@ type Config struct {
 	// Seed drives the deterministic backoff jitter: the same
 	// (seed, row, attempt) always yields the same delay.
 	Seed int64
-	// Scope names this evaluation's rows in every event and callback
-	// (e.g. the benchmark name).
+	// Scope names this evaluation's rows in every event (e.g. the
+	// benchmark name).
 	Scope string
 	// Wrap, when non-nil, decorates the task before evaluation; it is
 	// the hook the fault-injection harness (Faults.Wrap) plugs into.
 	Wrap func(Task) Task
-	// OnRetry, when non-nil, is called before each backoff sleep.
-	OnRetry func(scope string, row, attempt int, delay time.Duration, err error)
-	// OnRow, when non-nil, is called after each row completes. The
-	// runner always passes fromCheckpoint=false; the flag is set by
-	// campaign runs (package dist) reporting rows a previous run
-	// already committed.
-	OnRow func(scope string, row int, value float64, fromCheckpoint bool)
-	// Recorder, when non-nil, observes the evaluation: run start and
-	// finish, per-row queue wait, worker occupancy, per-attempt
-	// latency with classified outcome (error/panic/timeout), retries,
-	// completions, and permanent failures. A nil Recorder adds zero
-	// overhead — not even clock reads — and obs.Nop adds zero
+	// Recorder observes the evaluation: run start and finish, per-row
+	// queue wait, worker occupancy, per-attempt latency with
+	// classified outcome (error/panic/timeout), retries, completions,
+	// and permanent failures. Nil means obs.Nop, which adds zero
 	// allocations (see the benchmark in this package). Recorders only
 	// observe; scheduling, retry decisions, and results are
-	// bit-identical with or without one.
+	// bit-identical whichever one is given. The runner always reports
+	// RowFinished with fromCheckpoint=false; campaign runs (package
+	// dist) set it for rows a previous run already committed.
 	Recorder obs.Recorder
 
 	// sleep is the backoff clock, injectable by tests.
@@ -172,11 +166,8 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 		parallelism = n
 	}
 	task = cfg.prepare(task)
-	rec, instrumented := cfg.recorder()
-	var runStart time.Time
-	if instrumented {
-		runStart = time.Now()
-	}
+	rec := cfg.Recorder
+	runStart := time.Now()
 	rec.RunStarted(cfg.Scope, n)
 
 	responses := make([]float64, n)
@@ -195,10 +186,8 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				if instrumented {
-					rec.QueueWait(cfg.Scope, i, time.Since(runStart))
-				}
-				v, err := runRow(ctx, task, i, cfg, rec, instrumented)
+				rec.QueueWait(cfg.Scope, i, time.Since(runStart))
+				v, err := runRow(ctx, task, i, cfg)
 				if err != nil {
 					if ctx.Err() != nil {
 						// The run was cancelled; the row did not fail
@@ -218,11 +207,7 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 		}()
 	}
 	wg.Wait()
-	var runElapsed time.Duration
-	if instrumented {
-		runElapsed = time.Since(runStart)
-	}
-	rec.RunFinished(cfg.Scope, runElapsed)
+	rec.RunFinished(cfg.Scope, time.Since(runStart))
 	if err := ctx.Err(); err != nil {
 		return responses, fmt.Errorf("runner: evaluation interrupted: %w", err)
 	}
@@ -235,24 +220,23 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 
 // EvaluateRow evaluates one row with everything Evaluate applies to
 // each of its rows: cfg.Wrap, the attempt loop with timeout, retry,
-// backoff and panic recovery, and the per-row Recorder events and
-// OnRow/OnRetry callbacks under cfg.Scope. It is for callers that
-// schedule rows themselves, such as the dist worker, which runs one
-// campaign unit at a time under its real row number. Parallelism is
-// ignored, and no RunStarted/RunFinished or QueueWait events are
-// emitted. A permanent failure returns a *RowError.
+// backoff and panic recovery, and the per-row Recorder events under
+// cfg.Scope. It is for callers that schedule rows themselves, such as
+// the dist worker, which runs one campaign unit at a time under its
+// real row number. Parallelism is ignored, and no
+// RunStarted/RunFinished or QueueWait events are emitted. A permanent
+// failure returns a *RowError.
 func EvaluateRow(ctx context.Context, task Task, row int, cfg Config) (float64, error) {
 	task = cfg.prepare(task)
-	rec, instrumented := cfg.recorder()
-	v, err := runRow(ctx, task, row, cfg, rec, instrumented)
+	v, err := runRow(ctx, task, row, cfg)
 	if err != nil {
 		return 0, err
 	}
 	return v, nil
 }
 
-// prepare fills the retry-pacing defaults into cfg and returns task
-// decorated by cfg.Wrap.
+// prepare fills the retry-pacing and Recorder defaults into cfg and
+// returns task decorated by cfg.Wrap.
 func (cfg *Config) prepare(task Task) Task {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = DefaultBackoff
@@ -263,33 +247,23 @@ func (cfg *Config) prepare(task Task) Task {
 	if cfg.sleep == nil {
 		cfg.sleep = ctxSleep
 	}
+	if cfg.Recorder == nil {
+		cfg.Recorder = obs.Nop{}
+	}
 	if cfg.Wrap != nil {
 		task = cfg.Wrap(task)
 	}
 	return task
 }
 
-// recorder returns the Recorder to report to and whether the run is
-// instrumented. A nil Recorder costs nothing (no clock reads); any
-// non-nil Recorder — including obs.Nop — exercises the full
-// instrumentation path so its overhead can be benchmarked.
-func (cfg *Config) recorder() (obs.Recorder, bool) {
-	if cfg.Recorder == nil {
-		return obs.Nop{}, false
-	}
-	return cfg.Recorder, true
-}
-
 // runRow evaluates one row and reports it: worker occupancy, then
-// RowFinished and OnRow on success or RowFailed on a permanent failure.
-// A row cut short by cancelling ctx is not reported as failed.
-func runRow(ctx context.Context, task Task, row int, cfg Config, rec obs.Recorder, instrumented bool) (float64, *RowError) {
-	var rowStart time.Time
-	if instrumented {
-		rowStart = time.Now()
-		rec.WorkerActive(1)
-	}
-	v, attempts, err := evaluateRow(ctx, task, row, cfg, rec, instrumented)
+// RowFinished on success or RowFailed on a permanent failure. A row
+// cut short by cancelling ctx is not reported as failed.
+func runRow(ctx context.Context, task Task, row int, cfg Config) (float64, *RowError) {
+	rec := cfg.Recorder
+	rowStart := time.Now()
+	rec.WorkerActive(1)
+	v, attempts, err := evaluateRow(ctx, task, row, cfg)
 	if err != nil {
 		rec.WorkerActive(-1)
 		if ctx.Err() == nil {
@@ -297,15 +271,8 @@ func runRow(ctx context.Context, task Task, row int, cfg Config, rec obs.Recorde
 		}
 		return 0, err
 	}
-	var rowLatency time.Duration
-	if instrumented {
-		rowLatency = time.Since(rowStart)
-	}
-	rec.RowFinished(cfg.Scope, row, v, rowLatency, attempts, false)
+	rec.RowFinished(cfg.Scope, row, v, time.Since(rowStart), attempts, false)
 	rec.WorkerActive(-1)
-	if cfg.OnRow != nil {
-		cfg.OnRow(cfg.Scope, row, v, false)
-	}
 	return v, nil
 }
 
@@ -313,21 +280,16 @@ func runRow(ctx context.Context, task Task, row int, cfg Config, rec obs.Recorde
 // and the number of attempts consumed. It returns a *RowError only
 // when the row fails permanently; cancellation of the parent context
 // surfaces as an error the caller discards after checking ctx.
-func evaluateRow(ctx context.Context, task Task, row int, cfg Config, rec obs.Recorder, instrumented bool) (float64, int, *RowError) {
+func evaluateRow(ctx context.Context, task Task, row int, cfg Config) (float64, int, *RowError) {
 	var lastErr error
 	attempts := cfg.Retries + 1
 	for attempt := 0; attempt < attempts; attempt++ {
 		if ctx.Err() != nil {
 			return 0, attempt, &RowError{Scope: cfg.Scope, Row: row, Attempts: attempt, Err: ctx.Err()}
 		}
-		var attemptStart time.Time
-		if instrumented {
-			attemptStart = time.Now()
-		}
+		attemptStart := time.Now()
 		v, err := attemptRow(ctx, task, row, cfg.Timeout)
-		if instrumented {
-			rec.AttemptDone(cfg.Scope, row, attempt, time.Since(attemptStart), classifyOutcome(err), err)
-		}
+		cfg.Recorder.AttemptDone(cfg.Scope, row, attempt, time.Since(attemptStart), classifyOutcome(err), err)
 		if err == nil {
 			return v, attempt + 1, nil
 		}
@@ -336,10 +298,7 @@ func evaluateRow(ctx context.Context, task Task, row int, cfg Config, rec obs.Re
 			break
 		}
 		delay := backoffDelay(cfg, row, attempt)
-		rec.RowRetried(cfg.Scope, row, attempt+1, delay, err)
-		if cfg.OnRetry != nil {
-			cfg.OnRetry(cfg.Scope, row, attempt+1, delay, err)
-		}
+		cfg.Recorder.RowRetried(cfg.Scope, row, attempt+1, delay, err)
 		if cfg.sleep(ctx, delay) != nil {
 			break // cancelled during backoff
 		}

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pbsim/internal/obs"
 )
 
 // sleepRecorder records every backoff delay instead of sleeping, so
@@ -288,29 +290,43 @@ func TestTimeoutRetries(t *testing.T) {
 	}
 }
 
-// EvaluateRow applies Wrap, retries and the per-row callbacks under
-// the row number it is given, and reports a permanent failure as a
-// *RowError.
+// rowLog records the row of every RowRetried and RowFinished event
+// of a single-goroutine evaluation.
+type rowLog struct {
+	obs.Nop
+	rows []int
+}
+
+func (l *rowLog) RowRetried(_ string, row, _ int, _ time.Duration, _ error) {
+	l.rows = append(l.rows, row)
+}
+
+func (l *rowLog) RowFinished(_ string, row int, _ float64, _ time.Duration, _ int, _ bool) {
+	l.rows = append(l.rows, row)
+}
+
+// EvaluateRow applies Wrap, retries and the per-row Recorder events
+// under the row number it is given, and reports a permanent failure as
+// a *RowError.
 func TestEvaluateRowKeepsRowNumber(t *testing.T) {
 	faults := &Faults{FailRows: map[int]int{41: 1}}
-	var seen []int
+	seen := &rowLog{}
 	cfg := Config{
-		Retries: 1,
-		Scope:   "s",
-		Wrap:    faults.Wrap,
-		OnRetry: func(_ string, row, _ int, _ time.Duration, _ error) { seen = append(seen, row) },
-		OnRow:   func(_ string, row int, _ float64, _ bool) { seen = append(seen, row) },
-		sleep:   noSleep,
+		Retries:  1,
+		Scope:    "s",
+		Wrap:     faults.Wrap,
+		Recorder: seen,
+		sleep:    noSleep,
 	}
 	task := func(_ context.Context, i int) (float64, error) { return float64(i), nil }
 	v, err := EvaluateRow(context.Background(), task, 41, cfg)
 	if err != nil || v != 41 {
 		t.Fatalf("EvaluateRow = %v, %v; want 41", v, err)
 	}
-	if len(seen) != 2 || seen[0] != 41 || seen[1] != 41 {
-		t.Errorf("callbacks saw rows %v, want [41 41] (one retry, one completion)", seen)
+	if len(seen.rows) != 2 || seen.rows[0] != 41 || seen.rows[1] != 41 {
+		t.Errorf("recorder saw rows %v, want [41 41] (one retry, one completion)", seen.rows)
 	}
-	cfg.Wrap, cfg.OnRetry, cfg.OnRow = nil, nil, nil
+	cfg.Wrap, cfg.Recorder = nil, nil
 	broken := func(context.Context, int) (float64, error) { return 0, errors.New("broken") }
 	var rowErr *RowError
 	if _, err := EvaluateRow(context.Background(), broken, 9, cfg); !errors.As(err, &rowErr) || rowErr.Row != 9 || rowErr.Attempts != 2 {

@@ -150,8 +150,8 @@ func TestCountSimulations(t *testing.T) {
 
 func TestOneAtATime(t *testing.T) {
 	// y = 10*A + 2*B: at an all-low base, flipping A changes y by +20.
-	resp := func(levels []int8) float64 {
-		return 10*float64(levels[0]) + 2*float64(levels[1])
+	resp := func(levels []int8) (float64, error) {
+		return 10*float64(levels[0]) + 2*float64(levels[1]), nil
 	}
 	res, err := OneAtATime([]int8{-1, -1}, resp)
 	if err != nil {
@@ -178,8 +178,8 @@ func TestOneAtATimeMissesInteractions(t *testing.T) {
 	// both gives y=1 again. The one-at-a-time design cannot see that
 	// the effect of A depends entirely on B. The ANOVA on the same
 	// response allocates 100% of variation to AxB.
-	resp := func(levels []int8) float64 {
-		return float64(levels[0]) * float64(levels[1])
+	resp := func(levels []int8) (float64, error) {
+		return float64(levels[0]) * float64(levels[1]), nil
 	}
 	oat, err := OneAtATime([]int8{-1, -1}, resp)
 	if err != nil {
@@ -193,7 +193,7 @@ func TestOneAtATimeMissesInteractions(t *testing.T) {
 	rows, _ := FullFactorial(2)
 	responses := make([]float64, len(rows))
 	for i, r := range rows {
-		responses[i] = resp(r)
+		responses[i], _ = resp(r)
 	}
 	res, _ := ANOVA(2, responses)
 	if res.InteractionShare() < 99.999 {

@@ -1,9 +1,13 @@
 package stats
 
-import "testing"
+import (
+	"errors"
+	"fmt"
+	"testing"
+)
 
 func TestOneAtATimeValidation(t *testing.T) {
-	resp := func([]int8) float64 { return 0 }
+	resp := func([]int8) (float64, error) { return 0, nil }
 	if _, err := OneAtATime(nil, resp); err == nil {
 		t.Error("OneAtATime with no factors should error")
 	}
@@ -19,12 +23,12 @@ func TestOneAtATimeDeltas(t *testing.T) {
 	// Linear response: 10 + 3*x0 - 5*x1 + 0*x2. Flipping factor j
 	// from its base level b changes the response by -2*coef[j]*b.
 	coef := []float64{3, -5, 0}
-	resp := func(levels []int8) float64 {
+	resp := func(levels []int8) (float64, error) {
 		s := 10.0
 		for j, lv := range levels {
 			s += coef[j] * float64(lv)
 		}
-		return s
+		return s, nil
 	}
 	base := []int8{1, -1, 1}
 	res, err := OneAtATime(base, resp)
@@ -58,7 +62,7 @@ func TestOneAtATimeRuns(t *testing.T) {
 			base[i] = 1
 		}
 		calls := 0
-		res, err := OneAtATime(base, func([]int8) float64 { calls++; return 0 })
+		res, err := OneAtATime(base, func([]int8) (float64, error) { calls++; return 0, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,6 +73,22 @@ func TestOneAtATimeRuns(t *testing.T) {
 			t.Errorf("n=%d: response invoked %d times, want %d", n, calls, n+1)
 		}
 	}
+	// A failed run stops the design and surfaces the first failure as
+	// the error, never as a NaN inside a result.
+	errRow := errors.New("row failure")
+	calls := 0
+	res, err := OneAtATime([]int8{1, 1, 1}, func([]int8) (float64, error) {
+		if calls++; calls > 1 {
+			return 0, fmt.Errorf("%w %d", errRow, calls)
+		}
+		return 1, nil
+	})
+	if res != nil || !errors.Is(err, errRow) || err.Error() != "stats: one-at-a-time run 1: row failure 2" {
+		t.Errorf("failing run: OneAtATime = %v, %v; want nil and the first failure", res, err)
+	}
+	if calls != 2 {
+		t.Errorf("failing run: response invoked %d times, want 2 (the base and the failed run)", calls)
+	}
 }
 
 // TestOneAtATimeEachRunFlipsOneFactor verifies every non-base run
@@ -76,11 +96,11 @@ func TestOneAtATimeRuns(t *testing.T) {
 func TestOneAtATimeEachRunFlipsOneFactor(t *testing.T) {
 	base := []int8{1, -1, 1, -1}
 	var seen [][]int8
-	_, err := OneAtATime(base, func(levels []int8) float64 {
+	_, err := OneAtATime(base, func(levels []int8) (float64, error) {
 		cp := make([]int8, len(levels))
 		copy(cp, levels)
 		seen = append(seen, cp)
-		return 0
+		return 0, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,8 @@ profile="${1:-coverage.out}"
 declare -A floors=(
 	["pbsim/internal/obs"]=80
 	["pbsim/internal/stats"]=95
-	["pbsim/internal/runner"]=75
+	["pbsim/internal/runner"]=90
+	["pbsim/internal/runner/dist"]=70
 	["pbsim/internal/perfbench"]=80
 	["pbsim/internal/analysis"]=80
 	["pbsim/internal/analysis/flow"]=85
