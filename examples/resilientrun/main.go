@@ -35,6 +35,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -96,6 +98,7 @@ func run() (err error) {
 		SlowRows:  map[int]time.Duration{5: 300 * time.Millisecond}, // row 5's first attempt hangs
 	}
 	metrics := obs.NewMetrics()
+	retries := &retryLog{}
 	design, err := pb.New(len(factors), true)
 	if err != nil {
 		return err
@@ -106,16 +109,18 @@ func run() (err error) {
 		Backoff:    5 * time.Millisecond,
 		BackoffCap: 50 * time.Millisecond,
 		Wrap:       faults.Wrap,
-		Recorder:   obs.Multi(metrics, retryLog{}),
+		Recorder:   obs.Multi(metrics, retries),
 	}
 	faulted, err := pb.RunSuite(context.Background(), design, factors, benchmarks, responses, cfg)
 	if err != nil {
 		return fmt.Errorf("faulted suite: %w", err)
 	}
+	retries.print()
 	fmt.Printf("suite completed despite %d injected-fault attempts\n", faults.Injected())
-	fmt.Printf("the metrics agree: %d attempts, %d retries, %d panics, %d timeouts, peak %d workers\n\n",
+	fmt.Printf("the metrics agree: %d attempts, %d retries, %d panics, %d timeouts\n\n",
 		metrics.Attempts.Value(), metrics.Retries.Value(), metrics.Panics.Value(),
-		metrics.Timeouts.Value(), metrics.Workers.Peak())
+		metrics.Timeouts.Value())
+	fmt.Fprintf(os.Stderr, "phase 1 ran on at most %d concurrent workers\n", metrics.Workers.Peak())
 
 	fmt.Println("=== Phase 2: crash mid-suite, then resume from the campaign directory ===")
 	dir, err := os.MkdirTemp("", "resilientrun")
@@ -207,8 +212,11 @@ func run() (err error) {
 		return fmt.Errorf("metrics JSONL disagrees: %d checkpoint_hit / %d row_finished events vs %d / %d",
 			hits, finished, summary.RowsResumed, summary.RowsSimulated)
 	}
-	fmt.Printf("metrics JSONL agrees: %d checkpoint_hit + %d row_finished events\n\n", hits, finished)
-	fmt.Print(summary.Table())
+	fmt.Printf("metrics JSONL agrees: %d checkpoint_hit + %d row_finished events\n", hits, finished)
+	// The summary's times, lease counts and peak workers depend on the
+	// machine and the scheduler, so it goes to stderr: stdout is the
+	// same on every run.
+	fmt.Fprint(os.Stderr, "\n"+summary.Table())
 
 	// The resumed ordering must equal the faulted (but complete) run's.
 	fmt.Println("\nsum-of-ranks ordering (resumed run):")
@@ -223,11 +231,29 @@ func run() (err error) {
 	return nil
 }
 
-// retryLog prints one line per scheduled retry.
-type retryLog struct{ obs.Nop }
+// retryLog collects one line per scheduled retry. Concurrent workers
+// schedule retries in whatever order they run, so print writes the
+// lines sorted.
+type retryLog struct {
+	obs.Nop
+	mu    sync.Mutex
+	lines []string
+}
 
-func (retryLog) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
-	fmt.Printf("  retry %s row %d (attempt %d, backoff %v): %v\n", scope, row, attempt, delay, err)
+func (l *retryLog) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
+	line := fmt.Sprintf("  retry %s row %d (attempt %d, backoff %v): %v\n", scope, row, attempt, delay, err)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, line)
+}
+
+// print writes the collected lines. It is called once the suite has
+// returned, when no worker records any more.
+func (l *retryLog) print() {
+	sort.Strings(l.lines)
+	for _, line := range l.lines {
+		fmt.Print(line)
+	}
 }
 
 // countEvents reads a metrics JSONL back and tallies the two row

@@ -204,7 +204,11 @@ func resumeCheckpoint(t *testing.T, opts Options) *pb.Suite {
 	if _, err := RunSuiteCtx(ctx, opts); !runner.Cancelled(err) {
 		t.Fatalf("interrupted run = %v, want cancellation", err)
 	}
-	before, err := dist.MergeDir(opts.Checkpoint, nil)
+	camp, err := dist.Open(opts.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := camp.Merge(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

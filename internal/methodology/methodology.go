@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"pbsim/internal/cluster"
 	"pbsim/internal/pb"
 	"pbsim/internal/stats"
 )
@@ -98,33 +97,6 @@ func SensitivityAnalysis(ctx context.Context, numFactors int, critical []int, re
 		return nil, err
 	}
 	return &Sensitivity{Factors: critical, ANOVA: anova}, nil
-}
-
-// Classification is the Section 4.2 flow: benchmarks grouped by the
-// similarity of their parameter-rank vectors.
-type Classification struct {
-	Matrix          *cluster.Matrix
-	Groups          [][]string
-	Representatives []string
-}
-
-// Classify builds the distance matrix from a suite's rank rows and
-// groups benchmarks under the given similarity threshold.
-func Classify(suite *pb.Suite, threshold float64) (*Classification, error) {
-	m, err := cluster.DistanceMatrix(suite.Benchmarks, suite.RankRows)
-	if err != nil {
-		return nil, err
-	}
-	groups := cluster.ThresholdGroups(m, threshold)
-	reps := cluster.Representatives(m, groups)
-	c := &Classification{
-		Matrix: m,
-		Groups: cluster.GroupNames(m, groups),
-	}
-	for _, r := range reps {
-		c.Representatives = append(c.Representatives, m.Names[r])
-	}
-	return c, nil
 }
 
 // EnhancementShift is one row of the Section 4.3 before/after

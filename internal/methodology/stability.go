@@ -73,18 +73,6 @@ func Jackknife(suite *pb.Suite) (*StabilityReport, error) {
 	return rep, nil
 }
 
-// TopKStable reports whether the identity of the top k factors is
-// invariant across all leave-one-out orderings: every factor whose
-// full-suite position is within k stays within k + slack.
-func (r *StabilityReport) TopKStable(k, slack int) bool {
-	for _, fs := range r.Factors {
-		if fs.FullPosition <= k && fs.MaxPosition > k+slack {
-			return false
-		}
-	}
-	return true
-}
-
 // ByFullPosition returns the factor stabilities sorted by the
 // full-suite ordering.
 func (r *StabilityReport) ByFullPosition() []FactorStability {

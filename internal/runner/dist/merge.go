@@ -141,13 +141,3 @@ func (c *Campaign) Merge(rec obs.Recorder) (*MergeResult, error) {
 	sort.Slice(res.Quarantined, func(i, j int) bool { return res.Quarantined[i].Path < res.Quarantined[j].Path })
 	return res, nil
 }
-
-// MergeDir is the one-call form: open the campaign at dir and merge
-// its shards.
-func MergeDir(dir string, rec obs.Recorder) (*MergeResult, error) {
-	c, err := Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return c.Merge(rec)
-}

@@ -46,7 +46,7 @@ func TestCheckpointCloseReportsDeferredWriteError(t *testing.T) {
 	if stats.Committed != 0 {
 		t.Errorf("run over a dead shard counted %d commits", stats.Committed)
 	}
-	res, err := dist.MergeDir(dir, nil)
+	res, err := mergeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestCheckpointCloseReportsDeferredWriteError(t *testing.T) {
 	if stats.Committed != n {
 		t.Errorf("restarted run committed %d rows, want %d", stats.Committed, n)
 	}
-	res, err = dist.MergeDir(dir, nil)
+	res, err = mergeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

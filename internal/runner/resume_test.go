@@ -36,6 +36,15 @@ func createCampaign(t *testing.T, rows int) string {
 	return dir
 }
 
+// mergeDir opens the campaign at dir and merges its shards.
+func mergeDir(dir string) (*dist.MergeResult, error) {
+	c, err := dist.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	return c.Merge(nil)
+}
+
 // Resuming from a checkpoint must skip completed rows entirely and
 // reproduce the response vector of an uncheckpointed Evaluate bit for
 // bit.
@@ -121,7 +130,7 @@ func TestCheckpointToleratesTornLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := dist.MergeDir(dir, nil)
+	res, err := mergeDir(dir)
 	if err != nil {
 		t.Fatalf("torn line broke reload: %v", err)
 	}
@@ -140,7 +149,7 @@ func TestCheckpointToleratesTornLine(t *testing.T) {
 	if stats.Committed != 1 {
 		t.Errorf("resumed worker committed %d rows, want only the torn one", stats.Committed)
 	}
-	res, err = dist.MergeDir(dir, nil)
+	res, err = mergeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package bpred models the branch-prediction hardware of Table 6 of
-// the paper: direction predictors (two-level adaptive, bimodal, static
-// taken, and perfect), a set-associative branch target buffer, and a
-// return address stack. The "speculative branch update" parameter
-// (update history in decode vs in commit) is realized by the pipeline,
-// which chooses when to call Update.
+// the paper: the two-level adaptive direction predictor (the
+// simulator models Table 6's other value, Perfect, by predicting
+// nothing), a set-associative branch target buffer, and a return
+// address stack. The "speculative branch update" parameter (update
+// history in decode vs in commit) is realized by the pipeline, which
+// chooses when to call Update.
 package bpred
 
 import "fmt"
@@ -18,18 +19,6 @@ var satNext = [4][2]uint8{
 	{0, 2}, // weakly not-taken
 	{1, 3}, // weakly taken
 	{2, 3}, // strongly taken
-}
-
-// DirectionPredictor predicts conditional-branch directions.
-type DirectionPredictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the branch's actual outcome.
-	// The pipeline calls it at decode time (speculative update) or at
-	// commit time, per the speculative-branch-update parameter.
-	Update(pc uint64, taken bool)
-	// Name identifies the predictor in statistics output.
-	Name() string
 }
 
 // TwoLevel is a two-level adaptive predictor with per-branch (local)
@@ -79,15 +68,17 @@ func (p *TwoLevel) index(pc uint64) uint64 {
 	return (hist ^ (pc >> 2) ^ (pc >> 12)) & p.mask
 }
 
-// Predict implements DirectionPredictor.
+// Predict returns the predicted direction for the branch at pc.
 //
 //pbcheck:hotpath
 func (p *TwoLevel) Predict(pc uint64) bool {
 	return p.pht[p.index(pc)] >= 2
 }
 
-// Update implements DirectionPredictor: it trains the counter and
-// shifts the outcome into the branch's local history.
+// Update trains the predictor with the branch's actual outcome: the
+// counter moves toward it, and it shifts into the branch's local
+// history. The pipeline calls it at decode time (speculative update)
+// or at commit time, per the speculative-branch-update parameter.
 //
 //pbcheck:hotpath
 func (p *TwoLevel) Update(pc uint64, taken bool) {
@@ -97,62 +88,6 @@ func (p *TwoLevel) Update(pc uint64, taken bool) {
 	b := (pc >> 2) & p.bhtMask
 	p.bht[b] = ((p.bht[b] << 1) | bit) & p.histMask
 }
-
-// Name implements DirectionPredictor.
-func (p *TwoLevel) Name() string { return "2-Level" }
-
-// Bimodal is a PC-indexed table of two-bit saturating counters with no
-// history.
-type Bimodal struct {
-	mask uint64
-	pht  []uint8
-}
-
-// NewBimodal builds a bimodal predictor with 1 << tableBits counters.
-func NewBimodal(tableBits uint) (*Bimodal, error) {
-	if tableBits < 1 || tableBits > 24 {
-		return nil, fmt.Errorf("bpred: tableBits %d out of range", tableBits)
-	}
-	p := &Bimodal{mask: (1 << tableBits) - 1, pht: make([]uint8, 1<<tableBits)}
-	for i := range p.pht {
-		p.pht[i] = 2
-	}
-	return p, nil
-}
-
-// Predict implements DirectionPredictor.
-//
-//pbcheck:hotpath
-func (p *Bimodal) Predict(pc uint64) bool {
-	return p.pht[(pc>>2)&p.mask] >= 2
-}
-
-// Update implements DirectionPredictor.
-//
-//pbcheck:hotpath
-func (p *Bimodal) Update(pc uint64, taken bool) {
-	idx := (pc >> 2) & p.mask
-	p.pht[idx] = satNext[p.pht[idx]&3][boolBit(taken)]
-}
-
-// Name implements DirectionPredictor.
-func (p *Bimodal) Name() string { return "Bimodal" }
-
-// Taken always predicts taken (static prediction).
-type Taken struct{}
-
-// Predict implements DirectionPredictor.
-//
-//pbcheck:hotpath
-func (Taken) Predict(uint64) bool { return true }
-
-// Update implements DirectionPredictor (no state).
-//
-//pbcheck:hotpath
-func (Taken) Update(uint64, bool) {}
-
-// Name implements DirectionPredictor.
-func (Taken) Name() string { return "Taken" }
 
 func boolBit(b bool) uint64 {
 	if b {

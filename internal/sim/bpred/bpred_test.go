@@ -23,19 +23,15 @@ func TestTwoLevelLearnsBias(t *testing.T) {
 	if p.Predict(pc) {
 		t.Error("failed to learn an always-not-taken branch")
 	}
-	if p.Name() != "2-Level" {
-		t.Error("name")
-	}
 }
 
 func TestTwoLevelLearnsPattern(t *testing.T) {
-	// A strictly alternating branch defeats a bimodal predictor but a
-	// two-level predictor with history learns it (almost) perfectly.
+	// A strictly alternating branch defeats a counter without history,
+	// but a two-level predictor learns it (almost) perfectly.
 	pattern := func(i int) bool { return i%2 == 0 }
 	twoLevel, _ := NewTwoLevel(8, 12)
-	bimodal, _ := NewBimodal(12)
 	pc := uint64(0x400200)
-	var tlCorrect, bmCorrect, total int
+	var tlCorrect, total int
 	for i := 0; i < 4000; i++ {
 		taken := pattern(i)
 		if i > 1000 { // after warmup
@@ -43,20 +39,11 @@ func TestTwoLevelLearnsPattern(t *testing.T) {
 			if twoLevel.Predict(pc) == taken {
 				tlCorrect++
 			}
-			if bimodal.Predict(pc) == taken {
-				bmCorrect++
-			}
 		}
 		twoLevel.Update(pc, taken)
-		bimodal.Update(pc, taken)
 	}
-	tlAcc := float64(tlCorrect) / float64(total)
-	bmAcc := float64(bmCorrect) / float64(total)
-	if tlAcc < 0.99 {
+	if tlAcc := float64(tlCorrect) / float64(total); tlAcc < 0.99 {
 		t.Errorf("two-level accuracy on alternating branch = %.3f, want ~1", tlAcc)
-	}
-	if bmAcc > 0.7 {
-		t.Errorf("bimodal accuracy on alternating branch = %.3f, expected poor", bmAcc)
 	}
 }
 
@@ -81,46 +68,12 @@ func TestTwoLevelLearnsLongerPeriod(t *testing.T) {
 	}
 }
 
-func TestBimodalLearnsBias(t *testing.T) {
-	p, err := NewBimodal(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := uint64(0x400400)
-	for i := 0; i < 10; i++ {
-		p.Update(pc, false)
-	}
-	if p.Predict(pc) {
-		t.Error("bimodal failed to learn not-taken bias")
-	}
-	if p.Name() != "Bimodal" {
-		t.Error("name")
-	}
-}
-
-func TestTakenPredictor(t *testing.T) {
-	p := Taken{}
-	if !p.Predict(0x1234) {
-		t.Error("Taken must predict taken")
-	}
-	p.Update(0x1234, false) // no-op, must not panic
-	if p.Name() != "Taken" {
-		t.Error("name")
-	}
-}
-
 func TestPredictorConstructionErrors(t *testing.T) {
 	if _, err := NewTwoLevel(4, 0); err == nil {
 		t.Error("tableBits 0 accepted")
 	}
 	if _, err := NewTwoLevel(4, 30); err == nil {
 		t.Error("tableBits 30 accepted")
-	}
-	if _, err := NewBimodal(0); err == nil {
-		t.Error("bimodal tableBits 0 accepted")
-	}
-	if _, err := NewBimodal(25); err == nil {
-		t.Error("bimodal tableBits 25 accepted")
 	}
 	// Oversized history is clamped, not rejected.
 	p, err := NewTwoLevel(40, 12)

@@ -22,7 +22,7 @@ const FullyAssociative = cache.FullyAssociative
 // NewBTB builds a BTB with the given entry count and associativity
 // (clamped to the entry count); the set count must be a power of two.
 func NewBTB(entries, assoc int) (*BTB, error) {
-	tags, err := cache.New(cache.Config{SizeBytes: entries * 4, Assoc: assoc, BlockBytes: 4, Policy: cache.LRU})
+	tags, err := cache.New(cache.Config{SizeBytes: entries * 4, Assoc: assoc, BlockBytes: 4})
 	if err != nil {
 		return nil, fmt.Errorf("bpred: BTB of %d entries, associativity %d: %w", entries, assoc, err)
 	}
@@ -97,9 +97,6 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	r.count--
 	return r.stack[r.top], true
 }
-
-// Depth returns the current number of valid entries.
-func (r *RAS) Depth() int { return r.count }
 
 // Capacity returns the configured entry count.
 func (r *RAS) Capacity() int { return len(r.stack) }

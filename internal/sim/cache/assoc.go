@@ -5,9 +5,9 @@ package cache
 // valid ways, so that a probe and a fill cost O(1) instead of a scan
 // of every way. It is derived from the line array, which stays the
 // state: a fill still takes the lowest invalid way, else the smallest
-// stamp (or the Random draw), so the lines come out way by way as the
-// scan left them. Writers that change lines wholesale (Flush, the
-// prewarm laps) call rebuild afterwards.
+// stamp, so the lines come out way by way as the scan left them.
+// Writers that change lines wholesale (Flush, the prewarm laps) call
+// rebuild afterwards.
 type assocIndex struct {
 	// slots is an open-addressing (linear probing) table of way+1 by
 	// tag, 0 marking an empty slot; its length is a power of two, at
@@ -15,7 +15,7 @@ type assocIndex struct {
 	slots []int32
 	shift uint
 	// prev and next link the valid ways in ascending stamp order, the
-	// least recent (the LRU or FIFO victim) at head; -1 ends the list.
+	// least recent (the LRU victim) at head; -1 ends the list.
 	prev, next []int32
 	head, tail int32
 	// free holds the invalid ways, highest first, so a fill pops the

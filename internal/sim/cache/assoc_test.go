@@ -19,21 +19,19 @@ func scanAccess(c *Cache, addr uint64) bool {
 	return hit
 }
 
-// scanProbe is the scan behind scanAccess: a hit marks its line used
-// under LRU, a miss fills the set's lowest invalid way, else its
-// smallest stamp (or the Random draw). It returns the line's index.
+// scanProbe is the scan behind scanAccess: a hit marks its line used,
+// a miss fills the set's lowest invalid way, else its smallest stamp.
+// It returns the line's index.
 func scanProbe(c *Cache, block uint64) (int, bool) {
 	base := int(block&c.setMask) * c.ways
 	set := c.lines[base : base+c.ways]
 	for w := range set {
 		if ln := &set[w]; ln.meta != 0 && ln.tag == block {
-			if c.policy == LRU {
-				ln.meta = c.clock
-			}
+			ln.meta = c.clock
 			return base + w, true
 		}
 	}
-	return base + c.fill(set, block, c.clock), false
+	return base + fill(set, block, c.clock), false
 }
 
 // scanFind returns the way of a single-set cache holding addr's
@@ -52,20 +50,20 @@ func scanFind(c *Cache, addr uint64) int {
 func scanLookup(c *Cache, addr uint64) int {
 	c.clock++
 	w := scanFind(c, addr)
-	if w >= 0 && c.policy == LRU {
+	if w >= 0 {
 		c.lines[w].meta = c.clock
 	}
 	return w
 }
 
 // checkAssocOps runs one operation per two bytes of ops on a
-// single-set cache of the given ways and policy and on its scan
+// single-set cache of the given ways and on its scan
 // reference, the first byte picking the operation and the second the
 // address; it fails at the first result, line or field that differs,
 // or at an index that disagrees with a rebuild from the lines.
-func checkAssocOps(t *testing.T, ways int, policy Replacement, ops []byte) {
+func checkAssocOps(t *testing.T, ways int, ops []byte) {
 	t.Helper()
-	cfg := Config{SizeBytes: ways * 16, Assoc: FullyAssociative, BlockBytes: 16, Policy: policy}
+	cfg := Config{SizeBytes: ways * 16, Assoc: FullyAssociative, BlockBytes: 16}
 	got, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -143,25 +141,23 @@ func checkAssocOps(t *testing.T, ways int, policy Replacement, ops []byte) {
 }
 
 // TestFullyAssociativeMatchesScan: GIVEN single-set caches of 1 to 512
-// ways under LRU, FIFO and Random, WHEN random streams of accesses,
-// lookups, inserts, runs and probes run through them, interleaved with laps,
-// in-place laps and flushes, THEN every result and every line, stamp,
-// counter and random draw matches the scan of every way, and the index
-// always agrees with a rebuild from the lines.
+// ways, WHEN random streams of accesses, lookups, inserts, runs and
+// probes run through them, interleaved with laps, in-place laps and
+// flushes, THEN every result and every line, stamp and counter matches
+// the scan of every way, and the index always agrees with a rebuild
+// from the lines.
 func TestFullyAssociativeMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, ways := range []int{1, 2, 3, 8, 9, 64, 256, 512} {
-		for _, policy := range []Replacement{LRU, FIFO, Random} {
-			ops := make([]byte, 3000)
-			rng.Read(ops)
-			// Mostly accesses: a flush or lap about one op in ten.
-			checkAssocOps(t, ways, policy, ops)
-		}
+		ops := make([]byte, 3000)
+		rng.Read(ops)
+		// Mostly accesses: a flush or lap about one op in ten.
+		checkAssocOps(t, ways, ops)
 	}
 }
 
 // FuzzFullyAssociative drives checkAssocOps with arbitrary operation
-// streams: the first byte picks the ways and policy.
+// streams: the first byte picks the ways.
 func FuzzFullyAssociative(f *testing.F) {
 	f.Add([]byte{0x11, 9, 1, 8, 2, 7, 3, 6, 4, 5, 5, 4, 6, 3, 7, 2, 0, 1})
 	f.Add([]byte{0x42, 1, 3, 8, 9, 8, 10, 8, 11, 4, 2, 6, 9})
@@ -170,7 +166,6 @@ func FuzzFullyAssociative(f *testing.F) {
 			return
 		}
 		ways := []int{1, 2, 3, 4, 7, 16, 33, 256}[data[0]%8]
-		policy := Replacement(data[0] / 8 % 3)
-		checkAssocOps(t, ways, policy, data[1:])
+		checkAssocOps(t, ways, data[1:])
 	})
 }

@@ -1,6 +1,6 @@
 // Package cache models the parameterized memory-hierarchy structures
-// of Table 8 of the paper: set-associative caches with configurable
-// size, associativity, block size and replacement policy, translation
+// of Table 8 of the paper: set-associative LRU caches with
+// configurable size, associativity and block size, translation
 // lookaside buffers, and a DRAM channel with a first-block latency and
 // a bandwidth-limited transfer time for the remaining chunks of a
 // block.
@@ -11,31 +11,8 @@ import (
 	"math/bits"
 )
 
-// Replacement selects the victim-choice policy of a set.
-type Replacement int
-
-// Supported replacement policies. The paper uses LRU throughout; FIFO
-// and Random are provided for ablation studies.
-const (
-	LRU Replacement = iota
-	FIFO
-	Random
-)
-
-func (r Replacement) String() string {
-	switch r {
-	case LRU:
-		return "LRU"
-	case FIFO:
-		return "FIFO"
-	case Random:
-		return "Random"
-	default:
-		return fmt.Sprintf("Replacement(%d)", int(r))
-	}
-}
-
-// Config describes one cache level.
+// Config describes one cache level. Every level replaces its least
+// recently used line, as the paper's SimpleScalar caches do.
 type Config struct {
 	// SizeBytes is the total capacity.
 	SizeBytes int
@@ -44,8 +21,6 @@ type Config struct {
 	Assoc int
 	// BlockBytes is the line size (power of two).
 	BlockBytes int
-	// Policy is the replacement policy.
-	Policy Replacement
 }
 
 // FullyAssociative requests associativity equal to the number of
@@ -66,9 +41,8 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// line is one way of a set: the block tag plus its replacement stamp.
-// meta is the LRU stamp or FIFO arrival time; 0 marks an invalid line
-// (the clock is pre-incremented on every access, so a filled line
+// line is one way of a set: the block tag plus its LRU stamp. meta is
+// the clock at the line's last use; 0 marks an invalid line (the clock is pre-incremented on every access, so a filled line
 // always carries a stamp >= 1). Keeping tag and stamp in one 16-byte
 // struct lets a set probe walk a single contiguous array instead of
 // three parallel slices — one cache line of host memory covers a
@@ -90,8 +64,6 @@ type Cache struct {
 	setMask   uint64
 	lines     []line // sets*ways entries, set-major
 	clock     uint64
-	policy    Replacement
-	rng       uint64 // xorshift state for Random policy
 	stats     Stats
 	fa        assocIndex // used when sets == 1
 }
@@ -152,8 +124,6 @@ func newCache(cfg Config, spare spareArrays) (*Cache, error) {
 		blockBits: blockBits,
 		setMask:   uint64(sets - 1),
 		lines:     lines,
-		policy:    cfg.Policy,
-		rng:       0x9e3779b97f4a7c15,
 	}
 	if sets == 1 {
 		c.fa = newAssocIndex(assoc, spare.index)
@@ -199,8 +169,8 @@ func (c *Cache) Access(addr uint64) bool {
 }
 
 // AccessRun is n >= 1 Access calls for addr in a row: the first may
-// miss, and the rest hit the line it left, which under LRU ends
-// stamped as the last. It reports whether the first hit.
+// miss, and the rest hit the line it left, which ends stamped as the
+// last. It reports whether the first hit.
 //
 //pbcheck:hotpath
 func (c *Cache) AccessRun(addr, n uint64) bool {
@@ -211,9 +181,7 @@ func (c *Cache) AccessRun(addr, n uint64) bool {
 	}
 	if n > 1 {
 		c.clock += n - 1
-		if c.policy == LRU {
-			c.touch(i, c.clock)
-		}
+		c.touch(i, c.clock)
 	}
 	return hit
 }
@@ -238,14 +206,14 @@ func (c *Cache) Lookup(addr uint64) int {
 	c.clock++
 	block := addr >> c.blockBits
 	i := c.find(block)
-	if i >= 0 && c.policy == LRU {
+	if i >= 0 {
 		c.touch(i, c.clock)
 	}
 	return i
 }
 
 // access advances the clock and probes for addr's block: a hit marks
-// its line used (LRU), a miss fills a way. It returns the line's index
+// its line used, a miss fills a way. It returns the line's index
 // and whether the probe hit.
 //
 //pbcheck:hotpath
@@ -254,9 +222,7 @@ func (c *Cache) access(addr uint64) (int, bool) {
 	block := addr >> c.blockBits
 	if c.sets == 1 {
 		if w := c.fa.find(c.lines, block); w >= 0 {
-			if c.policy == LRU {
-				c.touch(w, c.clock)
-			}
+			c.touch(w, c.clock)
 			return w, true
 		}
 		return c.fillAssoc(block, c.clock), false
@@ -265,13 +231,11 @@ func (c *Cache) access(addr uint64) (int, bool) {
 	set := c.lines[base : base+c.ways]
 	for w := range set {
 		if ln := &set[w]; ln.meta != 0 && ln.tag == block {
-			if c.policy == LRU {
-				ln.meta = c.clock
-			}
+			ln.meta = c.clock
 			return base + w, true
 		}
 	}
-	return base + c.fill(set, block, c.clock), false
+	return base + fill(set, block, c.clock), false
 }
 
 // find returns the index of the line holding block, or -1.
@@ -310,9 +274,8 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // fillAssoc is fill for a single-set cache, by its index: the lowest
-// invalid way, else the list's head (the smallest stamp) under LRU and
-// FIFO or the Random draw, exactly the way fill's scan selects. It
-// returns the way.
+// invalid way, else the list's head (the smallest stamp), exactly the
+// way fill's scan selects. It returns the way.
 //
 //pbcheck:hotpath
 func (c *Cache) fillAssoc(block, stamp uint64) int {
@@ -322,11 +285,7 @@ func (c *Cache) fillAssoc(block, stamp uint64) int {
 		w = int(x.free[n-1])
 		x.free = x.free[:n-1]
 	} else {
-		if c.policy == Random {
-			w = c.randomWay()
-		} else {
-			w = int(x.head)
-		}
+		w = int(x.head)
 		x.evict(c.lines, w)
 	}
 	c.lines[w] = line{tag: block, meta: stamp}
@@ -334,36 +293,20 @@ func (c *Cache) fillAssoc(block, stamp uint64) int {
 	return w
 }
 
-// fill victimizes a way of the set and installs the block with the
-// given stamp, returning the way. Invalid lines carry stamp 0, so the
-// smallest-stamp scan of the LRU/FIFO policies selects the first
-// invalid way exactly as an explicit invalid-first pass would.
+// fill evicts the least recently used way of the set and writes the
+// block there with the given stamp, returning the way. Invalid lines
+// carry stamp 0, so the smallest-stamp scan selects the first invalid
+// way exactly as an explicit invalid-first pass would.
 //
 //pbcheck:hotpath
-func (c *Cache) fill(set []line, block, stamp uint64) int {
-	victim := 0
-	switch c.policy {
-	case Random:
-		// Invalid ways first, then xorshift-random.
-		found := false
-		for w := range set {
-			if set[w].meta == 0 {
-				victim, found = w, true
-				break
-			}
-		}
-		if !found {
-			victim = c.randomWay()
-		}
-	default: // LRU and FIFO both evict the smallest stamp
-		oldest := set[0].meta
-		for w := 1; w < len(set); w++ {
-			if set[w].meta < oldest {
-				victim, oldest = w, set[w].meta
-			}
+func fill(set []line, block, stamp uint64) int {
+	victim, oldest := 0, set[0].meta
+	for w := 1; w < len(set); w++ {
+		if set[w].meta < oldest {
+			victim, oldest = w, set[w].meta
 		}
 	}
-	set[victim] = line{tag: block, meta: stamp} // LRU: last use; FIFO: arrival time
+	set[victim] = line{tag: block, meta: stamp}
 	return victim
 }
 
@@ -374,29 +317,29 @@ func (c *Cache) fill(set []line, block, stamp uint64) int {
 // a block. The access counters are kept; the clock advances by one per
 // probe. A block's probes form a run: the first misses (unless the
 // block was resident) and the rest hit the line it touched, so the
-// line ends up stamped as the run's last probe under LRU and its first
-// under FIFO.
+// line ends up stamped as the run's last probe.
 //
 // With blocks no smaller than the stride, the lap touches every block
 // from start's to end-1's, in ascending order, so block b0+j is fill
 // j>>log2(sets) of its set, and every fill carries a stamp above any
-// the set held before. LRU and FIFO evict the smallest stamp, lowest
-// way first, so a set that starts empty takes fill m in way m%ways and
-// keeps only its last ways fills: those are written directly. A set
-// that holds lines is walked fill by fill (lapFill) until it has taken
-// ways fills. If none of them hit, they evicted every line the set
-// held; fill m then lands where fill m-ways did, so each way takes
-// the last fill congruent to the one it holds. A set where a lap block
-// was already resident is walked to the end. Random replacement, and
-// blocks smaller than the stride, have no such form: they take one
-// real access per block plus its run's repeat hits (walkRuns).
+// the set held before. LRU evicts the smallest stamp, lowest way
+// first, so a set that starts empty takes fill m in way m%ways and
+// keeps only its last ways fills: those are written directly, for the
+// whole cache at once when it was never touched (lapEmpty) and set by
+// set otherwise (lapSets). A set that holds lines is walked fill by
+// fill (lapFill) until it has taken ways fills. If none of them hit,
+// they evicted every line the set held; fill m then lands where fill
+// m-ways did, so each way takes the last fill congruent to the one it
+// holds. A set where a lap block was already resident is walked to the
+// end. Blocks smaller than the stride take one real access per probe
+// (walkRuns).
 //
 //pbcheck:hotpath
 func (c *Cache) lapInPlace(start, end uint64, sh uint) {
 	q := start >> sh
 	n := ceilShift(end, sh) - q
-	if c.policy == Random || c.blockBits < sh {
-		c.walkRuns(start, end, sh, q, n)
+	if c.blockBits < sh {
+		c.walkRuns(start, sh, q, n)
 		return
 	}
 	b0 := start >> c.blockBits
@@ -407,16 +350,48 @@ func (c *Cache) lapInPlace(start, end uint64, sh uint) {
 		n:     n,
 		d:     c.blockBits - sh,
 		clock: c.clock,
-		lru:   c.policy == LRU,
 	}
 	setBits := uint(bits.Len64(c.setMask))
+	if c.clock == 0 {
+		c.lapEmpty(l, setBits)
+	} else {
+		c.lapSets(l, setBits)
+	}
+	c.clock += n
+	if c.sets == 1 {
+		c.fa.rebuild(c.lines)
+	}
+}
+
+// lapEmpty is lapInPlace's closed form on a cache that was never
+// touched. Every set is empty, so only the last ways fills of each
+// survive: those are the lap's last sets*ways blocks, and block j,
+// fill j>>setBits of its set, lands in way (j>>setBits)%ways. They are
+// written a row of sets at a time.
+//
+//pbcheck:hotpath
+func (c *Cache) lapEmpty(l lapRuns, setBits uint) {
 	ways := uint64(c.ways)
-	fresh := c.clock == 0 // never touched: every set is empty
+	for j := l.nb - min(l.nb, uint64(c.sets)*ways); j < l.nb; {
+		m := j >> setBits
+		w := int(m % ways)
+		for last := min(l.nb, (m+1)<<setBits); j < last; j++ {
+			c.lines[int((l.b0+j)&c.setMask)*c.ways+w] = line{tag: l.b0 + j, meta: l.stamp(j)}
+		}
+	}
+}
+
+// lapSets is lapInPlace's set-by-set form on a cache that may hold
+// lines.
+//
+//pbcheck:hotpath
+func (c *Cache) lapSets(l lapRuns, setBits uint) {
+	ways := uint64(c.ways)
 	for r := uint64(0); r < min(l.nb, uint64(c.sets)); r++ {
 		base := int((l.b0+r)&c.setMask) * c.ways
 		set := c.lines[base : base+c.ways]
 		fills := (l.nb-r-1)>>setBits + 1
-		if fresh || emptySet(set) {
+		if emptySet(set) {
 			for m := fills - min(fills, ways); m < fills; m++ {
 				j := r + m<<setBits
 				set[m%ways] = line{tag: l.b0 + j, meta: l.stamp(j)}
@@ -437,10 +412,6 @@ func (c *Cache) lapInPlace(start, end uint64, sh uint) {
 			set[w] = line{tag: l.b0 + j, meta: l.stamp(j)}
 		}
 	}
-	c.clock += n
-	if c.sets == 1 {
-		c.fa.rebuild(c.lines)
-	}
 }
 
 // lapRuns locates the runs of an in-place lap (see lapInPlace) over a
@@ -451,24 +422,17 @@ func (c *Cache) lapInPlace(start, end uint64, sh uint) {
 type lapRuns struct {
 	b0, nb, q, n, clock uint64
 	d                   uint
-	lru                 bool
 }
 
 // stamp returns the stamp the lap leaves on block b0+j's line: its
-// run's last probe under LRU, its first under FIFO.
+// run's last probe.
 //
 //pbcheck:hotpath
 func (l lapRuns) stamp(j uint64) uint64 {
-	if l.lru {
-		if j == l.nb-1 {
-			return l.clock + l.n
-		}
-		return l.clock + (l.b0+j+1)<<l.d - l.q
+	if j == l.nb-1 {
+		return l.clock + l.n
 	}
-	if j == 0 {
-		return l.clock + 1
-	}
-	return l.clock + (l.b0+j)<<l.d - l.q + 1
+	return l.clock + (l.b0+j+1)<<l.d - l.q
 }
 
 // emptySet reports whether every way of the set is invalid.
@@ -483,45 +447,34 @@ func emptySet(set []line) bool {
 	return true
 }
 
-// lapFill is one block's run of an in-place lap on its set under LRU
-// or FIFO: a resident line hits (and, under LRU, takes the stamp);
-// otherwise the block fills the smallest-stamp way. It reports whether
-// the block was resident.
+// lapFill is one block's run of an in-place lap on its set: a resident
+// line hits and takes the stamp; otherwise the block fills the
+// smallest-stamp way. It reports whether the block was resident.
 //
 //pbcheck:hotpath
 func (c *Cache) lapFill(set []line, block, stamp uint64) bool {
 	if i := c.find(block); i >= 0 {
-		if c.policy == LRU {
-			c.touch(i, stamp)
-		}
+		c.touch(i, stamp)
 		return true
 	}
 	if c.sets == 1 {
 		c.fillAssoc(block, stamp)
 	} else {
-		c.fill(set, block, stamp)
+		fill(set, block, stamp)
 	}
 	return false
 }
 
-// walkRuns is lapInPlace by one real access per block of the lap (its
-// n probes from q on). Only Random replacement reaches it with runs
-// longer than one probe (blocks smaller than the stride take one probe
-// each), and a Random hit changes nothing but the clock, so the run's
-// repeat hits only advance it.
+// walkRuns is lapInPlace by one real access per probe (its n probes
+// from q on), for blocks smaller than the stride: no two probes share
+// a block there, so every run is one probe long.
 //
 //pbcheck:hotpath
-func (c *Cache) walkRuns(start, end uint64, sh uint, q, n uint64) {
+func (c *Cache) walkRuns(start uint64, sh uint, q, n uint64) {
 	stats := c.stats
-	for addr, i := start, uint64(0); i < n; addr = (q + i) << sh {
-		lim := end
-		if next := (addr>>c.blockBits + 1) << c.blockBits; next > addr && next < lim {
-			lim = next
-		}
-		run := ceilShift(lim, sh) - q - i // probes of the lap inside addr's block
-		c.Access(addr)
-		c.clock += run - 1
-		i += run
+	c.Access(start)
+	for i := uint64(1); i < n; i++ {
+		c.Access((q + i) << sh)
 	}
 	c.stats = stats
 }
@@ -531,79 +484,29 @@ func (c *Cache) walkRuns(start, end uint64, sh uint, q, n uint64) {
 // was touched since it was built or flushed is emptied first (the
 // access counters are kept). The lap probes start and then every
 // multiple of its stride, 1<<lapShift(unit) bytes, below end, and a
-// probe of address a touches block a>>unit (unit is the line size's
-// log2 for a cache, the page size's for a TLB, whose blocks are page
-// numbers).
-//
-// The blocks are distinct and ascending: b0 = start>>unit, then
-// b_i = (q+i)*s for i >= 1, with q = start/stride and s = stride>>unit,
-// so every probe misses and fills. Probes 1.. revisit a set every
-// period = max(1, sets/s) probes, so b_i is the rank-th fill of its
-// set with rank = (i-1)/period, plus one when b0 shares the set. The
-// k-th fill of a set lands in way k under every policy while the set
-// has an invalid way; after that LRU and FIFO evict the oldest fill,
-// which is way k%ways again, and Random draws its victim from the
-// xorshift stream. Probe i installs stamp clock+i+1, and the clock
-// advances by one per probe. Under LRU and FIFO only the last ways
-// fills of each set survive: b0 and the probes from n-period*ways on.
-// Writing those in probe order reproduces every surviving line, since
-// a later write to the same (set, way) is exactly the fill that
-// evicted the earlier one. Random has no closed form for its victims,
-// so it places every probe in order, without the per-probe set scan.
+// probe of address a touches block a>>unit (unit, never below the
+// block size's log2, is the line size's log2 for a cache, the page
+// size's for a TLB, whose blocks are page numbers). It is lapInPlace
+// on the emptied cache over addresses shifted right by u = unit -
+// log2(block size): the shifted probe a>>u touches the same block, and
+// since 1<<u divides the stride, the shifted probes are exactly those
+// of the lap over [start>>u, ⌈end/2^u⌉) at the stride shifted by u.
 //
 //pbcheck:hotpath
 func (c *Cache) lap(start, end uint64, unit uint) {
+	c.empty()
+	u := unit - c.blockBits
+	c.lapInPlace(start>>u, ceilShift(end, u), lapShift(unit)-u)
+}
+
+// empty invalidates every line of a cache touched since it was built
+// or flushed, keeping the access counters.
+func (c *Cache) empty() {
 	if c.clock != 0 {
-		clear(c.lines)
-		c.clock = 0
+		stats := c.stats
+		c.Flush()
+		c.stats = stats
 	}
-	sh := lapShift(unit)
-	q := start >> sh
-	n := ceilShift(end, sh) - q
-	sBits := sh - unit                          // log2 s
-	setBits := uint(bits.Len64(c.setMask))      // log2 sets
-	periodBits := setBits - min(setBits, sBits) // log2 period
-	first := uint64(1)
-	if span := uint64(c.ways) << periodBits; c.policy != Random && n > span {
-		first = n - span
-	}
-	b0 := start >> unit
-	c.install(b0, 0, 0)
-	for i := first; i < n; i++ {
-		b := (q + i) << sBits
-		rank := (i - 1) >> periodBits
-		if (b^b0)&c.setMask == 0 {
-			rank++
-		}
-		c.install(b, rank, i)
-	}
-	c.clock += n
-	if c.sets == 1 {
-		c.fa.rebuild(c.lines)
-	}
-}
-
-// install places block as the rank-th fill of its set during a lap
-// (see lap), stamped as probe i of the lap.
-//
-//pbcheck:hotpath
-func (c *Cache) install(block, rank, i uint64) {
-	way := int(rank % uint64(c.ways))
-	if rank >= uint64(c.ways) && c.policy == Random {
-		way = c.randomWay()
-	}
-	c.lines[int(block&c.setMask)*c.ways+way] = line{tag: block, meta: c.clock + i + 1}
-}
-
-// randomWay advances the Random policy's xorshift stream and returns
-// the victim way it selects.
-//
-//pbcheck:hotpath
-func (c *Cache) randomWay() int {
-	c.rng ^= c.rng << 13
-	c.rng ^= c.rng >> 7
-	c.rng ^= c.rng << 17
-	return int(c.rng % uint64(c.ways))
 }
 
 // Flush invalidates every line and clears statistics.

@@ -15,17 +15,17 @@ func mustCache(t *testing.T, cfg Config) *Cache {
 }
 
 func TestGeometry(t *testing.T) {
-	c := mustCache(t, Config{SizeBytes: 4096, Assoc: 2, BlockBytes: 16, Policy: LRU})
+	c := mustCache(t, Config{SizeBytes: 4096, Assoc: 2, BlockBytes: 16})
 	if c.Sets() != 128 || c.Ways() != 2 || c.BlockBytes() != 16 {
 		t.Errorf("geometry: %d sets, %d ways, %d block", c.Sets(), c.Ways(), c.BlockBytes())
 	}
-	full := mustCache(t, Config{SizeBytes: 1024, Assoc: FullyAssociative, BlockBytes: 64, Policy: LRU})
+	full := mustCache(t, Config{SizeBytes: 1024, Assoc: FullyAssociative, BlockBytes: 64})
 	if full.Sets() != 1 || full.Ways() != 16 {
 		t.Errorf("fully associative: %d sets, %d ways", full.Sets(), full.Ways())
 	}
 	// Associativity larger than block count degrades to fully
 	// associative rather than failing.
-	over := mustCache(t, Config{SizeBytes: 128, Assoc: 8, BlockBytes: 64, Policy: LRU})
+	over := mustCache(t, Config{SizeBytes: 128, Assoc: 8, BlockBytes: 64})
 	if over.Ways() != 2 {
 		t.Errorf("oversized assoc: %d ways", over.Ways())
 	}
@@ -50,7 +50,7 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := mustCache(t, Config{SizeBytes: 1024, Assoc: 2, BlockBytes: 64, Policy: LRU})
+	c := mustCache(t, Config{SizeBytes: 1024, Assoc: 2, BlockBytes: 64})
 	if c.Access(0x1000) {
 		t.Error("cold access hit")
 	}
@@ -79,7 +79,7 @@ func TestLRUEviction(t *testing.T) {
 	// 2-way set: fill both ways, touch the first, insert a third
 	// conflicting block; the second (least recently used) must be the
 	// victim.
-	c := mustCache(t, Config{SizeBytes: 128, Assoc: 2, BlockBytes: 64, Policy: LRU})
+	c := mustCache(t, Config{SizeBytes: 128, Assoc: 2, BlockBytes: 64})
 	// One set only (128/64/2 = 1 set).
 	a, b, d := uint64(0), uint64(64*1), uint64(64*2)
 	c.Access(a)
@@ -97,44 +97,10 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestFIFOEviction(t *testing.T) {
-	c := mustCache(t, Config{SizeBytes: 128, Assoc: 2, BlockBytes: 64, Policy: FIFO})
-	a, b, d := uint64(0), uint64(64), uint64(128)
-	c.Access(a)
-	c.Access(b)
-	c.Access(a) // re-touch must NOT refresh FIFO order
-	c.Access(d) // evicts a (first in)
-	if c.Contains(a) {
-		t.Error("FIFO should evict the oldest arrival even if recently used")
-	}
-	if !c.Contains(b) || !c.Contains(d) {
-		t.Error("b/d missing")
-	}
-}
-
-func TestRandomPolicyStaysWithinSet(t *testing.T) {
-	c := mustCache(t, Config{SizeBytes: 256, Assoc: 2, BlockBytes: 64, Policy: Random})
-	for i := 0; i < 1000; i++ {
-		c.Access(uint64(i*64) << 1)
-	}
-	// After heavy traffic the cache still functions: a freshly
-	// accessed block is present.
-	c.Access(0xdead000)
-	if !c.Contains(0xdead000) {
-		t.Error("random policy lost the just-inserted block")
-	}
-	if Random.String() != "Random" || LRU.String() != "LRU" || FIFO.String() != "FIFO" {
-		t.Error("policy names")
-	}
-	if Replacement(9).String() == "" {
-		t.Error("unknown policy name empty")
-	}
-}
-
 func TestWorkingSetFitsPerfectly(t *testing.T) {
 	// A working set equal to the cache size, walked repeatedly, must
 	// only cold-miss with LRU and a direct-mapped-friendly layout.
-	c := mustCache(t, Config{SizeBytes: 4096, Assoc: 1, BlockBytes: 64, Policy: LRU})
+	c := mustCache(t, Config{SizeBytes: 4096, Assoc: 1, BlockBytes: 64})
 	blocks := 4096 / 64
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < blocks; i++ {
@@ -150,7 +116,7 @@ func TestWorkingSetFitsPerfectly(t *testing.T) {
 func TestThrashingWorkingSet(t *testing.T) {
 	// A working set of 2x the cache size walked cyclically with LRU
 	// misses every time (the classic LRU worst case).
-	c := mustCache(t, Config{SizeBytes: 1024, Assoc: FullyAssociative, BlockBytes: 64, Policy: LRU})
+	c := mustCache(t, Config{SizeBytes: 1024, Assoc: FullyAssociative, BlockBytes: 64})
 	blocks := 2 * 1024 / 64
 	for pass := 0; pass < 4; pass++ {
 		for i := 0; i < blocks; i++ {
@@ -164,7 +130,7 @@ func TestThrashingWorkingSet(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	c := mustCache(t, Config{SizeBytes: 512, Assoc: 2, BlockBytes: 64, Policy: LRU})
+	c := mustCache(t, Config{SizeBytes: 512, Assoc: 2, BlockBytes: 64})
 	c.Access(0x40)
 	c.Flush()
 	if c.Contains(0x40) {
@@ -237,7 +203,7 @@ func TestTLBReachCapacity(t *testing.T) {
 
 func TestPropCacheContainsAfterAccess(t *testing.T) {
 	f := func(addrs []uint64) bool {
-		c, err := New(Config{SizeBytes: 2048, Assoc: 4, BlockBytes: 32, Policy: LRU})
+		c, err := New(Config{SizeBytes: 2048, Assoc: 4, BlockBytes: 32})
 		if err != nil {
 			return false
 		}
@@ -263,8 +229,8 @@ func TestPropBiggerCacheNeverMissesMore(t *testing.T) {
 	// Fully-associative LRU caches have the stack property: a larger
 	// cache's misses are a subset of a smaller one's on any trace.
 	f := func(seed uint64) bool {
-		small, _ := New(Config{SizeBytes: 1024, Assoc: FullyAssociative, BlockBytes: 64, Policy: LRU})
-		big, _ := New(Config{SizeBytes: 4096, Assoc: FullyAssociative, BlockBytes: 64, Policy: LRU})
+		small, _ := New(Config{SizeBytes: 1024, Assoc: FullyAssociative, BlockBytes: 64})
+		big, _ := New(Config{SizeBytes: 4096, Assoc: FullyAssociative, BlockBytes: 64})
 		s := seed
 		for i := 0; i < 3000; i++ {
 			s = s*6364136223846793005 + 1442695040888963407

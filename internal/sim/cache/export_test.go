@@ -1,5 +1,11 @@
 package cache
 
+// NewTLB builds a TLB with the given number of entries, associativity
+// (FullyAssociative allowed) and page size in bytes (power of two).
+func NewTLB(entries, assoc int, pageBytes uint64) (*TLB, error) {
+	return newTLB(entries, assoc, pageBytes, spareArrays{})
+}
+
 // walkPrewarm is the per-block prewarm walk that Hierarchy.prewarm
 // writes in closed form, kept as the oracle the lap form is checked
 // against: it probes the L1 (and, on a miss, the L2) once per L1 block
@@ -11,8 +17,8 @@ func walkPrewarm(h *Hierarchy, l1 *Cache, tlb *TLB, start, size uint64) {
 	l1s, l2s, tlbs := l1.stats, h.L2.stats, tlb.cache.stats
 	end := start + size
 	if start < end {
-		emptyIfTouched(l1)
-		emptyIfTouched(tlb.cache)
+		l1.empty()
+		tlb.cache.empty()
 	}
 	step := max(uint64(l1.BlockBytes()), 16)
 	for addr := start; addr < end; {
@@ -38,14 +44,6 @@ func walkPrewarm(h *Hierarchy, l1 *Cache, tlb *TLB, start, size uint64) {
 	l1.stats, h.L2.stats, tlb.cache.stats = l1s, l2s, tlbs
 }
 
-func emptyIfTouched(c *Cache) {
-	if c.clock != 0 {
-		stats := c.stats
-		c.Flush()
-		c.stats = stats
-	}
-}
-
 // WalkPrewarmData is PrewarmData by the per-block walk.
 func (h *Hierarchy) WalkPrewarmData(start, size uint64) {
 	walkPrewarm(h, h.L1D, h.DTLB, start, size)
@@ -62,7 +60,7 @@ func bareWalk(c *Cache, start, end uint64, bits uint) {
 	if start >= end {
 		return
 	}
-	emptyIfTouched(c)
+	c.empty()
 	stats := c.stats
 	step := max(uint64(1)<<bits, 16)
 	for addr := start; addr < end; {

@@ -4,9 +4,9 @@ import "testing"
 
 func testHierCfg() HierarchyConfig {
 	return HierarchyConfig{
-		L1I:               Config{SizeBytes: 4096, Assoc: 1, BlockBytes: 16, Policy: LRU},
-		L1D:               Config{SizeBytes: 4096, Assoc: 1, BlockBytes: 16, Policy: LRU},
-		L2:                Config{SizeBytes: 256 << 10, Assoc: 1, BlockBytes: 64, Policy: LRU},
+		L1I:               Config{SizeBytes: 4096, Assoc: 1, BlockBytes: 16},
+		L1D:               Config{SizeBytes: 4096, Assoc: 1, BlockBytes: 16},
+		L2:                Config{SizeBytes: 256 << 10, Assoc: 1, BlockBytes: 64},
 		L1ILatency:        1,
 		L1DLatency:        1,
 		L2Latency:         10,

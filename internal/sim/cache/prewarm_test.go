@@ -34,7 +34,7 @@ func lapRanges(bits uint, sets, capacity uint64) [][2]uint64 {
 }
 
 // TestLapMatchesWalkBareCaches checks Cache.lap against probing every
-// stride on bare caches: every policy, geometries from direct-mapped
+// stride on bare caches: geometries from direct-mapped
 // to fully associative (including a non-power-of-two way count), units
 // below, at and above the 16-byte stride floor, TLB-style caches whose
 // blocks are page numbers, and both an empty cache and one already
@@ -58,28 +58,26 @@ func TestLapMatchesWalkBareCaches(t *testing.T) {
 		{8, 1, 1, 0},  // 1 B units: s = 16 >= sets
 	}
 	for _, g := range geoms {
-		for _, pol := range []Replacement{LRU, FIFO, Random} {
-			cfg := Config{SizeBytes: g.size, Assoc: g.assoc, BlockBytes: g.block, Policy: pol}
-			probe, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range lapRanges(g.bits, uint64(probe.sets), uint64(probe.sets*probe.ways)) {
-				for _, touched := range []bool{false, true} {
-					name := fmt.Sprintf("%+v/bits=%d/[%#x,%#x)/touched=%v", cfg, g.bits, r[0], r[1], touched)
-					lap, walk := mustCache(t, cfg), mustCache(t, cfg)
-					if touched {
-						for _, c := range []*Cache{lap, walk} {
-							for a := uint64(0); a < 40; a++ {
-								c.Access(a * 0x9e3779b97f4a7c15)
-							}
+		cfg := Config{SizeBytes: g.size, Assoc: g.assoc, BlockBytes: g.block}
+		probe, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range lapRanges(g.bits, uint64(probe.sets), uint64(probe.sets*probe.ways)) {
+			for _, touched := range []bool{false, true} {
+				name := fmt.Sprintf("%+v/bits=%d/[%#x,%#x)/touched=%v", cfg, g.bits, r[0], r[1], touched)
+				lap, walk := mustCache(t, cfg), mustCache(t, cfg)
+				if touched {
+					for _, c := range []*Cache{lap, walk} {
+						for a := uint64(0); a < 40; a++ {
+							c.Access(a * 0x9e3779b97f4a7c15)
 						}
 					}
-					lap.lap(r[0], r[1], g.bits)
-					bareWalk(walk, r[0], r[1], g.bits)
-					if d := diffCache(lap, walk); d != "" {
-						t.Fatalf("%s: lap differs from walk: %s", name, d)
-					}
+				}
+				lap.lap(r[0], r[1], g.bits)
+				bareWalk(walk, r[0], r[1], g.bits)
+				if d := diffCache(lap, walk); d != "" {
+					t.Fatalf("%s: lap differs from walk: %s", name, d)
 				}
 			}
 		}
@@ -89,18 +87,17 @@ func TestLapMatchesWalkBareCaches(t *testing.T) {
 // TestPrewarmMatchesWalk checks Hierarchy.prewarm against the
 // per-block walk on hierarchies the PB geometries do not reach: an L1
 // block below the 16-byte stride floor, an L2 block smaller than the
-// L1 block, FIFO and Random L2s, pages below the stride floor, empty
-// and address-wrapping ranges, and laps over a hierarchy that live
-// traffic or an earlier lap already touched.
+// L1 block, 2-way L1 and 4-way L2 sets, pages below the stride floor,
+// empty and address-wrapping ranges, and laps over a hierarchy that
+// live traffic or an earlier lap already touched.
 func TestPrewarmMatchesWalk(t *testing.T) {
 	base := testHierCfg()
 	variants := map[string]func(*HierarchyConfig){
 		"base":          func(*HierarchyConfig) {},
 		"L1 8B blocks":  func(c *HierarchyConfig) { c.L1D.BlockBytes, c.L1I.BlockBytes = 8, 4 },
 		"L2 below L1":   func(c *HierarchyConfig) { c.L1D.BlockBytes, c.L1I.BlockBytes, c.L2.BlockBytes = 128, 64, 32 },
-		"L2 FIFO":       func(c *HierarchyConfig) { c.L2.Policy, c.L2.Assoc = FIFO, 4 },
-		"L2 Random":     func(c *HierarchyConfig) { c.L2.Policy, c.L2.Assoc = Random, 4 },
-		"L1 Random":     func(c *HierarchyConfig) { c.L1D.Policy, c.L1D.Assoc, c.L1I.Policy = Random, 2, FIFO },
+		"L2 4way":       func(c *HierarchyConfig) { c.L2.Assoc = 4 },
+		"L1 2way":       func(c *HierarchyConfig) { c.L1D.Assoc = 2 },
 		"tiny pages":    func(c *HierarchyConfig) { c.PageBytes = 8 },
 		"huge pages":    func(c *HierarchyConfig) { c.PageBytes = 4 << 20; c.DTLBAssoc = FullyAssociative },
 		"small L2 8way": func(c *HierarchyConfig) { c.L2.SizeBytes, c.L2.Assoc, c.L2.BlockBytes = 8<<10, 8, 128 },
@@ -158,12 +155,12 @@ func TestPrewarmMatchesWalk(t *testing.T) {
 
 // TestL2LapMatchesWalkRandomized checks the L2's in-place lap
 // (Cache.lapInPlace) against the per-block walk on random hierarchies
-// and random prior contents. GIVEN an L2 with a random geometry and
-// policy (LRU, FIFO, Random) under L1 blocks above, at and below its
-// own, and either empty, touched by random traffic, or holding blocks
-// of the lap itself (the per-set walk to the end), WHEN a code or data
-// lap runs over a random range, some wrapping past the top of the
-// address space, THEN every field of the hierarchy equals the walk's.
+// and random prior contents. GIVEN an L2 with a random geometry under
+// L1 blocks above, at and below its own, and either empty, touched by
+// random traffic, or holding blocks of the lap itself (the per-set
+// walk to the end), WHEN a code or data lap runs over a random range,
+// some wrapping past the top of the address space, THEN every field of
+// the hierarchy equals the walk's.
 func TestL2LapMatchesWalkRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pick := func(xs ...int) int { return xs[rng.Intn(len(xs))] }
@@ -178,7 +175,6 @@ func TestL2LapMatchesWalkRandomized(t *testing.T) {
 			assoc = pick(4, 16)
 		}
 		cfg.L2.SizeBytes = sets * assoc * cfg.L2.BlockBytes
-		cfg.L2.Policy = Replacement(rng.Intn(3))
 		cfg.L1D.BlockBytes = pick(8, 16, 32, 64, 128)
 		cfg.L1I.BlockBytes = pick(8, 16, 32, 64)
 		capacity := uint64(cfg.L2.SizeBytes)

@@ -10,14 +10,9 @@ type TLB struct {
 	cache    *Cache
 }
 
-// NewTLB builds a TLB with the given number of entries, associativity
-// (FullyAssociative allowed) and page size in bytes (power of two).
-func NewTLB(entries, assoc int, pageBytes uint64) (*TLB, error) {
-	return newTLB(entries, assoc, pageBytes, spareArrays{})
-}
-
-// newTLB is NewTLB with the arrays taken from spare as newCache takes
-// them.
+// newTLB builds a TLB with the given number of entries, associativity
+// (FullyAssociative allowed) and page size in bytes (power of two),
+// taking its arrays from spare as newCache takes them.
 func newTLB(entries, assoc int, pageBytes uint64, spare spareArrays) (*TLB, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("cache: TLB entries %d invalid", entries)
@@ -30,7 +25,7 @@ func newTLB(entries, assoc int, pageBytes uint64, spare spareArrays) (*TLB, erro
 		pageBits++
 	}
 	// Reuse the cache array with 1-byte "blocks" over page numbers.
-	c, err := newCache(Config{SizeBytes: entries, Assoc: assoc, BlockBytes: 1, Policy: LRU}, spare)
+	c, err := newCache(Config{SizeBytes: entries, Assoc: assoc, BlockBytes: 1}, spare)
 	if err != nil {
 		return nil, fmt.Errorf("cache: TLB geometry: %w", err)
 	}

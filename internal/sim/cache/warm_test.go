@@ -9,7 +9,7 @@ import (
 // small enough for its misses to evict.
 func warmHierCfg() HierarchyConfig {
 	cfg := testHierCfg()
-	cfg.L2 = Config{SizeBytes: 8 << 10, Assoc: 4, BlockBytes: 64, Policy: LRU}
+	cfg.L2 = Config{SizeBytes: 8 << 10, Assoc: 4, BlockBytes: 64}
 	cfg.ITLBAssoc, cfg.DTLBAssoc = FullyAssociative, FullyAssociative
 	return cfg
 }

@@ -15,17 +15,14 @@ import (
 	"pbsim/internal/sim/cache"
 )
 
-// PredictorKind selects the branch predictor (Table 6's "Branch
-// Predictor" low/high values are TwoLevel and Perfect; Bimodal and
-// AlwaysTaken are provided for ablations).
+// PredictorKind selects the branch predictor: Table 6's "Branch
+// Predictor" low and high values, TwoLevel and Perfect.
 type PredictorKind int
 
 // Supported predictor kinds.
 const (
 	PredTwoLevel PredictorKind = iota
 	PredPerfect
-	PredBimodal
-	PredAlwaysTaken
 )
 
 func (k PredictorKind) String() string {
@@ -34,10 +31,6 @@ func (k PredictorKind) String() string {
 		return "2-Level"
 	case PredPerfect:
 		return "Perfect"
-	case PredBimodal:
-		return "Bimodal"
-	case PredAlwaysTaken:
-		return "Taken"
 	default:
 		return fmt.Sprintf("PredictorKind(%d)", int(k))
 	}
@@ -209,9 +202,9 @@ func (c *Config) Validate() error {
 // processor parameters.
 func (c *Config) HierarchyConfig() cache.HierarchyConfig {
 	return cache.HierarchyConfig{
-		L1I:        cache.Config{SizeBytes: c.L1ISizeKB << 10, Assoc: c.L1IAssoc, BlockBytes: c.L1IBlock, Policy: cache.LRU},
-		L1D:        cache.Config{SizeBytes: c.L1DSizeKB << 10, Assoc: c.L1DAssoc, BlockBytes: c.L1DBlock, Policy: cache.LRU},
-		L2:         cache.Config{SizeBytes: c.L2SizeKB << 10, Assoc: c.L2Assoc, BlockBytes: c.L2Block, Policy: cache.LRU},
+		L1I:        cache.Config{SizeBytes: c.L1ISizeKB << 10, Assoc: c.L1IAssoc, BlockBytes: c.L1IBlock},
+		L1D:        cache.Config{SizeBytes: c.L1DSizeKB << 10, Assoc: c.L1DAssoc, BlockBytes: c.L1DBlock},
+		L2:         cache.Config{SizeBytes: c.L2SizeKB << 10, Assoc: c.L2Assoc, BlockBytes: c.L2Block},
 		L1ILatency: c.L1ILat, L1DLatency: c.L1DLat, L2Latency: c.L2Lat,
 		ITLBEntries: c.ITLBEntries, ITLBAssoc: c.ITLBAssoc,
 		DTLBEntries: c.DTLBEntries, DTLBAssoc: c.DTLBAssoc,

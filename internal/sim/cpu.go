@@ -42,7 +42,7 @@ type CPU struct {
 	gen  *trace.Generator
 	hier *cache.Hierarchy
 
-	pred bpred.DirectionPredictor // nil when Predictor == PredPerfect
+	pred *bpred.TwoLevel // nil when Predictor == PredPerfect
 	btb  *bpred.BTB
 	ras  *bpred.RAS
 
@@ -166,21 +166,10 @@ func New(cfg Config, gen *trace.Generator, shortcut ComputeShortcut) (*CPU, erro
 		haltSeq:   -1,
 		resumeAt:  -1,
 	}
-	switch cfg.Predictor {
-	case PredPerfect:
-		c.pred = nil
-	case PredBimodal:
-		if c.pred, err = bpred.NewBimodal(12); err != nil {
-			return nil, err
-		}
-	case PredAlwaysTaken:
-		c.pred = bpred.Taken{}
-	default:
+	if cfg.Predictor != PredPerfect {
 		if c.pred, err = bpred.NewTwoLevel(8, 12); err != nil {
 			return nil, err
 		}
-	}
-	if c.pred != nil {
 		if c.btb, err = bpred.NewBTB(cfg.BTBEntries, cfg.BTBAssoc); err != nil {
 			return nil, err
 		}

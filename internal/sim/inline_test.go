@@ -29,6 +29,7 @@ func TestHotPathInlined(t *testing.T) {
 		{"cpu.go", "pipeline.(*ROB).AgeWords"},
 		{"cpu.go", "pipeline.(*ROB).AgeWord"},
 		{"cpu.go", "pipeline.(*ROB).Slot"},
+		{"cpu.go", "bpred.(*TwoLevel).Predict"},
 		{"pipeline/rob.go", "(*ROB).wake"},
 	} {
 		if !inlinedIn(string(out), pin.file, pin.callee) {

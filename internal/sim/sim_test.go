@@ -247,7 +247,7 @@ func TestPerfectPredictorNeverMispredicts(t *testing.T) {
 }
 
 func TestPredictorKindsRun(t *testing.T) {
-	for _, k := range []PredictorKind{PredTwoLevel, PredPerfect, PredBimodal, PredAlwaysTaken} {
+	for _, k := range []PredictorKind{PredTwoLevel, PredPerfect} {
 		cfg := Default()
 		cfg.Predictor = k
 		s := runConfig(t, cfg, "gzip", 5000)
@@ -255,8 +255,7 @@ func TestPredictorKindsRun(t *testing.T) {
 			t.Errorf("%v: incomplete run", k)
 		}
 	}
-	if PredTwoLevel.String() != "2-Level" || PredPerfect.String() != "Perfect" ||
-		PredBimodal.String() != "Bimodal" || PredAlwaysTaken.String() != "Taken" {
+	if PredTwoLevel.String() != "2-Level" || PredPerfect.String() != "Perfect" {
 		t.Error("PredictorKind names")
 	}
 	if PredictorKind(9).String() == "" {

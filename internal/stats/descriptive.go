@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -37,23 +36,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// GeometricMean returns the geometric mean of strictly positive
-// samples; it errors on non-positive input. SPEC-style summary numbers
-// (the Giladi-Ahituv related work in Section 5.3) use this mean.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: geometric mean of empty sample")
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geometric mean requires positive samples, got %g", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
 // Median returns the median of xs (0 for an empty slice). The input is
 // not modified.
 func Median(xs []float64) float64 {
@@ -68,34 +50,4 @@ func Median(xs []float64) float64 {
 		return tmp[n/2]
 	}
 	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// Speedup returns base/enhanced, the conventional architecture
-// speedup metric for execution times. A zero enhanced time yields
-// +Inf (the enhancement eliminated all work), except that 0/0 has no
-// defined speedup and yields NaN.
-func Speedup(baseTime, enhancedTime float64) float64 {
-	if ApproxEqual(enhancedTime, 0, 0) {
-		if ApproxEqual(baseTime, 0, 0) {
-			return math.NaN()
-		}
-		return math.Inf(1)
-	}
-	return baseTime / enhancedTime
-}
-
-// HarmonicMean returns the harmonic mean of strictly positive samples,
-// the correct mean for rates such as IPC.
-func HarmonicMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: harmonic mean of empty sample")
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: harmonic mean requires positive samples, got %g", x)
-		}
-		s += 1 / x
-	}
-	return float64(len(xs)) / s, nil
 }

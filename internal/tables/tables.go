@@ -64,9 +64,6 @@ func FormatInterval(mean, lo, hi float64) string {
 	return fmt.Sprintf("%.3f [%.3f, %.3f]", mean, lo, hi)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	cols := len(t.Headers)

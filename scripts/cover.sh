@@ -26,6 +26,7 @@ declare -A floors=(
 	["pbsim/internal/sim"]=90
 	["pbsim/internal/sim/cache"]=95
 	["pbsim/internal/sim/bpred"]=95
+	["pbsim/internal/sim/pipeline"]=95
 	["pbsim/internal/pb"]=95
 	["pbsim/internal/methodology"]=95
 	["pbsim/internal/trace"]=90
