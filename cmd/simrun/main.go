@@ -251,14 +251,9 @@ func runOne(name string, cfg sim.Config, n, warmup int64, precompute int) (strin
 	if err != nil {
 		return "", 0, err
 	}
-	cpu, err := sim.New(cfg, gen, shortcut)
-	if err != nil {
+	var s [1]sim.Stats
+	if err := sim.RunRow(cfg, gen, shortcut, 0, warmup, []int64{n}, s[:]); err != nil {
 		return "", 0, err
 	}
-	cpu.PrewarmMemory()
-	s, err := cpu.RunWithWarmup(warmup, n)
-	if err != nil {
-		return "", 0, err
-	}
-	return report.SimStats(name, s) + "\n", float64(s.Cycles), nil
+	return report.SimStats(name, s[0]) + "\n", float64(s[0].Cycles), nil
 }

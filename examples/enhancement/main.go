@@ -86,14 +86,9 @@ func runOnce(w workload.Workload, enh enhance.Spec, warmup, instructions int64) 
 	if err != nil {
 		panic(err)
 	}
-	cpu, err := sim.New(sim.Default(), gen, shortcut)
-	if err != nil {
+	var stats [1]sim.Stats
+	if err := sim.RunRow(sim.Default(), gen, shortcut, 0, warmup, []int64{instructions}, stats[:]); err != nil {
 		panic(err)
 	}
-	cpu.PrewarmMemory()
-	stats, err := cpu.RunWithWarmup(warmup, instructions)
-	if err != nil {
-		panic(err)
-	}
-	return stats
+	return stats[0]
 }

@@ -105,7 +105,6 @@ func (p *campaignPlan) runnerConfig() runner.Config {
 		Parallelism: p.opts.Parallelism,
 		Timeout:     p.opts.Timeout,
 		Retries:     p.opts.Retries,
-		Backoff:     p.opts.Backoff,
 		Scope:       p.opts.Enhance.String(),
 		Recorder:    p.opts.Recorder,
 	}

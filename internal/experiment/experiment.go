@@ -61,9 +61,6 @@ type Options struct {
 	// Retries is the number of extra attempts a failed configuration
 	// gets before the benchmark is failed with an aggregate error.
 	Retries int
-	// Backoff overrides the base retry delay (runner.DefaultBackoff
-	// when zero).
-	Backoff time.Duration
 	// Checkpoint, when non-empty, is a campaign directory (package
 	// dist): the suite runs as Parallelism in-process workers that
 	// commit every completed configuration to shard ledgers there, so
@@ -99,15 +96,12 @@ type Options struct {
 // row, built from one profile per workload (enhance.Spec.Shortcuts).
 func Response(w workload.Workload, warmup, instructions int64, enh enhance.Spec) pb.Response {
 	// All rows of one benchmark replay the identical instruction
-	// stream: the first row to run records it as a shared tape and
-	// every later row replays that (trace.Generator.Replay), so the
-	// stream is generated once per benchmark, not once per row. The
-	// tape covers the committed instructions; the few the pipeline
-	// fetches beyond them are generated live. Pooling lets concurrent
-	// workers recycle a generator's visit table across rows; a Reset
-	// generator is indistinguishable from a fresh one. Each row's CPU
-	// is released once its cycles are read, so the next row's reuses
-	// its cache arrays.
+	// stream through sim.RunRow: the first row to run records it as a
+	// shared tape and every later row replays that, and each row's CPU
+	// is released for the next row's to reuse its cache arrays.
+	// Pooling lets concurrent workers recycle a generator's visit
+	// table across rows; a Reset generator is indistinguishable from a
+	// fresh one.
 	var gens sync.Pool
 	shortcut := enh.Shortcuts(w.Params, warmup+instructions)
 	return func(ctx context.Context, levels []pb.Level) (float64, error) {
@@ -125,22 +119,15 @@ func Response(w workload.Workload, warmup, instructions int64, enh enhance.Spec)
 			gen.Reset()
 		}
 		defer gens.Put(gen)
-		gen.Replay(warmup + instructions)
 		sc, err := shortcut()
 		if err != nil {
 			return 0, fmt.Errorf("%s for %s: %w", enh, w.Name, err)
 		}
-		cpu, err := sim.New(cfg, gen, sc)
-		if err != nil {
-			return 0, fmt.Errorf("config for %s: %w", w.Name, err)
-		}
-		defer cpu.Release()
-		cpu.PrewarmMemory()
-		stats, err := cpu.RunWithWarmup(warmup, instructions)
-		if err != nil {
+		var stats [1]sim.Stats
+		if err := sim.RunRow(cfg, gen, sc, 0, warmup, []int64{instructions}, stats[:]); err != nil {
 			return 0, fmt.Errorf("run %s: %w", w.Name, err)
 		}
-		return float64(stats.Cycles), nil
+		return float64(stats[0].Cycles), nil
 	}
 }
 

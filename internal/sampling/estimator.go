@@ -104,36 +104,6 @@ func selectSystematic(dst []int, start, stride, n int) []int {
 	return dst
 }
 
-// meanOf returns the arithmetic mean of xs (NaN for an empty sample).
-//
-//pbcheck:pure
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// sampleVar returns the unbiased (n-1 denominator) sample variance of
-// xs around mean; zero when fewer than two samples exist.
-//
-//pbcheck:pure
-func sampleVar(xs []float64, mean float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
 // srsHalf returns the 95% CI half-width of a mean of m samples drawn
 // without replacement from a population of size n: z * sqrt(s2/m *
 // (1 - m/n)). The finite-population correction makes the interval

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"pbsim/internal/stats"
 	"pbsim/internal/trace"
 )
 
@@ -110,7 +111,7 @@ func (p *rankedSetPlan) Estimate(cpi map[int]float64) (float64, float64, error) 
 	if err != nil {
 		return 0, 0, err
 	}
-	mean := meanOf(vals)
+	mean := stats.Mean(vals)
 	cycles := len(p.draws) / p.k
 	if cycles < 2 {
 		// A single cycle has no between-cycle variance; fall back to
@@ -124,8 +125,8 @@ func (p *rankedSetPlan) Estimate(cpi map[int]float64) (float64, float64, error) 
 	// cycle count.
 	cycleMeans := make([]float64, cycles)
 	for c := 0; c < cycles; c++ {
-		cycleMeans[c] = meanOf(vals[c*p.k : (c+1)*p.k])
+		cycleMeans[c] = stats.Mean(vals[c*p.k : (c+1)*p.k])
 	}
-	s2 := sampleVar(cycleMeans, meanOf(cycleMeans))
+	s2 := stats.Variance(cycleMeans)
 	return mean, z95 * math.Sqrt(s2/float64(cycles)), nil
 }

@@ -67,7 +67,7 @@ func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec 
 	if err != nil {
 		return Result{}, err
 	}
-	cpi, err := measure(cfg, gen, sch, instructions)
+	cpi, err := measure(cfg, gen, sch)
 	if err != nil {
 		return Result{}, err
 	}
@@ -83,30 +83,22 @@ func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec 
 		CIHalf:                 half,
 		Cycles:                 mean * float64(instructions),
 		CyclesCIHalf:           half * float64(instructions),
-		DetailedInstructions:   sch.detailedPerRun(instructions),
+		DetailedInstructions:   sch.detailedPerRun(),
 		FunctionalInstructions: sch.funcWarmPerRun(),
 		ScheduleFunctional:     sch.functional,
 	}, nil
 }
 
 // runCensus is the degenerate path when the budget covers every
-// region: it runs the exact full-simulation sequence (prewarm, warmup,
-// measure), so a Fraction of 1.0 reproduces the unsampled response bit
-// for bit.
+// region: it runs the full row (sim.RunRow), so a Fraction of 1.0
+// reproduces the unsampled response bit for bit.
 func runCensus(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec Spec, numRegions int) (Result, error) {
 	gen.Reset()
-	gen.Replay(warmup + instructions)
-	cpu, err := sim.New(cfg, gen, nil)
-	if err != nil {
+	var st [1]sim.Stats
+	if err := sim.RunRow(cfg, gen, nil, 0, warmup, []int64{instructions}, st[:]); err != nil {
 		return Result{}, err
 	}
-	defer cpu.Release()
-	cpu.PrewarmMemory()
-	st, err := cpu.RunWithWarmup(warmup, instructions)
-	if err != nil {
-		return Result{}, err
-	}
-	cycles := float64(st.Cycles)
+	cycles := float64(st[0].Cycles)
 	return Result{
 		Estimator:            spec.Estimator,
 		NumRegions:           numRegions,
@@ -118,54 +110,30 @@ func runCensus(cfg sim.Config, gen *trace.Generator, warmup, instructions int64,
 	}, nil
 }
 
-// measure detail-simulates the schedule's groups in order
-// (measureGroup) and returns each region's CPI.
-func measure(cfg sim.Config, gen *trace.Generator, sch *schedule, instructions int64) (map[int]float64, error) {
+// measure detail-simulates the schedule's groups in order and returns
+// each region's CPI. Each group is one sim.RunRow from its recorded
+// snapshot: functional warming through the group's history window, a
+// detailed warmup, then one measured window per region off the
+// continuous pipeline.
+func measure(cfg sim.Config, gen *trace.Generator, sch *schedule) (map[int]float64, error) {
 	cpi := make(map[int]float64, len(sch.regions))
+	var buf [8]sim.Stats // a group is mostly one region or two
 	for _, g := range sch.groups {
-		if err := measureGroup(cfg, gen, sch, g, instructions, cpi); err != nil {
+		if err := gen.Restore(g.snap); err != nil {
 			return nil, err
+		}
+		st := buf[:]
+		if len(g.lens) > len(buf) {
+			st = make([]sim.Stats, len(g.lens))
+		}
+		if err := sim.RunRow(cfg, gen, nil, g.funcWarm, g.warmup, g.lens, st); err != nil {
+			return nil, fmt.Errorf("sampling: regions %d-%d: %w", g.first, g.first+len(g.lens)-1, err)
+		}
+		for i, n := range g.lens {
+			cpi[g.first+i] = float64(st[i].Cycles) / float64(n)
 		}
 	}
 	return cpi, nil
-}
-
-// measureGroup detail-simulates one group: the generator is restored
-// to the recorded snapshot and replays the group's shared tape, a new
-// CPU (its cache arrays recycled from an earlier group's, cleared) is
-// functionally prewarmed, functionally warmed through the group's
-// history window, detail-warmed, and each region's cycle count is read
-// into cpi as one RunMore increment off the continuous pipeline. The
-// CPU is released when the group ends, so the next group's reuses its
-// arrays.
-func measureGroup(cfg sim.Config, gen *trace.Generator, sch *schedule, g group, instructions int64, cpi map[int]float64) error {
-	if err := gen.Restore(g.snap); err != nil {
-		return err
-	}
-	gen.Replay(g.funcWarm + g.warmup + sch.regionsLen(g, instructions))
-	cpu, err := sim.New(cfg, gen, nil)
-	if err != nil {
-		return err
-	}
-	defer cpu.Release()
-	cpu.PrewarmMemory()
-	if g.funcWarm > 0 {
-		cpu.WarmFunctional(g.funcWarm)
-	}
-	if g.warmup > 0 {
-		if _, err := cpu.RunMore(g.warmup); err != nil {
-			return fmt.Errorf("sampling: warmup before region %d: %w", g.first, err)
-		}
-	}
-	for r := g.first; r <= g.last; r++ {
-		n := regionLen(r, sch.numRegions, sch.spec.RegionSize, instructions)
-		st, err := cpu.RunMore(n)
-		if err != nil {
-			return fmt.Errorf("sampling: region %d: %w", r, err)
-		}
-		cpi[r] = float64(st.Cycles) / float64(n)
-	}
-	return nil
 }
 
 // Cost summarizes what a sampled run costs without simulating
@@ -215,7 +183,7 @@ func CostOf(p trace.Params, warmup, instructions int64, spec Spec) (Cost, error)
 		return Cost{}, err
 	}
 	return Cost{
-		PerRunDetailed:     sch.detailedPerRun(instructions),
+		PerRunDetailed:     sch.detailedPerRun(),
 		PerRunFunctional:   sch.funcWarmPerRun(),
 		ScheduleFunctional: sch.functional,
 		NumRegions:         numRegions,

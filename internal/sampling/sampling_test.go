@@ -135,6 +135,29 @@ func TestSampledEstimateTracksFullRun(t *testing.T) {
 	}
 }
 
+// TestLongGroupIsOneContinuousRun: GIVEN a uniform sample of the
+// first 23 of 24 regions with a detailed warmup as long as the global
+// one, WHEN Run measures it, THEN its one group, longer than measure's
+// stack buffer, is a full run of those regions split into windows:
+// the region cycles sum to the full run's cycle count.
+func TestLongGroupIsOneContinuousRun(t *testing.T) {
+	cfg := sim.Default()
+	gen := testGen(t, "mcf")
+	const regions = 23
+	want := fullCycles(t, cfg, gen, testWarmup, regions*minRegionSize)
+	spec := Spec{Estimator: EstimatorUniform, RegionSize: minRegionSize, Fraction: 0.95, RegionWarmup: testWarmup, Seed: 5}
+	res, err := Run(cfg, gen, testWarmup, testMeasure, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SampledRegions != regions {
+		t.Fatalf("sampled %d regions, want %d", res.SampledRegions, regions)
+	}
+	if got := res.CPI * regions * minRegionSize; math.Abs(got-want) > 1e-6 {
+		t.Errorf("region cycles sum to %v, the full run takes %v", got, want)
+	}
+}
+
 // TestSingleRegionProgram covers the window-shorter-than-a-region edge:
 // one region forces a census regardless of fraction.
 func TestSingleRegionProgram(t *testing.T) {

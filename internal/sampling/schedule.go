@@ -47,12 +47,13 @@ func budgetFor(numRegions int, fraction float64) int {
 // functionally warms `funcWarm` instructions (predictors, caches,
 // TLBs — the history a continuous run would carry in), detail-simulates
 // `warmup` instructions to refill the pipeline itself, then reads one
-// RunMore window per region.
+// measured window per region (sim.RunRow).
 type group struct {
-	first, last int   // inclusive region index range
-	funcWarm    int64 // functionally-warmed instructions before the detailed warmup
-	warmup      int64 // detailed warmup before the first region
-	snap        trace.Snapshot
+	first    int     // the first region's index
+	lens     []int64 // the lengths of regions first, first+1, ...
+	funcWarm int64   // functionally-warmed instructions before the detailed warmup
+	warmup   int64   // detailed warmup before the first region
+	snap     trace.Snapshot
 }
 
 // schedule is the per-(workload, window, spec) sampling decision: the
@@ -139,11 +140,12 @@ func buildSchedule(gen *trace.Generator, warmup, instructions int64, spec Spec) 
 	// Group adjacent regions and capture one snapshot per group at its
 	// warmup start (clamped at the stream origin).
 	for _, r := range sch.regions {
-		if n := len(sch.groups); n > 0 && sch.groups[n-1].last == r-1 {
-			sch.groups[n-1].last = r
+		n := regionLen(r, numRegions, spec.RegionSize, instructions)
+		if k := len(sch.groups) - 1; k >= 0 && sch.groups[k].first+len(sch.groups[k].lens) == r {
+			sch.groups[k].lens = append(sch.groups[k].lens, n)
 			continue
 		}
-		sch.groups = append(sch.groups, group{first: r, last: r})
+		sch.groups = append(sch.groups, group{first: r, lens: []int64{n}})
 	}
 	gen.Reset()
 	for gi := range sch.groups {
@@ -189,19 +191,13 @@ func validateRegions(regions []int, numRegions int) error {
 
 // detailedPerRun returns the detailed-simulation instruction cost one
 // design row pays under this schedule.
-func (sch *schedule) detailedPerRun(instructions int64) int64 {
+func (sch *schedule) detailedPerRun() int64 {
 	var total int64
 	for _, g := range sch.groups {
-		total += g.warmup + sch.regionsLen(g, instructions)
-	}
-	return total
-}
-
-// regionsLen returns the measured instructions of one group's regions.
-func (sch *schedule) regionsLen(g group, instructions int64) int64 {
-	var total int64
-	for r := g.first; r <= g.last; r++ {
-		total += regionLen(r, sch.numRegions, sch.spec.RegionSize, instructions)
+		total += g.warmup
+		for _, n := range g.lens {
+			total += n
+		}
 	}
 	return total
 }

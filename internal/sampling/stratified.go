@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"pbsim/internal/stats"
 	"pbsim/internal/trace"
 )
 
@@ -164,11 +165,11 @@ func (p *stratifiedPlan) Estimate(cpi map[int]float64) (float64, float64, error)
 		if err != nil {
 			return 0, 0, err
 		}
-		means[h] = meanOf(xs)
-		vars[h] = sampleVar(xs, means[h])
+		means[h] = stats.Mean(xs)
+		vars[h] = stats.Variance(xs)
 		all = append(all, xs...)
 	}
-	pooled := sampleVar(all, meanOf(all))
+	pooled := stats.Variance(all)
 
 	est, varEst := 0.0, 0.0
 	n := float64(p.numRegions)

@@ -3,6 +3,7 @@ package sampling
 import (
 	"sort"
 
+	"pbsim/internal/stats"
 	"pbsim/internal/trace"
 )
 
@@ -44,8 +45,7 @@ func (p *srsPlan) Estimate(cpi map[int]float64) (float64, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	m := meanOf(xs)
-	return m, srsHalf(sampleVar(xs, m), len(xs), p.numRegions), nil
+	return stats.Mean(xs), srsHalf(stats.Variance(xs), len(xs), p.numRegions), nil
 }
 
 // dedupeSorted sorts indices ascending and removes duplicates in

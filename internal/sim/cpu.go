@@ -211,6 +211,48 @@ func New(cfg Config, gen *trace.Generator, shortcut ComputeShortcut) (*CPU, erro
 	return c, nil
 }
 
+// RunRow simulates one experiment row on a fresh CPU over gen's stream
+// from wherever the caller positioned it: it replays the shared tape
+// of every instruction the row commits (trace.Generator.Replay),
+// builds and prewarms the CPU, warms funcWarm instructions
+// functionally and warmup more in detail, then measures each window
+// of measure in turn into out[i] (out holds at least len(measure)),
+// and releases the CPU. A full row is one window after no functional
+// warming; a sampled group is one window per region. Every row of
+// every mode runs this one sequence, so all rows of a benchmark
+// simulate the same stream the same way.
+func RunRow(cfg Config, gen *trace.Generator, sc ComputeShortcut, funcWarm, warmup int64, measure []int64, out []Stats) error {
+	if funcWarm < 0 || warmup < 0 || len(measure) == 0 {
+		return fmt.Errorf("sim: invalid row (functional warmup %d, warmup %d, %d windows)", funcWarm, warmup, len(measure))
+	}
+	total := funcWarm + warmup
+	for _, n := range measure {
+		if n <= 0 {
+			return fmt.Errorf("sim: instruction count %d invalid", n)
+		}
+		total += n
+	}
+	gen.Replay(total)
+	cpu, err := New(cfg, gen, sc)
+	if err != nil {
+		return err
+	}
+	defer cpu.Release()
+	cpu.PrewarmMemory()
+	cpu.WarmFunctional(funcWarm)
+	if warmup > 0 {
+		if _, err := cpu.RunMore(warmup); err != nil {
+			return fmt.Errorf("warmup: %w", err)
+		}
+	}
+	for i, n := range measure {
+		if out[i], err = cpu.RunMore(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Release returns the CPU's memory-hierarchy arrays to the free list
 // New draws from (cache.Hierarchy.Release). The CPU is unusable
 // afterwards: running, warming or prewarming it panics rather than

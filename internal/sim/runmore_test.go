@@ -66,3 +66,76 @@ func TestRunMoreRejectsNonPositive(t *testing.T) {
 		t.Fatal("RunMore(-5) should fail")
 	}
 }
+
+// TestRunRowMatchesHandLifecycle: GIVEN a full row (one window after a
+// detailed warmup) and a sampled group (functional warming, a detailed
+// warmup, three windows) from mid-stream, WHEN RunRow runs each, THEN
+// every window's statistics equal those of the same lifecycle written
+// out by hand over a generator that replays no tape: RunWithWarmup for
+// the full row, RunMore per window for the group.
+func TestRunRowMatchesHandLifecycle(t *testing.T) {
+	cfg := Default()
+	var full [1]Stats
+	if err := RunRow(cfg, testGen(t, "gzip"), nil, 0, 3000, []int64{9000}, full[:]); err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := New(cfg, testGen(t, "gzip"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu.PrewarmMemory()
+	want, err := cpu.RunWithWarmup(3000, 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full[0] != want {
+		t.Errorf("full row:\n%+v\nwant\n%+v", full[0], want)
+	}
+
+	const skip, funcWarm, warmup = 1234, 4000, 500
+	windows := []int64{1000, 700, 1300}
+	gen := testGen(t, "mcf")
+	gen.Skip(skip)
+	got := make([]Stats, len(windows))
+	if err := RunRow(cfg, gen, nil, funcWarm, warmup, windows, got); err != nil {
+		t.Fatal(err)
+	}
+	hand := testGen(t, "mcf")
+	hand.Skip(skip)
+	if cpu, err = New(cfg, hand, nil); err != nil {
+		t.Fatal(err)
+	}
+	cpu.PrewarmMemory()
+	cpu.WarmFunctional(funcWarm)
+	if _, err := cpu.RunMore(warmup); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range windows {
+		want, err := cpu.RunMore(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("group window %d:\n%+v\nwant\n%+v", i, got[i], want)
+		}
+	}
+}
+
+func TestRunRowRejectsBadCounts(t *testing.T) {
+	out := make([]Stats, 2)
+	for _, tc := range []struct {
+		name             string
+		funcWarm, warmup int64
+		windows          []int64
+	}{
+		{"negative functional warmup", -1, 0, []int64{100}},
+		{"negative warmup", 0, -1, []int64{100}},
+		{"no window", 0, 100, nil},
+		{"empty window", 0, 100, []int64{100, 0}},
+		{"negative window", 0, 100, []int64{-5}},
+	} {
+		if err := RunRow(Default(), testGen(t, "gzip"), nil, tc.funcWarm, tc.warmup, tc.windows, out); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}

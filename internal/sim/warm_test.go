@@ -130,8 +130,8 @@ func (wc warmCase) check(t *testing.T) {
 // under a spread of PB rows, taped from the tape's start (built by the
 // first row, shared by the rest) and untaped, ending at and past a
 // tape's end, spanning the code's end, longer than a live chunk, one
-// instruction long, a program past 4 GiB, and a window after RunMore
-// with a fetched instruction pending.
+// instruction long, and a window after RunMore with a fetched
+// instruction pending.
 func TestWarmFunctionalMatchesReference(t *testing.T) {
 	design, err := pb.New(len(Factors()), true)
 	if err != nil {
@@ -159,10 +159,6 @@ func TestWarmFunctionalMatchesReference(t *testing.T) {
 	if !callsAcrossCodeEnd(t, tiny, 3000) {
 		t.Fatal("the wrapping program makes no call from the code's last instruction")
 	}
-	// A working set past 4 GiB cannot be taped and keeps the upper
-	// halves of its data offsets.
-	wide := gzip.Params
-	wide.WorkingSetBytes = 9 << 30
 	def := Default()
 	perfect := Default()
 	perfect.Predictor = PredPerfect
@@ -181,7 +177,6 @@ func TestWarmFunctionalMatchesReference(t *testing.T) {
 		{name: "one instruction", params: gzip.Params, cfg: def, n: 1},
 		{name: "one taped instruction", params: gzip.Params, cfg: def, tape: 100, n: 1},
 		{name: "perfect prediction", params: gzip.Params, cfg: perfect, tape: 2000, n: 2000},
-		{name: "past 4 GiB", params: wide, cfg: def, n: 2*trace.RefsChunk + 5},
 	} {
 		wc.check(t)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -93,8 +94,15 @@ func (p *Params) Validate() error {
 	if p.AvgBlockLen < 2 {
 		return fmt.Errorf("trace: AvgBlockLen = %d, need >= 2", p.AvgBlockLen)
 	}
-	if p.WorkingSetBytes < 64 {
-		return fmt.Errorf("trace: WorkingSetBytes = %d, need >= 64", p.WorkingSetBytes)
+	if p.WorkingSetBytes < 64 || p.WorkingSetBytes > math.MaxUint32 {
+		return fmt.Errorf("trace: WorkingSetBytes = %d, need 64 to %d", p.WorkingSetBytes, uint64(math.MaxUint32))
+	}
+	// The code is laid out from CodeBase, each block at most
+	// 4*AvgBlockLen+1 instructions, and must end by DataBase: code
+	// past it would alias data in the unified L2. With both bounds,
+	// every offset fits the 32 bits a tape and a reference view keep.
+	if span := DataBase - CodeBase; uint64(p.AvgBlockLen) > span/32 || uint64(p.NumBlocks) > span/(16*uint64(p.AvgBlockLen)+4) {
+		return fmt.Errorf("trace: %d blocks of mean length %d may reach DataBase", p.NumBlocks, p.AvgBlockLen)
 	}
 	if p.PatternPeriod < 1 {
 		return fmt.Errorf("trace: PatternPeriod = %d, need >= 1", p.PatternPeriod)

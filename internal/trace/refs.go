@@ -34,19 +34,15 @@ type ctrlRef struct {
 // Refs is the reference view of a window of the stream: what
 // functional warming touches, in stream order within each column.
 // Addresses are kept as 32-bit offsets from CodeBase and DataBase, as
-// on a tape. A view is immutable once built, except the one a caller
-// lends Refs to build into.
+// on a tape; Params.Validate keeps every offset within 32 bits. A view
+// is immutable once built, except the one a caller lends Refs to build
+// into.
 type Refs struct {
 	n     int64  // instructions in the window
 	endPC uint64 // the PC of the instruction after the window
 	runs  []run
 	mem   []memRef
 	ctrl  []ctrlRef
-
-	// wide marks a program whose offsets need more than 32 bits; the
-	// hi columns then hold their upper halves, one per entry.
-	wide                         bool
-	runHi, memHi, pcHi, targetHi []uint32
 }
 
 // RefsChunk bounds the window a view built live covers, so that
@@ -71,11 +67,7 @@ func (v *Refs) Runs() int { return len(v.runs) }
 //pbcheck:hotpath
 func (v *Refs) Run(i int) (pc uint64, n uint32) {
 	r := v.runs[i]
-	pc = CodeBase + uint64(r.off)
-	if v.wide {
-		pc += uint64(v.runHi[i]) << 32
-	}
-	return pc, r.len
+	return CodeBase + uint64(r.off), r.len
 }
 
 // Mems returns the number of loads and stores.
@@ -86,11 +78,7 @@ func (v *Refs) Mems() int { return len(v.mem) }
 //pbcheck:hotpath
 func (v *Refs) Mem(i int) (addr uint64, pos uint32) {
 	m := v.mem[i]
-	addr = DataBase + uint64(m.off)
-	if v.wide {
-		addr += uint64(v.memHi[i]) << 32
-	}
-	return addr, m.pos
+	return DataBase + uint64(m.off), m.pos
 }
 
 // Ctrls returns the number of control instructions.
@@ -104,15 +92,9 @@ func (v *Refs) Ctrls() int { return len(v.ctrl) }
 func (v *Refs) Ctrl(i int) Instr {
 	c := v.ctrl[i]
 	pc := CodeBase + uint64(c.pc)
-	if v.wide {
-		pc += uint64(v.pcHi[i]) << 32
-	}
 	in := Instr{PC: pc, Class: c.class, Taken: c.taken}
 	if c.taken {
 		in.Target = CodeBase + uint64(c.target)
-		if v.wide {
-			in.Target += uint64(v.targetHi[i]) << 32
-		}
 	}
 	if c.class == Call {
 		in.Addr = pc + 4
@@ -157,7 +139,6 @@ func (g *Generator) Refs(n int64, buf *Refs) *Refs {
 func (v *Refs) clone() *Refs {
 	c := *v
 	c.runs, c.mem, c.ctrl = slices.Clone(v.runs), slices.Clone(v.mem), slices.Clone(v.ctrl)
-	c.runHi, c.memHi, c.pcHi, c.targetHi = nil, nil, nil, nil // a taped program is never wide
 	return &c
 }
 
@@ -165,14 +146,7 @@ func (v *Refs) clone() *Refs {
 // held.
 func (g *Generator) buildRefs(v *Refs, n int64) {
 	end := g.prog.codeEnd()
-	*v = Refs{
-		n:     n,
-		runs:  v.runs[:0],
-		mem:   v.mem[:0],
-		ctrl:  v.ctrl[:0],
-		wide:  !g.prog.tapeable(),
-		runHi: v.runHi[:0], memHi: v.memHi[:0], pcHi: v.pcHi[:0], targetHi: v.targetHi[:0],
-	}
+	*v = Refs{n: n, runs: v.runs[:0], mem: v.mem[:0], ctrl: v.ctrl[:0]}
 	var last Instr
 	for i := int64(0); i < n; i++ {
 		in := g.Next()
@@ -180,29 +154,17 @@ func (g *Generator) buildRefs(v *Refs, n int64) {
 		if i > 0 && in.PC == last.PC+4 {
 			v.runs[len(v.runs)-1].len++
 		} else {
-			off := in.PC - CodeBase
-			v.runs = append(v.runs, run{off: uint32(off), len: 1})
-			if v.wide {
-				v.runHi = append(v.runHi, uint32(off>>32))
-			}
+			v.runs = append(v.runs, run{off: uint32(in.PC - CodeBase), len: 1})
 		}
 		switch {
 		case in.Class.IsMem():
-			off := in.Addr - DataBase
-			v.mem = append(v.mem, memRef{off: uint32(off), pos: pos})
-			if v.wide {
-				v.memHi = append(v.memHi, uint32(off>>32))
-			}
+			v.mem = append(v.mem, memRef{off: uint32(in.Addr - DataBase), pos: pos})
 		case in.Class.IsControl():
-			pc, target := in.PC-CodeBase, uint64(0)
+			var target uint32
 			if in.Taken {
-				target = in.Target - CodeBase
+				target = uint32(in.Target - CodeBase)
 			}
-			v.ctrl = append(v.ctrl, ctrlRef{pc: uint32(pc), target: uint32(target), class: in.Class, taken: in.Taken, wrap: in.PC+4 == end})
-			if v.wide {
-				v.pcHi = append(v.pcHi, uint32(pc>>32))
-				v.targetHi = append(v.targetHi, uint32(target>>32))
-			}
+			v.ctrl = append(v.ctrl, ctrlRef{pc: uint32(in.PC - CodeBase), target: target, class: in.Class, taken: in.Taken, wrap: in.PC+4 == end})
 		}
 		last = in
 	}

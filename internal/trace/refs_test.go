@@ -110,8 +110,6 @@ func TestRefsMatchWalk(t *testing.T) {
 	}) {
 		t.Fatal("the wrapping program makes no call from the code's last instruction")
 	}
-	wide := gzip.Params // not tapeable: data offsets past 32 bits
-	wide.WorkingSetBytes = 9 << 30
 	type window struct {
 		name          string
 		skip, tape, n int64
@@ -136,7 +134,6 @@ func TestRefsMatchWalk(t *testing.T) {
 	windows = append(windows,
 		window{name: "code-end wrap taped", tape: 2000, n: 2000, params: tiny},
 		window{name: "code-end wrap untaped", n: 2000, params: tiny},
-		window{name: "past 4 GiB", n: trace.RefsChunk + 50, params: wide},
 	)
 	for _, win := range windows {
 		// The second round finds every taped window's view built.

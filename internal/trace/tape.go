@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math"
 	"runtime"
 	"sync"
 )
@@ -40,8 +39,8 @@ const (
 	metaWrap  = 1 << 19
 )
 
-// pack encodes one instruction of a tapeable program whose code ends
-// at end; Next decodes it.
+// pack encodes one instruction of a program whose code ends at end;
+// Next decodes it.
 func pack(in Instr, end uint64) tapeRec {
 	r := tapeRec{meta: uint32(in.Class) | uint32(in.Dep1)<<5 | uint32(in.Dep2)<<12}
 	if in.PC+4 == end {
@@ -195,7 +194,7 @@ func workloadFor(p Params) *workloadTapes {
 // the pipeline fetches beyond them are generated live.
 func (g *Generator) Replay(n int64) {
 	g.catchUp()
-	if n <= 0 || !g.prog.tapeable() {
+	if n <= 0 {
 		return
 	}
 	e := tapeFor(g.prog.p, g.seq, n)
@@ -243,10 +242,4 @@ func (g *Generator) catchUp() {
 func (pr *program) codeEnd() uint64 {
 	last := pr.blocks[len(pr.blocks)-1]
 	return last.startPC + uint64(last.bodyLen+1)*4
-}
-
-// tapeable reports whether every code and data address fits a
-// record's 32-bit offsets.
-func (pr *program) tapeable() bool {
-	return pr.codeEnd()-CodeBase <= math.MaxUint32 && pr.p.WorkingSetBytes <= math.MaxUint32
 }

@@ -286,6 +286,9 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.NumBlocks = 1 },
 		func(p *Params) { p.AvgBlockLen = 1 },
 		func(p *Params) { p.WorkingSetBytes = 8 },
+		func(p *Params) { p.WorkingSetBytes = 1 << 32 },
+		func(p *Params) { p.NumBlocks = 1 << 28 },   // code would reach DataBase
+		func(p *Params) { p.AvgBlockLen = 1 << 60 }, // and here 16*AvgBlockLen would overflow
 		func(p *Params) { p.PatternPeriod = 0 },
 		func(p *Params) { p.Mix[Load] = -1 },
 		func(p *Params) { p.Mix = [NumClasses]float64{} },

@@ -22,6 +22,8 @@ declare -A floors=(
 	["pbsim/internal/analysis/rules"]=85
 	["pbsim/internal/truth"]=85
 	["pbsim/internal/assess"]=80
+	["pbsim/internal/experiment"]=80
+	["pbsim/internal/enhance"]=95
 	["pbsim/internal/sampling"]=80
 	["pbsim/internal/sim"]=90
 	["pbsim/internal/sim/cache"]=95
