@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer fuzz short bench bench-test check cover chaos assess frontier examples
+.PHONY: all build vet fmt-check lint test race race-hammer fuzz short bench bench-test check cover chaos assess frontier examples
 
 all: check
 
@@ -20,22 +20,11 @@ fmt-check:
 # ctxflow, hotalloc, leakygo, purity, lockflow, errflow —
 # interprocedural via a module-wide call-graph fact fixpoint, with the
 # last two flow-sensitive over a per-function CFG. Exit 1 means an
-# unsuppressed finding; waivers need a reasoned //pbcheck:ignore.
+# unsuppressed finding. The one way to accept a finding is a reasoned
+# //pbcheck:ignore <rule> <reason> on its line; a waiver that stops
+# suppressing anything is itself reported as stale.
 lint:
 	$(GO) run ./cmd/pbcheck ./...
-
-# lint-new is the findings ratchet: it fails only on findings whose
-# position-independent fingerprint (rule + package + function +
-# message) is absent from the committed baseline, so new debt is
-# blocked while recorded debt stays visible without breaking builds.
-lint-new:
-	$(GO) run ./cmd/pbcheck -baseline pbcheck-baseline.json ./...
-
-# lint-baseline refreshes the committed baseline. Only run it after
-# deliberately accepting a finding as recorded debt — the reviewed
-# diff of pbcheck-baseline.json IS the acceptance.
-lint-baseline:
-	$(GO) run ./cmd/pbcheck -write-baseline pbcheck-baseline.json ./...
 
 test:
 	$(GO) test ./...
@@ -149,4 +138,4 @@ assess:
 	mkdir -p $(ASSESS_ARTIFACTS)
 	$(GO) run ./cmd/pbassess $(ASSESS_FLAGS) -json-out $(ASSESS_ARTIFACTS)/trust.json | tee $(ASSESS_ARTIFACTS)/trust.txt
 
-check: build vet fmt-check lint lint-new race
+check: build vet fmt-check lint race

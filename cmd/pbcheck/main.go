@@ -22,10 +22,8 @@
 //
 // Exit codes: 0 clean, 1 findings, 2 load/usage error — suitable for
 // CI gates. Findings are waived per line with
-// //pbcheck:ignore <rule> <reason>; the reason is mandatory. With
-// -baseline, findings whose position-independent fingerprint appears
-// in the baseline file are reported but do not affect the exit code:
-// the ratchet fails only on NEW findings.
+// //pbcheck:ignore <rule> <reason>; the reason is mandatory, and a
+// waiver that no longer suppresses anything is itself a finding.
 package main
 
 import (
@@ -52,8 +50,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		tests      = fs.Bool("tests", false, "also analyze _test.go files of each package")
 		suppressed = fs.Bool("suppressed", false, "show suppressed findings (with their reasons) in plain output")
 		dir        = fs.String("C", ".", "directory whose enclosing module to analyze")
-		baseline   = fs.String("baseline", "", "baseline file: findings fingerprinted there are reported but do not fail the run")
-		writeBase  = fs.String("write-baseline", "", "write the current unsuppressed findings to this baseline file and exit 0")
 		statsOut   = fs.Bool("stats", false, "append load and fact-build time and per-rule wall time and finding counts to the report (all output modes)")
 		workers    = fs.Int("workers", analysis.DefaultWorkers(), "packages analyzed concurrently in the rule phase (1 = sequential; output is identical at any value)")
 	)
@@ -101,23 +97,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		stats.Load = loader.Stats()
 	} else {
 		stats = nil
-	}
-
-	if *writeBase != "" {
-		if err := analysis.WriteBaseline(*writeBase, diags); err != nil {
-			fmt.Fprintf(stderr, "pbcheck: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "pbcheck: wrote baseline %s\n", *writeBase)
-		return 0
-	}
-	if *baseline != "" {
-		set, err := analysis.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "pbcheck: %v\n", err)
-			return 2
-		}
-		analysis.ApplyBaseline(diags, set)
 	}
 
 	switch {

@@ -71,3 +71,41 @@ func TestTestsMode(t *testing.T) {
 		t.Errorf("-tests changed the findings outside test files:\n--- plain ---\n%s--- -tests, test files dropped ---\n%s", plain, got)
 	}
 }
+
+// TestExitCodes pins the contract CI gates on: 0 when every finding is
+// waived or there is none, 1 when any finding is unsuppressed, and 2
+// when the run cannot be made — an unknown rule or a pattern that
+// matches no directory.
+func TestExitCodes(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want int
+		out  string // substring of stdout (code 0/1) or stderr (code 2)
+	}{
+		{"clean package", []string{"./internal/stats"}, 0, ""},
+		{"unsuppressed finding", []string{"-rules", "errflow", "./internal/analysis/rules/testdata/errflow"}, 1, ": errflow: "},
+		{"unknown rule", []string{"-rules", "nosuchrule", "./internal/stats"}, 2, "unknown rule(s) [nosuchrule]"},
+		{"pattern matching nothing", []string{"./nosuch/..."}, 2, `pattern "./nosuch" does not match a directory`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, out, errOut := pbcheck(t, c.args...)
+			if code != c.want {
+				t.Fatalf("pbcheck %v exited %d, want %d\nstdout:\n%s\nstderr:\n%s", c.args, code, c.want, out, errOut)
+			}
+			got := out
+			if c.want == 2 {
+				got = errOut
+			} else if errOut != "" {
+				t.Errorf("pbcheck %v wrote to stderr:\n%s", c.args, errOut)
+			}
+			if c.want == 0 && out != "" {
+				t.Errorf("clean run printed findings:\n%s", out)
+			}
+			if !strings.Contains(got, c.out) {
+				t.Errorf("pbcheck %v output lacks %q:\n%s", c.args, c.out, got)
+			}
+		})
+	}
+}

@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return obs.Usagef("unexpected arguments: %v", fs.Args())
 	}
-	ws, err := selectWorkloads(*benchList)
+	ws, err := workload.Select(*benchList)
 	if err != nil {
 		return obs.Usagef("%v", err)
 	}
@@ -127,21 +127,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("frontier gate failed: an estimator's Spearman fell below %.2f", rep.MinSpearman)
 	}
 	return nil
-}
-
-func selectWorkloads(list string) ([]workload.Workload, error) {
-	if list == "" {
-		return nil, nil // all
-	}
-	var ws []workload.Workload
-	for _, name := range strings.Split(list, ",") {
-		w, err := workload.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		ws = append(ws, w)
-	}
-	return ws, nil
 }
 
 func writeFile(path string, fn func(io.Writer) error) (err error) {

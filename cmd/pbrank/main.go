@@ -52,7 +52,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -95,7 +94,7 @@ func run() (err error) {
 	}
 	defer obs.FoldClose(&err, sess)
 
-	ws, err := selectWorkloads(*benchList)
+	ws, err := workload.Select(*benchList)
 	if err != nil {
 		return obs.Usagef("%v", err)
 	}
@@ -162,21 +161,6 @@ func run() (err error) {
 		}
 	}
 	return nil
-}
-
-func selectWorkloads(list string) ([]workload.Workload, error) {
-	if list == "" {
-		return nil, nil // all
-	}
-	var ws []workload.Workload
-	for _, name := range strings.Split(list, ",") {
-		w, err := workload.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		ws = append(ws, w)
-	}
-	return ws, nil
 }
 
 // writeCSV writes one CSV view of the suite to a file.

@@ -72,8 +72,7 @@ func (p *Pass) Path() string { return p.Pkg.Path }
 
 // Reportf records a diagnostic at pos under the pass's rule name.
 // Package and enclosing function are resolved here so every finding
-// carries the position-independent identity the baseline ratchet
-// fingerprints on.
+// carries a position-independent identity.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.sink = append(*p.sink, Diagnostic{
 		Rule:     p.Analyzer.Name,
@@ -86,9 +85,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // A Diagnostic is one finding: a rule name, an exact source position,
 // and a message. Suppressed findings are retained (they appear in the
-// JSON report and under -suppressed) but do not affect the exit code;
-// the same holds for baselined findings (known debt recorded in the
-// committed baseline — see baseline.go).
+// JSON report and under -suppressed) but do not affect the exit code.
+// A reasoned waiver is the only way to accept a finding.
 type Diagnostic struct {
 	Rule     string
 	Position token.Position
@@ -96,8 +94,9 @@ type Diagnostic struct {
 
 	// Package and Func identify where the finding lives independently
 	// of line numbers: the import path and the enclosing function
-	// declaration ("Type.Method" for methods, "" at file scope). They
-	// form the ratchet fingerprint together with Rule and Message.
+	// declaration ("Type.Method" for methods, "" at file scope).
+	// Together with Rule and Message they identify a finding across
+	// line moves.
 	Package string
 	Func    string
 
@@ -105,10 +104,6 @@ type Diagnostic struct {
 	// comment; Reason carries the comment's mandatory justification.
 	Suppressed bool
 	Reason     string
-
-	// Baselined marks a finding whose fingerprint appears in the
-	// baseline file: pre-existing debt that does not fail the ratchet.
-	Baselined bool
 }
 
 // sortKey orders diagnostics by file, then line, then column, then

@@ -159,8 +159,8 @@ func TestFactsHonorWaivers(t *testing.T) {
 	}
 }
 
-// TestEnclosingFunc pins the fingerprint identity resolution that the
-// baseline ratchet depends on.
+// TestEnclosingFunc pins the enclosing-function resolution a finding's
+// position-independent identity depends on.
 func TestEnclosingFunc(t *testing.T) {
 	_, pkgs := loadFactsUniverse(t)
 	pkg := pkgs[0]

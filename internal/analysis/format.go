@@ -27,20 +27,18 @@ func RelPosition(root, filename string) string {
 //
 //	file:line:col: rule: message
 //
-// Suppressed and baselined findings are hidden unless showSuppressed
-// is set, in which case they are annotated with the waiver's reason
-// (or "baselined"). It returns the number of lines written.
+// Suppressed findings are hidden unless showSuppressed is set, in
+// which case they are annotated with the waiver's reason. It returns
+// the number of lines written.
 func WritePlain(w io.Writer, root string, diags []Diagnostic, showSuppressed bool) int {
 	n := 0
 	for _, d := range diags {
-		if (d.Suppressed || d.Baselined) && !showSuppressed {
+		if d.Suppressed && !showSuppressed {
 			continue
 		}
 		suffix := ""
 		if d.Suppressed {
 			suffix = fmt.Sprintf(" (suppressed: %s)", d.Reason)
-		} else if d.Baselined {
-			suffix = " (baselined)"
 		}
 		fmt.Fprintf(w, "%s:%d:%d: %s: %s%s\n",
 			RelPosition(root, d.Position.Filename), d.Position.Line, d.Position.Column,
@@ -61,7 +59,6 @@ type jsonDiagnostic struct {
 	Message    string `json:"message"`
 	Suppressed bool   `json:"suppressed,omitempty"`
 	Reason     string `json:"reason,omitempty"`
-	Baselined  bool   `json:"baselined,omitempty"`
 }
 
 // millis converts a duration to fractional milliseconds, the unit
@@ -134,15 +131,14 @@ type jsonStats struct {
 type jsonReport struct {
 	Findings   int              `json:"findings"`
 	Suppressed int              `json:"suppressed"`
-	Baselined  int              `json:"baselined"`
 	Diags      []jsonDiagnostic `json:"diagnostics"`
 	Stats      *jsonStats       `json:"stats,omitempty"`
 }
 
-// WriteJSON emits every diagnostic — suppressed and baselined ones
-// included and marked, so the CI artifact records the full waiver
-// ledger — as one indented JSON document. A non-nil stats adds the
-// per-rule timing block.
+// WriteJSON emits every diagnostic — suppressed ones included and
+// marked, so the CI artifact records the full waiver ledger — as one
+// indented JSON document. A non-nil stats adds the per-rule timing
+// block.
 func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) error {
 	report := jsonReport{Diags: []jsonDiagnostic{}}
 	if stats != nil {
@@ -163,12 +159,9 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) er
 		report.Stats = js
 	}
 	for _, d := range diags {
-		switch {
-		case d.Suppressed:
+		if d.Suppressed {
 			report.Suppressed++
-		case d.Baselined:
-			report.Baselined++
-		default:
+		} else {
 			report.Findings++
 		}
 		report.Diags = append(report.Diags, jsonDiagnostic{
@@ -181,7 +174,6 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) er
 			Message:    d.Message,
 			Suppressed: d.Suppressed,
 			Reason:     d.Reason,
-			Baselined:  d.Baselined,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -190,11 +182,11 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) er
 }
 
 // WriteMarkdown renders the CI step-summary view: a per-rule count
-// table (active / baselined / waived), the list of active findings,
-// and the waiver ledger with reasons. Deterministic: rows follow the
+// table (active / waived), the list of active findings, and the
+// waiver ledger with reasons. Deterministic: rows follow the
 // already-sorted diagnostic order, rules sort lexically.
 func WriteMarkdown(w io.Writer, root string, diags []Diagnostic) {
-	type counts struct{ active, baselined, waived int }
+	type counts struct{ active, waived int }
 	byRule := make(map[string]*counts)
 	var rules []string
 	for _, d := range diags {
@@ -204,33 +196,29 @@ func WriteMarkdown(w io.Writer, root string, diags []Diagnostic) {
 			byRule[d.Rule] = c
 			rules = append(rules, d.Rule)
 		}
-		switch {
-		case d.Suppressed:
+		if d.Suppressed {
 			c.waived++
-		case d.Baselined:
-			c.baselined++
-		default:
+		} else {
 			c.active++
 		}
 	}
 	sort.Strings(rules)
 
 	fmt.Fprintf(w, "### pbcheck findings\n\n")
-	fmt.Fprintf(w, "| Rule | Active | Baselined | Waived |\n|---|---:|---:|---:|\n")
+	fmt.Fprintf(w, "| Rule | Active | Waived |\n|---|---:|---:|\n")
 	var total counts
 	for _, rule := range rules {
 		c := byRule[rule]
-		fmt.Fprintf(w, "| %s | %d | %d | %d |\n", rule, c.active, c.baselined, c.waived)
+		fmt.Fprintf(w, "| %s | %d | %d |\n", rule, c.active, c.waived)
 		total.active += c.active
-		total.baselined += c.baselined
 		total.waived += c.waived
 	}
-	fmt.Fprintf(w, "| **total** | **%d** | **%d** | **%d** |\n", total.active, total.baselined, total.waived)
+	fmt.Fprintf(w, "| **total** | **%d** | **%d** |\n", total.active, total.waived)
 
 	if total.active > 0 {
-		fmt.Fprintf(w, "\n#### New findings (not in baseline)\n\n")
+		fmt.Fprintf(w, "\n#### Active findings\n\n")
 		for _, d := range diags {
-			if d.Suppressed || d.Baselined {
+			if d.Suppressed {
 				continue
 			}
 			fmt.Fprintf(w, "- `%s:%d` **%s**: %s\n",

@@ -18,8 +18,8 @@ import (
 var updateGolden = flag.Bool("update-md", false, "rewrite the markdown golden from current WriteMarkdown output")
 
 // TestWriteMarkdownGolden pins the -md rendering byte-for-byte: the
-// per-rule count table with its totals row, the new-findings list, and
-// the waiver ledger. The fixture covers all three finding states so a
+// per-rule count table with its totals row, the active-findings list,
+// and the waiver ledger. The fixture covers both finding states so a
 // formatting regression in any table shows up as a golden diff.
 func TestWriteMarkdownGolden(t *testing.T) {
 	diags := []analysis.Diagnostic{
@@ -29,7 +29,6 @@ func TestWriteMarkdownGolden(t *testing.T) {
 		mkDiag("purity", "pbsim/internal/b", "Seed", "pure-marked function b.Seed mutates state outside its frame", 3),
 		mkDiag("errdiscard", "pbsim/internal/b", "Close", "call discards its error result", 51),
 	}
-	diags[1].Baselined = true
 	diags[4].Suppressed = true
 	diags[4].Reason = "close error is unreachable by contract"
 
@@ -127,7 +126,7 @@ func TestWriteStats(t *testing.T) {
 	}
 }
 
-// TestEnclosingFuncShapes pins the identity names fingerprints use for
+// TestEnclosingFuncShapes pins the identity names findings carry for
 // every receiver shape: plain functions, value and pointer receivers,
 // generic receivers (type parameters dropped), and positions inside
 // nested function literals, which must resolve to the DECLARED

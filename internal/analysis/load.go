@@ -40,8 +40,8 @@ type Package struct {
 
 // EnclosingFunc returns the name of the function declaration enclosing
 // pos — "Name" for functions, "Type.Method" for methods — or "" at
-// file scope. Baseline fingerprints use it so findings keep their
-// identity as lines drift.
+// file scope. Findings carry it so they keep their identity as lines
+// drift.
 func (p *Package) EnclosingFunc(pos token.Pos) string {
 	for _, file := range p.Files {
 		if pos < file.Pos() || pos > file.End() {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestDeterministicOrdering pins the byte-stability contract the
-// findings diff and the baseline ratchet depend on: the same
+// findings diff and the -json artifact depend on: the same
 // packages analyzed in any load order produce identical plain and
 // JSON output. The two seeded packages each produce findings, so a
 // sort regression would actually reorder something.

@@ -23,9 +23,9 @@ import (
 //     function returns without ever looking at it.
 //
 // Both reports anchor at the ORIGINAL assignment and name the callee,
-// never a line number, so their baseline fingerprints survive
-// position shuffles. Only function-local variables and named results
-// are tracked; any variable that appears inside a nested function
+// never a line number, so their identities survive position
+// shuffles. Only function-local variables and named results are
+// tracked; any variable that appears inside a nested function
 // literal or has its address taken is excluded outright (a closure or
 // alias may read it at any time), keeping the rule on the
 // zero-false-positive side of every aliasing question.

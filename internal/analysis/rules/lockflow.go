@@ -78,8 +78,8 @@ func lockRelease(d uint8) uint8 {
 type lockVal struct {
 	depths uint8
 	// pos is the earliest Lock call that can still be holding the
-	// lock; exit-path reports anchor here so their fingerprints name
-	// the acquisition, not the leak site.
+	// lock; exit-path reports anchor here and so name the acquisition,
+	// not the leak site.
 	pos    token.Pos
 	recv   string // receiver expression text ("m.mu")
 	method string // "Lock" or "RLock"

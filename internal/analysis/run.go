@@ -10,7 +10,7 @@ import (
 
 // A RuleStat is one analyzer's cost/yield summary for a run: total
 // wall time across all analyzed packages and how many diagnostics it
-// produced (suppressed and baselined ones included — the cost of a
+// produced (suppressed ones included — the cost of a
 // rule is the cost of everything it finds, waived or not).
 type RuleStat struct {
 	Rule     string
@@ -203,12 +203,12 @@ func RunUniverseTimedWorkers(pkgs, universe []*Package, analyzers []*Analyzer, w
 	return diags, stats, nil
 }
 
-// Active counts the diagnostics that are neither suppressed nor
-// baselined — the number that should drive a non-zero exit code.
+// Active counts the diagnostics no waiver suppresses — the number
+// that should drive a non-zero exit code.
 func Active(diags []Diagnostic) int {
 	n := 0
 	for _, d := range diags {
-		if !d.Suppressed && !d.Baselined {
+		if !d.Suppressed {
 			n++
 		}
 	}

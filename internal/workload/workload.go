@@ -13,6 +13,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"pbsim/internal/trace"
 )
@@ -257,4 +258,23 @@ func ByName(name string) (Workload, error) {
 		}
 	}
 	return Workload{}, fmt.Errorf("workload: unknown benchmark %q", name)
+}
+
+// Select resolves a comma-separated list of benchmark names, spaces
+// around each name allowed, in the order given. The empty list selects
+// nil, which the campaign layers read as the whole suite; an unknown
+// name is an error naming it.
+func Select(list string) ([]Workload, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var ws []Workload
+	for _, name := range strings.Split(list, ",") {
+		w, err := ByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		ws = append(ws, w)
+	}
+	return ws, nil
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"pbsim/internal/paperdata"
@@ -61,6 +63,39 @@ func TestByName(t *testing.T) {
 	names := Names()
 	if len(names) != 13 || names[0] != "gzip" || names[12] != "twolf" {
 		t.Errorf("Names() = %v", names)
+	}
+}
+
+func TestSelect(t *testing.T) {
+	cases := []struct {
+		list    string
+		want    []string
+		wantErr string
+	}{
+		{list: "", want: nil},
+		{list: "mcf", want: []string{"mcf"}},
+		{list: " gzip, mcf ", want: []string{"gzip", "mcf"}},
+		{list: "gzip,doom", wantErr: `"doom"`},
+	}
+	for _, c := range cases {
+		ws, err := Select(c.list)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("Select(%q) error = %v, want one naming %s", c.list, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Select(%q): %v", c.list, err)
+			continue
+		}
+		var got []string
+		for _, w := range ws {
+			got = append(got, w.Name)
+		}
+		if (ws == nil) != (c.want == nil) || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Select(%q) = %q, want %q", c.list, got, c.want)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ declare -A floors=(
 	["pbsim/internal/analysis"]=80
 	["pbsim/internal/analysis/flow"]=85
 	["pbsim/internal/analysis/rules"]=85
+	["pbsim/cmd/pbcheck"]=60
 	["pbsim/internal/truth"]=85
 	["pbsim/internal/assess"]=80
 	["pbsim/internal/experiment"]=80
