@@ -53,13 +53,15 @@ race-hammer:
 # fuzz runs every native fuzz target (stdlib testing.F) for FUZZTIME
 # each: the on-disk decoders that must never panic or accept a torn
 # record — shard ledger, campaign manifest, the manifest's experiment
-# spec and sampling spec — and the fully-associative cache index,
-# which must match a scan of every way under any operation stream.
+# spec and sampling spec — the fully-associative cache index, which
+# must match a scan of every way under any operation stream, and
+# pbcheck's standard-library purge, which must keep every newline and
+# every top-level declaration of source that parses.
 # The CI race-hammer job runs it.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/runner/dist:FuzzReadLedger ./internal/runner/dist:FuzzOpenManifest \
 	./internal/experiment:FuzzOptionsFromSpec ./internal/sampling:FuzzParseSpec \
-	./internal/sim/cache:FuzzFullyAssociative
+	./internal/sim/cache:FuzzFullyAssociative ./internal/analysis:FuzzPurgeBodies
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

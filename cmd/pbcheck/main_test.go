@@ -74,8 +74,8 @@ func TestTestsMode(t *testing.T) {
 
 // TestExitCodes pins the contract CI gates on: 0 when every finding is
 // waived or there is none, 1 when any finding is unsuppressed, and 2
-// when the run cannot be made — an unknown rule or a pattern that
-// matches no directory.
+// when the run cannot be made — an unknown rule, a pattern that
+// matches no directory, or a recursive one that matches no package.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -87,6 +87,7 @@ func TestExitCodes(t *testing.T) {
 		{"unsuppressed finding", []string{"-rules", "errflow", "./internal/analysis/rules/testdata/errflow"}, 1, ": errflow: "},
 		{"unknown rule", []string{"-rules", "nosuchrule", "./internal/stats"}, 2, "unknown rule(s) [nosuchrule]"},
 		{"pattern matching nothing", []string{"./nosuch/..."}, 2, `pattern "./nosuch" does not match a directory`},
+		{"recursive pattern matching no package", []string{"./scripts/..."}, 2, `pattern "./scripts/..." matched no packages`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
@@ -117,6 +118,25 @@ func TestExpandPatterns(t *testing.T) {
 	}
 	if len(explicit) != 1 {
 		t.Fatalf("explicit testdata path expanded to %v, want exactly itself", explicit)
+	}
+
+	// A recursive pattern matches when its packages were already
+	// matched by an earlier one, and fails when no directory under it
+	// holds a non-test Go file.
+	if _, err := analysis.ExpandPatterns(root, "pbsim", []string{"./...", "./internal/analysis/..."}); err != nil {
+		t.Errorf("overlapping recursive patterns: %v", err)
+	}
+	empty := writeTree(t, "m", map[string]string{
+		"docs/README.md":     "notes\n",
+		"docs/sub/a_test.go": "package sub\n",
+		"docs/testdata/a.go": "package a\n",
+	})
+	for _, pat := range []string{"./docs/...", "m/docs/...", "./..."} {
+		_, err := analysis.ExpandPatterns(empty, "m", []string{pat})
+		want := fmt.Sprintf("analysis: pattern %q matched no packages", pat)
+		if err == nil || err.Error() != want {
+			t.Errorf("ExpandPatterns(%q) error = %v, want %q", pat, err, want)
+		}
 	}
 }
 

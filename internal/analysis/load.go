@@ -85,7 +85,8 @@ func (p *Package) EnclosingFunc(pos token.Pos) string {
 // Every package's files are selected with build.Context.MatchFile
 // under the default context with cgo disabled. Standard-library
 // packages are only an export surface here: their _test.go files are
-// never read, function bodies are not checked, and their syntax is
+// never read, their function bodies and table literals are purged
+// before parsing (purgeBodies) and not checked, and their syntax is
 // dropped after the check. No process is started.
 //
 // A Loader caches every package across Load calls and is not safe for
@@ -577,7 +578,19 @@ func (l *Loader) check(n *node) {
 	}
 	files := make([]*ast.File, 0, len(n.names))
 	for _, name := range n.names {
-		file, err := parser.ParseFile(l.fset, filepath.Join(n.dir, name), nil, mode)
+		path := filepath.Join(n.dir, name)
+		var src any // nil: the parser reads the file
+		if n.std {
+			// The export surface needs no bodies and no table
+			// contents, so the parser never sees them.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				n.err = fmt.Errorf("analysis: %w", err)
+				return
+			}
+			src = purgeBodies(data)
+		}
+		file, err := parser.ParseFile(l.fset, path, src, mode)
 		if err != nil {
 			n.err = fmt.Errorf("analysis: %w", err)
 			return
@@ -586,26 +599,7 @@ func (l *Loader) check(n *node) {
 	}
 
 	if n.std {
-		// Export surface only: bodies unchecked, the compiler's sizes,
-		// and soft errors (such as the unused imports that skipping
-		// bodies provokes) ignored.
-		var hard error
-		conf := types.Config{
-			Importer:         depImporter(n.deps),
-			IgnoreFuncBodies: true,
-			Sizes:            types.SizesFor("gc", l.ctxt.GOARCH),
-			Error: func(err error) {
-				var terr types.Error
-				if hard == nil && !(errors.As(err, &terr) && terr.Soft) {
-					hard = err
-				}
-			},
-		}
-		tpkg, err := conf.Check(n.path, l.fset, files, nil)
-		n.types = tpkg
-		if err != nil && hard != nil {
-			n.err = fmt.Errorf("analysis: type-checking %s failed: %v", n.path, hard)
-		}
+		n.types, n.err = l.checkStd(n, files)
 		return
 	}
 
@@ -635,6 +629,30 @@ func (l *Loader) check(n *node) {
 		n.checker = checker
 	}
 	n.pkg = pkg
+}
+
+// checkStd type-checks files, the source of std node n, against its
+// checked dependencies as an export surface only: bodies unchecked,
+// the compiler's sizes, and soft errors (such as the unused imports
+// that skipping bodies provokes) ignored.
+func (l *Loader) checkStd(n *node, files []*ast.File) (*types.Package, error) {
+	var hard error
+	conf := types.Config{
+		Importer:         depImporter(n.deps),
+		IgnoreFuncBodies: true,
+		Sizes:            types.SizesFor("gc", l.ctxt.GOARCH),
+		Error: func(err error) {
+			var terr types.Error
+			if hard == nil && !(errors.As(err, &terr) && terr.Soft) {
+				hard = err
+			}
+		},
+	}
+	tpkg, err := conf.Check(n.path, l.fset, files, nil)
+	if err != nil && hard != nil {
+		return tpkg, fmt.Errorf("analysis: type-checking %s failed: %v", n.path, hard)
+	}
+	return tpkg, nil
 }
 
 // checkFiles runs one pass of the package's checker over files.

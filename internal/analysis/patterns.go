@@ -20,7 +20,10 @@ import (
 // Like the go tool, the recursive forms skip directories named
 // "testdata" or "vendor" and hidden directories; naming such a
 // directory explicitly still works, which is how the analyzer's own
-// golden tests load their seeded-violation packages.
+// golden tests load their seeded-violation packages. A pattern that
+// names no directory, or a recursive one under which no directory
+// holds Go files, is an error, so a gate pointed at a mistyped or
+// emptied subtree fails instead of passing with nothing checked.
 func ExpandPatterns(root, module string, patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -34,7 +37,8 @@ func ExpandPatterns(root, module string, patterns []string) ([]string, error) {
 			dirs = append(dirs, dir)
 		}
 	}
-	for _, pat := range patterns {
+	for _, orig := range patterns {
+		pat := orig
 		if module != "" {
 			if pat == module {
 				pat = "."
@@ -60,6 +64,7 @@ func ExpandPatterns(root, module string, patterns []string) ([]string, error) {
 			add(dir)
 			continue
 		}
+		matched := false
 		err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -73,11 +78,15 @@ func ExpandPatterns(root, module string, patterns []string) ([]string, error) {
 			}
 			if hasGoFiles(path) {
 				add(path)
+				matched = true
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
+		}
+		if !matched {
+			return nil, fmt.Errorf("analysis: pattern %q matched no packages", orig)
 		}
 	}
 	sort.Strings(dirs)

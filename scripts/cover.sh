@@ -17,7 +17,7 @@ declare -A floors=(
 	["pbsim/internal/runner"]=90
 	["pbsim/internal/runner/dist"]=70
 	["pbsim/internal/perfbench"]=80
-	["pbsim/internal/analysis"]=80
+	["pbsim/internal/analysis"]=85
 	["pbsim/internal/analysis/flow"]=85
 	["pbsim/internal/analysis/rules"]=85
 	["pbsim/cmd/pbcheck"]=60
