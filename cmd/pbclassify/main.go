@@ -12,7 +12,7 @@
 // Usage:
 //
 //	pbclassify [-source paper|sim] [-threshold 63.25] [-dendrogram] [-n 100000]
-//	           [-timeout 0] [-retries 0] [-checkpoint campaign/]
+//	           [-retries 0] [-checkpoint campaign/]
 //	           [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 package main
 
@@ -68,7 +68,7 @@ func run() (err error) {
 	groups := cluster.GroupNames(m, cluster.ThresholdGroups(m, cut))
 	fmt.Println(report.GroupTable(groups, cut))
 	if *dendro {
-		fmt.Println(cluster.Agglomerate(m, cluster.SingleLinkage).ASCII())
+		fmt.Println(cluster.Agglomerate(m).ASCII())
 	}
 	return nil
 }

@@ -4,12 +4,12 @@
 // by default, or dynamic value reuse), then compares the sum-of-ranks
 // of every parameter before and after.
 //
-// Both suites are fault tolerant (-timeout, -retries) and share one
-// -checkpoint directory, holding each phase's campaign in a
-// subdirectory named after its label (base, precompute-128, ...), so
-// an interrupted comparison resumes without repeating either phase's
-// completed configurations. pbworker -checkpoint DIR/<label> can join
-// or finish either phase. Sampling is not offered: the experiment
+// Both suites are fault tolerant (-retries) and share one -checkpoint
+// directory, holding each phase's campaign in a subdirectory named
+// after its label (base, precompute-128, ...), so an interrupted
+// comparison resumes without repeating either phase's completed
+// configurations. pbworker -checkpoint DIR/<label> can join or finish
+// either phase. Sampling is not offered: the experiment
 // layer refuses it together with an enhancement.
 //
 // Observability: -metrics journals both phases' events to one JSONL
@@ -20,7 +20,7 @@
 // Usage:
 //
 //	pbenhance [-mechanism precompute|valuereuse] [-table 128] [-n 100000]
-//	          [-timeout 0] [-retries 0] [-checkpoint campaigns/]
+//	          [-retries 0] [-checkpoint campaigns/]
 //	          [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 package main
 

@@ -4,10 +4,10 @@
 // benchmark by the magnitude of its effect on execution time, and
 // sorts the parameters by their sum of ranks.
 //
-// The suite is fault tolerant: -timeout bounds each configuration,
-// -retries re-runs failed configurations with capped backoff, and
-// -checkpoint runs the suite over a campaign directory so an
-// interrupted run (Ctrl-C included) resumes exactly where it stopped.
+// The suite is fault tolerant: -retries re-runs failed configurations
+// with capped backoff, and -checkpoint runs the suite over a campaign
+// directory so an interrupted run (Ctrl-C included) resumes exactly
+// where it stopped.
 //
 // Observability: -metrics journals run events to a JSONL file keyed
 // by the experiment fingerprint, -progress prints live progress lines
@@ -18,7 +18,7 @@
 // Usage:
 //
 //	pbrank [-n 100000] [-warmup 30000] [-benchmarks gzip,mcf,...]
-//	       [-par 0] [-timeout 0] [-retries 0] [-checkpoint campaign/] [-shard-sync]
+//	       [-par 0] [-retries 0] [-checkpoint campaign/] [-shard-sync]
 //	       [-sample uniform] [-sample-region 1000] [-sample-frac 0.1]
 //	       [-sample-warmup -1] [-sample-func-warmup -1] [-sample-seed 1]
 //	       [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]

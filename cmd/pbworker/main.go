@@ -26,7 +26,7 @@
 // Usage:
 //
 //	pbworker -checkpoint campaign/ [-id worker-name] [-ttl 10s] [-poll 0]
-//	         [-sync] [-timeout 0] [-retries 0]
+//	         [-sync] [-retries 0]
 //	         [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
 // Exit codes: 0 campaign complete (or completed by others), 1 work
@@ -101,10 +101,7 @@ func run() (err error) {
 		LeaseTTL: *ttl,
 		Poll:     *poll,
 		Sync:     *sync,
-		Runner: runner.Config{
-			Timeout: runFlags.Timeout,
-			Retries: runFlags.Retries,
-		},
+		Runner:   runner.Config{Retries: runFlags.Retries},
 		Recorder: sess.Recorder(),
 	})
 	if err != nil {

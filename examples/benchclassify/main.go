@@ -38,5 +38,5 @@ func main() {
 	}
 
 	fmt.Println("\nSingle-linkage dendrogram (threshold-free view of the same structure):")
-	fmt.Println(cluster.Agglomerate(m, cluster.SingleLinkage).ASCII())
+	fmt.Println(cluster.Agglomerate(m).ASCII())
 }

@@ -3,10 +3,9 @@
 // three-benchmark experiment twice:
 //
 //  1. Under heavy injected faults — seeded transient failures on ~15%
-//     of attempts, a row that panics on its first attempt, a row that
-//     twice "dies" at the commit boundary (the CrashRows injector the
-//     distributed chaos harness also uses), and a row whose first
-//     attempt exceeds the per-row timeout — and shows the suite
+//     of attempts, a row that panics on its first attempt, and a row
+//     that twice "dies" at the commit boundary (the CrashRows injector
+//     the distributed chaos harness also uses) — and shows the suite
 //     completing anyway via retries with capped backoff.
 //
 //  2. Run over a campaign directory (internal/runner/dist) whose worker
@@ -15,7 +14,7 @@
 //     committed and reproduces the identical sum-of-ranks ordering.
 //
 // Both phases run under the observability layer (internal/obs): the
-// fault-injected suite aggregates retry/panic/timeout counts through
+// fault-injected suite aggregates retry and panic counts through
 // an obs.Metrics recorder, and the resumed suite additionally
 // journals every event to a metrics JSONL whose resumed-vs-simulated
 // accounting is verified against the crashed run — so this example
@@ -92,10 +91,9 @@ func run() (err error) {
 	fmt.Println("=== Phase 1: suite under injected faults ===")
 	faults := &runner.Faults{
 		Seed:      2026,
-		FailProb:  0.15,                                             // seeded transient failures
-		PanicRows: map[int]int{3: 1},                                // row 3 panics once
-		CrashRows: map[int]int{7: 2},                                // row 7 dies twice at the commit boundary
-		SlowRows:  map[int]time.Duration{5: 300 * time.Millisecond}, // row 5's first attempt hangs
+		FailProb:  0.15,              // seeded transient failures
+		PanicRows: map[int]int{3: 1}, // row 3 panics once
+		CrashRows: map[int]int{7: 2}, // row 7 dies twice at the commit boundary
 	}
 	metrics := obs.NewMetrics()
 	retries := &retryLog{}
@@ -105,7 +103,6 @@ func run() (err error) {
 	}
 	cfg := runner.Config{
 		Retries:    5,
-		Timeout:    100 * time.Millisecond, // row 5's first attempt times out
 		Backoff:    5 * time.Millisecond,
 		BackoffCap: 50 * time.Millisecond,
 		Wrap:       faults.Wrap,
@@ -117,9 +114,8 @@ func run() (err error) {
 	}
 	retries.print()
 	fmt.Printf("suite completed despite %d injected-fault attempts\n", faults.Injected())
-	fmt.Printf("the metrics agree: %d attempts, %d retries, %d panics, %d timeouts\n\n",
-		metrics.Attempts.Value(), metrics.Retries.Value(), metrics.Panics.Value(),
-		metrics.Timeouts.Value())
+	fmt.Printf("the metrics agree: %d attempts, %d retries, %d panics\n\n",
+		metrics.Attempts.Value(), metrics.Retries.Value(), metrics.Panics.Value())
 	fmt.Fprintf(os.Stderr, "phase 1 ran on at most %d concurrent workers\n", metrics.Workers.Peak())
 
 	fmt.Println("=== Phase 2: crash mid-suite, then resume from the campaign directory ===")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,7 +170,7 @@ func TestAgglomerateSingleLinkageMatchesThresholdGroups(t *testing.T) {
 	// Cutting a single-linkage dendrogram at the similarity threshold
 	// yields exactly the connected components of the threshold graph.
 	m := paperMatrix(t)
-	dend := Agglomerate(m, SingleLinkage)
+	dend := Agglomerate(m)
 	if len(dend.Merges) != 12 {
 		t.Fatalf("%d merges, want 12", len(dend.Merges))
 	}
@@ -192,7 +193,7 @@ func TestAgglomerateSingleLinkageMatchesThresholdGroups(t *testing.T) {
 
 func TestAgglomerateMergeDistancesMonotoneForSingleLinkage(t *testing.T) {
 	m := paperMatrix(t)
-	dend := Agglomerate(m, SingleLinkage)
+	dend := Agglomerate(m)
 	for i := 1; i < len(dend.Merges); i++ {
 		if dend.Merges[i].Distance < dend.Merges[i-1].Distance {
 			t.Errorf("single-linkage merge distances not monotone: %g after %g",
@@ -201,32 +202,26 @@ func TestAgglomerateMergeDistancesMonotoneForSingleLinkage(t *testing.T) {
 	}
 }
 
-func TestAgglomerateLinkages(t *testing.T) {
+func TestAgglomerate(t *testing.T) {
 	m := paperMatrix(t)
-	for _, l := range []Linkage{SingleLinkage, CompleteLinkage, AverageLinkage} {
-		dend := Agglomerate(m, l)
-		if len(dend.Merges) != m.Len()-1 {
-			t.Errorf("%s: %d merges", l, len(dend.Merges))
-		}
-		// Cutting at +inf yields one cluster with every leaf.
-		all := dend.CutAt(math.Inf(1))
-		if len(all) != 1 || len(all[0]) != m.Len() {
-			t.Errorf("%s: cut at inf = %v", l, all)
-		}
-		// Cutting at 0 yields all singletons.
-		none := dend.CutAt(0)
-		if len(none) != m.Len() {
-			t.Errorf("%s: cut at 0 gives %d groups", l, len(none))
-		}
-		if dend.ASCII() == "" {
-			t.Errorf("%s: empty ASCII rendering", l)
-		}
+	dend := Agglomerate(m)
+	if len(dend.Merges) != m.Len()-1 {
+		t.Errorf("%d merges", len(dend.Merges))
 	}
-	if SingleLinkage.String() != "single" || CompleteLinkage.String() != "complete" ||
-		AverageLinkage.String() != "average" || Linkage(9).String() != "Linkage(9)" {
-		t.Error("Linkage.String values")
+	// Cutting at +inf yields one cluster with every leaf.
+	all := dend.CutAt(math.Inf(1))
+	if len(all) != 1 || len(all[0]) != m.Len() {
+		t.Errorf("cut at inf = %v", all)
 	}
-	empty := Agglomerate(&Matrix{}, SingleLinkage)
+	// Cutting at 0 yields all singletons.
+	none := dend.CutAt(0)
+	if len(none) != m.Len() {
+		t.Errorf("cut at 0 gives %d groups", len(none))
+	}
+	if !strings.HasPrefix(dend.ASCII(), "agglomerative clustering (single linkage)\n") {
+		t.Errorf("ASCII rendering header: %q", dend.ASCII())
+	}
+	empty := Agglomerate(&Matrix{})
 	if len(empty.Merges) != 0 {
 		t.Error("empty matrix should produce no merges")
 	}

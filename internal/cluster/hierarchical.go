@@ -6,34 +6,6 @@ import (
 	"strings"
 )
 
-// Linkage selects how the distance between two clusters is derived
-// from member distances during agglomerative clustering.
-type Linkage int
-
-// Supported linkage criteria.
-const (
-	// SingleLinkage merges on the minimum pairwise distance. With a
-	// cut at the similarity threshold it reproduces ThresholdGroups.
-	SingleLinkage Linkage = iota
-	// CompleteLinkage merges on the maximum pairwise distance.
-	CompleteLinkage
-	// AverageLinkage merges on the unweighted mean pairwise distance.
-	AverageLinkage
-)
-
-func (l Linkage) String() string {
-	switch l {
-	case SingleLinkage:
-		return "single"
-	case CompleteLinkage:
-		return "complete"
-	case AverageLinkage:
-		return "average"
-	default:
-		return fmt.Sprintf("Linkage(%d)", int(l))
-	}
-}
-
 // Merge records one agglomeration step.
 type Merge struct {
 	// A and B are node ids: ids < n are leaves (benchmark indices);
@@ -43,18 +15,19 @@ type Merge struct {
 	Distance float64
 }
 
-// Dendrogram is the full merge history of an agglomerative clustering.
+// Dendrogram is the full merge history of a single-linkage clustering.
 type Dendrogram struct {
-	Names   []string
-	Linkage Linkage
-	Merges  []Merge
+	Names  []string
+	Merges []Merge
 }
 
-// Agglomerate performs hierarchical clustering over the distance
-// matrix with the given linkage, recording n-1 merges.
-func Agglomerate(m *Matrix, linkage Linkage) *Dendrogram {
+// Agglomerate performs single-linkage hierarchical clustering over the
+// distance matrix, recording n-1 merges: two clusters merge at the
+// minimum distance between their members. With a cut at the similarity
+// threshold it reproduces ThresholdGroups.
+func Agglomerate(m *Matrix) *Dendrogram {
 	n := m.Len()
-	d := &Dendrogram{Names: m.Names, Linkage: linkage}
+	d := &Dendrogram{Names: m.Names}
 	if n == 0 {
 		return d
 	}
@@ -64,37 +37,17 @@ func Agglomerate(m *Matrix, linkage Linkage) *Dendrogram {
 		members[i] = []int{i}
 	}
 	nextID := n
+	// dist is the single-linkage distance between two clusters.
 	dist := func(a, b []int) float64 {
-		switch linkage {
-		case SingleLinkage:
-			best := -1.0
-			for _, i := range a {
-				for _, j := range b {
-					if best < 0 || m.D[i][j] < best {
-						best = m.D[i][j]
-					}
+		best := -1.0
+		for _, i := range a {
+			for _, j := range b {
+				if best < 0 || m.D[i][j] < best {
+					best = m.D[i][j]
 				}
 			}
-			return best
-		case CompleteLinkage:
-			worst := 0.0
-			for _, i := range a {
-				for _, j := range b {
-					if m.D[i][j] > worst {
-						worst = m.D[i][j]
-					}
-				}
-			}
-			return worst
-		default:
-			sum := 0.0
-			for _, i := range a {
-				for _, j := range b {
-					sum += m.D[i][j]
-				}
-			}
-			return sum / float64(len(a)*len(b))
 		}
+		return best
 	}
 	for len(members) > 1 {
 		ids := make([]int, 0, len(members))
@@ -126,7 +79,7 @@ func Agglomerate(m *Matrix, linkage Linkage) *Dendrogram {
 // inspection of benchmark similarity structure.
 func (d *Dendrogram) ASCII() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "agglomerative clustering (%s linkage)\n", d.Linkage)
+	b.WriteString("agglomerative clustering (single linkage)\n")
 	labels := make(map[int]string, 2*len(d.Names))
 	for i, name := range d.Names {
 		labels[i] = name

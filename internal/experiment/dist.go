@@ -103,7 +103,6 @@ func (p *campaignPlan) response(w workload.Workload) pb.Response {
 func (p *campaignPlan) runnerConfig() runner.Config {
 	return runner.Config{
 		Parallelism: p.opts.Parallelism,
-		Timeout:     p.opts.Timeout,
 		Retries:     p.opts.Retries,
 		Scope:       p.opts.Enhance.String(),
 		Recorder:    p.opts.Recorder,

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"pbsim/internal/enhance"
 	"pbsim/internal/obs"
@@ -55,9 +54,6 @@ type Options struct {
 	// Workloads restricts the benchmark suite; nil selects all 13.
 	Workloads []workload.Workload
 
-	// Timeout bounds each configuration's simulation attempt; zero
-	// disables the per-row deadline.
-	Timeout time.Duration
 	// Retries is the number of extra attempts a failed configuration
 	// gets before the benchmark is failed with an aggregate error.
 	Retries int
@@ -168,10 +164,10 @@ func RunSuite(opts Options) (*pb.Suite, error) {
 
 // RunSuiteCtx is the fault-tolerant suite entry point: the context
 // cancels the whole experiment (all in-flight simulations drain
-// before it returns), and the Options' Timeout/Retries fields
-// configure the resilient runner. Without a Checkpoint the rows are
-// evaluated in memory; with one, the suite runs over that campaign
-// directory (see Options.Checkpoint) to the bit-identical result.
+// before it returns), and the Options' Retries field configures the
+// resilient runner. Without a Checkpoint the rows are evaluated in
+// memory; with one, the suite runs over that campaign directory (see
+// Options.Checkpoint) to the bit-identical result.
 func RunSuiteCtx(ctx context.Context, opts Options) (*pb.Suite, error) {
 	p, err := planCampaign(opts)
 	if err != nil {

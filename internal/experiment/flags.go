@@ -3,7 +3,6 @@ package experiment
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	"pbsim/internal/runner"
 )
@@ -35,9 +34,8 @@ func (f *SizeFlags) Apply(opts *Options) {
 }
 
 // RunFlags holds the run-control flag family every suite-running CLI
-// shares: -timeout, -retries and -checkpoint.
+// shares: -retries and -checkpoint.
 type RunFlags struct {
-	Timeout    time.Duration
 	Retries    int
 	Checkpoint string
 }
@@ -47,7 +45,6 @@ type RunFlags struct {
 // shares the same flag names, defaults and help text.
 func RegisterRunFlags(fs *flag.FlagSet) *RunFlags {
 	f := &RunFlags{}
-	fs.DurationVar(&f.Timeout, "timeout", 0, "per-simulation timeout (0 = none)")
 	fs.IntVar(&f.Retries, "retries", 0, "extra attempts for a failed simulation")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", "campaign directory: completed simulations are committed there, and rerunning with the same flags resumes")
 	return f
@@ -55,7 +52,6 @@ func RegisterRunFlags(fs *flag.FlagSet) *RunFlags {
 
 // Apply copies the flags into opts.
 func (f *RunFlags) Apply(opts *Options) {
-	opts.Timeout = f.Timeout
 	opts.Retries = f.Retries
 	opts.Checkpoint = f.Checkpoint
 }

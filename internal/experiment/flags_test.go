@@ -7,7 +7,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 )
 
 func parseRunFlags(t *testing.T, args ...string) *RunFlags {
@@ -24,12 +23,12 @@ func parseRunFlags(t *testing.T, args ...string) *RunFlags {
 func TestRegisterRunFlags(t *testing.T) {
 	var opts Options
 	parseRunFlags(t).Apply(&opts)
-	if opts.Timeout != 0 || opts.Retries != 0 || opts.Checkpoint != "" {
+	if opts.Retries != 0 || opts.Checkpoint != "" {
 		t.Fatalf("defaults = %+v, want zero run options", opts)
 	}
-	f := parseRunFlags(t, "-timeout", "2s", "-retries", "3", "-checkpoint", "camp")
+	f := parseRunFlags(t, "-retries", "3", "-checkpoint", "camp")
 	f.Apply(&opts)
-	if opts.Timeout != 2*time.Second || opts.Retries != 3 || opts.Checkpoint != "camp" {
+	if opts.Retries != 3 || opts.Checkpoint != "camp" {
 		t.Fatalf("parsed = %+v", opts)
 	}
 	if err := f.Resumable(context.Canceled); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "-checkpoint camp") {
@@ -45,13 +44,11 @@ func TestRegisterRunFlags(t *testing.T) {
 }
 
 func TestRegisterRunFlagsRejectsBadValues(t *testing.T) {
-	for _, args := range [][]string{{"-timeout", "soon"}, {"-retries", "many"}} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		RegisterRunFlags(fs)
-		if err := fs.Parse(args); err == nil {
-			t.Errorf("%v accepted", args)
-		}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	RegisterRunFlags(fs)
+	if err := fs.Parse([]string{"-retries", "many"}); err == nil {
+		t.Error("-retries many accepted")
 	}
 }
 

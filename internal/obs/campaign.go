@@ -30,7 +30,6 @@ type Metrics struct {
 	Attempts Counter
 	Retries  Counter
 	Panics   Counter
-	Timeouts Counter
 
 	// Workers tracks currently and peak concurrently busy workers.
 	Workers Gauge
@@ -127,11 +126,8 @@ func (m *Metrics) WorkerActive(delta int) { m.Workers.Add(int64(delta)) }
 func (m *Metrics) AttemptDone(_ string, _, _ int, latency time.Duration, outcome Outcome, _ error) {
 	m.Attempts.Inc()
 	m.AttemptLatency.Observe(latency)
-	switch outcome {
-	case Panicked:
+	if outcome == Panicked {
 		m.Panics.Inc()
-	case TimedOut:
-		m.Timeouts.Inc()
 	}
 }
 
@@ -210,7 +206,6 @@ type Summary struct {
 	Attempts int64 `json:"attempts"`
 	Retries  int64 `json:"retries"`
 	Panics   int64 `json:"panics"`
-	Timeouts int64 `json:"timeouts"`
 
 	LeasesClaimed     int64 `json:"leases_claimed,omitempty"`
 	LeasesStolen      int64 `json:"leases_stolen,omitempty"`
@@ -245,7 +240,6 @@ func (m *Metrics) Summary(tool string) Summary {
 		Attempts:          m.Attempts.Value(),
 		Retries:           m.Retries.Value(),
 		Panics:            m.Panics.Value(),
-		Timeouts:          m.Timeouts.Value(),
 		LeasesClaimed:     m.LeasesClaimed.Value(),
 		LeasesStolen:      m.LeasesStolen.Value(),
 		LeasesLost:        m.LeasesLost.Value(),
@@ -312,8 +306,8 @@ func (s Summary) Table() string {
 	fmt.Fprintf(w, "throughput\t%.1f simulated rows/s\n", s.RowsPerSec)
 	fmt.Fprintf(w, "row latency\tp50 %s\tp95 %s\tmax %s\n",
 		fmtDur(s.RowLatencyP50), fmtDur(s.RowLatencyP95), fmtDur(s.RowLatencyMax))
-	fmt.Fprintf(w, "attempts\t%d (%d retries, %d panics, %d timeouts)\n",
-		s.Attempts, s.Retries, s.Panics, s.Timeouts)
+	fmt.Fprintf(w, "attempts\t%d (%d retries, %d panics)\n",
+		s.Attempts, s.Retries, s.Panics)
 	fmt.Fprintf(w, "queue wait\tp95 %s\n", fmtDur(s.QueueWaitP95))
 	fmt.Fprintf(w, "workers\tpeak %d concurrent\n", s.WorkersPeak)
 	if s.LeasesClaimed > 0 || s.Commits > 0 || s.ShardsQuarantined > 0 {
@@ -349,7 +343,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"attempts":           m.Attempts.Value(),
 		"retries":            m.Retries.Value(),
 		"panics":             m.Panics.Value(),
-		"timeouts":           m.Timeouts.Value(),
 		"leases_claimed":     m.LeasesClaimed.Value(),
 		"leases_stolen":      m.LeasesStolen.Value(),
 		"leases_lost":        m.LeasesLost.Value(),

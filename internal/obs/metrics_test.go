@@ -212,7 +212,7 @@ func TestGaugePeak(t *testing.T) {
 
 func TestOutcomeString(t *testing.T) {
 	for o, want := range map[Outcome]string{
-		OK: "ok", Errored: "error", Panicked: "panic", TimedOut: "timeout", Outcome(99): "unknown",
+		OK: "ok", Errored: "error", Panicked: "panic", Outcome(99): "unknown",
 	} {
 		if got := o.String(); got != want {
 			t.Errorf("Outcome(%d).String() = %q, want %q", o, got, want)

@@ -14,8 +14,6 @@ const (
 	Errored
 	// Panicked marks an attempt that crashed and was recovered.
 	Panicked
-	// TimedOut marks an attempt that exceeded its per-attempt deadline.
-	TimedOut
 )
 
 // String returns the lowercase event-schema name of the outcome.
@@ -27,8 +25,6 @@ func (o Outcome) String() string {
 		return "error"
 	case Panicked:
 		return "panic"
-	case TimedOut:
-		return "timeout"
 	}
 	return "unknown"
 }

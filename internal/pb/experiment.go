@@ -27,8 +27,8 @@ func Dummy(n int) Factor {
 	}
 }
 
-// Response evaluates one design row: given the run's context
-// (carrying cancellation and the per-attempt deadline) and the level
+// Response evaluates one design row: given the run's context (for
+// cancellation only; no row has a deadline of its own) and the level
 // of every factor column it returns the measured response (in this
 // paper, simulated execution time in cycles). A failed row returns an
 // error, which the runner retries and, if retries are exhausted,
@@ -79,7 +79,7 @@ type Suite struct {
 // shared design (as in Table 9, where the same X=44 foldover design
 // drives all 13 workloads), benchmark by benchmark, through the
 // resilient runner: ctx cancels the whole suite, and cfg adds bounded
-// parallelism, timeouts, retries and panic recovery. Each benchmark's
+// parallelism, retries and panic recovery. Each benchmark's
 // rows run under a scope derived from its name (cfg.Scope + "/" + name
 // when a scope is set), which names them in every runner event and
 // callback. The evaluated vectors are folded by SuiteFromResponses, so

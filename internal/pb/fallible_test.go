@@ -141,8 +141,8 @@ func TestSuiteCheckpointResumeBitIdentical(t *testing.T) {
 }
 
 // A suite with injected faults (seeded transient failures, one panic,
-// one slow row exceeding the per-row timeout) completes via retries
-// and matches the fault-free result exactly.
+// one crash at the commit boundary) completes via retries and matches
+// the fault-free result exactly.
 func TestSuiteCompletesDespiteInjectedFaults(t *testing.T) {
 	factors, benchmarks, responses := suiteFixture()
 	design := mustNew(t, len(factors), true)
@@ -154,11 +154,10 @@ func TestSuiteCompletesDespiteInjectedFaults(t *testing.T) {
 		Seed:      3,
 		FailProb:  0.15,
 		PanicRows: map[int]int{4: 1},
-		SlowRows:  map[int]time.Duration{6: 150 * time.Millisecond},
+		CrashRows: map[int]int{6: 1},
 	}
 	cfg := runner.Config{
 		Retries:    6,
-		Timeout:    50 * time.Millisecond,
 		Backoff:    time.Millisecond,
 		BackoffCap: 2 * time.Millisecond,
 		Wrap:       faults.Wrap,

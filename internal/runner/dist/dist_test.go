@@ -506,6 +506,55 @@ func TestRunWorkerPermanentFailure(t *testing.T) {
 	}
 }
 
+// TestCallerDeadlineInterruptsRunWorker: a deadline on the caller's
+// context that expires while the worker holds a unit's lease is an
+// interruption. The worker releases that lease and returns without
+// committing the unit, so another worker can claim it at once.
+func TestCallerDeadlineInterruptsRunWorker(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Create(dir, testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	held := Unit{Scope: "beta", Row: 1}
+	task := func(ctx context.Context, scope string, row int) (float64, error) {
+		if (Unit{Scope: scope, Row: row}) == held {
+			<-ctx.Done()
+			return 0, ctx.Err()
+		}
+		return testTask(ctx, scope, row)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	stats, err := RunWorker(ctx, dir, task, Config{
+		ID:       "w",
+		LeaseTTL: time.Minute,
+		Runner:   runner.Config{Retries: 2},
+	})
+	if !runner.Cancelled(err) {
+		t.Fatalf("RunWorker = %v (stats %+v), want an interruption", err, stats)
+	}
+	if stats.Crashed || stats.Committed >= 7 {
+		t.Fatalf("stats = %+v, want fewer than 7 commits and no crash", stats)
+	}
+	if _, err := os.Stat(leasePath(dir, held)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("lease of the interrupted unit not released: %v", err)
+	}
+	leases, err := os.ReadDir(filepath.Join(dir, leaseDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leases) != 0 {
+		t.Fatalf("leases left behind: %v", leases)
+	}
+	res, err := MergeDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(res.Values[held.Scope][held.Row]) {
+		t.Fatalf("interrupted unit %s was committed", held)
+	}
+}
+
 func TestRunWorkerCrashLeavesLeaseAndResumeSteals(t *testing.T) {
 	dir := t.TempDir()
 	man := testManifest()

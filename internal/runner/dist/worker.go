@@ -40,9 +40,9 @@ type Config struct {
 	// Sync fsyncs the shard ledger after every commit, extending
 	// durability from process death to machine death.
 	Sync bool
-	// Runner configures the execution of each unit (retries, timeout,
-	// backoff, fault-injection Wrap), which all see the unit's real
-	// campaign row. Scope, when set, prefixes every unit's scope in
+	// Runner configures the execution of each unit (retries, backoff,
+	// fault-injection Wrap), which all see the unit's real campaign
+	// row; the unit's context carries the caller's cancellation only. Scope, when set, prefixes every unit's scope in
 	// row events ("Scope/unit"), as pb suites name benchmark scopes
 	// under a label. Parallelism and Recorder are ignored;
 	// cfg.Recorder observes the rows.
@@ -107,11 +107,12 @@ func (e unitError) Unwrap() error { return e.Err }
 //	    released in between → release, skip
 //	    heartbeat the lease in the background
 //	    run the unit through runner.EvaluateRow under its campaign
-//	    row (retries, timeout, panic recovery)
+//	    row (retries, panic recovery)
 //	    success → append to this worker's shard ledger, release lease
 //	    injected crash → return immediately, lease deliberately NOT
 //	    released: the process is "dead", the lease must expire and be
 //	    stolen, exactly as a real death
+//	    ctx cancelled or past its deadline → release lease, return
 //	    other permanent failure → record, release lease, move on
 //	  nothing left but failed units → done
 //	  no unit claimable and campaign incomplete → poll-sleep, rescan
@@ -340,8 +341,8 @@ func (c *Campaign) reportRestored(cfg Config) error {
 }
 
 // runUnit executes one unit through runner.EvaluateRow under its real
-// campaign row, inheriting the runner's retry, timeout,
-// panic-recovery and fault-injection machinery.
+// campaign row, inheriting the runner's retry, panic-recovery and
+// fault-injection machinery.
 func runUnit(ctx context.Context, u Unit, task Task, cfg Config) (float64, error) {
 	rcfg := cfg.Runner
 	rcfg.Scope = cfg.rowScope(u)

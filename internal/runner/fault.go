@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // ErrInjected is the root of every error produced by the
@@ -24,7 +23,8 @@ var ErrCrash = fmt.Errorf("%w: crash at commit boundary", ErrInjected)
 // Faults is a deterministic fault-injection wrapper for tasks: given
 // the same Seed and the same schedule of attempts, it makes identical
 // decisions, which lets tests (and the resilientrun example) assert
-// that a suite completes despite failures, panics, and slow rows.
+// that a suite completes despite failures, panics, and crashes at the
+// commit boundary.
 //
 // Deterministic modes key off the row and the per-row attempt number;
 // the probabilistic mode keys off (Seed, row, attempt) through the
@@ -50,14 +50,6 @@ type Faults struct {
 	// which worker (or restarted process) runs it — the property the
 	// chaos harness and the resilientrun example both lean on.
 	CrashRows map[int]int
-	// SlowRows maps row → extra latency added to that row's leading
-	// attempts (see SlowAttempts). The sleep respects the attempt
-	// context, so a per-attempt timeout cuts it short.
-	SlowRows map[int]time.Duration
-	// SlowAttempts is how many leading attempts of a slow row are
-	// delayed (default 1: slow once, then fast — the classic
-	// "retry beats a straggler" scenario).
-	SlowAttempts int
 
 	mu       sync.Mutex
 	attempts map[int]int
@@ -77,15 +69,6 @@ func (f *Faults) Wrap(task Task) Task {
 		}
 		if f.FailProb > 0 && hashFloat(f.Seed, uint64(row), uint64(attempt)) < f.FailProb {
 			return 0, fmt.Errorf("%w: row %d attempt %d (seeded)", ErrInjected, row, attempt)
-		}
-		slowAttempts := f.SlowAttempts
-		if slowAttempts == 0 {
-			slowAttempts = 1
-		}
-		if d := f.SlowRows[row]; d > 0 && attempt < slowAttempts {
-			if err := ctxSleep(ctx, d); err != nil {
-				return 0, fmt.Errorf("%w: row %d slow attempt %d: %v", ErrInjected, row, attempt, err)
-			}
 		}
 		v, err := task(ctx, row)
 		if err == nil && attempt < f.CrashRows[row] {

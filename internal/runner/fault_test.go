@@ -126,22 +126,3 @@ func TestFaultsCrashRows(t *testing.T) {
 		t.Errorf("row 1 = %v after crash retries, want 1", vals[1])
 	}
 }
-
-func TestFaultsSlowRowHonorsContext(t *testing.T) {
-	f := &Faults{SlowRows: map[int]time.Duration{0: time.Minute}}
-	task := f.Wrap(func(context.Context, int) (float64, error) { return 1, nil })
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := task(ctx, 0)
-	if err == nil {
-		t.Fatal("slow attempt ignored its deadline")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("slow row blocked for %v despite cancelled context", elapsed)
-	}
-	// Second attempt is past SlowAttempts: fast and successful.
-	if v, err := task(context.Background(), 0); err != nil || v != 1 {
-		t.Errorf("second attempt: v=%v err=%v", v, err)
-	}
-}

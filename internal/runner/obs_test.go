@@ -73,21 +73,20 @@ func TestEvaluateRecorderEvents(t *testing.T) {
 	}
 }
 
-// TestEvaluateRecorderFailuresAndTimeouts pins the failure-side
-// events: permanent RowFailed and TimedOut attempt classification.
-func TestEvaluateRecorderFailuresAndTimeouts(t *testing.T) {
+// TestEvaluateRecorderFailures pins the failure-side events: permanent
+// RowFailed for a row that errors and for one that panics, with each
+// attempt classified.
+func TestEvaluateRecorderFailures(t *testing.T) {
 	m := obs.NewMetrics()
 	task := func(ctx context.Context, row int) (float64, error) {
 		if row == 1 {
-			<-ctx.Done() // exceed the per-attempt deadline
-			return 0, ctx.Err()
+			panic("always panics")
 		}
 		return 0, errors.New("always fails")
 	}
 	_, err := Evaluate(context.Background(), 2, task, Config{
 		Parallelism: 2,
 		Retries:     1,
-		Timeout:     time.Millisecond,
 		Backoff:     time.Microsecond,
 		BackoffCap:  time.Microsecond,
 		Recorder:    m,
@@ -99,8 +98,8 @@ func TestEvaluateRecorderFailuresAndTimeouts(t *testing.T) {
 	if v := m.RowsFailed.Value(); v != 2 {
 		t.Errorf("RowsFailed = %d, want 2", v)
 	}
-	if v := m.Timeouts.Value(); v != 2 {
-		t.Errorf("Timeouts = %d, want 2 (row 1, both attempts)", v)
+	if v := m.Panics.Value(); v != 2 {
+		t.Errorf("Panics = %d, want 2 (row 1, both attempts)", v)
 	}
 	if v := m.Attempts.Value(); v != 4 {
 		t.Errorf("Attempts = %d, want 4", v)

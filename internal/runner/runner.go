@@ -4,13 +4,12 @@
 // configurations × 13 benchmarks ≈ 1,144 independent simulations — and
 // at that scale partial failure is the norm, not the exception. The
 // runner therefore treats every row as fallible work: rows are
-// evaluated by a bounded worker pool with context cancellation,
-// per-attempt timeouts, retry with capped exponential backoff and
-// deterministic jitter, panic recovery (a crashed worker becomes a
-// per-row error, never a dead process). Durable resume is not the
-// runner's business: a checkpointed suite runs as a campaign directory
-// of package dist, whose workers evaluate each unit through
-// EvaluateRow.
+// evaluated by a bounded worker pool with context cancellation, retry
+// with capped exponential backoff and deterministic jitter, and panic
+// recovery (a crashed worker becomes a per-row error, never a dead
+// process). Durable resume is not the runner's business: a
+// checkpointed suite runs as a campaign directory of package dist,
+// whose workers evaluate each unit through EvaluateRow.
 //
 // The degradation policy is strict: a row that exhausts its retries
 // fails the whole evaluation with an aggregate *RunError naming every
@@ -32,8 +31,8 @@ import (
 )
 
 // Task computes the response value of one row. The context carries the
-// per-attempt deadline and the run's cancellation; long tasks should
-// check it cooperatively. Tasks must be safe for concurrent use.
+// caller's cancellation only; the runner adds no deadline of its own.
+// Tasks must be safe for concurrent use.
 type Task func(ctx context.Context, row int) (float64, error)
 
 // Default retry pacing used when a Config enables retries without
@@ -44,7 +43,7 @@ const (
 )
 
 // Config tunes one Evaluate call. The zero value is a plain parallel
-// evaluation: GOMAXPROCS workers, no timeout, no retries.
+// evaluation: GOMAXPROCS workers, no retries.
 type Config struct {
 	// Parallelism bounds the number of concurrently evaluated rows
 	// (GOMAXPROCS when zero or negative).
@@ -52,10 +51,6 @@ type Config struct {
 	// Retries is the number of extra attempts after the first; a row
 	// is failed permanently once 1+Retries attempts have errored.
 	Retries int
-	// Timeout bounds each attempt; zero means no per-attempt deadline.
-	// Enforcement is cooperative: the attempt's context expires and
-	// the task is expected to notice.
-	Timeout time.Duration
 	// Backoff is the base delay before the first retry; it doubles on
 	// every subsequent retry up to BackoffCap. Zero selects
 	// DefaultBackoff when Retries > 0.
@@ -74,7 +69,7 @@ type Config struct {
 	Wrap func(Task) Task
 	// Recorder observes the evaluation: run start and finish, per-row
 	// queue wait, worker occupancy, per-attempt latency with
-	// classified outcome (error/panic/timeout), retries, completions,
+	// classified outcome (error/panic), retries, completions,
 	// and permanent failures. Nil means obs.Nop, which adds zero
 	// allocations (see the benchmark in this package). Recorders only
 	// observe; scheduling, retry decisions, and results are
@@ -151,9 +146,12 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 //   - A row that exhausts its attempts is recorded and evaluation of
 //     the remaining rows continues; Evaluate then returns a *RunError
 //     aggregating every failed row.
-//   - Cancelling ctx stops the pool promptly: workers take no new rows,
-//     in-flight attempts see their context expire, and Evaluate joins
+//   - Cancelling ctx stops the pool: workers take no new rows or
+//     retries, in-flight attempts see their context expire (a task
+//     that does not check it finishes its row), and Evaluate joins
 //     every worker before returning ctx's error. No goroutines leak.
+//     A deadline on ctx is a cancellation like any other: the rows it
+//     cuts short are not failures, and Cancelled(err) holds.
 func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative row count %d", n)
@@ -219,8 +217,8 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 }
 
 // EvaluateRow evaluates one row with everything Evaluate applies to
-// each of its rows: cfg.Wrap, the attempt loop with timeout, retry,
-// backoff and panic recovery, and the per-row Recorder events under
+// each of its rows: cfg.Wrap, the attempt loop with retry, backoff
+// and panic recovery, and the per-row Recorder events under
 // cfg.Scope. It is for callers that schedule rows themselves, such as
 // the dist worker, which runs one campaign unit at a time under its
 // real row number. Parallelism is ignored, and no
@@ -288,7 +286,7 @@ func evaluateRow(ctx context.Context, task Task, row int, cfg Config) (float64, 
 			return 0, attempt, &RowError{Scope: cfg.Scope, Row: row, Attempts: attempt, Err: ctx.Err()}
 		}
 		attemptStart := time.Now()
-		v, err := attemptRow(ctx, task, row, cfg.Timeout)
+		v, err := attemptRow(ctx, task, row)
 		cfg.Recorder.AttemptDone(cfg.Scope, row, attempt, time.Since(attemptStart), classifyOutcome(err), err)
 		if err == nil {
 			return v, attempt + 1, nil
@@ -317,20 +315,12 @@ func classifyOutcome(err error) obs.Outcome {
 	if errors.As(err, &p) {
 		return obs.Panicked
 	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return obs.TimedOut
-	}
 	return obs.Errored
 }
 
-// attemptRow runs a single attempt under the per-attempt timeout,
-// converting a panic into a *PanicError instead of killing the worker.
-func attemptRow(ctx context.Context, task Task, row int, timeout time.Duration) (v float64, err error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// attemptRow runs a single attempt, converting a panic into a
+// *PanicError instead of killing the worker.
+func attemptRow(ctx context.Context, task Task, row int) (v float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,6 +201,9 @@ func TestPanicRecoveryIsolatesRow(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Error("panic stack not captured")
 	}
+	if pe.Error() != "panic: injected crash" {
+		t.Errorf("PanicError = %q", pe.Error())
+	}
 	for i, v := range got {
 		if i != 3 && v != float64(i) {
 			t.Errorf("row %d corrupted: %g", i, v)
@@ -208,20 +212,19 @@ func TestPanicRecoveryIsolatesRow(t *testing.T) {
 }
 
 // The acceptance scenario: seeded transient failures, one panicking
-// row, and one row whose first attempt exceeds the per-attempt
-// timeout — the evaluation completes via retries with correct values.
+// row, and one row whose first attempt crashes at the commit boundary
+// — the evaluation completes via retries with correct values.
 func TestFaultedEvaluationCompletes(t *testing.T) {
 	faults := &Faults{
 		Seed:      1,
 		FailRows:  map[int]int{2: 2, 9: 1},
 		PanicRows: map[int]int{5: 1},
-		SlowRows:  map[int]time.Duration{7: 200 * time.Millisecond},
+		CrashRows: map[int]int{7: 1},
 	}
 	task := func(_ context.Context, i int) (float64, error) { return 100 + float64(i), nil }
 	got, err := Evaluate(context.Background(), 12, task, Config{
 		Parallelism: 4,
 		Retries:     3,
-		Timeout:     50 * time.Millisecond, // row 7's first attempt must time out
 		Backoff:     time.Millisecond,
 		BackoffCap:  2 * time.Millisecond,
 		Wrap:        faults.Wrap,
@@ -236,6 +239,45 @@ func TestFaultedEvaluationCompletes(t *testing.T) {
 	}
 	if faults.Injected() <= 12 {
 		t.Errorf("fault harness saw %d attempts; retries evidently never happened", faults.Injected())
+	}
+}
+
+// A deadline on the caller's context, expiring while a row is in
+// flight, is an interruption, never a row failure: Evaluate returns an
+// error Cancelled recognizes, reports no RowFailed, schedules no retry
+// and takes no new rows. Row 5 honours ctx and waits for the deadline;
+// the others ignore ctx, as a simulated row does.
+func TestCallerDeadlineInterruptsEvaluate(t *testing.T) {
+	const n = 40
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	task := func(ctx context.Context, row int) (float64, error) {
+		if row == 5 {
+			<-ctx.Done()
+			return 0, ctx.Err()
+		}
+		// The other worker can run at most 25 of these before the
+		// deadline, so the run cannot finish.
+		time.Sleep(2 * time.Millisecond)
+		return float64(row), nil
+	}
+	m := obs.NewMetrics()
+	_, err := Evaluate(ctx, n, task, Config{Parallelism: 2, Retries: 2, Recorder: m})
+	if !Cancelled(err) {
+		t.Fatalf("Evaluate = %v, want an interruption", err)
+	}
+	var re *RunError
+	if errors.As(err, &re) {
+		t.Fatalf("Evaluate reported row failures: %v", err)
+	}
+	if v := m.RowsFailed.Value(); v != 0 {
+		t.Errorf("RowsFailed = %d, want 0", v)
+	}
+	if v := m.Retries.Value(); v != 0 {
+		t.Errorf("Retries = %d, want 0: an expired deadline is not retried", v)
+	}
+	if v := m.RowsSimulated.Value(); v >= n-1 {
+		t.Errorf("RowsSimulated = %d: workers kept taking rows after the deadline", v)
 	}
 }
 
@@ -264,29 +306,13 @@ func TestExhaustedRetriesAggregate(t *testing.T) {
 	if runErr.N != 10 {
 		t.Errorf("RunError.N = %d, want 10", runErr.N)
 	}
-}
-
-// A per-attempt timeout expires the attempt's context; a task that
-// honors it is retried and can succeed on a faster attempt.
-func TestTimeoutRetries(t *testing.T) {
-	var calls atomic.Int64
-	task := func(ctx context.Context, i int) (float64, error) {
-		if calls.Add(1) == 1 {
-			<-ctx.Done() // first attempt hangs until the deadline
-			return 0, ctx.Err()
-		}
-		return 7, nil
+	if msg := err.Error(); !strings.Contains(msg, "5 of 10 rows failed permanently; first: row 0 failed after 3 attempt(s)") ||
+		!strings.HasSuffix(msg, "(and 4 more)") {
+		t.Errorf("aggregate message = %q", msg)
 	}
-	got, err := Evaluate(context.Background(), 1, task, Config{
-		Retries: 1,
-		Timeout: 20 * time.Millisecond,
-		sleep:   noSleep,
-	})
-	if err != nil {
-		t.Fatalf("timeout was not retried: %v", err)
-	}
-	if got[0] != 7 {
-		t.Errorf("got %g, want 7", got[0])
+	var rowErr *RowError
+	if !errors.As(err, &rowErr) || rowErr.Row != 0 {
+		t.Errorf("errors.As through the aggregate found %v, want row 0", rowErr)
 	}
 }
 

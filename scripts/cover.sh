@@ -33,6 +33,7 @@ declare -A floors=(
 	["pbsim/internal/pb"]=95
 	["pbsim/internal/methodology"]=95
 	["pbsim/internal/trace"]=90
+	["pbsim/internal/cluster"]=95
 )
 
 go test -covermode=atomic -coverprofile="$profile" ./... | tee /tmp/cover-packages.txt
