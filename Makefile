@@ -99,13 +99,23 @@ bench-test:
 
 # examples runs every program under examples/ end to end (about 10 s
 # in all), so a change that builds but breaks a walkthrough fails.
-# resilientrun checks its own fault-injection and resume accounting
-# and exits 1 on a mismatch. The CI check job runs it.
+# Each program's stdout is kept in $(EXAMPLES_OUT). resilientrun checks
+# its own fault-injection and resume accounting and exits 1 on a
+# mismatch; it then runs a second time, and the two stdouts must be
+# byte-identical (its timings go to stderr). The CI check job runs it.
+EXAMPLES_OUT ?= out/examples
 examples:
+	@mkdir -p $(EXAMPLES_OUT)
 	@for d in examples/*/; do \
+		name=$$(basename $$d); \
 		echo "== $$d"; \
-		$(GO) run ./$$d || exit 1; \
+		$(GO) run ./$$d > $(EXAMPLES_OUT)/$$name.txt; st=$$?; \
+		cat $(EXAMPLES_OUT)/$$name.txt; \
+		[ $$st -eq 0 ] || exit 1; \
 	done
+	@echo "== examples/resilientrun/ again: its stdout must not change"
+	@$(GO) run ./examples/resilientrun > $(EXAMPLES_OUT)/resilientrun.rerun.txt
+	@cmp $(EXAMPLES_OUT)/resilientrun.txt $(EXAMPLES_OUT)/resilientrun.rerun.txt || { echo "examples: resilientrun stdout differs between runs"; exit 1; }
 
 # Coverage profile plus a per-package summary; enforces floors for the
 # packages the campaign engine leans on hardest (obs, stats, runner).

@@ -12,7 +12,7 @@
 // Usage:
 //
 //	pbclassify [-source paper|sim] [-threshold 63.25] [-dendrogram] [-n 100000]
-//	           [-retries 0] [-checkpoint campaign/]
+//	           [-checkpoint campaign/]
 //	           [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 package main
 

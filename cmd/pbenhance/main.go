@@ -4,7 +4,8 @@
 // by default, or dynamic value reuse), then compares the sum-of-ranks
 // of every parameter before and after.
 //
-// Both suites are fault tolerant (-retries) and share one -checkpoint
+// Both suites are fault tolerant (panic recovery, and one aggregate
+// error naming every failed configuration) and share one -checkpoint
 // directory, holding each phase's campaign in a subdirectory named
 // after its label (base, precompute-128, ...), so an interrupted
 // comparison resumes without repeating either phase's completed
@@ -20,7 +21,7 @@
 // Usage:
 //
 //	pbenhance [-mechanism precompute|valuereuse] [-table 128] [-n 100000]
-//	          [-retries 0] [-checkpoint campaigns/]
+//	          [-checkpoint campaigns/]
 //	          [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 package main
 

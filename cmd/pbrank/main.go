@@ -4,21 +4,21 @@
 // benchmark by the magnitude of its effect on execution time, and
 // sorts the parameters by their sum of ranks.
 //
-// The suite is fault tolerant: -retries re-runs failed configurations
-// with capped backoff, and -checkpoint runs the suite over a campaign
-// directory so an interrupted run (Ctrl-C included) resumes exactly
-// where it stopped.
+// The suite is fault tolerant: every configuration is simulated once,
+// a failed or panicking one fails the run naming its row, and
+// -checkpoint runs the suite over a campaign directory so an
+// interrupted run (Ctrl-C included) resumes exactly where it stopped.
 //
 // Observability: -metrics journals run events to a JSONL file keyed
 // by the experiment fingerprint, -progress prints live progress lines
-// and an end-of-run summary (rows/s, latency quantiles, retry and
-// fault totals, resumed vs simulated rows), and -debug-addr serves
+// and an end-of-run summary (rows/s, latency quantiles, failure and
+// panic totals, resumed vs simulated rows), and -debug-addr serves
 // expvar and pprof while the campaign runs.
 //
 // Usage:
 //
 //	pbrank [-n 100000] [-warmup 30000] [-benchmarks gzip,mcf,...]
-//	       [-par 0] [-retries 0] [-checkpoint campaign/] [-shard-sync]
+//	       [-par 0] [-checkpoint campaign/] [-shard-sync]
 //	       [-sample uniform] [-sample-region 1000] [-sample-frac 0.1]
 //	       [-sample-warmup -1] [-sample-func-warmup -1] [-sample-seed 1]
 //	       [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
@@ -77,7 +77,7 @@ func run() (err error) {
 	pov := flag.Bool("pov", false, "print percent-of-variation dominance per benchmark (exposes what ranks hide)")
 	stability := flag.Bool("stability", false, "print leave-one-benchmark-out stability of the ordering")
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
-	verbose := flag.Bool("v", false, "log retries and checkpoint restores")
+	verbose := flag.Bool("v", false, "log checkpoint restores")
 	csvRanks := flag.String("csv", "", "also write the rank matrix to this CSV file")
 	csvRaw := flag.String("csv-raw", "", "also write raw per-configuration cycle counts to this CSV file")
 	shardSync := flag.Bool("shard-sync", false, "fsync every -checkpoint commit (survives machine death, not just process death)")
@@ -178,12 +178,8 @@ func writeCSV(path string, suite *pb.Suite, fn func(w io.Writer, s *pb.Suite) er
 	return f.Close()
 }
 
-// verboseLog prints -v's retry and checkpoint-restore lines.
+// verboseLog prints -v's checkpoint-restore lines.
 type verboseLog struct{ obs.Nop }
-
-func (verboseLog) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
-	fmt.Fprintf(os.Stderr, "pbrank: retrying %s row %d (attempt %d, in %v): %v\n", scope, row, attempt, delay, err)
-}
 
 func (verboseLog) RowFinished(scope string, row int, _ float64, _ time.Duration, _ int, fromCheckpoint bool) {
 	if fromCheckpoint {

@@ -26,7 +26,7 @@
 // Usage:
 //
 //	pbworker -checkpoint campaign/ [-id worker-name] [-ttl 10s] [-poll 0]
-//	         [-sync] [-retries 0]
+//	         [-sync]
 //	         [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
 // Exit codes: 0 campaign complete (or completed by others), 1 work
@@ -44,7 +44,6 @@ import (
 
 	"pbsim/internal/experiment"
 	"pbsim/internal/obs"
-	"pbsim/internal/runner"
 	"pbsim/internal/runner/dist"
 )
 
@@ -101,7 +100,6 @@ func run() (err error) {
 		LeaseTTL: *ttl,
 		Poll:     *poll,
 		Sync:     *sync,
-		Runner:   runner.Config{Retries: runFlags.Retries},
 		Recorder: sess.Recorder(),
 	})
 	if err != nil {

@@ -2,13 +2,13 @@
 // benchmark on a chosen configuration, printing the full statistics
 // report. With -bench all, the benchmarks are evaluated through the
 // fault-tolerant runner: -par simulates several at once (reports
-// still print in benchmark order), -retries re-runs failures, and
-// -checkpoint runs them over a campaign directory, so a rerun with the
-// same flags skips finished benchmarks (those report their cycle
-// count; the full statistics are only printed for benchmarks this
-// process simulated). Several simrun
-// processes started with identical flags and the same -checkpoint
-// directory split the benchmarks between them.
+// still print in benchmark order; each is simulated once, and a
+// failure fails the run naming its benchmark), and -checkpoint runs
+// them over a campaign directory, so a rerun with the same flags skips
+// finished benchmarks (those report their cycle count; the full
+// statistics are only printed for benchmarks this process simulated).
+// Several simrun processes started with identical flags and the same
+// -checkpoint directory split the benchmarks between them.
 //
 // Observability: -metrics journals run events to JSONL, -progress
 // prints live progress and an end-of-run summary, -debug-addr serves
@@ -18,7 +18,7 @@
 //
 //	simrun [-bench gzip] [-n 100000] [-warmup 30000]
 //	       [-config default|all-low|all-high] [-precompute 0] [-par 1]
-//	       [-retries 0] [-checkpoint campaign/] [-shard-sync]
+//	       [-checkpoint campaign/] [-shard-sync]
 //	       [-sample uniform] [-sample-region 1000] [-sample-frac 0.1]
 //	       [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
@@ -134,13 +134,11 @@ func run() (err error) {
 		mu.Unlock()
 		return cycles, nil
 	}
-	rcfg := runner.Config{Parallelism: *par, Retries: runFlags.Retries, Recorder: rec}
 	var cycles []float64
 	if runFlags.Checkpoint == "" {
-		rcfg.Scope = "simrun"
-		cycles, err = runner.Evaluate(ctx, len(names), task, rcfg)
+		cycles, err = runner.Evaluate(ctx, len(names), task, runner.Config{Parallelism: *par, Scope: "simrun", Recorder: rec})
 	} else {
-		cycles, err = runCampaign(ctx, runFlags.Checkpoint, fp, len(names), task, *par, dist.Config{Sync: *shardSync, Runner: rcfg, Recorder: rec})
+		cycles, err = runCampaign(ctx, runFlags.Checkpoint, fp, len(names), task, *par, dist.Config{Sync: *shardSync, Recorder: rec})
 	}
 	if err != nil {
 		return runFlags.Resumable(err)

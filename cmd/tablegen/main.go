@@ -2,7 +2,7 @@
 // output directory: the static tables (1-8) directly and the
 // experimental tables (9-12) by running the full Plackett-Burman
 // experiments on the simulator. The experimental runs are fault
-// tolerant: -retries and -checkpoint behave as in pbrank, and Ctrl-C
+// tolerant: -checkpoint behaves as in pbrank, and Ctrl-C
 // leaves a resumable checkpoint instead of lost work. Each
 // experimental suite keeps its campaign in its own subdirectory of the
 // -checkpoint directory, named after its label (base,
@@ -15,7 +15,7 @@
 // Usage:
 //
 //	tablegen [-out out] [-table 0] [-n 100000] [-warmup 30000]
-//	         [-retries 0] [-checkpoint campaigns/]
+//	         [-checkpoint campaigns/]
 //	         [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
 // With -table 0 (the default) all tables are generated.

@@ -1,24 +1,24 @@
 // Example resilientrun demonstrates the fault-tolerant experiment
-// runner on a small Plackett-Burman suite. It runs the same
-// three-benchmark experiment twice:
+// runner on a small Plackett-Burman suite of three benchmarks:
 //
-//  1. Under heavy injected faults — seeded transient failures on ~15%
-//     of attempts, a row that panics on its first attempt, and a row
-//     that twice "dies" at the commit boundary (the CrashRows injector
-//     the distributed chaos harness also uses) — and shows the suite
-//     completing anyway via retries with capped backoff.
+//  1. One row panics (an injected fault). The runner attempts every
+//     row exactly once, recovers the panic into that row's error, and
+//     completes every other row of the benchmark; the suite fails with
+//     a *runner.RunError naming the row, never with a silent NaN.
 //
 //  2. Run over a campaign directory (internal/runner/dist) whose worker
 //     dies mid-suite at an injected crash point, then restarted: the
 //     restarted run re-simulates only the units the dead worker never
-//     committed and reproduces the identical sum-of-ranks ordering.
+//     committed and reproduces the sum-of-ranks ordering of a clean
+//     in-memory run.
 //
 // Both phases run under the observability layer (internal/obs): the
-// fault-injected suite aggregates retry and panic counts through
-// an obs.Metrics recorder, and the resumed suite additionally
-// journals every event to a metrics JSONL whose resumed-vs-simulated
-// accounting is verified against the crashed run — so this example
-// doubles as an integration smoke test of the obs layer.
+// faulted suite's attempts, failures and panics are counted by an
+// obs.Metrics recorder, and the resumed suite additionally journals
+// every event to a metrics JSONL whose resumed-vs-simulated accounting
+// is verified against the crashed run — so this example doubles as an
+// integration smoke test of the obs layer. It exits 1 when any of its
+// checks fails, and its stdout is the same on every run.
 //
 // Run it with:
 //
@@ -34,8 +34,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -88,34 +86,33 @@ func suite() ([]pb.Factor, []string, []pb.Response) {
 func run() (err error) {
 	factors, benchmarks, responses := suite()
 
-	fmt.Println("=== Phase 1: suite under injected faults ===")
-	faults := &runner.Faults{
-		Seed:      2026,
-		FailProb:  0.15,              // seeded transient failures
-		PanicRows: map[int]int{3: 1}, // row 3 panics once
-		CrashRows: map[int]int{7: 2}, // row 7 dies twice at the commit boundary
-	}
-	metrics := obs.NewMetrics()
-	retries := &retryLog{}
+	fmt.Println("=== Phase 1: one row panics ===")
 	design, err := pb.New(len(factors), true)
 	if err != nil {
 		return err
 	}
-	cfg := runner.Config{
-		Retries:    5,
-		Backoff:    5 * time.Millisecond,
-		BackoffCap: 50 * time.Millisecond,
-		Wrap:       faults.Wrap,
-		Recorder:   obs.Multi(metrics, retries),
+	const panicRow = 3
+	faults := &runner.Faults{PanicRows: map[int]int{panicRow: 1}}
+	metrics := obs.NewMetrics()
+	cfg := runner.Config{Wrap: faults.Wrap, Recorder: metrics}
+	_, err = pb.RunSuite(context.Background(), design, factors, benchmarks, responses, cfg)
+	var runErr *runner.RunError
+	var pe *runner.PanicError
+	if !errors.As(err, &runErr) || len(runErr.Rows) != 1 || runErr.Rows[0].Row != panicRow || !errors.As(err, &pe) {
+		return fmt.Errorf("faulted suite: %v, want a *runner.RunError naming row %d's panic", err, panicRow)
 	}
-	faulted, err := pb.RunSuite(context.Background(), design, factors, benchmarks, responses, cfg)
-	if err != nil {
-		return fmt.Errorf("faulted suite: %w", err)
+	fmt.Printf("suite failed as planned: %v\n", err)
+	// The suite stops at the benchmark with the failed row, after every
+	// one of that benchmark's rows was attempted exactly once.
+	runs := int64(design.Runs())
+	if metrics.Attempts.Value() != runs || metrics.RowsSimulated.Value() != runs-1 ||
+		metrics.RowsFailed.Value() != 1 || metrics.Panics.Value() != 1 || int64(faults.Injected()) != runs {
+		return fmt.Errorf("phase 1 metrics disagree: %d attempts, %d simulated, %d failed, %d panics, %d executions; want %d, %d, 1, 1, %d",
+			metrics.Attempts.Value(), metrics.RowsSimulated.Value(), metrics.RowsFailed.Value(),
+			metrics.Panics.Value(), faults.Injected(), runs, runs-1, runs)
 	}
-	retries.print()
-	fmt.Printf("suite completed despite %d injected-fault attempts\n", faults.Injected())
-	fmt.Printf("the metrics agree: %d attempts, %d retries, %d panics\n\n",
-		metrics.Attempts.Value(), metrics.Retries.Value(), metrics.Panics.Value())
+	fmt.Printf("the metrics agree: %d attempts, %d rows simulated, %d failed, %d panics\n\n",
+		metrics.Attempts.Value(), metrics.RowsSimulated.Value(), metrics.RowsFailed.Value(), metrics.Panics.Value())
 	fmt.Fprintf(os.Stderr, "phase 1 ran on at most %d concurrent workers\n", metrics.Workers.Peak())
 
 	fmt.Println("=== Phase 2: crash mid-suite, then resume from the campaign directory ===")
@@ -146,7 +143,7 @@ func run() (err error) {
 	const ttl = 100 * time.Millisecond
 	crash := &runner.Faults{CrashRows: map[int]int{5: 1}}
 	_, err = dist.Run(context.Background(), campaign, task, 1, dist.Config{
-		ID: "first", LeaseTTL: ttl, Runner: runner.Config{Wrap: crash.Wrap},
+		ID: "first", LeaseTTL: ttl, Wrap: crash.Wrap,
 	})
 	if !errors.Is(err, runner.ErrCrash) {
 		return fmt.Errorf("crashing run: %v, want an injected crash", err)
@@ -214,42 +211,20 @@ func run() (err error) {
 	// same on every run.
 	fmt.Fprint(os.Stderr, "\n"+summary.Table())
 
-	// The resumed ordering must equal the faulted (but complete) run's.
+	// The resumed ordering must equal a clean in-memory run's.
+	clean, err := pb.RunSuite(context.Background(), design, factors, benchmarks, responses, runner.Config{})
+	if err != nil {
+		return fmt.Errorf("clean suite: %w", err)
+	}
 	fmt.Println("\nsum-of-ranks ordering (resumed run):")
 	for pos, f := range resumed.Order {
-		same := "=="
-		if resumed.Order[pos] != faulted.Order[pos] {
-			same = "!=" // never happens: both runs are exact
+		if resumed.Order[pos] != clean.Order[pos] || resumed.Sums[f] != clean.Sums[f] {
+			return fmt.Errorf("resumed ordering differs from the clean run at position %d", pos+1)
 		}
-		fmt.Printf("  %d. %-18s sum %2d  (%s fault-injected run)\n",
-			pos+1, resumed.Factors[f].Name, resumed.Sums[f], same)
+		fmt.Printf("  %d. %-18s sum %2d  (== clean in-memory run)\n",
+			pos+1, resumed.Factors[f].Name, resumed.Sums[f])
 	}
 	return nil
-}
-
-// retryLog collects one line per scheduled retry. Concurrent workers
-// schedule retries in whatever order they run, so print writes the
-// lines sorted.
-type retryLog struct {
-	obs.Nop
-	mu    sync.Mutex
-	lines []string
-}
-
-func (l *retryLog) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
-	line := fmt.Sprintf("  retry %s row %d (attempt %d, backoff %v): %v\n", scope, row, attempt, delay, err)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.lines = append(l.lines, line)
-}
-
-// print writes the collected lines. It is called once the suite has
-// returned, when no worker records any more.
-func (l *retryLog) print() {
-	sort.Strings(l.lines)
-	for _, line := range l.lines {
-		fmt.Print(line)
-	}
 }
 
 // countEvents reads a metrics JSONL back and tallies the two row

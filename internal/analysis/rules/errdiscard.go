@@ -12,9 +12,9 @@ import (
 // defer/go statements.
 //
 // The runner's whole fault-tolerance contract is that errors
-// propagate: a row failure must reach the retry loop, a checkpoint
-// write failure must fail the run rather than silently lose rows. A
-// discarded error is a hole in that contract.
+// propagate: a row failure must reach the runner's aggregate error, a
+// checkpoint write failure must fail the run rather than silently lose
+// rows. A discarded error is a hole in that contract.
 //
 // Exemptions (documented, deliberately small):
 //   - the fmt print family: terminal output is best-effort, and

@@ -9,11 +9,11 @@ import (
 
 // NoPanic forbids panic calls in library (non-main) packages.
 //
-// The fault-tolerant runner treats a panicking row as a retryable
-// failure: it recovers the panic, converts it to an error, and applies
-// the retry/backoff policy. A library that panics on data errors
-// bypasses that machinery — it either kills the process or gets
-// recovered far from the fault with the row's state lost. Failures
+// The fault-tolerant runner treats a panicking row as a failed row: it
+// recovers the panic and converts it to a *runner.PanicError in the
+// run's aggregate error. A library that panics on data errors bypasses
+// the error path — it either kills the process or gets recovered far
+// from the fault with the row's state lost. Failures
 // must flow through error returns (pb.Response) so the runner's
 // recovery path stays the sole recovery path. Invariant guards for
 // programmer errors (impossible states) may be waived with

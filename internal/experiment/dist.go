@@ -95,15 +95,12 @@ func (p *campaignPlan) response(w workload.Workload) pb.Response {
 	return Response(w, p.opts.Warmup, p.opts.Instructions, p.opts.Enhance)
 }
 
-// runnerConfig is the row-execution config both paths share: the
-// in-memory suite reads all of it, and a campaign's dist.Run reads
-// everything but Parallelism and Recorder, which it takes on its own.
-// Rows are scoped by the enhancement's label, so each reports as
-// "label/benchmark".
+// runnerConfig is the in-memory suite's row-execution config. Rows
+// are scoped by the enhancement's label, so each reports as
+// "label/benchmark"; runCampaign gives dist.Run the same scope.
 func (p *campaignPlan) runnerConfig() runner.Config {
 	return runner.Config{
 		Parallelism: p.opts.Parallelism,
-		Retries:     p.opts.Retries,
 		Scope:       p.opts.Enhance.String(),
 		Recorder:    p.opts.Recorder,
 	}
@@ -134,7 +131,7 @@ func (p *campaignPlan) runCampaign(ctx context.Context) (*pb.Suite, error) {
 	}
 	res, err := dist.Run(ctx, c.Dir(), task, p.opts.Parallelism, dist.Config{
 		Sync:     p.opts.Sync,
-		Runner:   p.runnerConfig(),
+		Scope:    p.opts.Enhance.String(),
 		Recorder: p.opts.Recorder,
 	})
 	if err != nil {

@@ -54,9 +54,6 @@ type Options struct {
 	// Workloads restricts the benchmark suite; nil selects all 13.
 	Workloads []workload.Workload
 
-	// Retries is the number of extra attempts a failed configuration
-	// gets before the benchmark is failed with an aggregate error.
-	Retries int
 	// Checkpoint, when non-empty, is a campaign directory (package
 	// dist): the suite runs as Parallelism in-process workers that
 	// commit every completed configuration to shard ledgers there, so
@@ -72,14 +69,13 @@ type Options struct {
 	// crash.
 	Sync bool
 	// Recorder receives the full observability event stream
-	// (suite/run lifecycle, per-attempt latency, retries, worker
-	// occupancy, and every completed configuration, scoped
-	// "label/benchmark", with fromCheckpoint marking rows the
-	// Checkpoint campaign had already committed when the run
-	// started). The suite announcement carries the fingerprint a
-	// Checkpoint campaign's shard ledgers carry, so the two join on
-	// it. Nil means obs.Nop. Recording never changes scheduling or
-	// results.
+	// (suite/run lifecycle, per-attempt latency, worker occupancy,
+	// and every completed configuration, scoped "label/benchmark",
+	// with fromCheckpoint marking rows the Checkpoint campaign had
+	// already committed when the run started). The suite announcement
+	// carries the fingerprint a Checkpoint campaign's shard ledgers
+	// carry, so the two join on it. Nil means obs.Nop. Recording never
+	// changes scheduling or results.
 	Recorder obs.Recorder
 }
 
@@ -164,9 +160,10 @@ func RunSuite(opts Options) (*pb.Suite, error) {
 
 // RunSuiteCtx is the fault-tolerant suite entry point: the context
 // cancels the whole experiment (all in-flight simulations drain
-// before it returns), and the Options' Retries field configures the
-// resilient runner. Without a Checkpoint the rows are evaluated in
-// memory; with one, the suite runs over that campaign directory (see
+// before it returns), every configuration is simulated once, and a
+// failed or panicking one fails the suite with the runner's aggregate
+// error. Without a Checkpoint the rows are evaluated in memory; with
+// one, the suite runs over that campaign directory (see
 // Options.Checkpoint) to the bit-identical result.
 func RunSuiteCtx(ctx context.Context, opts Options) (*pb.Suite, error) {
 	p, err := planCampaign(opts)

@@ -34,9 +34,8 @@ func (f *SizeFlags) Apply(opts *Options) {
 }
 
 // RunFlags holds the run-control flag family every suite-running CLI
-// shares: -retries and -checkpoint.
+// shares: -checkpoint.
 type RunFlags struct {
-	Retries    int
 	Checkpoint string
 }
 
@@ -45,14 +44,12 @@ type RunFlags struct {
 // shares the same flag names, defaults and help text.
 func RegisterRunFlags(fs *flag.FlagSet) *RunFlags {
 	f := &RunFlags{}
-	fs.IntVar(&f.Retries, "retries", 0, "extra attempts for a failed simulation")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", "campaign directory: completed simulations are committed there, and rerunning with the same flags resumes")
 	return f
 }
 
 // Apply copies the flags into opts.
 func (f *RunFlags) Apply(opts *Options) {
-	opts.Retries = f.Retries
 	opts.Checkpoint = f.Checkpoint
 }
 

@@ -23,12 +23,12 @@ func parseRunFlags(t *testing.T, args ...string) *RunFlags {
 func TestRegisterRunFlags(t *testing.T) {
 	var opts Options
 	parseRunFlags(t).Apply(&opts)
-	if opts.Retries != 0 || opts.Checkpoint != "" {
+	if opts.Checkpoint != "" {
 		t.Fatalf("defaults = %+v, want zero run options", opts)
 	}
-	f := parseRunFlags(t, "-retries", "3", "-checkpoint", "camp")
+	f := parseRunFlags(t, "-checkpoint", "camp")
 	f.Apply(&opts)
-	if opts.Retries != 3 || opts.Checkpoint != "camp" {
+	if opts.Checkpoint != "camp" {
 		t.Fatalf("parsed = %+v", opts)
 	}
 	if err := f.Resumable(context.Canceled); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "-checkpoint camp") {
@@ -47,8 +47,8 @@ func TestRegisterRunFlagsRejectsBadValues(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	RegisterRunFlags(fs)
-	if err := fs.Parse([]string{"-retries", "many"}); err == nil {
-		t.Error("-retries many accepted")
+	if err := fs.Parse([]string{"-checkpoint"}); err == nil {
+		t.Error("-checkpoint without a directory accepted")
 	}
 }
 

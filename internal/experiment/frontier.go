@@ -111,6 +111,13 @@ func RunFrontier(ctx context.Context, fopts FrontierOptions) (*FrontierReport, e
 		Parallelism:  fopts.Parallelism,
 		Workloads:    fopts.Workloads,
 	}
+	// The effective budgets and workloads, defaulted exactly as every
+	// suite below defaults them, for the cost accounting.
+	plan, err := planCampaign(base)
+	if err != nil {
+		return nil, fmt.Errorf("frontier: full suite: %w", err)
+	}
+	n, warm := plan.opts.Instructions, plan.opts.Warmup
 
 	t0 := time.Now()
 	full, err := RunSuiteCtx(ctx, base)
@@ -120,15 +127,6 @@ func RunFrontier(ctx context.Context, fopts FrontierOptions) (*FrontierReport, e
 	fullWall := time.Since(t0)
 	fullRanks := rankPermutation(full)
 	rows := full.Design.Runs()
-	// Budgets may have been defaulted inside RunSuiteCtx; recover the
-	// effective values for cost accounting.
-	n, warm := base.Instructions, base.Warmup
-	if n <= 0 {
-		n = DefaultInstructions
-	}
-	if warm < 0 {
-		warm = DefaultWarmup
-	}
 	perRunFull := warm + n
 	fullDetailed := int64(rows) * int64(len(full.Benchmarks)) * perRunFull
 
@@ -174,7 +172,7 @@ func RunFrontier(ctx context.Context, fopts FrontierOptions) (*FrontierReport, e
 		if err != nil {
 			return nil, fmt.Errorf("frontier: %s: %w", est, err)
 		}
-		for _, w := range resolveWorkloads(fopts.Workloads) {
+		for _, w := range plan.ws {
 			cost, err := sampling.CostOf(w.Params, warm, n, spec)
 			if err != nil {
 				return nil, fmt.Errorf("frontier: %s cost for %s: %w", est, w.Name, err)
@@ -233,13 +231,6 @@ func responseErrors(full, sampled *pb.Suite) (mean, max float64, err error) {
 		}
 	}
 	return sum / float64(count), max, nil
-}
-
-func resolveWorkloads(ws []workload.Workload) []workload.Workload {
-	if ws == nil {
-		return workload.All()
-	}
-	return ws
 }
 
 // WriteText renders the report as an aligned text table.

@@ -19,16 +19,17 @@ import (
 type Metrics struct {
 	// Row accounting. RowsSimulated counts rows actually evaluated,
 	// RowsResumed rows restored from a checkpoint, RowsFailed rows
-	// that exhausted their attempts — the resumed-vs-simulated split
-	// is the engine's cost ledger (the paper's 2X-run budget is paid
+	// that failed — the resumed-vs-simulated split is the engine's
+	// cost ledger (the paper's 2X-run budget is paid
 	// only for simulated rows).
 	RowsSimulated Counter
 	RowsResumed   Counter
 	RowsFailed    Counter
 
-	// Attempt accounting across retries.
+	// Attempt accounting: every row is attempted once, so Attempts
+	// counts simulated and failed rows alike; Panics counts the
+	// attempts that crashed and were recovered.
 	Attempts Counter
-	Retries  Counter
 	Panics   Counter
 
 	// Workers tracks currently and peak concurrently busy workers.
@@ -44,12 +45,10 @@ type Metrics struct {
 	Commits           Counter
 	ShardsQuarantined Counter
 
-	// Latency distributions: whole rows (including backoff between
-	// retries), single attempts, and time rows spent queued before
-	// their first attempt.
-	RowLatency     Histogram
-	AttemptLatency Histogram
-	Queued         Histogram
+	// Latency distributions: simulated rows (a row's one attempt), and
+	// time rows spent queued before their attempt.
+	RowLatency Histogram
+	Queued     Histogram
 
 	expectedRows atomic.Int64
 	suiteSeen    atomic.Bool
@@ -123,16 +122,12 @@ func (m *Metrics) QueueWait(_ string, _ int, wait time.Duration) { m.Queued.Obse
 func (m *Metrics) WorkerActive(delta int) { m.Workers.Add(int64(delta)) }
 
 // AttemptDone implements Recorder.
-func (m *Metrics) AttemptDone(_ string, _, _ int, latency time.Duration, outcome Outcome, _ error) {
+func (m *Metrics) AttemptDone(_ string, _, _ int, _ time.Duration, outcome Outcome, _ error) {
 	m.Attempts.Inc()
-	m.AttemptLatency.Observe(latency)
 	if outcome == Panicked {
 		m.Panics.Inc()
 	}
 }
-
-// RowRetried implements Recorder.
-func (m *Metrics) RowRetried(string, int, int, time.Duration, error) { m.Retries.Inc() }
 
 // RowFinished implements Recorder.
 func (m *Metrics) RowFinished(scope string, _ int, _ float64, latency time.Duration, _ int, fromCheckpoint bool) {
@@ -204,7 +199,6 @@ type Summary struct {
 	RowsFailed    int64 `json:"rows_failed"`
 
 	Attempts int64 `json:"attempts"`
-	Retries  int64 `json:"retries"`
 	Panics   int64 `json:"panics"`
 
 	LeasesClaimed     int64 `json:"leases_claimed,omitempty"`
@@ -238,7 +232,6 @@ func (m *Metrics) Summary(tool string) Summary {
 		RowsResumed:       m.RowsResumed.Value(),
 		RowsFailed:        m.RowsFailed.Value(),
 		Attempts:          m.Attempts.Value(),
-		Retries:           m.Retries.Value(),
 		Panics:            m.Panics.Value(),
 		LeasesClaimed:     m.LeasesClaimed.Value(),
 		LeasesStolen:      m.LeasesStolen.Value(),
@@ -306,8 +299,7 @@ func (s Summary) Table() string {
 	fmt.Fprintf(w, "throughput\t%.1f simulated rows/s\n", s.RowsPerSec)
 	fmt.Fprintf(w, "row latency\tp50 %s\tp95 %s\tmax %s\n",
 		fmtDur(s.RowLatencyP50), fmtDur(s.RowLatencyP95), fmtDur(s.RowLatencyMax))
-	fmt.Fprintf(w, "attempts\t%d (%d retries, %d panics)\n",
-		s.Attempts, s.Retries, s.Panics)
+	fmt.Fprintf(w, "attempts\t%d (%d panics)\n", s.Attempts, s.Panics)
 	fmt.Fprintf(w, "queue wait\tp95 %s\n", fmtDur(s.QueueWaitP95))
 	fmt.Fprintf(w, "workers\tpeak %d concurrent\n", s.WorkersPeak)
 	if s.LeasesClaimed > 0 || s.Commits > 0 || s.ShardsQuarantined > 0 {
@@ -341,7 +333,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"rows_failed":        m.RowsFailed.Value(),
 		"rows_expected":      m.ExpectedRows(),
 		"attempts":           m.Attempts.Value(),
-		"retries":            m.Retries.Value(),
 		"panics":             m.Panics.Value(),
 		"leases_claimed":     m.LeasesClaimed.Value(),
 		"leases_stolen":      m.LeasesStolen.Value(),

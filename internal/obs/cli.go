@@ -192,8 +192,8 @@ func (s *Session) progressLine() {
 	if total > 0 {
 		pct = fmt.Sprintf(" (%.1f%%)", 100*float64(done)/float64(total))
 	}
-	fmt.Fprintf(s.stderr, "%s: %d/%d rows%s, %.1f rows/s, %d resumed, %d retries, %d workers\n",
-		s.tool, done, total, pct, rate, m.RowsResumed.Value(), m.Retries.Value(), m.Workers.Value())
+	fmt.Fprintf(s.stderr, "%s: %d/%d rows%s, %.1f rows/s, %d resumed, %d workers\n",
+		s.tool, done, total, pct, rate, m.RowsResumed.Value(), m.Workers.Value())
 }
 
 // Close finalizes the session: it is idempotent and safe on an inert

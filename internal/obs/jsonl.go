@@ -14,10 +14,10 @@ import (
 // line, keyed by the same experiment fingerprint the checkpoint uses,
 // so a metrics file and a checkpoint file from one campaign can be
 // joined offline. It records the coarse events (suite/run lifecycle,
-// row completions, retries, failures, the final summary) and
-// deliberately ignores the per-attempt firehose (AttemptDone,
-// QueueWait, WorkerActive), which belongs in Metrics; embed both via
-// Multi to get aggregates and the journal at once.
+// row completions, failures, the final summary) and deliberately
+// ignores the per-attempt firehose (AttemptDone, QueueWait,
+// WorkerActive), which belongs in Metrics; embed both via Multi to get
+// aggregates and the journal at once.
 //
 // Event schema (field `t` selects the type):
 //
@@ -25,7 +25,6 @@ import (
 //	{"t":"run_started","ts":...,"fp":...,"scope":S,"rows":R}
 //	{"t":"row_finished","ts":...,"fp":...,"scope":S,"row":I,"value":V,"ms":L,"attempts":A}
 //	{"t":"checkpoint_hit","ts":...,"fp":...,"scope":S,"row":I,"value":V}
-//	{"t":"row_retried","ts":...,"fp":...,"scope":S,"row":I,"attempt":A,"delay_ms":D,"err":E}
 //	{"t":"row_failed","ts":...,"fp":...,"scope":S,"row":I,"attempts":A,"err":E}
 //	{"t":"run_finished","ts":...,"fp":...,"scope":S,"ms":L}
 //	{"t":"summary","ts":...,"fp":...,"summary":{...obs.Summary...}}
@@ -112,14 +111,6 @@ func (j *JSONL) RowFinished(scope string, row int, value float64, latency time.D
 	j.emit(map[string]any{
 		"t": "row_finished", "scope": scope, "row": row, "value": value,
 		"ms": durMS(latency), "attempts": attempts,
-	})
-}
-
-// RowRetried implements Recorder.
-func (j *JSONL) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
-	j.emit(map[string]any{
-		"t": "row_retried", "scope": scope, "row": row, "attempt": attempt,
-		"delay_ms": durMS(delay), "err": errString(err),
 	})
 }
 

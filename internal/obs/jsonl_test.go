@@ -37,8 +37,7 @@ func TestJSONLEventStream(t *testing.T) {
 	j.RunStarted("base/gzip", 8)
 	j.RowFinished("base/gzip", 0, 123.5, 2*time.Millisecond, 1, false)
 	j.RowFinished("base/gzip", 1, 456.0, 0, 0, true) // checkpoint restore
-	j.RowRetried("base/gzip", 2, 1, 5*time.Millisecond, errors.New("boom"))
-	j.RowFailed("base/gzip", 2, 3, errors.New("boom"))
+	j.RowFailed("base/gzip", 2, 1, errors.New("boom"))
 	j.RunFinished("base/gzip", 100*time.Millisecond)
 	j.WriteSummary(Summary{Tool: "test", RowsSimulated: 1})
 	// Per-attempt firehose must be ignored by the sink.
@@ -52,7 +51,7 @@ func TestJSONLEventStream(t *testing.T) {
 	events := decodeLines(t, buf.Bytes())
 	wantTypes := []string{
 		"suite_started", "run_started", "row_finished", "checkpoint_hit",
-		"row_retried", "row_failed", "run_finished", "summary",
+		"row_failed", "run_finished", "summary",
 	}
 	if len(events) != len(wantTypes) {
 		t.Fatalf("got %d events, want %d:\n%s", len(events), len(wantTypes), buf.String())
@@ -77,11 +76,11 @@ func TestJSONLEventStream(t *testing.T) {
 		t.Errorf("checkpoint_hit value = %v, want 456", got)
 	}
 	if got := events[4]["err"]; got != "boom" {
-		t.Errorf("row_retried err = %v, want boom", got)
+		t.Errorf("row_failed err = %v, want boom", got)
 	}
-	sum, ok := events[7]["summary"].(map[string]any)
+	sum, ok := events[6]["summary"].(map[string]any)
 	if !ok {
-		t.Fatalf("summary payload missing: %v", events[7])
+		t.Fatalf("summary payload missing: %v", events[6])
 	}
 	if got := sum["rows_simulated"]; got != float64(1) {
 		t.Errorf("summary rows_simulated = %v, want 1", got)

@@ -3,8 +3,8 @@
 // interface the fault-tolerant runner publishes its lifecycle events
 // through (with an allocation-free no-op default, Nop); a JSONL event
 // sink keyed by the same experiment fingerprint the checkpoint uses; an
-// end-of-run summary table (throughput, latency quantiles, retry and
-// fault totals, resumed-vs-simulated accounting); and an opt-in debug
+// end-of-run summary table (throughput, latency quantiles, failure and
+// panic totals, resumed-vs-simulated accounting); and an opt-in debug
 // HTTP server exposing expvar and pprof.
 //
 // The package is stdlib-only and imports nothing else from this

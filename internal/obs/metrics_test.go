@@ -77,16 +77,15 @@ func TestConcurrentMetricsRecorder(t *testing.T) {
 			for i := 0; i < rows; i++ {
 				m.WorkerActive(1)
 				m.QueueWait(scope, i, time.Millisecond)
-				m.AttemptDone(scope, i, 0, time.Millisecond, Errored, errSentinel)
-				m.RowRetried(scope, i, 1, time.Millisecond, errSentinel)
-				m.AttemptDone(scope, i, 1, time.Millisecond, OK, nil)
 				switch i % 3 {
 				case 0:
-					m.RowFinished(scope, i, 1.0, 2*time.Millisecond, 2, false)
+					m.AttemptDone(scope, i, 0, time.Millisecond, OK, nil)
+					m.RowFinished(scope, i, 1.0, 2*time.Millisecond, 1, false)
 				case 1:
 					m.RowFinished(scope, i, 1.0, 0, 0, true)
 				case 2:
-					m.RowFailed(scope, i, 2, errSentinel)
+					m.AttemptDone(scope, i, 0, time.Millisecond, Panicked, errSentinel)
+					m.RowFailed(scope, i, 1, errSentinel)
 				}
 				m.WorkerActive(-1)
 			}
@@ -116,11 +115,11 @@ func TestConcurrentMetricsRecorder(t *testing.T) {
 	if got := m.RowsFailed.Value(); got != wantFail {
 		t.Errorf("RowsFailed = %d, want %d", got, wantFail)
 	}
-	if got, want := m.Attempts.Value(), int64(2*goroutines*rows); got != want {
+	if got, want := m.Attempts.Value(), wantSim+wantFail; got != want {
 		t.Errorf("Attempts = %d, want %d", got, want)
 	}
-	if got, want := m.Retries.Value(), int64(goroutines*rows); got != want {
-		t.Errorf("Retries = %d, want %d", got, want)
+	if got := m.Panics.Value(); got != wantFail {
+		t.Errorf("Panics = %d, want %d", got, wantFail)
 	}
 	s := m.Summary("test")
 	if got := s.RowsSimulated + s.RowsResumed; got != wantSim+wantRes {

@@ -31,8 +31,8 @@ func (o Outcome) String() string {
 
 // Recorder observes the lifecycle of a fault-tolerant evaluation. It
 // is the one way to observe a campaign: the runner, the dist layer and
-// the experiment harness report every row, retry, lease and commit
-// event through it. Implementations must be safe for concurrent use:
+// the experiment harness report every row, lease and commit event
+// through it. Implementations must be safe for concurrent use:
 // the runner invokes them from every worker goroutine. Methods must
 // not block — they sit on the evaluation hot path.
 //
@@ -53,23 +53,22 @@ type Recorder interface {
 	// rows under the given scope).
 	RunStarted(scope string, rows int)
 	// QueueWait reports how long a row sat queued between the start
-	// of the evaluation and its first attempt.
+	// of the evaluation and its attempt.
 	QueueWait(scope string, row int, wait time.Duration)
 	// WorkerActive moves the busy-worker gauge by delta (+1 when a
 	// worker picks up a row, -1 when it finishes one).
 	WorkerActive(delta int)
 	// AttemptDone reports one attempt's latency and classified
-	// outcome; err is nil exactly when outcome is OK.
+	// outcome; err is nil exactly when outcome is OK. The runner
+	// attempts every row once, so attempt is always 0.
 	AttemptDone(scope string, row, attempt int, latency time.Duration, outcome Outcome, err error)
-	// RowRetried reports a scheduled retry: attempt is the upcoming
-	// attempt number (1-based over the retries), delay the backoff
-	// sleep, err the failure that caused it.
-	RowRetried(scope string, row, attempt int, delay time.Duration, err error)
-	// RowFinished reports a completed row. fromCheckpoint marks rows
-	// restored from the journal rather than simulated; those carry
-	// zero latency and zero attempts.
+	// RowFinished reports a completed row: attempts is 1 for a
+	// simulated row. fromCheckpoint marks rows restored from the
+	// journal rather than simulated; those carry zero latency and
+	// zero attempts.
 	RowFinished(scope string, row int, value float64, latency time.Duration, attempts int, fromCheckpoint bool)
-	// RowFailed reports a row that exhausted all its attempts.
+	// RowFailed reports a row whose attempt failed or panicked;
+	// attempts is always 1.
 	RowFailed(scope string, row, attempts int, err error)
 	// RunFinished closes the scope opened by RunStarted.
 	RunFinished(scope string, elapsed time.Duration)
@@ -95,9 +94,6 @@ func (Nop) WorkerActive(int) {}
 
 // AttemptDone implements Recorder.
 func (Nop) AttemptDone(string, int, int, time.Duration, Outcome, error) {}
-
-// RowRetried implements Recorder.
-func (Nop) RowRetried(string, int, int, time.Duration, error) {}
 
 // RowFinished implements Recorder.
 func (Nop) RowFinished(string, int, float64, time.Duration, int, bool) {}
@@ -156,12 +152,6 @@ func (m multi) WorkerActive(delta int) {
 func (m multi) AttemptDone(scope string, row, attempt int, latency time.Duration, outcome Outcome, err error) {
 	for _, r := range m {
 		r.AttemptDone(scope, row, attempt, latency, outcome, err)
-	}
-}
-
-func (m multi) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
-	for _, r := range m {
-		r.RowRetried(scope, row, attempt, delay, err)
 	}
 }
 

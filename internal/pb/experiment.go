@@ -30,10 +30,10 @@ func Dummy(n int) Factor {
 // Response evaluates one design row: given the run's context (for
 // cancellation only; no row has a deadline of its own) and the level
 // of every factor column it returns the measured response (in this
-// paper, simulated execution time in cycles). A failed row returns an
-// error, which the runner retries and, if retries are exhausted,
-// aggregates into the experiment's error — never into a silent NaN in
-// the effects. Implementations must be safe for concurrent use; the
+// paper, simulated execution time in cycles). Each row is evaluated
+// once: a failed row returns an error, which the runner aggregates
+// into the experiment's error — never into a silent NaN in the
+// effects. Implementations must be safe for concurrent use; the
 // runner fans rows out across goroutines.
 type Response func(ctx context.Context, levels []Level) (float64, error)
 
@@ -78,13 +78,14 @@ type Suite struct {
 // RunSuite evaluates responses[bi] for every benchmark bi over one
 // shared design (as in Table 9, where the same X=44 foldover design
 // drives all 13 workloads), benchmark by benchmark, through the
-// resilient runner: ctx cancels the whole suite, and cfg adds bounded
-// parallelism, retries and panic recovery. Each benchmark's
-// rows run under a scope derived from its name (cfg.Scope + "/" + name
-// when a scope is set), which names them in every runner event and
-// callback. The evaluated vectors are folded by SuiteFromResponses, so
-// an in-memory suite and a campaign merged from disk end in the same
-// analysis.
+// resilient runner: ctx cancels the whole suite, cfg adds bounded
+// parallelism, and the runner recovers panics; a benchmark with a
+// failed row stops the suite with the runner's aggregate error. Each
+// benchmark's rows run under a scope derived from its name
+// (cfg.Scope + "/" + name when a scope is set), which names them in
+// every runner event and callback. The evaluated vectors are folded by
+// SuiteFromResponses, so an in-memory suite and a campaign merged from
+// disk end in the same analysis.
 func RunSuite(ctx context.Context, design *Design, factors []Factor, benchmarks []string, responses []Response, cfg runner.Config) (*Suite, error) {
 	if err := checkSuite(design, factors, benchmarks, len(responses)); err != nil {
 		return nil, err

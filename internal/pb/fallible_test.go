@@ -82,7 +82,7 @@ func TestSuiteCheckpointResumeBitIdentical(t *testing.T) {
 		}
 	}
 	const ttl = 20 * time.Millisecond
-	_, err = dist.Run(context.Background(), dir, task, 1, dist.Config{ID: "first", LeaseTTL: ttl, Runner: runner.Config{Wrap: crashing}})
+	_, err = dist.Run(context.Background(), dir, task, 1, dist.Config{ID: "first", LeaseTTL: ttl, Wrap: crashing})
 	if !errors.Is(err, runner.ErrCrash) {
 		t.Fatalf("interrupted run = %v, want a crash", err)
 	}
@@ -140,9 +140,12 @@ func TestSuiteCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// A suite with injected faults (seeded transient failures, one panic,
-// one crash at the commit boundary) completes via retries and matches
-// the fault-free result exactly.
+// A suite with injected faults (a failure, a panic, a crash at the
+// commit boundary) fails on the first benchmark with an aggregate
+// naming exactly the faulted rows, each attempted once. The faults
+// fire on a row's first execution only, so a rerun — what a restarted
+// campaign worker does — completes and matches the fault-free result
+// exactly.
 func TestSuiteCompletesDespiteInjectedFaults(t *testing.T) {
 	factors, benchmarks, responses := suiteFixture()
 	design := mustNew(t, len(factors), true)
@@ -151,20 +154,29 @@ func TestSuiteCompletesDespiteInjectedFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := &runner.Faults{
-		Seed:      3,
-		FailProb:  0.15,
+		FailRows:  map[int]int{2: 1},
 		PanicRows: map[int]int{4: 1},
 		CrashRows: map[int]int{6: 1},
 	}
-	cfg := runner.Config{
-		Retries:    6,
-		Backoff:    time.Millisecond,
-		BackoffCap: 2 * time.Millisecond,
-		Wrap:       faults.Wrap,
+	cfg := runner.Config{Parallelism: 3, Wrap: faults.Wrap}
+	_, err = RunSuite(context.Background(), design, factors, benchmarks, responses, cfg)
+	var runErr *runner.RunError
+	if !errors.As(err, &runErr) || !strings.HasPrefix(err.Error(), "pb: benchmark alpha: ") {
+		t.Fatalf("faulted suite = %v, want alpha's *runner.RunError", err)
+	}
+	if len(runErr.Rows) != 3 || runErr.Rows[0].Row != 2 || runErr.Rows[1].Row != 4 || runErr.Rows[2].Row != 6 {
+		t.Fatalf("failed rows = %v, want rows 2, 4 and 6", runErr)
+	}
+	var pe *runner.PanicError
+	if !errors.Is(runErr.Rows[0], runner.ErrInjected) || !errors.As(runErr.Rows[1], &pe) || !errors.Is(runErr.Rows[2], runner.ErrCrash) {
+		t.Errorf("row errors = %v, %v, %v; want injected, panic, crash", runErr.Rows[0], runErr.Rows[1], runErr.Rows[2])
+	}
+	if n := faults.Injected(); n != design.Runs() {
+		t.Errorf("fault harness saw %d executions, want %d: one per row of alpha", n, design.Runs())
 	}
 	got, err := RunSuite(context.Background(), design, factors, benchmarks, responses, cfg)
 	if err != nil {
-		t.Fatalf("faulted suite failed: %v", err)
+		t.Fatalf("rerun suite failed: %v", err)
 	}
 	for bi := range benchmarks {
 		for i := range clean.Results[bi].Responses {
@@ -223,8 +235,7 @@ func TestSuiteNeverSilentNaN(t *testing.T) {
 			return resp(ctx, levels)
 		}
 	}
-	cfg := runner.Config{Retries: 1, Backoff: time.Microsecond}
-	_, err := RunSuite(context.Background(), mustNew(t, len(factors), true), factors, benchmarks, broken, cfg)
+	_, err := RunSuite(context.Background(), mustNew(t, len(factors), true), factors, benchmarks, broken, runner.Config{})
 	if err == nil {
 		t.Fatal("broken suite succeeded")
 	}

@@ -116,7 +116,7 @@ func TestChaosConvergesToSequentialTable(t *testing.T) {
 			ID:       "chaos-w1",
 			LeaseTTL: 200 * time.Millisecond,
 			Poll:     20 * time.Millisecond,
-			Runner:   runner.Config{Wrap: faults.Wrap},
+			Wrap:     faults.Wrap,
 			Recorder: met,
 		})
 		if err == nil {

@@ -506,6 +506,51 @@ func TestRunWorkerPermanentFailure(t *testing.T) {
 	}
 }
 
+// TestRunWorkerExecutesFailingUnitOnce pins that a worker attempts
+// every unit exactly once: a unit whose task fails is not executed
+// again, neither in the same pass nor in a later one, and the
+// worker's aggregate error names it.
+func TestRunWorkerExecutesFailingUnitOnce(t *testing.T) {
+	dir := t.TempDir()
+	man := testManifest()
+	if _, err := Create(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	bad := Unit{Scope: "beta", Row: 1}
+	var mu sync.Mutex
+	calls := make(map[Unit]int)
+	task := func(ctx context.Context, scope string, row int) (float64, error) {
+		u := Unit{Scope: scope, Row: row}
+		mu.Lock()
+		calls[u]++
+		mu.Unlock()
+		if u == bad {
+			return 0, errors.New("deterministic failure")
+		}
+		return testTask(ctx, scope, row)
+	}
+	m := obs.NewMetrics()
+	stats, err := RunWorker(context.Background(), dir, task, Config{ID: "w", LeaseTTL: time.Minute, Recorder: m})
+	if err == nil || !strings.Contains(err.Error(), "1 units failed permanently: beta/1: ") {
+		t.Fatalf("RunWorker = %v, want an aggregate naming beta/1", err)
+	}
+	var re *runner.RowError
+	if !errors.As(err, &re) || re.Scope != "beta" || re.Row != 1 || re.Attempts != 1 {
+		t.Fatalf("errors.As through the aggregate found %+v, want beta row 1 after 1 attempt", re)
+	}
+	for _, u := range man.Units() {
+		if calls[u] != 1 {
+			t.Errorf("unit %s executed %d times, want 1", u, calls[u])
+		}
+	}
+	if stats.Committed != 6 {
+		t.Errorf("committed %d units, want 6", stats.Committed)
+	}
+	if a, f := m.Attempts.Value(), m.RowsFailed.Value(); a != 7 || f != 1 {
+		t.Errorf("Attempts = %d, RowsFailed = %d; want 7 and 1", a, f)
+	}
+}
+
 // TestCallerDeadlineInterruptsRunWorker: a deadline on the caller's
 // context that expires while the worker holds a unit's lease is an
 // interruption. The worker releases that lease and returns without
@@ -525,11 +570,7 @@ func TestCallerDeadlineInterruptsRunWorker(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	stats, err := RunWorker(ctx, dir, task, Config{
-		ID:       "w",
-		LeaseTTL: time.Minute,
-		Runner:   runner.Config{Retries: 2},
-	})
+	stats, err := RunWorker(ctx, dir, task, Config{ID: "w", LeaseTTL: time.Minute})
 	if !runner.Cancelled(err) {
 		t.Fatalf("RunWorker = %v (stats %+v), want an interruption", err, stats)
 	}
@@ -568,7 +609,7 @@ func TestRunWorkerCrashLeavesLeaseAndResumeSteals(t *testing.T) {
 	cfg := Config{
 		ID:       "w1",
 		LeaseTTL: 50 * time.Millisecond,
-		Runner:   runner.Config{Wrap: faults.Wrap},
+		Wrap:     faults.Wrap,
 	}
 	stats, err := RunWorker(context.Background(), dir, testTask, cfg)
 	if !errors.Is(err, runner.ErrCrash) || !stats.Crashed {
@@ -591,7 +632,7 @@ func TestRunWorkerCrashLeavesLeaseAndResumeSteals(t *testing.T) {
 	stats2, err := RunWorker(context.Background(), dir, testTask, Config{
 		ID:       "w2",
 		LeaseTTL: 50 * time.Millisecond,
-		Runner:   runner.Config{Wrap: faults.Wrap},
+		Wrap:     faults.Wrap,
 	})
 	if err != nil {
 		t.Fatalf("second incarnation: %v (stats %+v)", err, stats2)
@@ -704,7 +745,7 @@ func TestHammerConcurrentWorkers(t *testing.T) {
 					LeaseTTL:  30 * time.Millisecond,
 					Heartbeat: -1, // stalls look like deaths; steals happen
 					Poll:      5 * time.Millisecond,
-					Runner:    runner.Config{Wrap: faults.Wrap},
+					Wrap:      faults.Wrap,
 				}
 				_, err := RunWorker(context.Background(), dir, testTask, cfg)
 				if err == nil {

@@ -40,13 +40,15 @@ type Config struct {
 	// Sync fsyncs the shard ledger after every commit, extending
 	// durability from process death to machine death.
 	Sync bool
-	// Runner configures the execution of each unit (retries, backoff,
-	// fault-injection Wrap), which all see the unit's real campaign
-	// row; the unit's context carries the caller's cancellation only. Scope, when set, prefixes every unit's scope in
-	// row events ("Scope/unit"), as pb suites name benchmark scopes
-	// under a label. Parallelism and Recorder are ignored;
-	// cfg.Recorder observes the rows.
-	Runner runner.Config
+	// Scope, when set, prefixes every unit's scope in row events
+	// ("Scope/unit"), as pb suites name benchmark scopes under a
+	// label.
+	Scope string
+	// Wrap, when non-nil, decorates each unit's task (the
+	// fault-injection hook, runner.Faults.Wrap), which sees the unit's
+	// real campaign row. The unit's context carries the caller's
+	// cancellation only.
+	Wrap func(runner.Task) runner.Task
 	// Recorder observes lease and commit events, restored rows and
 	// per-row runner events. Nil means obs.Nop.
 	Recorder obs.Recorder
@@ -106,23 +108,24 @@ func (e unitError) Unwrap() error { return e.Err }
 //	    refresh again: the previous holder may have committed and
 //	    released in between → release, skip
 //	    heartbeat the lease in the background
-//	    run the unit through runner.EvaluateRow under its campaign
-//	    row (retries, panic recovery)
+//	    run the unit once through runner.EvaluateRow under its
+//	    campaign row (panic recovery)
 //	    success → append to this worker's shard ledger, release lease
 //	    injected crash → return immediately, lease deliberately NOT
 //	    released: the process is "dead", the lease must expire and be
 //	    stolen, exactly as a real death
 //	    ctx cancelled or past its deadline → release lease, return
-//	    other permanent failure → record, release lease, move on
+//	    other failure → record, release lease, move on
 //	  nothing left but failed units → done
 //	  no unit claimable and campaign incomplete → poll-sleep, rescan
 //	    (another worker holds the rest; it will finish or its leases
 //	    will expire)
 //
 // A crash "death" returns runner.ErrCrash with Crashed=true so a
-// chaos harness can restart the worker in a loop. Permanent unit
-// failures are aggregated and returned once every unit has been
-// decided (done by someone, or failed here).
+// chaos harness can restart the worker in a loop. A failed unit is not
+// executed again in this run: unit failures are aggregated and
+// returned once every unit has been decided (done by someone, or
+// failed here).
 func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerStats, error) {
 	var stats WorkerStats
 	if err := cfg.fill(); err != nil {
@@ -340,26 +343,23 @@ func (c *Campaign) reportRestored(cfg Config) error {
 	return nil
 }
 
-// runUnit executes one unit through runner.EvaluateRow under its real
-// campaign row, inheriting the runner's retry, panic-recovery and
-// fault-injection machinery.
+// runUnit executes one unit once through runner.EvaluateRow under its
+// real campaign row, inheriting the runner's panic recovery and
+// cfg.Wrap's fault injection.
 func runUnit(ctx context.Context, u Unit, task Task, cfg Config) (float64, error) {
-	rcfg := cfg.Runner
-	rcfg.Scope = cfg.rowScope(u)
-	rcfg.Recorder = cfg.Recorder
 	return runner.EvaluateRow(ctx, func(ctx context.Context, row int) (float64, error) {
 		return task(ctx, u.Scope, row)
-	}, u.Row, rcfg)
+	}, u.Row, runner.Config{Scope: cfg.rowScope(u), Wrap: cfg.Wrap, Recorder: cfg.Recorder})
 }
 
 // rowScope is the scope u's row events carry: the unit's scope, under
-// cfg.Runner.Scope when that is set — the "label/benchmark" form pb
-// suites report.
+// cfg.Scope when that is set — the "label/benchmark" form pb suites
+// report.
 func (cfg *Config) rowScope(u Unit) string {
-	if cfg.Runner.Scope == "" {
+	if cfg.Scope == "" {
 		return u.Scope
 	}
-	return cfg.Runner.Scope + "/" + u.Scope
+	return cfg.Scope + "/" + u.Scope
 }
 
 // startHeartbeat renews the lease on u every cfg.Heartbeat until the

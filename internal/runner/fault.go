@@ -16,39 +16,34 @@ var ErrInjected = errors.New("injected fault")
 // if the worker process died after computing a row and before
 // committing it. It wraps ErrInjected, so generic fault checks still
 // match; dist workers additionally errors.Is for ErrCrash and
-// terminate instead of retrying, which is what turns the injection
-// into real kill/restart chaos.
+// terminate, which is what turns the injection into real kill/restart
+// chaos.
 var ErrCrash = fmt.Errorf("%w: crash at commit boundary", ErrInjected)
 
-// Faults is a deterministic fault-injection wrapper for tasks: given
-// the same Seed and the same schedule of attempts, it makes identical
-// decisions, which lets tests (and the resilientrun example) assert
-// that a suite completes despite failures, panics, and crashes at the
-// commit boundary.
-//
-// Deterministic modes key off the row and the per-row attempt number;
-// the probabilistic mode keys off (Seed, row, attempt) through the
-// same splitmix64 hash the backoff jitter uses, so no global RNG state
-// is shared between workers.
+// Faults is a deterministic fault-injection wrapper for tasks: every
+// decision keys off the row and the number of times that row has
+// already been executed through this wrapper, so the same schedule of
+// executions always meets the same faults. Within one Evaluate a row
+// is executed once, so only its first-execution fault can fire there;
+// the later counts matter to dist campaigns, where a restarted worker
+// re-executes a unit that died uncommitted. Tests (and the
+// resilientrun example) use it to check that a failure or panic
+// surfaces as its row's error and that a campaign converges despite
+// crashes at the commit boundary.
 type Faults struct {
-	// Seed drives the probabilistic failure mode.
-	Seed int64
-	// FailProb is the per-attempt probability of a transient injected
-	// error (0 disables).
-	FailProb float64
-	// FailRows maps row → number of leading attempts that return an
+	// FailRows maps row → number of leading executions that return an
 	// injected error before the row starts succeeding.
 	FailRows map[int]int
-	// PanicRows maps row → number of leading attempts that panic.
+	// PanicRows maps row → number of leading executions that panic.
 	PanicRows map[int]int
-	// CrashRows maps row → number of leading attempts that die at the
-	// commit boundary: the wrapped task executes fully (the simulated
-	// work is really done) and only then the attempt fails with
-	// ErrCrash, discarding the computed value. Attempt accounting uses
-	// the same per-row counter as every other mode, so a row with
-	// CrashRows[r]=k commits on its k+1-th execution regardless of
-	// which worker (or restarted process) runs it — the property the
-	// chaos harness and the resilientrun example both lean on.
+	// CrashRows maps row → number of leading executions that die at
+	// the commit boundary: the wrapped task executes fully (the
+	// simulated work is really done) and only then the execution
+	// fails with ErrCrash, discarding the computed value. Every mode
+	// counts on the same per-row counter, so a row with CrashRows[r]=k
+	// commits on its k+1-th execution regardless of which worker (or
+	// restarted process) runs it — the property the chaos harness and
+	// the resilientrun example both lean on.
 	CrashRows map[int]int
 
 	mu       sync.Mutex
@@ -67,9 +62,6 @@ func (f *Faults) Wrap(task Task) Task {
 		if attempt < f.FailRows[row] {
 			return 0, fmt.Errorf("%w: row %d attempt %d", ErrInjected, row, attempt)
 		}
-		if f.FailProb > 0 && hashFloat(f.Seed, uint64(row), uint64(attempt)) < f.FailProb {
-			return 0, fmt.Errorf("%w: row %d attempt %d (seeded)", ErrInjected, row, attempt)
-		}
 		v, err := task(ctx, row)
 		if err == nil && attempt < f.CrashRows[row] {
 			return 0, fmt.Errorf("%w: row %d attempt %d (result discarded)", ErrCrash, row, attempt)
@@ -78,7 +70,7 @@ func (f *Faults) Wrap(task Task) Task {
 	}
 }
 
-// Injected reports how many attempts the harness has intercepted so
+// Injected reports how many executions the harness has intercepted so
 // far (equal to the number of task invocations it observed).
 func (f *Faults) Injected() int {
 	f.mu.Lock()

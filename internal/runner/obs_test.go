@@ -5,23 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"pbsim/internal/obs"
 )
 
-// TestEvaluateRecorderEvents drives an evaluation with retries and
-// panics through a Metrics recorder and asserts the aggregates are
-// exact.
+// TestEvaluateRecorderEvents drives an evaluation with one failing and
+// one panicking row through a Metrics recorder and asserts the
+// aggregates are exact.
 func TestEvaluateRecorderEvents(t *testing.T) {
 	const n = 12
-	attempts := make([]int, n)
 	task := func(ctx context.Context, row int) (float64, error) {
-		attempts[row]++
-		switch {
-		case row == 5 && attempts[row] == 1:
-			return 0, errors.New("transient")
-		case row == 6 && attempts[row] == 1:
+		switch row {
+		case 5:
+			return 0, errors.New("broken row")
+		case 6:
 			panic("worker crash")
 		}
 		return float64(row), nil
@@ -29,41 +26,36 @@ func TestEvaluateRecorderEvents(t *testing.T) {
 	m := obs.NewMetrics()
 	got, err := Evaluate(context.Background(), n, task, Config{
 		Parallelism: 3,
-		Retries:     2,
-		Backoff:     time.Microsecond,
-		BackoffCap:  2 * time.Microsecond,
 		Scope:       "s",
 		Recorder:    m,
 	})
-	if err != nil {
-		t.Fatal(err)
+	var re *RunError
+	if !errors.As(err, &re) || len(re.Rows) != 2 {
+		t.Fatalf("err = %v, want *RunError with 2 rows", err)
 	}
 	for row, v := range got {
-		if v != float64(row) {
+		if row != 5 && row != 6 && v != float64(row) {
 			t.Errorf("row %d = %v", row, v)
 		}
 	}
 	if v := m.RowsResumed.Value(); v != 0 {
 		t.Errorf("RowsResumed = %d, want 0", v)
 	}
-	if v := m.RowsSimulated.Value(); v != n {
-		t.Errorf("RowsSimulated = %d, want %d", v, n)
+	if v := m.RowsSimulated.Value(); v != n-2 {
+		t.Errorf("RowsSimulated = %d, want %d", v, n-2)
 	}
-	if v := m.RowsFailed.Value(); v != 0 {
-		t.Errorf("RowsFailed = %d, want 0", v)
+	if v := m.RowsFailed.Value(); v != 2 {
+		t.Errorf("RowsFailed = %d, want 2", v)
 	}
-	// n simulated rows, two of which needed a second attempt.
-	if v := m.Attempts.Value(); v != int64(n+2) {
-		t.Errorf("Attempts = %d, want %d", v, n+2)
-	}
-	if v := m.Retries.Value(); v != 2 {
-		t.Errorf("Retries = %d, want 2", v)
+	// One attempt per row, the failed ones included.
+	if v := m.Attempts.Value(); v != n {
+		t.Errorf("Attempts = %d, want %d", v, n)
 	}
 	if v := m.Panics.Value(); v != 1 {
 		t.Errorf("Panics = %d, want 1", v)
 	}
-	if v := m.RowLatency.Count(); v != int64(n) {
-		t.Errorf("RowLatency count = %d, want %d", v, n)
+	if v := m.RowLatency.Count(); v != int64(n-2) {
+		t.Errorf("RowLatency count = %d, want %d", v, n-2)
 	}
 	if v := m.Workers.Peak(); v < 1 || v > 3 {
 		t.Errorf("worker peak = %d, want in [1, 3]", v)
@@ -73,9 +65,9 @@ func TestEvaluateRecorderEvents(t *testing.T) {
 	}
 }
 
-// TestEvaluateRecorderFailures pins the failure-side events: permanent
-// RowFailed for a row that errors and for one that panics, with each
-// attempt classified.
+// TestEvaluateRecorderFailures pins the failure-side events: RowFailed
+// for a row that errors and for one that panics, with each attempt
+// classified.
 func TestEvaluateRecorderFailures(t *testing.T) {
 	m := obs.NewMetrics()
 	task := func(ctx context.Context, row int) (float64, error) {
@@ -84,13 +76,7 @@ func TestEvaluateRecorderFailures(t *testing.T) {
 		}
 		return 0, errors.New("always fails")
 	}
-	_, err := Evaluate(context.Background(), 2, task, Config{
-		Parallelism: 2,
-		Retries:     1,
-		Backoff:     time.Microsecond,
-		BackoffCap:  time.Microsecond,
-		Recorder:    m,
-	})
+	_, err := Evaluate(context.Background(), 2, task, Config{Parallelism: 2, Recorder: m})
 	var re *RunError
 	if !errors.As(err, &re) || len(re.Rows) != 2 {
 		t.Fatalf("err = %v, want *RunError with 2 rows", err)
@@ -98,24 +84,24 @@ func TestEvaluateRecorderFailures(t *testing.T) {
 	if v := m.RowsFailed.Value(); v != 2 {
 		t.Errorf("RowsFailed = %d, want 2", v)
 	}
-	if v := m.Panics.Value(); v != 2 {
-		t.Errorf("Panics = %d, want 2 (row 1, both attempts)", v)
+	if v := m.Panics.Value(); v != 1 {
+		t.Errorf("Panics = %d, want 1 (row 1)", v)
 	}
-	if v := m.Attempts.Value(); v != 4 {
-		t.Errorf("Attempts = %d, want 4", v)
+	if v := m.Attempts.Value(); v != 2 {
+		t.Errorf("Attempts = %d, want 2", v)
 	}
 }
 
 // TestRecorderDoesNotPerturbResults is the bit-identical guarantee:
-// the same seeded evaluation with and without a recorder produces
-// exactly the same responses.
+// the same evaluation with and without a recorder produces exactly
+// the same responses.
 func TestRecorderDoesNotPerturbResults(t *testing.T) {
 	task := func(_ context.Context, row int) (float64, error) {
 		return float64(row)*1.7 + 0.3, nil
 	}
 	run := func(rec obs.Recorder) []float64 {
 		out, err := Evaluate(context.Background(), 64, task, Config{
-			Parallelism: 4, Seed: 42, Recorder: rec,
+			Parallelism: 4, Recorder: rec,
 		})
 		if err != nil {
 			t.Fatal(err)

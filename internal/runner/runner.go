@@ -1,20 +1,21 @@
 // Package runner is the fault-tolerant evaluation engine behind every
 // Plackett-Burman experiment in this repository. A PB suite at paper
 // scale is a large fan-out — the X=44 foldover design is 88
-// configurations × 13 benchmarks ≈ 1,144 independent simulations — and
-// at that scale partial failure is the norm, not the exception. The
-// runner therefore treats every row as fallible work: rows are
-// evaluated by a bounded worker pool with context cancellation, retry
-// with capped exponential backoff and deterministic jitter, and panic
-// recovery (a crashed worker becomes a per-row error, never a dead
-// process). Durable resume is not the runner's business: a
-// checkpointed suite runs as a campaign directory of package dist,
-// whose workers evaluate each unit through EvaluateRow.
+// configurations × 13 benchmarks ≈ 1,144 independent simulations. The
+// runner evaluates the rows with a bounded worker pool under context
+// cancellation, and attempts every row exactly once: a row is a pure
+// function of its configuration and workload, so a second attempt
+// would fail the same way, and one that succeeded would hide exactly
+// the nondeterminism the bit-identical tables exist to catch. A
+// panicking row is recovered into a per-row error, never a dead
+// process. Durable resume is not the runner's business: a checkpointed
+// suite runs as a campaign directory of package dist, whose workers
+// evaluate each unit through EvaluateRow.
 //
-// The degradation policy is strict: a row that exhausts its retries
-// fails the whole evaluation with an aggregate *RunError naming every
-// failed row — the runner never substitutes a silent NaN that would
-// corrupt downstream effects and ranks.
+// The degradation policy is strict: a failed row fails the whole
+// evaluation with an aggregate *RunError naming every failed row — the
+// runner never substitutes a silent NaN that would corrupt downstream
+// effects and ranks.
 package runner
 
 import (
@@ -35,32 +36,12 @@ import (
 // Tasks must be safe for concurrent use.
 type Task func(ctx context.Context, row int) (float64, error)
 
-// Default retry pacing used when a Config enables retries without
-// specifying Backoff / BackoffCap.
-const (
-	DefaultBackoff    = 100 * time.Millisecond
-	DefaultBackoffCap = 5 * time.Second
-)
-
 // Config tunes one Evaluate call. The zero value is a plain parallel
-// evaluation: GOMAXPROCS workers, no retries.
+// evaluation on GOMAXPROCS workers.
 type Config struct {
 	// Parallelism bounds the number of concurrently evaluated rows
 	// (GOMAXPROCS when zero or negative).
 	Parallelism int
-	// Retries is the number of extra attempts after the first; a row
-	// is failed permanently once 1+Retries attempts have errored.
-	Retries int
-	// Backoff is the base delay before the first retry; it doubles on
-	// every subsequent retry up to BackoffCap. Zero selects
-	// DefaultBackoff when Retries > 0.
-	Backoff time.Duration
-	// BackoffCap bounds the (pre-jitter) retry delay. Zero selects
-	// DefaultBackoffCap.
-	BackoffCap time.Duration
-	// Seed drives the deterministic backoff jitter: the same
-	// (seed, row, attempt) always yields the same delay.
-	Seed int64
 	// Scope names this evaluation's rows in every event (e.g. the
 	// benchmark name).
 	Scope string
@@ -68,22 +49,18 @@ type Config struct {
 	// the hook the fault-injection harness (Faults.Wrap) plugs into.
 	Wrap func(Task) Task
 	// Recorder observes the evaluation: run start and finish, per-row
-	// queue wait, worker occupancy, per-attempt latency with
-	// classified outcome (error/panic), retries, completions,
-	// and permanent failures. Nil means obs.Nop, which adds zero
-	// allocations (see the benchmark in this package). Recorders only
-	// observe; scheduling, retry decisions, and results are
+	// queue wait, worker occupancy, attempt latency with classified
+	// outcome (error/panic), completions, and failures. Nil means
+	// obs.Nop, which adds zero allocations (see the benchmark in this
+	// package). Recorders only observe; scheduling and results are
 	// bit-identical whichever one is given. The runner always reports
 	// RowFinished with fromCheckpoint=false; campaign runs (package
 	// dist) set it for rows a previous run already committed.
 	Recorder obs.Recorder
-
-	// sleep is the backoff clock, injectable by tests.
-	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// RowError records the permanent failure of one row after all attempts
-// were exhausted.
+// RowError records the failure of one row. Attempts is always 1:
+// every row is attempted once.
 type RowError struct {
 	Scope    string
 	Row      int
@@ -101,10 +78,10 @@ func (e *RowError) Error() string {
 
 func (e *RowError) Unwrap() error { return e.Err }
 
-// RunError aggregates every row that failed permanently during one
-// Evaluate call. Successful rows are still present in the returned
-// slice, but the caller must not use it: partial responses would
-// silently corrupt effects and ranks.
+// RunError aggregates every row that failed during one Evaluate call.
+// Successful rows are still present in the returned slice, but the
+// caller must not use it: partial responses would silently corrupt
+// effects and ranks.
 type RunError struct {
 	N    int // total rows in the evaluation
 	Rows []*RowError
@@ -127,8 +104,8 @@ func (e *RunError) Unwrap() []error {
 	return errs
 }
 
-// PanicError is the error a recovered worker panic is converted into.
-// It is retryable like any other attempt error.
+// PanicError is the error a recovered worker panic is converted into;
+// it fails its row like any other attempt error.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -140,15 +117,13 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 // worker pool and returns the n response values in row order.
 //
 // Failure semantics:
-//   - An attempt that returns an error or panics is retried up to
-//     cfg.Retries times with capped exponential backoff and
-//     deterministic jitter.
-//   - A row that exhausts its attempts is recorded and evaluation of
-//     the remaining rows continues; Evaluate then returns a *RunError
-//     aggregating every failed row.
-//   - Cancelling ctx stops the pool: workers take no new rows or
-//     retries, in-flight attempts see their context expire (a task
-//     that does not check it finishes its row), and Evaluate joins
+//   - Every row is attempted exactly once. A row whose attempt returns
+//     an error or panics is recorded and evaluation of the remaining
+//     rows continues; Evaluate then returns a *RunError aggregating
+//     every failed row.
+//   - Cancelling ctx stops the pool: workers take no new rows,
+//     in-flight attempts see their context expire (a task that does
+//     not check it finishes its row), and Evaluate joins
 //     every worker before returning ctx's error. No goroutines leak.
 //     A deadline on ctx is a cancellation like any other: the rows it
 //     cuts short are not failures, and Cancelled(err) holds.
@@ -217,13 +192,12 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 }
 
 // EvaluateRow evaluates one row with everything Evaluate applies to
-// each of its rows: cfg.Wrap, the attempt loop with retry, backoff
-// and panic recovery, and the per-row Recorder events under
-// cfg.Scope. It is for callers that schedule rows themselves, such as
-// the dist worker, which runs one campaign unit at a time under its
-// real row number. Parallelism is ignored, and no
-// RunStarted/RunFinished or QueueWait events are emitted. A permanent
-// failure returns a *RowError.
+// each of its rows: cfg.Wrap, the single attempt with panic recovery,
+// and the per-row Recorder events under cfg.Scope. It is for callers
+// that schedule rows themselves, such as the dist worker, which runs
+// one campaign unit at a time under its real row number. Parallelism
+// is ignored, and no RunStarted/RunFinished or QueueWait events are
+// emitted. A failure returns a *RowError.
 func EvaluateRow(ctx context.Context, task Task, row int, cfg Config) (float64, error) {
 	task = cfg.prepare(task)
 	v, err := runRow(ctx, task, row, cfg)
@@ -233,18 +207,9 @@ func EvaluateRow(ctx context.Context, task Task, row int, cfg Config) (float64, 
 	return v, nil
 }
 
-// prepare fills the retry-pacing and Recorder defaults into cfg and
-// returns task decorated by cfg.Wrap.
+// prepare fills the Recorder default into cfg and returns task
+// decorated by cfg.Wrap.
 func (cfg *Config) prepare(task Task) Task {
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = DefaultBackoff
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = DefaultBackoffCap
-	}
-	if cfg.sleep == nil {
-		cfg.sleep = ctxSleep
-	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = obs.Nop{}
 	}
@@ -254,54 +219,27 @@ func (cfg *Config) prepare(task Task) Task {
 	return task
 }
 
-// runRow evaluates one row and reports it: worker occupancy, then
-// RowFinished on success or RowFailed on a permanent failure. A row
-// cut short by cancelling ctx is not reported as failed.
+// runRow attempts one row once and reports it: worker occupancy, the
+// attempt's latency and outcome, then RowFinished on success or
+// RowFailed on failure. A row cut short by cancelling ctx is not
+// reported as failed; the caller discards its error after checking
+// ctx.
 func runRow(ctx context.Context, task Task, row int, cfg Config) (float64, *RowError) {
 	rec := cfg.Recorder
-	rowStart := time.Now()
 	rec.WorkerActive(1)
-	v, attempts, err := evaluateRow(ctx, task, row, cfg)
+	defer rec.WorkerActive(-1)
+	start := time.Now()
+	v, err := attemptRow(ctx, task, row)
+	latency := time.Since(start)
+	rec.AttemptDone(cfg.Scope, row, 0, latency, classifyOutcome(err), err)
 	if err != nil {
-		rec.WorkerActive(-1)
 		if ctx.Err() == nil {
-			rec.RowFailed(cfg.Scope, row, err.Attempts, err.Err)
+			rec.RowFailed(cfg.Scope, row, 1, err)
 		}
-		return 0, err
+		return 0, &RowError{Scope: cfg.Scope, Row: row, Attempts: 1, Err: err}
 	}
-	rec.RowFinished(cfg.Scope, row, v, time.Since(rowStart), attempts, false)
-	rec.WorkerActive(-1)
+	rec.RowFinished(cfg.Scope, row, v, latency, 1, false)
 	return v, nil
-}
-
-// evaluateRow runs one row's full attempt loop, returning the value
-// and the number of attempts consumed. It returns a *RowError only
-// when the row fails permanently; cancellation of the parent context
-// surfaces as an error the caller discards after checking ctx.
-func evaluateRow(ctx context.Context, task Task, row int, cfg Config) (float64, int, *RowError) {
-	var lastErr error
-	attempts := cfg.Retries + 1
-	for attempt := 0; attempt < attempts; attempt++ {
-		if ctx.Err() != nil {
-			return 0, attempt, &RowError{Scope: cfg.Scope, Row: row, Attempts: attempt, Err: ctx.Err()}
-		}
-		attemptStart := time.Now()
-		v, err := attemptRow(ctx, task, row)
-		cfg.Recorder.AttemptDone(cfg.Scope, row, attempt, time.Since(attemptStart), classifyOutcome(err), err)
-		if err == nil {
-			return v, attempt + 1, nil
-		}
-		lastErr = err
-		if attempt == attempts-1 || ctx.Err() != nil {
-			break
-		}
-		delay := backoffDelay(cfg, row, attempt)
-		cfg.Recorder.RowRetried(cfg.Scope, row, attempt+1, delay, err)
-		if cfg.sleep(ctx, delay) != nil {
-			break // cancelled during backoff
-		}
-	}
-	return 0, attempts, &RowError{Scope: cfg.Scope, Row: row, Attempts: attempts, Err: lastErr}
 }
 
 // classifyOutcome maps an attempt error onto the obs event taxonomy.
@@ -327,49 +265,6 @@ func attemptRow(ctx context.Context, task Task, row int) (v float64, err error) 
 		}
 	}()
 	return task(ctx, row)
-}
-
-// backoffDelay computes the pre-retry sleep for (row, attempt):
-// exponential growth from cfg.Backoff, capped at cfg.BackoffCap, with
-// deterministic "equal jitter" — the delay lands in [d/2, d) where d
-// is the capped exponential value, at a point fixed by cfg.Seed. The
-// jitter decorrelates workers that failed together (e.g. a shared
-// resource hiccup) without sacrificing reproducibility.
-func backoffDelay(cfg Config, row, attempt int) time.Duration {
-	d := cfg.Backoff
-	for i := 0; i < attempt && d < cfg.BackoffCap; i++ {
-		d *= 2
-	}
-	if d > cfg.BackoffCap {
-		d = cfg.BackoffCap
-	}
-	u := hashFloat(cfg.Seed, uint64(row), uint64(attempt))
-	return d/2 + time.Duration(u*float64(d/2))
-}
-
-// hashFloat maps (seed, a, b) to a uniform float64 in [0, 1) via a
-// splitmix64 finalizer. It is the runner's only randomness source, so
-// identical configurations replay identical schedules.
-func hashFloat(seed int64, a, b uint64) float64 {
-	x := uint64(seed) ^ a*0x9e3779b97f4a7c15 ^ b*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
-}
-
-// ctxSleep blocks for d or until ctx is cancelled.
-func ctxSleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // sortRowErrors orders the aggregate by row index so error output is

@@ -4,30 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pbsim/internal/obs"
 )
-
-// sleepRecorder records every backoff delay instead of sleeping, so
-// retry-heavy tests run in microseconds.
-type sleepRecorder struct {
-	mu     sync.Mutex
-	delays []time.Duration
-}
-
-func (s *sleepRecorder) sleep(ctx context.Context, d time.Duration) error {
-	s.mu.Lock()
-	s.delays = append(s.delays, d)
-	s.mu.Unlock()
-	return ctx.Err()
-}
 
 func TestEvaluateCoversEveryRowOnce(t *testing.T) {
 	const n = 100
@@ -53,85 +37,6 @@ func TestEvaluateCoversEveryRowOnce(t *testing.T) {
 	}
 }
 
-// Property: for arbitrary backoff configurations, every retry delay is
-// positive, never exceeds BackoffCap, and never exceeds the jittered
-// exponential envelope base<<attempt.
-func TestBackoffRespectsCapProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		base := time.Duration(1+rng.Intn(1000)) * time.Millisecond
-		capDelay := base + time.Duration(rng.Intn(5000))*time.Millisecond
-		retries := 1 + rng.Intn(8)
-		seed := rng.Int63()
-		rec := &sleepRecorder{}
-		cfg := Config{
-			Parallelism: 2,
-			Retries:     retries,
-			Backoff:     base,
-			BackoffCap:  capDelay,
-			Seed:        seed,
-			sleep:       rec.sleep,
-		}
-		failing := func(context.Context, int) (float64, error) {
-			return 0, errors.New("always fails")
-		}
-		const n = 5
-		_, err := Evaluate(context.Background(), n, failing, cfg)
-		var runErr *RunError
-		if !errors.As(err, &runErr) {
-			t.Fatalf("trial %d: want *RunError, got %v", trial, err)
-		}
-		if len(runErr.Rows) != n {
-			t.Fatalf("trial %d: %d failed rows, want %d", trial, len(runErr.Rows), n)
-		}
-		for _, re := range runErr.Rows {
-			if re.Attempts != retries+1 {
-				t.Errorf("trial %d row %d: %d attempts, want %d", trial, re.Row, re.Attempts, retries+1)
-			}
-		}
-		if want := n * retries; len(rec.delays) != want {
-			t.Errorf("trial %d: %d backoff sleeps, want %d", trial, len(rec.delays), want)
-		}
-		for _, d := range rec.delays {
-			if d <= 0 {
-				t.Errorf("trial %d: non-positive backoff %v", trial, d)
-			}
-			if d > capDelay {
-				t.Errorf("trial %d: backoff %v exceeds cap %v", trial, d, capDelay)
-			}
-		}
-	}
-}
-
-// Property: the delay schedule is a pure function of (seed, row,
-// attempt) — replaying a configuration yields the identical schedule.
-func TestBackoffDeterministic(t *testing.T) {
-	cfg := Config{Backoff: 10 * time.Millisecond, BackoffCap: time.Second, Seed: 42}
-	for row := 0; row < 20; row++ {
-		for attempt := 0; attempt < 6; attempt++ {
-			a := backoffDelay(cfg, row, attempt)
-			b := backoffDelay(cfg, row, attempt)
-			if a != b {
-				t.Fatalf("row %d attempt %d: %v != %v", row, attempt, a, b)
-			}
-			if a < cfg.Backoff/2 {
-				t.Errorf("row %d attempt %d: delay %v below half the base", row, attempt, a)
-			}
-		}
-	}
-	other := cfg
-	other.Seed = 43
-	same := 0
-	for row := 0; row < 20; row++ {
-		if backoffDelay(cfg, row, 3) == backoffDelay(other, row, 3) {
-			same++
-		}
-	}
-	if same == 20 {
-		t.Error("different seeds produced identical jitter everywhere")
-	}
-}
-
 // Cancellation must drain every worker — no goroutine leaks, no task
 // invocations after Evaluate returns.
 func TestCancellationDrainsWorkers(t *testing.T) {
@@ -150,7 +55,7 @@ func TestCancellationDrainsWorkers(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Evaluate(ctx, 1000, task, Config{Parallelism: 8, Retries: 3})
+		_, err := Evaluate(ctx, 1000, task, Config{Parallelism: 8})
 		done <- err
 	}()
 	<-started
@@ -186,7 +91,7 @@ func TestPanicRecoveryIsolatesRow(t *testing.T) {
 		}
 		return float64(i), nil
 	}
-	got, err := Evaluate(context.Background(), 8, task, Config{Parallelism: 4, Retries: 1, sleep: noSleep})
+	got, err := Evaluate(context.Background(), 8, task, Config{Parallelism: 4})
 	var runErr *RunError
 	if !errors.As(err, &runErr) {
 		t.Fatalf("want *RunError, got %v", err)
@@ -211,41 +116,90 @@ func TestPanicRecoveryIsolatesRow(t *testing.T) {
 	}
 }
 
-// The acceptance scenario: seeded transient failures, one panicking
-// row, and one row whose first attempt crashes at the commit boundary
-// — the evaluation completes via retries with correct values.
+// The fault-injection scenario: injected failures, one panicking row,
+// and one row that crashes at the commit boundary. The evaluation runs
+// every row exactly once, completes every healthy row with its correct
+// value, and aggregates exactly the faulted rows.
 func TestFaultedEvaluationCompletes(t *testing.T) {
 	faults := &Faults{
-		Seed:      1,
 		FailRows:  map[int]int{2: 2, 9: 1},
 		PanicRows: map[int]int{5: 1},
 		CrashRows: map[int]int{7: 1},
 	}
 	task := func(_ context.Context, i int) (float64, error) { return 100 + float64(i), nil }
-	got, err := Evaluate(context.Background(), 12, task, Config{
-		Parallelism: 4,
-		Retries:     3,
-		Backoff:     time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
-		Wrap:        faults.Wrap,
-	})
-	if err != nil {
-		t.Fatalf("faulted evaluation failed: %v", err)
+	got, err := Evaluate(context.Background(), 12, task, Config{Parallelism: 4, Wrap: faults.Wrap})
+	var runErr *RunError
+	if !errors.As(err, &runErr) {
+		t.Fatalf("faulted evaluation = %v, want *RunError", err)
+	}
+	var rows []int
+	for _, re := range runErr.Rows {
+		rows = append(rows, re.Row)
+	}
+	if fmt.Sprint(rows) != "[2 5 7 9]" {
+		t.Fatalf("failed rows = %v, want [2 5 7 9]", rows)
+	}
+	var pe *PanicError
+	if !errors.As(runErr.Rows[1], &pe) || !errors.Is(runErr.Rows[2], ErrCrash) || !errors.Is(runErr.Rows[3], ErrInjected) {
+		t.Errorf("row errors = %v; want a panic at row 5, a crash at row 7, an injected failure at row 9", runErr.Rows)
 	}
 	for i, v := range got {
-		if v != 100+float64(i) {
+		if i != 2 && i != 5 && i != 7 && i != 9 && v != 100+float64(i) {
 			t.Errorf("row %d: got %g, want %g", i, v, 100+float64(i))
 		}
 	}
-	if faults.Injected() <= 12 {
-		t.Errorf("fault harness saw %d attempts; retries evidently never happened", faults.Injected())
+	if faults.Injected() != 12 {
+		t.Errorf("fault harness saw %d executions, want 12: one per row", faults.Injected())
+	}
+}
+
+// Every row is attempted exactly once: a task that fails row k and
+// panics at row p is called n times in all, the aggregate names rows k
+// and p, the panic stays a *PanicError in the chain, and every other
+// row keeps its value.
+func TestEveryRowAttemptedOnce(t *testing.T) {
+	const n, k, p = 30, 11, 17
+	var calls atomic.Int64
+	task := func(_ context.Context, i int) (float64, error) {
+		calls.Add(1)
+		switch i {
+		case k:
+			return 0, errors.New("deterministic failure")
+		case p:
+			panic("deterministic panic")
+		}
+		return float64(3 * i), nil
+	}
+	m := obs.NewMetrics()
+	got, err := Evaluate(context.Background(), n, task, Config{Parallelism: 4, Recorder: m})
+	if c := calls.Load(); c != n {
+		t.Errorf("task called %d times, want %d", c, n)
+	}
+	var runErr *RunError
+	if !errors.As(err, &runErr) || len(runErr.Rows) != 2 || runErr.Rows[0].Row != k || runErr.Rows[1].Row != p {
+		t.Fatalf("Evaluate = %v, want a *RunError naming rows %d and %d", err, k, p)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "runner: 2 of 30 rows failed permanently; first: row 11 failed after 1 attempt(s): deterministic failure") {
+		t.Errorf("aggregate message = %q", msg)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "deterministic panic" {
+		t.Errorf("errors.As through the aggregate found %v, want row %d's *PanicError", pe, p)
+	}
+	for i, v := range got {
+		if i != k && i != p && v != float64(3*i) {
+			t.Errorf("row %d = %g, want %d", i, v, 3*i)
+		}
+	}
+	if a, f := m.Attempts.Value(), m.RowsFailed.Value(); a != n || f != 2 {
+		t.Errorf("Attempts = %d, RowsFailed = %d; want %d and 2", a, f, n)
 	}
 }
 
 // A deadline on the caller's context, expiring while a row is in
 // flight, is an interruption, never a row failure: Evaluate returns an
-// error Cancelled recognizes, reports no RowFailed, schedules no retry
-// and takes no new rows. Row 5 honours ctx and waits for the deadline;
+// error Cancelled recognizes, reports no RowFailed and takes no new
+// rows. Row 5 honours ctx and waits for the deadline;
 // the others ignore ctx, as a simulated row does.
 func TestCallerDeadlineInterruptsEvaluate(t *testing.T) {
 	const n = 40
@@ -262,7 +216,7 @@ func TestCallerDeadlineInterruptsEvaluate(t *testing.T) {
 		return float64(row), nil
 	}
 	m := obs.NewMetrics()
-	_, err := Evaluate(ctx, n, task, Config{Parallelism: 2, Retries: 2, Recorder: m})
+	_, err := Evaluate(ctx, n, task, Config{Parallelism: 2, Recorder: m})
 	if !Cancelled(err) {
 		t.Fatalf("Evaluate = %v, want an interruption", err)
 	}
@@ -273,24 +227,21 @@ func TestCallerDeadlineInterruptsEvaluate(t *testing.T) {
 	if v := m.RowsFailed.Value(); v != 0 {
 		t.Errorf("RowsFailed = %d, want 0", v)
 	}
-	if v := m.Retries.Value(); v != 0 {
-		t.Errorf("Retries = %d, want 0: an expired deadline is not retried", v)
-	}
 	if v := m.RowsSimulated.Value(); v >= n-1 {
 		t.Errorf("RowsSimulated = %d: workers kept taking rows after the deadline", v)
 	}
 }
 
-// Exhausted retries must fail the evaluation with an aggregate error
-// naming every failed row — never degrade to silent NaNs.
-func TestExhaustedRetriesAggregate(t *testing.T) {
+// Failed rows must fail the evaluation with an aggregate error naming
+// every failed row — never degrade to silent NaNs.
+func TestFailedRowsAggregate(t *testing.T) {
 	task := func(_ context.Context, i int) (float64, error) {
 		if i%2 == 0 {
 			return 0, fmt.Errorf("row %d permanently broken", i)
 		}
 		return 1, nil
 	}
-	_, err := Evaluate(context.Background(), 10, task, Config{Parallelism: 3, Retries: 2, sleep: noSleep})
+	_, err := Evaluate(context.Background(), 10, task, Config{Parallelism: 3})
 	var runErr *RunError
 	if !errors.As(err, &runErr) {
 		t.Fatalf("want *RunError, got %v", err)
@@ -306,7 +257,7 @@ func TestExhaustedRetriesAggregate(t *testing.T) {
 	if runErr.N != 10 {
 		t.Errorf("RunError.N = %d, want 10", runErr.N)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "5 of 10 rows failed permanently; first: row 0 failed after 3 attempt(s)") ||
+	if msg := err.Error(); !strings.Contains(msg, "5 of 10 rows failed permanently; first: row 0 failed after 1 attempt(s)") ||
 		!strings.HasSuffix(msg, "(and 4 more)") {
 		t.Errorf("aggregate message = %q", msg)
 	}
@@ -316,14 +267,14 @@ func TestExhaustedRetriesAggregate(t *testing.T) {
 	}
 }
 
-// rowLog records the row of every RowRetried and RowFinished event
-// of a single-goroutine evaluation.
+// rowLog records the row of every RowFailed and RowFinished event of
+// a single-goroutine evaluation.
 type rowLog struct {
 	obs.Nop
 	rows []int
 }
 
-func (l *rowLog) RowRetried(_ string, row, _ int, _ time.Duration, _ error) {
+func (l *rowLog) RowFailed(_ string, row, _ int, _ error) {
 	l.rows = append(l.rows, row)
 }
 
@@ -331,33 +282,27 @@ func (l *rowLog) RowFinished(_ string, row int, _ float64, _ time.Duration, _ in
 	l.rows = append(l.rows, row)
 }
 
-// EvaluateRow applies Wrap, retries and the per-row Recorder events
-// under the row number it is given, and reports a permanent failure as
-// a *RowError.
+// EvaluateRow applies Wrap and the per-row Recorder events under the
+// row number it is given, attempts the row once, and reports a failure
+// as a *RowError. A second call re-executes the row, as a restarted
+// campaign worker does; the injected fault fired only on the first.
 func TestEvaluateRowKeepsRowNumber(t *testing.T) {
 	faults := &Faults{FailRows: map[int]int{41: 1}}
 	seen := &rowLog{}
-	cfg := Config{
-		Retries:  1,
-		Scope:    "s",
-		Wrap:     faults.Wrap,
-		Recorder: seen,
-		sleep:    noSleep,
-	}
+	cfg := Config{Scope: "s", Wrap: faults.Wrap, Recorder: seen}
 	task := func(_ context.Context, i int) (float64, error) { return float64(i), nil }
+	var rowErr *RowError
+	if _, err := EvaluateRow(context.Background(), task, 41, cfg); !errors.As(err, &rowErr) || rowErr.Row != 41 || rowErr.Scope != "s" || rowErr.Attempts != 1 {
+		t.Fatalf("EvaluateRow = %v, want *RowError for s row 41 after 1 attempt", err)
+	}
 	v, err := EvaluateRow(context.Background(), task, 41, cfg)
 	if err != nil || v != 41 {
 		t.Fatalf("EvaluateRow = %v, %v; want 41", v, err)
 	}
 	if len(seen.rows) != 2 || seen.rows[0] != 41 || seen.rows[1] != 41 {
-		t.Errorf("recorder saw rows %v, want [41 41] (one retry, one completion)", seen.rows)
+		t.Errorf("recorder saw rows %v, want [41 41] (one failure, one completion)", seen.rows)
 	}
-	cfg.Wrap, cfg.Recorder = nil, nil
-	broken := func(context.Context, int) (float64, error) { return 0, errors.New("broken") }
-	var rowErr *RowError
-	if _, err := EvaluateRow(context.Background(), broken, 9, cfg); !errors.As(err, &rowErr) || rowErr.Row != 9 || rowErr.Attempts != 2 {
-		t.Fatalf("EvaluateRow(broken) = %v, want *RowError for row 9 after 2 attempts", err)
+	if faults.Injected() != 2 {
+		t.Errorf("fault harness saw %d executions, want 2", faults.Injected())
 	}
 }
-
-func noSleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
