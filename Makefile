@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test race race-hammer fuzz short bench bench-test check cover chaos assess frontier examples
+.PHONY: all build vet fmt-check lint test race race-hammer fuzz short bench bench-test check cover chaos assess frontier examples cli
 
 all: check
 
@@ -53,7 +53,9 @@ race-hammer:
 # fuzz runs every native fuzz target (stdlib testing.F) for FUZZTIME
 # each: the on-disk decoders that must never panic or accept a torn
 # record — shard ledger, campaign manifest, the manifest's experiment
-# spec and sampling spec — the fully-associative cache index, which
+# spec and sampling spec — the enhancement label parser behind
+# -enhance, which accepts only canonical labels of valid enhancements,
+# the fully-associative cache index, which
 # must match a scan of every way under any operation stream, and
 # pbcheck's standard-library purge, which must keep every newline and
 # every top-level declaration of source that parses.
@@ -61,7 +63,8 @@ race-hammer:
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/runner/dist:FuzzReadLedger ./internal/runner/dist:FuzzOpenManifest \
 	./internal/experiment:FuzzOptionsFromSpec ./internal/sampling:FuzzParseSpec \
-	./internal/sim/cache:FuzzFullyAssociative ./internal/analysis:FuzzPurgeBodies
+	./internal/enhance:FuzzParseSpec ./internal/sim/cache:FuzzFullyAssociative \
+	./internal/analysis:FuzzPurgeBodies
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
@@ -116,6 +119,15 @@ examples:
 	@echo "== examples/resilientrun/ again: its stdout must not change"
 	@$(GO) run ./examples/resilientrun > $(EXAMPLES_OUT)/resilientrun.rerun.txt
 	@cmp $(EXAMPLES_OUT)/resilientrun.txt $(EXAMPLES_OUT)/resilientrun.rerun.txt || { echo "examples: resilientrun stdout differs between runs"; exit 1; }
+
+# cli builds the simulating CLIs (pbrank, pbworker, pbenhance,
+# pbclassify, simrun, tablegen) and drives each at -n 2000: in-memory,
+# fresh-campaign and resumed-campaign runs must print the same bytes,
+# as must -par 1 and -par 2 and a default flag and its spelled-out
+# value, and every refused flag combination must exit 2. The CI check
+# job runs it.
+cli:
+	bash scripts/cli-smoke.sh
 
 # Coverage profile plus a per-package summary; enforces floors for the
 # packages the campaign engine leans on hardest (obs, stats, runner).

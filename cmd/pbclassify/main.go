@@ -4,6 +4,9 @@
 // Table 9 ranks (the default, exactly reproducing the published
 // Tables 10-11) or freshly measured ranks from the simulator.
 //
+// The run-size flags (-n, -warmup, -par) and -checkpoint size and
+// control the suite that -source sim runs, as in pbrank.
+//
 // Observability (meaningful with -source sim, which runs the full
 // suite): -metrics journals run events to JSONL, -progress prints
 // live progress and an end-of-run summary, -debug-addr serves expvar
@@ -11,8 +14,8 @@
 //
 // Usage:
 //
-//	pbclassify [-source paper|sim] [-threshold 63.25] [-dendrogram] [-n 100000]
-//	           [-checkpoint campaign/]
+//	pbclassify [-source paper|sim] [-threshold 63.25] [-dendrogram]
+//	           [-n 100000] [-warmup 30000] [-par 0] [-checkpoint campaign/]
 //	           [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 package main
 
@@ -39,8 +42,7 @@ func run() (err error) {
 	source := flag.String("source", "paper", "rank source: 'paper' (published Table 9) or 'sim' (fresh measurement)")
 	threshold := flag.Float64("threshold", paperdata.Threshold, "similarity threshold (paper uses sqrt(4000) ~ 63.2); 0 selects the 15th percentile of measured distances")
 	dendro := flag.Bool("dendrogram", false, "also print a single-linkage clustering dendrogram")
-	n := flag.Int64("n", experiment.DefaultInstructions, "instructions per configuration when -source sim")
-	warmup := flag.Int64("warmup", experiment.DefaultWarmup, "warmup instructions when -source sim")
+	size := experiment.RegisterSizeFlags(flag.CommandLine)
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbclassify")
 	flag.Parse()
@@ -54,7 +56,8 @@ func run() (err error) {
 	}
 	defer obs.FoldClose(&err, sess)
 
-	opts := experiment.Options{Instructions: *n, Warmup: *warmup, Foldover: true, Recorder: sess.Recorder()}
+	opts := experiment.Options{Foldover: true, Recorder: sess.Recorder()}
+	size.Apply(&opts)
 	runFlags.Apply(&opts)
 	m, err := buildMatrix(ctx, *source, opts)
 	if err != nil {

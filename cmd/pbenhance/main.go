@@ -1,8 +1,11 @@
 // Command pbenhance reproduces Table 12 and the Section 4.3 analysis:
 // it runs the X=44 foldover Plackett-Burman design once on the base
-// processor and once with an enhancement (instruction precomputation
-// by default, or dynamic value reuse), then compares the sum-of-ranks
-// of every parameter before and after.
+// processor and once with an enhancement, then compares the sum-of-ranks
+// of every parameter before and after. -enhance names the enhancement
+// by its label: precompute-128 (instruction precomputation, the
+// default) or valuereuse-<table> (dynamic value reuse), with the table
+// entries after the dash. base is refused: it would compare the base
+// processor with itself.
 //
 // Both suites are fault tolerant (panic recovery, and one aggregate
 // error naming every failed configuration) and share one -checkpoint
@@ -20,8 +23,8 @@
 //
 // Usage:
 //
-//	pbenhance [-mechanism precompute|valuereuse] [-table 128] [-n 100000]
-//	          [-checkpoint campaigns/]
+//	pbenhance [-enhance precompute-128|valuereuse-128] [-n 100000] [-warmup 30000] [-par 0]
+//	          [-checkpoint campaigns/] [-compare]
 //	          [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 package main
 
@@ -48,13 +51,15 @@ func main() {
 }
 
 func run() (err error) {
-	mechanism := flag.String("mechanism", "precompute", "enhancement: 'precompute' (static table) or 'valuereuse' (dynamic)")
-	tableSize := flag.Int("table", 128, "enhancement table entries (paper uses 128)")
+	enh := enhance.RegisterFlag(flag.CommandLine, enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: 128})
 	size := experiment.RegisterSizeFlags(flag.CommandLine)
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	compare := flag.Bool("compare", false, "print the enhanced ordering next to the paper's Table 12 sums")
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbenhance")
 	flag.Parse()
+	if *enh == (enhance.Spec{}) {
+		return obs.Usagef("-enhance base compares the base processor with itself; name an enhancement such as precompute-128")
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -65,12 +70,6 @@ func run() (err error) {
 	}
 	defer obs.FoldClose(&err, sess)
 
-	// The flags name the enhancement by its label, which must be valid
-	// before either suite simulates anything.
-	enh, err := enhance.ParseSpec(fmt.Sprintf("%s-%d", *mechanism, *tableSize))
-	if err != nil {
-		return obs.Usagef("%v", err)
-	}
 	opts := experiment.Options{Foldover: true, Recorder: sess.Recorder()}
 	size.Apply(&opts)
 	runFlags.Apply(&opts)
@@ -91,12 +90,12 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	after, err := phase("enhanced experiment", enh)
+	after, err := phase("enhanced experiment", *enh)
 	if err != nil {
 		return err
 	}
 	fmt.Println(report.RankTable(after,
-		fmt.Sprintf("Table 12: Plackett and Burman Design Results With %s (%d-entry table)", *mechanism, *tableSize)))
+		fmt.Sprintf("Table 12: Plackett and Burman Design Results With %s (%d-entry table)", enh.Mechanism, enh.TableSize)))
 	shifts, err := methodology.CompareEnhancement(before, after)
 	if err != nil {
 		return err

@@ -3,12 +3,12 @@
 // report. With -bench all, the benchmarks are evaluated through the
 // fault-tolerant runner: -par simulates several at once (reports
 // still print in benchmark order; each is simulated once, and a
-// failure fails the run naming its benchmark), and -checkpoint runs
-// them over a campaign directory, so a rerun with the same flags skips
-// finished benchmarks (those report their cycle count; the full
-// statistics are only printed for benchmarks this process simulated).
-// Several simrun processes started with identical flags and the same
-// -checkpoint directory split the benchmarks between them.
+// failure fails the run naming its benchmark). A run takes under a
+// second at the default sizes, so there is nothing to checkpoint:
+// campaigns worth resuming are pbrank's, pbenhance's and tablegen's.
+//
+// -enhance takes an enhancement's label (base, precompute-128,
+// valuereuse-64, ...), the name it has in every campaign.
 //
 // Observability: -metrics journals run events to JSONL, -progress
 // prints live progress and an end-of-run summary, -debug-addr serves
@@ -16,9 +16,8 @@
 //
 // Usage:
 //
-//	simrun [-bench gzip] [-n 100000] [-warmup 30000]
-//	       [-config default|all-low|all-high] [-precompute 0] [-par 1]
-//	       [-checkpoint campaign/] [-shard-sync]
+//	simrun [-bench gzip] [-n 100000] [-warmup 30000] [-par 0]
+//	       [-config default|all-low|all-high] [-enhance base]
 //	       [-sample uniform] [-sample-region 1000] [-sample-frac 0.1]
 //	       [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
@@ -26,10 +25,8 @@
 // only a seeded subset of each benchmark's measured window
 // (internal/sampling) and reports the extrapolated cycle count with
 // its 95% confidence interval and the detailed-instruction reduction,
-// instead of the full statistics report. It is mutually exclusive with
-// -precompute (sampling measures the base pipeline, not an enhanced
-// one). The sampling spec is part of the -checkpoint fingerprint, so a
-// sampled campaign resumes like a full one and never mixes with it.
+// instead of the full statistics report. It requires -enhance base
+// (sampling measures the base pipeline, not an enhanced one).
 package main
 
 import (
@@ -39,7 +36,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 
 	"pbsim/internal/enhance"
@@ -48,7 +44,6 @@ import (
 	"pbsim/internal/pb"
 	"pbsim/internal/report"
 	"pbsim/internal/runner"
-	"pbsim/internal/runner/dist"
 	"pbsim/internal/sampling"
 	"pbsim/internal/sim"
 	"pbsim/internal/workload"
@@ -60,13 +55,9 @@ func main() {
 
 func run() (err error) {
 	bench := flag.String("bench", "gzip", "benchmark name (or 'all')")
-	n := flag.Int64("n", experiment.DefaultInstructions, "instructions to measure")
-	warmup := flag.Int64("warmup", experiment.DefaultWarmup, "instructions to warm up before measuring")
+	size := experiment.RegisterSizeFlags(flag.CommandLine)
 	configSel := flag.String("config", "default", "configuration: default, all-low, or all-high")
-	precompute := flag.Int("precompute", 0, "enable instruction precomputation with a table of this many entries")
-	par := flag.Int("par", 1, "benchmarks simulated in parallel")
-	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
-	shardSync := flag.Bool("shard-sync", false, "fsync every -checkpoint commit (survives machine death, not just process death)")
+	enh := enhance.RegisterFlag(flag.CommandLine, enhance.Spec{})
 	sampleFlags := sampling.RegisterFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "simrun")
 	flag.Parse()
@@ -93,26 +84,16 @@ func run() (err error) {
 	if err != nil {
 		return obs.Usagef("%v", err)
 	}
-	// The fingerprint pins every flag that changes cycle counts AND the
-	// benchmark list itself (row i means names[i]), so a campaign
-	// directory is never resumed, or joined, under other flags.
-	fp := fmt.Sprintf("simrun|config=%s|n=%d|warmup=%d|precompute=%d|benchmarks=%s",
-		*configSel, *n, *warmup, *precompute, strings.Join(names, ","))
-	if sampleSpec != nil {
-		if *precompute > 0 {
-			return obs.Usagef("-sample measures the base pipeline; it cannot be combined with -precompute")
-		}
-		fp += "|sample=" + sampleSpec.String()
+	if sampleSpec != nil && *enh != (enhance.Spec{}) {
+		return obs.Usagef("-sample measures the base pipeline; it cannot be combined with -enhance %s", enh)
 	}
+	n, warmup := size.Instructions, size.Warmup
 	rec := sess.Recorder()
-	rec.SuiteStarted(fp, 1, len(names))
+	// No campaign exists, so the suite has no fingerprint.
+	rec.SuiteStarted("", 1, len(names))
 
-	// Row i simulates names[i] and leaves its report in reports[i]. A
-	// campaign can execute a row twice (a stolen lease), so the slot is
-	// written under a lock: both writers produce identical reports —
-	// the simulator is deterministic — but identical bytes still need
-	// one writer.
-	var mu sync.Mutex
+	// Row i simulates names[i] and leaves its report in reports[i]; the
+	// runner runs each row once, on one worker.
 	reports := make([]string, len(names))
 	task := func(ctx context.Context, i int) (float64, error) {
 		if err := ctx.Err(); err != nil {
@@ -122,58 +103,23 @@ func run() (err error) {
 		var cycles float64
 		var err error
 		if sampleSpec != nil {
-			text, cycles, err = runSampled(names[i], cfg, *n, *warmup, *sampleSpec)
+			text, cycles, err = runSampled(names[i], cfg, n, warmup, *sampleSpec)
 		} else {
-			text, cycles, err = runOne(names[i], cfg, *n, *warmup, *precompute)
+			text, cycles, err = runOne(names[i], cfg, n, warmup, *enh)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", names[i], err)
 		}
-		mu.Lock()
 		reports[i] = text
-		mu.Unlock()
 		return cycles, nil
 	}
-	var cycles []float64
-	if runFlags.Checkpoint == "" {
-		cycles, err = runner.Evaluate(ctx, len(names), task, runner.Config{Parallelism: *par, Scope: "simrun", Recorder: rec})
-	} else {
-		cycles, err = runCampaign(ctx, runFlags.Checkpoint, fp, len(names), task, *par, dist.Config{Sync: *shardSync, Recorder: rec})
+	if _, err := runner.Evaluate(ctx, len(names), task, runner.Config{Parallelism: size.Par, Scope: "simrun", Recorder: rec}); err != nil {
+		return err
 	}
-	if err != nil {
-		return runFlags.Resumable(err)
-	}
-	for i, name := range names {
-		if reports[i] == "" {
-			fmt.Printf("%s: %.0f cycles (committed to the campaign earlier or by another process; rerun without -checkpoint for the full report)\n",
-				name, cycles[i])
-			continue
-		}
-		fmt.Print(reports[i])
+	for _, r := range reports {
+		fmt.Print(r)
 	}
 	return nil
-}
-
-// runCampaign evaluates the benchmark rows over the campaign directory
-// dir (internal/runner/dist): each benchmark is one claimable unit in
-// a single "simrun" scope, run by the given number of in-process
-// workers.
-func runCampaign(ctx context.Context, dir, fp string, rows int, task runner.Task, workers int, cfg dist.Config) ([]float64, error) {
-	c, err := dist.Create(dir, dist.Manifest{
-		Fingerprint: fp,
-		Scopes:      []dist.ScopeSpec{{Name: "simrun", Rows: rows}},
-		Spec:        map[string]string{"tool": "simrun"},
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := dist.Run(ctx, c.Dir(), func(ctx context.Context, _ string, row int) (float64, error) {
-		return task(ctx, row)
-	}, workers, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Responses("simrun")
 }
 
 // runSampled evaluates one benchmark through the region-sampling layer
@@ -230,9 +176,9 @@ func selectConfig(sel string) (sim.Config, error) {
 	}
 }
 
-// runOne simulates one benchmark in full and returns its statistics
-// report and cycle count.
-func runOne(name string, cfg sim.Config, n, warmup int64, precompute int) (string, float64, error) {
+// runOne simulates one benchmark in full under the enhancement enh and
+// returns its statistics report and cycle count.
+func runOne(name string, cfg sim.Config, n, warmup int64, enh enhance.Spec) (string, float64, error) {
 	w, err := workload.ByName(name)
 	if err != nil {
 		return "", 0, err
@@ -240,10 +186,6 @@ func runOne(name string, cfg sim.Config, n, warmup int64, precompute int) (strin
 	gen, err := w.NewGenerator()
 	if err != nil {
 		return "", 0, err
-	}
-	var enh enhance.Spec
-	if precompute > 0 {
-		enh = enhance.Spec{Mechanism: enhance.MechPrecompute, TableSize: precompute}
 	}
 	shortcut, err := enh.Shortcuts(w.Params, warmup+n)()
 	if err != nil {

@@ -12,10 +12,11 @@ import (
 )
 
 // TestRunOneMatchesResponse: GIVEN gzip on the all-high configuration,
-// WHEN runOne simulates it with and without a 128-entry precomputation
-// table, THEN it reports the cycle count the experiment harness gives
-// the all-high design row under the same enhancement: a single simrun
-// simulation and a PB row are the same simulation.
+// WHEN runOne simulates it unenhanced, with a 128-entry precomputation
+// table and with a 128-entry value-reuse table, THEN it reports the
+// cycle count the experiment harness gives the all-high design row
+// under the same enhancement: a single simrun simulation and a PB row
+// are the same simulation.
 func TestRunOneMatchesResponse(t *testing.T) {
 	const n, warmup = 2000, 500
 	cfg, err := selectConfig("all-high")
@@ -30,11 +31,8 @@ func TestRunOneMatchesResponse(t *testing.T) {
 	for i := range levels {
 		levels[i] = pb.High
 	}
-	for _, tc := range []struct {
-		precompute int
-		label      string
-	}{{0, "base"}, {128, "precompute-128"}} {
-		enh, err := enhance.ParseSpec(tc.label)
+	for _, label := range []string{"base", "precompute-128", "valuereuse-128"} {
+		enh, err := enhance.ParseSpec(label)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,12 +40,12 @@ func TestRunOneMatchesResponse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		text, got, err := runOne("gzip", cfg, n, warmup, tc.precompute)
+		text, got, err := runOne("gzip", cfg, n, warmup, enh)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want || text == "" {
-			t.Errorf("%s: runOne reports %.0f cycles, the all-high row %.0f", tc.label, got, want)
+			t.Errorf("%s: runOne reports %.0f cycles, the all-high row %.0f", label, got, want)
 		}
 	}
 }
@@ -55,7 +53,7 @@ func TestRunOneMatchesResponse(t *testing.T) {
 // TestRunOneRejectsNegativeWarmup: a negative -warmup is an error, not
 // a run.
 func TestRunOneRejectsNegativeWarmup(t *testing.T) {
-	if _, _, err := runOne("gzip", sim.Default(), 1000, -1, 0); err == nil {
+	if _, _, err := runOne("gzip", sim.Default(), 1000, -1, enhance.Spec{}); err == nil {
 		t.Fatal("runOne accepted warmup -1")
 	}
 }

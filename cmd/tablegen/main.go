@@ -14,11 +14,12 @@
 //
 // Usage:
 //
-//	tablegen [-out out] [-table 0] [-n 100000] [-warmup 30000]
+//	tablegen [-out out] [-table 0] [-n 100000] [-warmup 30000] [-par 0]
 //	         [-checkpoint campaigns/]
 //	         [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
-// With -table 0 (the default) all tables are generated.
+// With -table 0 (the default) all tables are generated. The run-size
+// flags size every experimental suite (Tables 9-12).
 package main
 
 import (
@@ -48,9 +49,6 @@ func run() (err error) {
 	out := flag.String("out", "out", "output directory")
 	table := flag.Int("table", 0, "table to generate (1..12, 0 = all)")
 	size := experiment.RegisterSizeFlags(flag.CommandLine)
-	// -n also sizes Tables 10-12 here, and -par keeps its original text.
-	flag.Lookup("n").Usage = "instructions per configuration for tables 9-12"
-	flag.Lookup("par").Usage = "parallel simulations"
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "tablegen")
 	flag.Parse()

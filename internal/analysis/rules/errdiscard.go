@@ -24,7 +24,7 @@ import (
 //     documented never to fail.
 var ErrDiscard = &analysis.Analyzer{
 	Name: "errdiscard",
-	Doc:  "forbid discarded error returns via _ =, bare calls, or defer/go; errors must reach the runner's retry/propagation paths",
+	Doc:  "forbid discarded error returns via _ =, bare calls, or defer/go; errors must reach the runner's aggregate error or the caller",
 	Run:  runErrDiscard,
 }
 

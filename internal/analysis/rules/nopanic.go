@@ -20,7 +20,7 @@ import (
 // //pbcheck:ignore nopanic <reason>.
 var NoPanic = &analysis.Analyzer{
 	Name: "nopanic",
-	Doc:  "forbid panic(...) in library packages; failures must use error returns so runner recovery/retry semantics stay in control",
+	Doc:  "forbid panic(...) in library packages; failures must use error returns so the runner's panic recovery stays in control",
 	Run:  runNoPanic,
 }
 
@@ -37,7 +37,7 @@ func runNoPanic(pass *analysis.Pass) {
 			}
 			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					pass.Reportf(call.Pos(), "panic in library code: return an error (pb.Response path) so the runner's panic-recovery and retry semantics stay the sole recovery path")
+					pass.Reportf(call.Pos(), "panic in library code: return an error (pb.Response path) so the runner's panic recovery stays the sole recovery path")
 					return true
 				}
 			}

@@ -13,6 +13,7 @@
 package enhance
 
 import (
+	"flag"
 	"fmt"
 	"sort"
 	"strconv"
@@ -75,6 +76,27 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("enhance: table size %d invalid", s.TableSize)
 	}
 	return nil
+}
+
+// Set parses text with ParseSpec into s, which makes *Spec a
+// flag.Value.
+func (s *Spec) Set(text string) error {
+	v, err := ParseSpec(text)
+	if err != nil {
+		return err
+	}
+	*s = v
+	return nil
+}
+
+// RegisterFlag registers -enhance on fs with the default def. The flag
+// takes the label that names the enhancement everywhere else, in
+// campaign fingerprints, manifests and directories. The returned Spec
+// is filled in when fs is parsed.
+func RegisterFlag(fs *flag.FlagSet, def Spec) *Spec {
+	s := def
+	fs.Var(&s, "enhance", "enhancement `label`: base, "+MechPrecompute+"-<table> or "+MechValueReuse+"-<table> (table entries)")
+	return &s
 }
 
 // Shortcuts returns the constructor of s's shortcuts for runs of the

@@ -1,6 +1,8 @@
 package enhance
 
 import (
+	"flag"
+	"io"
 	"maps"
 	"testing"
 
@@ -205,6 +207,30 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		"precompute-0128", "precompute-+128", "turbo-128", "Base", "precompute-128 ", "valuereuse-1-2"} {
 		if s, err := ParseSpec(text); err == nil {
 			t.Errorf("ParseSpec(%q) accepted as %+v", text, s)
+		}
+	}
+}
+
+// TestRegisterFlag: -enhance keeps its default when absent, takes any
+// label ParseSpec accepts, and refuses any other text at parse time.
+func TestRegisterFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want Spec
+		ok   bool
+	}{
+		{nil, Spec{MechPrecompute, 128}, true},
+		{[]string{"-enhance", "base"}, Spec{}, true},
+		{[]string{"-enhance", "valuereuse-64"}, Spec{MechValueReuse, 64}, true},
+		{[]string{"-enhance", "precompute-0"}, Spec{}, false},
+		{[]string{"-enhance", "precompute"}, Spec{}, false},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		got := RegisterFlag(fs, Spec{MechPrecompute, 128})
+		err := fs.Parse(tc.args)
+		if (err == nil) != tc.ok || (tc.ok && *got != tc.want) {
+			t.Errorf("%q: -enhance = %+v, %v; want %+v, ok %v", tc.args, *got, err, tc.want, tc.ok)
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"pbsim/internal/runner"
 )
 
-// SizeFlags holds the run-size flag family the suite-running CLIs
-// share: -n, -warmup and -par.
+// SizeFlags holds the run-size flag family every simulating CLI
+// shares: -n, -warmup and -par.
 type SizeFlags struct {
 	Instructions int64
 	Warmup       int64

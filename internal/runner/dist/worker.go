@@ -87,7 +87,7 @@ type WorkerStats struct {
 	Crashed   bool // the worker died at an injected crash point
 }
 
-// unitError records one unit this worker failed permanently.
+// unitError records one unit that failed on this worker.
 type unitError struct {
 	Unit
 	Err error
@@ -241,7 +241,7 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 				if cerr := led.Close(); cerr != nil {
 					errs = append(errs, cerr)
 				}
-				return stats, fmt.Errorf("dist: %d units failed permanently: %w", len(failed), errors.Join(errs...))
+				return stats, fmt.Errorf("dist: %d units failed: %w", len(failed), errors.Join(errs...))
 			}
 			return stats, led.Close()
 		}

@@ -59,13 +59,11 @@ type Config struct {
 	Recorder obs.Recorder
 }
 
-// RowError records the failure of one row. Attempts is always 1:
-// every row is attempted once.
+// RowError records the failure of one row.
 type RowError struct {
-	Scope    string
-	Row      int
-	Attempts int
-	Err      error
+	Scope string
+	Row   int
+	Err   error
 }
 
 func (e *RowError) Error() string {
@@ -73,7 +71,7 @@ func (e *RowError) Error() string {
 	if e.Scope != "" {
 		where = fmt.Sprintf("%s %s", e.Scope, where)
 	}
-	return fmt.Sprintf("%s failed after %d attempt(s): %v", where, e.Attempts, e.Err)
+	return fmt.Sprintf("%s failed: %v", where, e.Err)
 }
 
 func (e *RowError) Unwrap() error { return e.Err }
@@ -88,7 +86,7 @@ type RunError struct {
 }
 
 func (e *RunError) Error() string {
-	msg := fmt.Sprintf("runner: %d of %d rows failed permanently; first: %v", len(e.Rows), e.N, e.Rows[0])
+	msg := fmt.Sprintf("runner: %d of %d rows failed; first: %v", len(e.Rows), e.N, e.Rows[0])
 	if len(e.Rows) > 1 {
 		msg += fmt.Sprintf(" (and %d more)", len(e.Rows)-1)
 	}
@@ -236,7 +234,7 @@ func runRow(ctx context.Context, task Task, row int, cfg Config) (float64, *RowE
 		if ctx.Err() == nil {
 			rec.RowFailed(cfg.Scope, row, 1, err)
 		}
-		return 0, &RowError{Scope: cfg.Scope, Row: row, Attempts: 1, Err: err}
+		return 0, &RowError{Scope: cfg.Scope, Row: row, Err: err}
 	}
 	rec.RowFinished(cfg.Scope, row, v, latency, 1, false)
 	return v, nil
