@@ -52,8 +52,8 @@ race-hammer:
 
 # fuzz runs every native fuzz target (stdlib testing.F) for FUZZTIME
 # each: the on-disk decoders that must never panic or accept a torn
-# record — shard ledger, campaign manifest, the manifest's experiment
-# spec and sampling spec — the enhancement label parser behind
+# record — shard ledger, campaign manifest, the campaign fingerprint
+# and sampling spec — the enhancement label parser behind
 # -enhance, which accepts only canonical labels of valid enhancements,
 # the fully-associative cache index, which
 # must match a scan of every way under any operation stream, and
@@ -62,7 +62,7 @@ race-hammer:
 # The CI race-hammer job runs it.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/runner/dist:FuzzReadLedger ./internal/runner/dist:FuzzOpenManifest \
-	./internal/experiment:FuzzOptionsFromSpec ./internal/sampling:FuzzParseSpec \
+	./internal/experiment:FuzzParseFingerprint ./internal/sampling:FuzzParseSpec \
 	./internal/enhance:FuzzParseSpec ./internal/sim/cache:FuzzFullyAssociative \
 	./internal/analysis:FuzzPurgeBodies
 fuzz:
@@ -123,9 +123,10 @@ examples:
 # cli builds the simulating CLIs (pbrank, pbworker, pbenhance,
 # pbclassify, simrun, tablegen) and drives each at -n 2000: in-memory,
 # fresh-campaign and resumed-campaign runs must print the same bytes,
-# as must -par 1 and -par 2 and a default flag and its spelled-out
-# value, and every refused flag combination must exit 2. The CI check
-# job runs it.
+# full and sampled, as must -par 1 and -par 2 and a default flag and
+# its spelled-out value; a changed -benchmarks on a finished campaign
+# must exit 1, and every refused flag must exit 2. The CI check job
+# runs it.
 cli:
 	bash scripts/cli-smoke.sh
 
@@ -142,7 +143,7 @@ cover:
 # ordering falls below 0.95, which is the CI gate. Artifacts (text,
 # JSON, markdown step summary) land in $(FRONTIER_ARTIFACTS).
 FRONTIER_ARTIFACTS ?= out/frontier
-FRONTIER_FLAGS ?= -n 100000 -warmup 30000 -region 2000 -frac 0.08 -func-warmup 24000 -seed 1
+FRONTIER_FLAGS ?= -n 100000 -warmup 30000 -sample region=2000,frac=0.08,fwarm=24000,seed=1
 frontier:
 	mkdir -p $(FRONTIER_ARTIFACTS)
 	$(GO) run ./cmd/pbfrontier $(FRONTIER_FLAGS) \

@@ -14,10 +14,12 @@
 //
 //	pbfrontier [-n 100000] [-warmup 30000] [-foldover]
 //	           [-benchmarks gzip,mcf,...] [-estimators uniform,...]
-//	           [-region 2000] [-frac 0.08] [-region-warmup -1]
-//	           [-func-warmup 24000] [-seed 1] [-strata 4] [-set 3]
+//	           [-sample region=2000,frac=0.08,fwarm=24000,seed=1]
 //	           [-min-spearman 0.95] [-par 0]
 //	           [-json-out frontier.json] [-md-out frontier.md]
+//
+// -sample takes the sampling spec's key=value text, as on pbrank; a
+// key it leaves out takes its default, and -estimators sets est.
 //
 // Every gated number (speedups, errors, correlations) is a
 // deterministic function of the flags; only the wall-clock columns
@@ -52,13 +54,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	foldover := fs.Bool("foldover", true, "run the 2X-configuration foldover design")
 	benchList := fs.String("benchmarks", "", "comma-separated subset of benchmarks (default: all 13)")
 	estList := fs.String("estimators", "", "comma-separated estimators to sweep (default: "+strings.Join(sampling.Names(), ",")+")")
-	region := fs.Int64("region", sampling.DefaultRegionSize, "instructions per sampling region")
-	frac := fs.Float64("frac", sampling.DefaultFraction, "fraction of regions to detail-simulate, in (0, 1]")
-	regionWarm := fs.Int64("region-warmup", -1, "detailed warmup instructions before each sampled region (-1 = region/4, 0 disables)")
-	funcWarm := fs.Int64("func-warmup", -1, "functionally warmed instructions before each region's detailed warmup (-1 = 8*region, 0 disables)")
-	seed := fs.Uint64("seed", 1, "region-selection seed")
-	strata := fs.Int("strata", sampling.DefaultStrata, "proxy-quantile strata (stratified estimator)")
-	set := fs.Int("set", sampling.DefaultSetSize, "judgment-ranking set size (rankedset estimator)")
+	// The spec every swept estimator shares: the defaults of an empty
+	// spec text until -sample sets it.
+	sample := &sampling.Flag{}
+	if err := sample.Set(""); err != nil {
+		return err
+	}
+	fs.Var(sample, "sample", "sampling `spec` every swept estimator shares, as key=value text (keys region, frac, warm, fwarm, seed, strata, set; -estimators sets est)")
 	minSpearman := fs.Float64("min-spearman", experiment.DefaultMinSpearman, "rank-correlation gate; any estimator below it fails the run")
 	jsonOut := fs.String("json-out", "", "write the JSON report to this file")
 	mdOut := fs.String("md-out", "", "write the markdown report (CI step summary) to this file")
@@ -90,15 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Workloads:    ws,
 		Estimators:   ests,
 		MinSpearman:  *minSpearman,
-		Spec: sampling.Spec{
-			RegionSize:   *region,
-			Fraction:     *frac,
-			RegionWarmup: *regionWarm,
-			FuncWarmup:   *funcWarm,
-			Seed:         *seed,
-			Strata:       *strata,
-			SetSize:      *set,
-		},
+		Spec:         *sample.Spec,
 	})
 	if err != nil {
 		return err

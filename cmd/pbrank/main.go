@@ -19,19 +19,20 @@
 //
 //	pbrank [-n 100000] [-warmup 30000] [-benchmarks gzip,mcf,...]
 //	       [-par 0] [-checkpoint campaign/] [-shard-sync]
-//	       [-sample uniform] [-sample-region 1000] [-sample-frac 0.1]
-//	       [-sample-warmup -1] [-sample-func-warmup -1] [-sample-seed 1]
+//	       [-sample est=stratified,frac=0.2,strata=6]
 //	       [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //	       [-compare] [-gap]
 //
-// Sampled mode (-sample) replaces each full measurement with a
+// Sampled mode (-sample SPEC) replaces each full measurement with a
 // region-sampled estimate (internal/sampling): every configuration
 // detail-simulates only a seeded, deterministic subset of the measured
-// window, cutting detailed instructions by roughly 1/-sample-frac
-// while preserving the Table 9 ordering (the pbfrontier tool gates
-// exactly that). The sampling spec is part of the experiment
-// fingerprint and of campaign manifests, so a campaign never mixes
-// sampled and full rows and pbworker processes reconstruct the
+// window, cutting detailed instructions by roughly 1/frac while
+// preserving the Table 9 ordering (the pbfrontier tool gates exactly
+// that). SPEC is an estimator name (uniform, stratified, rankedset) or
+// the spec's key=value text (est, region, frac, warm, fwarm, seed,
+// strata, set); a key it leaves out takes its default. The canonical
+// spec is part of the experiment fingerprint, so a campaign never
+// mixes sampled and full rows and pbworker processes reconstruct the
 // identical schedule.
 //
 // Checkpointed mode (-checkpoint DIR) runs the suite through the
@@ -81,7 +82,7 @@ func run() (err error) {
 	csvRanks := flag.String("csv", "", "also write the rank matrix to this CSV file")
 	csvRaw := flag.String("csv-raw", "", "also write raw per-configuration cycle counts to this CSV file")
 	shardSync := flag.Bool("shard-sync", false, "fsync every -checkpoint commit (survives machine death, not just process death)")
-	sampleFlags := sampling.RegisterFlags(flag.CommandLine)
+	sample := sampling.RegisterFlag(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbrank")
 	flag.Parse()
 
@@ -98,16 +99,12 @@ func run() (err error) {
 	if err != nil {
 		return obs.Usagef("%v", err)
 	}
-	sampleSpec, err := sampleFlags()
-	if err != nil {
-		return obs.Usagef("%v", err)
-	}
 	opts := experiment.Options{
 		Foldover:  true,
 		Workloads: ws,
 		Sync:      *shardSync,
 		Recorder:  sess.Recorder(),
-		Sampling:  sampleSpec,
+		Sampling:  sample.Spec,
 	}
 	size.Apply(&opts)
 	runFlags.Apply(&opts)
@@ -120,8 +117,8 @@ func run() (err error) {
 	}
 	title := fmt.Sprintf("Table 9: Plackett and Burman Design Results (X=%d foldover, %d configurations, %d instructions/run)",
 		suite.Design.X, suite.Design.Runs(), size.Instructions)
-	if sampleSpec != nil {
-		title += fmt.Sprintf("\nsampled responses: %s", sampleSpec)
+	if sample.Spec != nil {
+		title += fmt.Sprintf("\nsampled responses: %s", sample.Spec)
 	}
 	fmt.Println(report.RankTable(suite, title))
 	if *compare {

@@ -12,21 +12,22 @@
 // (pbenhance/tablegen -checkpoint DIR keep DIR/precompute-128, ...)
 // join the same way; sampling with an enhancement is still refused.
 //
-// The worker validates its reconstruction: the fingerprint recomputed
-// from the manifest's spec must match the manifest's, so a version-
-// or flag-skewed worker refuses to join rather than committing rows
-// computed under different budgets.
+// The manifest's fingerprint is the campaign's whole definition
+// (design, budgets, benchmarks, enhancement label, sampling spec): the
+// worker parses its options from it, accepting only text this build
+// renders itself, and validates the reconstruction by recomputing the
+// fingerprint, so a version-skewed worker refuses to join rather than
+// committing rows computed under different budgets.
 //
 // Sampled campaigns need no extra flags here: when pbrank created the
-// campaign with -sample, the manifest's spec carries the canonical
-// sampling parameters, the worker rebuilds the identical deterministic
-// region schedule from them, and the fingerprint check refuses any
-// worker whose reconstruction would not be bit-identical.
+// campaign with -sample, the fingerprint carries the canonical
+// sampling spec, and the worker rebuilds the identical deterministic
+// region schedule from it.
 //
 // Usage:
 //
 //	pbworker -checkpoint campaign/ [-id worker-name] [-ttl 10s] [-poll 0]
-//	         [-sync]
+//	         [-shard-sync]
 //	         [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
 // Exit codes: 0 campaign complete (or completed by others), 1 work
@@ -55,7 +56,7 @@ func run() (err error) {
 	id := flag.String("id", "", "worker name; must be unique among live workers (default host-pid)")
 	ttl := flag.Duration("ttl", 10*time.Second, "lease time-to-live; a worker silent this long loses its units")
 	poll := flag.Duration("poll", 0, "wait between passes when all remaining units are leased elsewhere (default ttl/4)")
-	sync := flag.Bool("sync", false, "fsync the shard ledger after every commit (survives machine death, not just process death)")
+	shardSync := flag.Bool("shard-sync", false, "fsync every commit (survives machine death, not just process death)")
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbworker")
 	flag.Parse()
@@ -86,7 +87,7 @@ func run() (err error) {
 		return err
 	}
 	man := c.Manifest()
-	opts, err := experiment.OptionsFromSpec(man.Spec)
+	opts, err := experiment.ParseFingerprint(man.Fingerprint)
 	if err != nil {
 		return err
 	}
@@ -99,7 +100,7 @@ func run() (err error) {
 		ID:       *id,
 		LeaseTTL: *ttl,
 		Poll:     *poll,
-		Sync:     *sync,
+		Sync:     *shardSync,
 		Recorder: sess.Recorder(),
 	})
 	if err != nil {

@@ -18,15 +18,16 @@
 //
 //	simrun [-bench gzip] [-n 100000] [-warmup 30000] [-par 0]
 //	       [-config default|all-low|all-high] [-enhance base]
-//	       [-sample uniform] [-sample-region 1000] [-sample-frac 0.1]
+//	       [-sample est=stratified,frac=0.2,strata=6]
 //	       [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
-// Sampled mode (-sample, with the -sample-* family) detail-simulates
-// only a seeded subset of each benchmark's measured window
-// (internal/sampling) and reports the extrapolated cycle count with
-// its 95% confidence interval and the detailed-instruction reduction,
-// instead of the full statistics report. It requires -enhance base
-// (sampling measures the base pipeline, not an enhanced one).
+// Sampled mode (-sample SPEC, an estimator name or the sampling spec's
+// key=value text, as on pbrank) detail-simulates only a seeded subset
+// of each benchmark's measured window (internal/sampling) and reports
+// the extrapolated cycle count with its 95% confidence interval and
+// the detailed-instruction reduction, instead of the full statistics
+// report. It requires -enhance base (sampling measures the base
+// pipeline, not an enhanced one).
 package main
 
 import (
@@ -58,7 +59,7 @@ func run() (err error) {
 	size := experiment.RegisterSizeFlags(flag.CommandLine)
 	configSel := flag.String("config", "default", "configuration: default, all-low, or all-high")
 	enh := enhance.RegisterFlag(flag.CommandLine, enhance.Spec{})
-	sampleFlags := sampling.RegisterFlags(flag.CommandLine)
+	sample := sampling.RegisterFlag(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "simrun")
 	flag.Parse()
 
@@ -80,10 +81,7 @@ func run() (err error) {
 		names = workload.Names()
 	}
 
-	sampleSpec, err := sampleFlags()
-	if err != nil {
-		return obs.Usagef("%v", err)
-	}
+	sampleSpec := sample.Spec
 	if sampleSpec != nil && *enh != (enhance.Spec{}) {
 		return obs.Usagef("-sample measures the base pipeline; it cannot be combined with -enhance %s", enh)
 	}

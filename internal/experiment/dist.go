@@ -2,8 +2,8 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"maps"
 	"strconv"
 	"strings"
 
@@ -18,23 +18,12 @@ import (
 )
 
 // This file is the glue between the experiment harness and the
-// distributed execution layer (internal/runner/dist): it translates
-// an Options into a campaign manifest whose Spec lets a bare
-// cmd/pbworker process reconstruct the identical task from the
-// campaign directory alone, runs checkpointed suites over such a
-// directory, and folds a completed merge back into the pb.Suite the
-// in-memory path produces.
-
-// Spec keys stored in the campaign manifest.
-const (
-	specTool       = "tool"
-	specN          = "n"
-	specWarmup     = "warmup"
-	specFoldover   = "foldover"
-	specLabel      = "label"
-	specBenchmarks = "benchmarks"
-	specSample     = "sample"
-)
+// distributed execution layer (internal/runner/dist): it renders an
+// Options as a campaign fingerprint, the one text a bare cmd/pbworker
+// process needs to reconstruct the identical task from the campaign
+// directory alone, runs checkpointed suites over such a directory,
+// and folds a completed merge back into the pb.Suite the in-memory
+// path produces.
 
 // campaignPlan is everything derivable from Options that both
 // execution paths need: the defaulted options, the design, and the
@@ -64,8 +53,8 @@ func planCampaign(opts Options) (*campaignPlan, error) {
 		if opts.Enhance != (enhance.Spec{}) {
 			return nil, fmt.Errorf("experiment: sampling cannot be combined with an enhancement (%s)", opts.Enhance)
 		}
-		// Normalize here so the manifest, the fingerprint, and every
-		// reconstructing worker agree on one canonical spec.
+		// Normalize here so the fingerprint and every reconstructing
+		// worker agree on one canonical spec.
 		spec := opts.Sampling.Normalized()
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
@@ -141,9 +130,8 @@ func (p *campaignPlan) runCampaign(ctx context.Context) (*pb.Suite, error) {
 }
 
 // CampaignManifest builds the dist manifest for opts: one scope per
-// benchmark with Design.Runs() rows each, fingerprinted as Fingerprint
-// does, and a Spec from which OptionsFromSpec reconstructs the task;
-// its label key carries the enhancement's canonical string.
+// benchmark with Design.Runs() rows each, under the fingerprint from
+// which ParseFingerprint reconstructs the task.
 func CampaignManifest(opts Options) (dist.Manifest, error) {
 	p, err := planCampaign(opts)
 	if err != nil {
@@ -153,74 +141,80 @@ func CampaignManifest(opts Options) (dist.Manifest, error) {
 }
 
 func (p *campaignPlan) manifest() dist.Manifest {
-	man := dist.Manifest{Fingerprint: Fingerprint(p.design, p.opts)}
+	man := dist.Manifest{Fingerprint: p.fingerprint()}
 	for _, w := range p.ws {
 		man.Scopes = append(man.Scopes, dist.ScopeSpec{Name: w.Name, Rows: p.design.Runs()})
-	}
-	man.Spec = map[string]string{
-		specTool:       "pbrank",
-		specN:          strconv.FormatInt(p.opts.Instructions, 10),
-		specWarmup:     strconv.FormatInt(p.opts.Warmup, 10),
-		specFoldover:   strconv.FormatBool(p.opts.Foldover),
-		specLabel:      p.opts.Enhance.String(),
-		specBenchmarks: strings.Join(p.names(), ","),
-	}
-	if p.opts.Sampling != nil {
-		man.Spec[specSample] = p.opts.Sampling.String()
 	}
 	return man
 }
 
-// OptionsFromSpec reconstructs the experiment Options a joining
-// worker needs from a campaign manifest written by CampaignManifest.
-// It accepts only the canonical spec of the options it decodes to, the
-// map CampaignManifest writes for them. The caller must still verify
-// the reconstruction by comparing the recomputed fingerprint against
-// the manifest's (CampaignTask does).
-func OptionsFromSpec(spec map[string]string) (Options, error) {
+// fingerprint identifies one experiment variant: the design geometry
+// plus every option that changes the simulated cycle counts, and the
+// benchmarks in workload order. A campaign directory is bound to one
+// fingerprint, so restarting with different budgets, benchmarks or an
+// enhancement toggled can never splice stale responses into the
+// effects. The label is the enhancement's canonical string and the
+// sample the sampling spec's, so equivalent options collide.
+func (p *campaignPlan) fingerprint() string {
+	fp := fmt.Sprintf("%s|n=%d|warmup=%d|label=%s|benchmarks=%s",
+		p.design.Fingerprint(), p.opts.Instructions, p.opts.Warmup, p.opts.Enhance,
+		strings.Join(p.names(), ","))
+	if p.opts.Sampling != nil {
+		fp += "|sample=" + p.opts.Sampling.String()
+	}
+	return fp
+}
+
+// ParseFingerprint is the fingerprint's inverse: it reconstructs the
+// Options a joining worker needs from a campaign manifest's
+// fingerprint. It accepts only text it renders itself: the decoded
+// Options must plan and render back to exactly fp.
+func ParseFingerprint(fp string) (Options, error) {
 	var opts Options
-	if tool := spec[specTool]; tool != "pbrank" {
-		return opts, fmt.Errorf("experiment: campaign spec is for tool %q, not a pbrank experiment", tool)
-	}
+	design, fields, _ := strings.Cut(fp, "|")
+	_, foldover, _ := strings.Cut(design, "foldover=")
+	foldover, _, _ = strings.Cut(foldover, ",")
 	var err error
-	if opts.Instructions, err = strconv.ParseInt(spec[specN], 10, 64); err != nil {
-		return opts, fmt.Errorf("experiment: campaign spec %s: %w", specN, err)
+	if opts.Foldover, err = strconv.ParseBool(foldover); err != nil {
+		return opts, fmt.Errorf("experiment: fingerprint %q: foldover: %w", fp, err)
 	}
-	if opts.Warmup, err = strconv.ParseInt(spec[specWarmup], 10, 64); err != nil {
-		return opts, fmt.Errorf("experiment: campaign spec %s: %w", specWarmup, err)
-	}
-	if opts.Foldover, err = strconv.ParseBool(spec[specFoldover]); err != nil {
-		return opts, fmt.Errorf("experiment: campaign spec %s: %w", specFoldover, err)
-	}
-	if opts.Enhance, err = enhance.ParseSpec(spec[specLabel]); err != nil {
-		return opts, fmt.Errorf("experiment: campaign spec %s: %w", specLabel, err)
-	}
-	if text, ok := spec[specSample]; ok {
-		s, err := sampling.ParseSpec(text)
-		if err != nil {
-			return opts, fmt.Errorf("experiment: campaign spec %s: %w", specSample, err)
+	for _, field := range strings.Split(fields, "|") {
+		key, val, _ := strings.Cut(field, "=")
+		switch key {
+		case "n":
+			opts.Instructions, err = strconv.ParseInt(val, 10, 64)
+		case "warmup":
+			opts.Warmup, err = strconv.ParseInt(val, 10, 64)
+		case "label":
+			opts.Enhance, err = enhance.ParseSpec(val)
+		case "benchmarks":
+			opts.Workloads, err = workload.Select(val)
+		case "sample":
+			var s sampling.Spec
+			s, err = sampling.ParseSpec(val)
+			opts.Sampling = &s
+		default:
+			err = errors.New("unknown field")
 		}
-		opts.Sampling = &s
-	}
-	for _, name := range strings.Split(spec[specBenchmarks], ",") {
-		w, err := workload.ByName(name)
 		if err != nil {
-			return opts, fmt.Errorf("experiment: campaign spec %s: %w", specBenchmarks, err)
+			return opts, fmt.Errorf("experiment: fingerprint %q: %s: %w", fp, key, err)
 		}
-		opts.Workloads = append(opts.Workloads, w)
 	}
-	man, err := CampaignManifest(opts)
-	if err == nil && !maps.Equal(man.Spec, spec) {
-		err = fmt.Errorf("experiment: campaign spec %v is not canonical", spec)
+	p, err := planCampaign(opts)
+	if err != nil {
+		return opts, err
 	}
-	return opts, err
+	if canon := p.fingerprint(); canon != fp {
+		return opts, fmt.Errorf("experiment: fingerprint %q is not canonical (want %q)", fp, canon)
+	}
+	return opts, nil
 }
 
 // CampaignTask builds the dist.Task for opts and validates it against
 // the manifest the task will execute under: the fingerprint recomputed
-// from opts must equal man.Fingerprint, so a worker reconstructed from
-// a Spec (or handed divergent flags) can never commit rows computed
-// under different budgets into someone else's campaign.
+// from opts must equal man.Fingerprint, so a worker handed divergent
+// flags can never commit rows computed under different budgets into
+// someone else's campaign.
 func CampaignTask(opts Options, man dist.Manifest) (dist.Task, error) {
 	p, err := planCampaign(opts)
 	if err != nil {
@@ -230,7 +224,7 @@ func CampaignTask(opts Options, man dist.Manifest) (dist.Task, error) {
 }
 
 func (p *campaignPlan) task(man dist.Manifest) (dist.Task, error) {
-	if fp := Fingerprint(p.design, p.opts); fp != man.Fingerprint {
+	if fp := p.fingerprint(); fp != man.Fingerprint {
 		return nil, fmt.Errorf("experiment: options fingerprint %q does not match campaign %q", fp, man.Fingerprint)
 	}
 	byName := make(map[string]pb.Response, len(p.ws))
@@ -272,7 +266,7 @@ func SuiteFromMerge(opts Options, m *dist.MergeResult) (*pb.Suite, error) {
 }
 
 func (p *campaignPlan) suite(m *dist.MergeResult) (*pb.Suite, error) {
-	if fp := Fingerprint(p.design, p.opts); fp != m.Fingerprint {
+	if fp := p.fingerprint(); fp != m.Fingerprint {
 		return nil, fmt.Errorf("experiment: options fingerprint %q does not match merged campaign %q", fp, m.Fingerprint)
 	}
 	vecs := make([][]float64, len(p.ws))

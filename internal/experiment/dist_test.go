@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"strings"
 	"sync"
@@ -53,8 +52,8 @@ var (
 	valueReuse128 = enhance.Spec{Mechanism: enhance.MechValueReuse, TableSize: 128}
 )
 
-// Base and enhanced suites alike write a manifest spec that a joining
-// worker turns back into the identical task.
+// Base and enhanced suites alike write a manifest whose fingerprint a
+// joining worker turns back into the identical task.
 func TestCampaignManifestSpecRoundTrip(t *testing.T) {
 	for _, enh := range []enhance.Spec{{}, precompute128, valueReuse128} {
 		t.Run(enh.String(), func(t *testing.T) {
@@ -67,19 +66,18 @@ func TestCampaignManifestSpecRoundTrip(t *testing.T) {
 			if len(man.Scopes) != 1 || man.Scopes[0].Name != "gzip" || man.Scopes[0].Rows != 44 {
 				t.Fatalf("scopes = %+v, want gzip with the 44-run design", man.Scopes)
 			}
-			if got := man.Spec[specLabel]; got != enh.String() {
-				t.Fatalf("spec label = %q, want %q", got, enh)
+			if want := "|label=" + enh.String() + "|"; !strings.Contains(man.Fingerprint, want) {
+				t.Fatalf("fingerprint %q lacks %q", man.Fingerprint, want)
 			}
-			back, err := OptionsFromSpec(man.Spec)
+			back, err := ParseFingerprint(man.Fingerprint)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if back.Enhance != enh {
 				t.Fatalf("round-tripped enhancement = %+v, want %+v", back.Enhance, enh)
 			}
-			// The reconstruction is only trusted if its fingerprint
-			// matches; CampaignTask is the gate, so it must accept the
-			// round trip.
+			// CampaignTask is the gate a worker passes through, so it
+			// must accept the round trip.
 			if _, err := CampaignTask(back, man); err != nil {
 				t.Fatalf("round-tripped options rejected: %v", err)
 			}
@@ -93,33 +91,29 @@ func TestCampaignManifestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzOptionsFromSpec: the manifest spec decoder never panics, and any
-// spec it accepts is exactly the map CampaignManifest writes for the
-// options it decodes to.
-func FuzzOptionsFromSpec(f *testing.F) {
-	f.Add("pbrank", "1000", "500", "false", "base", "gzip", "")
-	f.Add("pbrank", "2000", "1000", "true", "precompute-128", "gzip,mcf", "")
-	f.Add("pbrank", "2000", "0", "true", "valuereuse-64", "mcf", "")
-	f.Add("pbrank", "8000", "2000", "false", "base", "gzip", (&sampling.Spec{}).Normalized().String())
-	f.Add("pbrank", "+1000", "500", "1", "precompute-0128", "gzip,", "uniform")
-	f.Fuzz(func(t *testing.T, tool, n, warmup, foldover, label, benchmarks, sample string) {
-		spec := map[string]string{
-			specTool: tool, specN: n, specWarmup: warmup, specFoldover: foldover,
-			specLabel: label, specBenchmarks: benchmarks,
-		}
-		if sample != "" {
-			spec[specSample] = sample
-		}
-		opts, err := OptionsFromSpec(spec)
+// FuzzParseFingerprint: the fingerprint decoder never panics, and any
+// text it accepts plans and renders back to exactly that text.
+func FuzzParseFingerprint(f *testing.F) {
+	for _, seed := range []string{
+		"pb:x=44,foldover=false,runs=44|n=1000|warmup=500|label=base|benchmarks=gzip",
+		"pb:x=44,foldover=true,runs=88|n=2000|warmup=1000|label=precompute-128|benchmarks=gzip,mcf",
+		"pb:x=44,foldover=true,runs=88|n=2000|warmup=0|label=valuereuse-64|benchmarks=mcf",
+		"pb:x=44,foldover=false,runs=44|n=8000|warmup=2000|label=base|benchmarks=gzip|sample=" + (&sampling.Spec{}).Normalized().String(),
+		"pb:x=44,foldover=1,runs=88|n=+1000|warmup=500|label=precompute-0128|benchmarks=gzip,|sample=uniform",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, fp string) {
+		opts, err := ParseFingerprint(fp)
 		if err != nil {
 			return
 		}
 		man, err := CampaignManifest(opts)
 		if err != nil {
-			t.Fatalf("accepted spec %v does not plan: %v", spec, err)
+			t.Fatalf("accepted fingerprint %q does not plan: %v", fp, err)
 		}
-		if !maps.Equal(man.Spec, spec) {
-			t.Fatalf("accepted spec %v round-trips to %v", spec, man.Spec)
+		if man.Fingerprint != fp {
+			t.Fatalf("accepted fingerprint %q renders as %q", fp, man.Fingerprint)
 		}
 	})
 }
@@ -162,33 +156,32 @@ func TestCheckpointReportsRealRows(t *testing.T) {
 	}
 }
 
-func TestOptionsFromSpecErrors(t *testing.T) {
+func TestParseFingerprintErrors(t *testing.T) {
 	man, err := CampaignManifest(distOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := func(mut func(map[string]string)) map[string]string {
-		spec := make(map[string]string, len(man.Spec))
-		for k, v := range man.Spec {
-			spec[k] = v
-		}
-		mut(spec)
-		return spec
+	fp := man.Fingerprint
+	if _, err := ParseFingerprint(fp); err != nil {
+		t.Fatalf("canonical fingerprint %q refused: %v", fp, err)
 	}
-	cases := map[string]map[string]string{
-		"wrong tool":    bad(func(s map[string]string) { s["tool"] = "nmap" }),
-		"bad n":         bad(func(s map[string]string) { s["n"] = "many" }),
-		"bad foldover":  bad(func(s map[string]string) { s["foldover"] = "?" }),
-		"bad benchmark": bad(func(s map[string]string) { s["benchmarks"] = "gzip,doom" }),
-		"bad label":     bad(func(s map[string]string) { s["label"] = "turbo-128" }),
-		"table size 0":  bad(func(s map[string]string) { s["label"] = "precompute-0" }),
-		"padded n":      bad(func(s map[string]string) { s["n"] = "01000" }),
-		"extra key":     bad(func(s map[string]string) { s["shortcut"] = "yes" }),
-		"no spec":       nil,
+	cases := map[string]string{
+		"bad design":     strings.Replace(fp, "foldover=false", "foldover=?", 1),
+		"wrong geometry": strings.Replace(fp, "runs=44", "runs=88", 1),
+		"bad n":          strings.Replace(fp, "n=1000", "n=many", 1),
+		"padded n":       strings.Replace(fp, "n=1000", "n=01000", 1),
+		"bad benchmark":  strings.Replace(fp, "benchmarks=gzip", "benchmarks=gzip,doom", 1),
+		"no benchmarks":  strings.Replace(fp, "|benchmarks=gzip", "", 1),
+		"bad label":      strings.Replace(fp, "label=base", "label=turbo-128", 1),
+		"table size 0":   strings.Replace(fp, "label=base", "label=precompute-0", 1),
+		"short sample":   fp + "|sample=uniform",
+		"extra field":    fp + "|shortcut=yes",
+		"repeated field": fp + "|n=1000",
+		"no fingerprint": "",
 	}
-	for name, spec := range cases {
-		if _, err := OptionsFromSpec(spec); err == nil {
-			t.Errorf("%s: accepted", name)
+	for name, text := range cases {
+		if _, err := ParseFingerprint(text); err == nil {
+			t.Errorf("%s: %q accepted", name, text)
 		}
 	}
 }
@@ -197,7 +190,7 @@ func TestOptionsFromSpecErrors(t *testing.T) {
 // pin at the experiment layer: one worker executes the campaign, and
 // the merged suite must carry the exact response vector and ranks the
 // sequential path computes. The enhanced campaign's worker, like
-// pbworker, rebuilds its task from the manifest spec alone.
+// pbworker, rebuilds its task from the manifest's fingerprint alone.
 func TestDistributedMatchesSequential(t *testing.T) {
 	for _, enh := range []enhance.Spec{{}, precompute128} {
 		t.Run(enh.String(), func(t *testing.T) {
@@ -223,7 +216,7 @@ func checkDistributedMatchesSequential(t *testing.T, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := OptionsFromSpec(c.Manifest().Spec)
+	joined, err := ParseFingerprint(c.Manifest().Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ type Options struct {
 	Parallelism int
 	// Enhance selects the enhancement every row simulates (Table 12);
 	// the zero value is the base processor. Its string is the suite's
-	// label in the fingerprint, the manifest's spec and row scopes.
+	// label in the fingerprint and row scopes.
 	Enhance enhance.Spec
 	// Sampling, when non-nil, replaces every row's full simulation with
 	// a region-sampled one (see internal/sampling): the response becomes
@@ -60,9 +60,10 @@ type Options struct {
 	// an interrupted suite rerun with the same options resumes where
 	// it stopped and reproduces identical effects and ranks. A
 	// directory holding a campaign under another fingerprint (changed
-	// budget, enhancement, sampling, ...) is refused. pbworker
-	// processes can join any campaign, Table 12's enhanced suites
-	// included: the manifest's spec carries the enhancement.
+	// budget, benchmarks, enhancement, sampling, ...) is refused.
+	// pbworker processes can join any campaign, Table 12's enhanced
+	// suites included: the manifest's fingerprint carries every option
+	// the rows depend on.
 	Checkpoint string
 	// Sync fsyncs every checkpoint commit, so a committed
 	// configuration survives a machine crash, not only a process
@@ -170,7 +171,7 @@ func RunSuiteCtx(ctx context.Context, opts Options) (*pb.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.opts.Recorder.SuiteStarted(Fingerprint(p.design, p.opts), len(p.ws), p.design.Runs())
+	p.opts.Recorder.SuiteStarted(p.fingerprint(), len(p.ws), p.design.Runs())
 	if p.opts.Checkpoint != "" {
 		return p.runCampaign(ctx)
 	}
@@ -179,21 +180,4 @@ func RunSuiteCtx(ctx context.Context, opts Options) (*pb.Suite, error) {
 		responses[i] = p.response(w)
 	}
 	return pb.RunSuite(ctx, p.design, p.factors, p.names(), responses, p.runnerConfig())
-}
-
-// Fingerprint identifies one experiment variant: the design geometry
-// plus every option that changes the simulated cycle counts. A
-// campaign directory is bound to one fingerprint, so restarting with
-// different budgets (or with an enhancement toggled) can never splice
-// stale responses into the effects. The label is the enhancement's
-// canonical string, so it always names what the rows simulate.
-func Fingerprint(design *pb.Design, opts Options) string {
-	fp := fmt.Sprintf("%s|n=%d|warmup=%d|label=%s",
-		design.Fingerprint(), opts.Instructions, opts.Warmup, opts.Enhance)
-	if opts.Sampling != nil {
-		// The canonical spec string, so equivalent specs collide and any
-		// change in sampling parameters binds a different campaign.
-		fp += "|sample=" + opts.Sampling.String()
-	}
-	return fp
 }

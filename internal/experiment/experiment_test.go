@@ -338,6 +338,43 @@ func TestCheckpointRefusesChangedBudget(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesChangedBenchmarks: the fingerprint names the
+// benchmarks, so rerunning a gzip campaign with gzip and mcf on the
+// same directory is refused by dist.Create before any row runs or is
+// restored, instead of restoring gzip's rows and failing at the merge.
+func TestCheckpointRefusesChangedBenchmarks(t *testing.T) {
+	gzip, _ := workload.ByName("gzip")
+	mcf, _ := workload.ByName("mcf")
+	opts := Options{
+		Instructions: 1000,
+		Warmup:       500,
+		Foldover:     true,
+		Workloads:    []workload.Workload{gzip},
+		Checkpoint:   t.TempDir(),
+	}
+	man, err := CampaignManifest(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSuite(opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Workloads = append(opts.Workloads, mcf)
+	changed, err := CampaignManifest(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := &rowEvents{}
+	opts.Recorder = rows
+	_, err = RunSuite(opts)
+	if err == nil || !strings.Contains(err.Error(), man.Fingerprint) || !strings.Contains(err.Error(), changed.Fingerprint) {
+		t.Fatalf("changed benchmarks = %v, want a refusal naming %q and %q", err, man.Fingerprint, changed.Fingerprint)
+	}
+	if len(rows.seen) != 0 {
+		t.Fatalf("the refused run reported rows %v, want none", rows.seen)
+	}
+}
+
 func TestRunSuiteDefaults(t *testing.T) {
 	// Option defaulting: explicit zero instructions selects the
 	// default, negative warmup selects the default warmup.

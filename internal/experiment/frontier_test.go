@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"pbsim/internal/enhance"
-	"pbsim/internal/pb"
 	"pbsim/internal/sampling"
-	"pbsim/internal/sim"
 	"pbsim/internal/workload"
 )
 
@@ -137,34 +135,38 @@ func TestSamplingRefusesShortcut(t *testing.T) {
 // one under different parameters — while equivalent specs (explicit
 // defaults vs defaulted zeros) must collide.
 func TestFingerprintDistinguishesSampling(t *testing.T) {
-	design, err := pb.New(len(sim.Factors()), true)
-	if err != nil {
-		t.Fatal(err)
+	fingerprint := func(opts Options) string {
+		t.Helper()
+		man, err := CampaignManifest(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return man.Fingerprint
 	}
-	base := Options{Instructions: 1000, Warmup: 100}
+	base := Options{Instructions: 1000, Warmup: 100, Foldover: true}
 	spec := sampling.Spec{Fraction: 0.25}
 	a := base
 	a.Sampling = &spec
-	full := Fingerprint(design, base)
-	sampledFP := Fingerprint(design, a)
+	full := fingerprint(base)
+	sampledFP := fingerprint(a)
 	if full == sampledFP {
 		t.Fatal("sampled and full fingerprints collide")
 	}
 	other := base
 	other.Sampling = &sampling.Spec{Fraction: 0.5}
-	if Fingerprint(design, other) == sampledFP {
+	if fingerprint(other) == sampledFP {
 		t.Fatal("different fractions share a fingerprint")
 	}
 	explicit := spec.Normalized()
 	b := base
 	b.Sampling = &explicit
-	if Fingerprint(design, b) != sampledFP {
+	if fingerprint(b) != sampledFP {
 		t.Fatal("equivalent specs (defaulted vs explicit) must share a fingerprint")
 	}
 }
 
-// TestCampaignRoundTripSampling: a sampled campaign manifest must let a
-// bare worker reconstruct Options whose fingerprint matches, and
+// TestCampaignRoundTripSampling: a sampled campaign's fingerprint must
+// let a bare worker reconstruct Options whose fingerprint matches, and
 // CampaignTask must accept them.
 func TestCampaignRoundTripSampling(t *testing.T) {
 	opts := Options{
@@ -178,10 +180,10 @@ func TestCampaignRoundTripSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Spec[specSample] == "" {
-		t.Fatal("manifest lacks the sample spec")
+	if !strings.Contains(man.Fingerprint, "|sample=") {
+		t.Fatalf("fingerprint %q lacks the sample spec", man.Fingerprint)
 	}
-	rec, err := OptionsFromSpec(man.Spec)
+	rec, err := ParseFingerprint(man.Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,9 @@ import (
 	"strings"
 )
 
-// ManifestVersion is the on-disk manifest schema version.
-const ManifestVersion = 1
+// ManifestVersion is the on-disk manifest schema version; Open refuses
+// a manifest of any other version.
+const ManifestVersion = 2
 
 // manifestName is the campaign manifest file inside the campaign dir.
 const manifestName = "manifest.json"
@@ -65,14 +66,13 @@ type ScopeSpec struct {
 }
 
 // Manifest declares a campaign: the experiment fingerprint every
-// commit must carry, the scopes with their row counts, and an opaque
-// tool-specific spec that lets a joining worker (cmd/pbworker)
-// reconstruct the task function from the directory alone.
+// commit must carry and the scopes with their row counts. The
+// fingerprint is the campaign's whole definition, so a joining worker
+// (cmd/pbworker) rebuilds the task function from it alone.
 type Manifest struct {
-	Version     int               `json:"version"`
-	Fingerprint string            `json:"fp"`
-	Scopes      []ScopeSpec       `json:"scopes"`
-	Spec        map[string]string `json:"spec,omitempty"`
+	Version     int         `json:"version"`
+	Fingerprint string      `json:"fp"`
+	Scopes      []ScopeSpec `json:"scopes"`
 }
 
 // Units returns every work unit of the manifest in deterministic

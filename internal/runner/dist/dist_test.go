@@ -38,6 +38,23 @@ func testTask(_ context.Context, scope string, row int) (float64, error) {
 	return testValue(scope, row), nil
 }
 
+// A campaign directory whose manifest predates the current schema (a
+// version 1 manifest, which carried a spec map beside the fingerprint)
+// is refused by version, by Open and Create alike.
+func TestOldManifestVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"version":1,"fp":"fp-test|n=1","scopes":[{"name":"alpha","rows":4}],"spec":{"tool":"pbrank"}}`
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "manifest version 1") {
+		t.Fatalf("Open = %v, want a version 1 refusal", err)
+	}
+	if _, err := Create(dir, testManifest()); err == nil || !strings.Contains(err.Error(), "manifest version 1") {
+		t.Fatalf("Create = %v, want a version 1 refusal", err)
+	}
+}
+
 func TestManifestValidate(t *testing.T) {
 	cases := []struct {
 		name string

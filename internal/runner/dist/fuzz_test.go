@@ -43,11 +43,11 @@ func FuzzReadLedger(f *testing.F) {
 // accepts is a valid manifest of its own schema version.
 func FuzzOpenManifest(f *testing.F) {
 	for _, seed := range []string{
-		`{"version":1,"fp":"fp-test|n=1","scopes":[{"name":"alpha","rows":4},{"name":"beta","rows":3}]}`,
+		`{"version":2,"fp":"fp-test|n=1","scopes":[{"name":"alpha","rows":4},{"name":"beta","rows":3}]}`,
 		`{"version":1,"fp":"fp","scopes":[{"name":"gzip","rows":88}],"spec":{"tool":"pbrank","n":"1000"}}`,
-		`{"version":2,"fp":"fp","scopes":[{"name":"a","rows":1}]}`,
-		`{"version":1,"fp":"fp","scopes":[{"name":"a/b","rows":1}]}`,
-		`{"version":1,"fp":"fp","scopes":[{"name":"a","rows":1},{"name":"a","rows":2}]}`,
+		`{"version":3,"fp":"fp","scopes":[{"name":"a","rows":1}]}`,
+		`{"version":2,"fp":"fp","scopes":[{"name":"a/b","rows":1}]}`,
+		`{"version":2,"fp":"fp","scopes":[{"name":"a","rows":1},{"name":"a","rows":2}]}`,
 		`not json`,
 	} {
 		f.Add([]byte(seed))

@@ -5,37 +5,35 @@ import (
 	"strings"
 )
 
-// RegisterFlags registers the -sample* flag family on fs and returns a
-// function that materializes the flags into a validated Spec after
-// parsing. The returned spec is nil when -sample was left empty —
-// sampling is strictly opt-in, and every CLI that offers it shares the
-// same flag names and defaults through this helper.
-func RegisterFlags(fs *flag.FlagSet) func() (*Spec, error) {
-	est := fs.String("sample", "", "sample the measured window with this estimator ("+strings.Join(Names(), ", ")+") instead of simulating it fully")
-	region := fs.Int64("sample-region", DefaultRegionSize, "instructions per sampling region")
-	frac := fs.Float64("sample-frac", DefaultFraction, "fraction of regions to detail-simulate, in (0, 1]")
-	warm := fs.Int64("sample-warmup", -1, "detailed warmup instructions before each sampled region (-1 = region/4, 0 disables)")
-	fwarm := fs.Int64("sample-func-warmup", -1, "functionally warmed instructions before each region's detailed warmup (-1 = 8*region, 0 disables)")
-	seed := fs.Uint64("sample-seed", 1, "region-selection seed (mixed with each workload's own seed)")
-	strata := fs.Int("sample-strata", DefaultStrata, "proxy-quantile strata (stratified estimator)")
-	set := fs.Int("sample-set", DefaultSetSize, "judgment-ranking set size (rankedset estimator)")
-	return func() (*Spec, error) {
-		if *est == "" {
-			return nil, nil
-		}
-		s := Spec{
-			Estimator:    *est,
-			RegionSize:   *region,
-			Fraction:     *frac,
-			RegionWarmup: *warm,
-			FuncWarmup:   *fwarm,
-			Seed:         *seed,
-			Strata:       *strata,
-			SetSize:      *set,
-		}.Normalized()
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		return &s, nil
+// Flag is the -sample flag: a flag.Value that reads ParseSpec's text.
+// Spec stays nil until the flag is set, so sampling is strictly
+// opt-in.
+type Flag struct{ Spec *Spec }
+
+// String renders the canonical spec, or "" while the flag is unset.
+func (f *Flag) String() string {
+	if f.Spec == nil {
+		return ""
 	}
+	return f.Spec.String()
+}
+
+// Set parses text with ParseSpec.
+func (f *Flag) Set(text string) error {
+	s, err := ParseSpec(text)
+	if err != nil {
+		return err
+	}
+	f.Spec = &s
+	return nil
+}
+
+// RegisterFlag registers -sample on fs, so every CLI that offers
+// sampling shares one flag and one spelling. The returned Flag is
+// filled in when fs is parsed.
+func RegisterFlag(fs *flag.FlagSet) *Flag {
+	f := &Flag{}
+	fs.Var(f, "sample", "sample the measured window instead of simulating it fully, with this `spec`: an estimator ("+
+		strings.Join(Names(), ", ")+") or key=value text such as est=stratified,frac=0.2,strata=6 (keys est, region, frac, warm, fwarm, seed, strata, set)")
+	return f
 }

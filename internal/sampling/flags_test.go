@@ -6,40 +6,53 @@ import (
 	"testing"
 )
 
-func parseSampleFlags(t *testing.T, args ...string) (*Spec, error) {
+func parseSampleFlag(t *testing.T, args ...string) (*Spec, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	build := RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	return build()
+	f := RegisterFlag(fs)
+	err := fs.Parse(args)
+	return f.Spec, err
 }
 
-func TestRegisterFlagsOptIn(t *testing.T) {
-	spec, err := parseSampleFlags(t)
+func TestRegisterFlagOptIn(t *testing.T) {
+	spec, err := parseSampleFlag(t)
 	if err != nil || spec != nil {
 		t.Fatalf("no -sample must yield (nil, nil), got (%v, %v)", spec, err)
 	}
-	spec, err = parseSampleFlags(t, "-sample", "stratified", "-sample-frac", "0.2", "-sample-strata", "6")
+	spec, err = parseSampleFlag(t, "-sample", "est=stratified,frac=0.2,strata=6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Estimator != EstimatorStratified || spec.Fraction != 0.2 || spec.Strata != 6 { //pbcheck:ignore floateq exact flag round-trip, no arithmetic involved
-		t.Fatalf("spec = %+v", spec)
+	// The spec the retired -sample-* flags gave for -sample stratified
+	// -sample-frac 0.2 -sample-strata 6: their defaults, seed 1 included.
+	want := Spec{Estimator: EstimatorStratified, RegionSize: DefaultRegionSize, Fraction: 0.2,
+		RegionWarmup: -1, FuncWarmup: -1, Seed: 1, Strata: 6, SetSize: DefaultSetSize}.Normalized()
+	if *spec != want {
+		t.Fatalf("spec = %+v, want %+v", *spec, want)
 	}
-	// Defaults materialize through Normalized: -1 warmups resolve.
-	if spec.RegionWarmup != DefaultRegionSize/4 || spec.FuncWarmup != 8*DefaultRegionSize {
-		t.Fatalf("warmup defaults did not materialize: %+v", spec)
+	// A bare estimator name is shorthand for est=<name>.
+	bare, err := parseSampleFlag(t, "-sample", "uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := parseSampleFlag(t, "-sample", "est=uniform,seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *bare != *long {
+		t.Fatalf("-sample uniform = %+v, -sample est=uniform,seed=1 = %+v", *bare, *long)
 	}
 }
 
-func TestRegisterFlagsRejectsBadSpec(t *testing.T) {
-	if _, err := parseSampleFlags(t, "-sample", "nope"); err == nil {
-		t.Error("unknown estimator must fail")
-	}
-	if _, err := parseSampleFlags(t, "-sample", "uniform", "-sample-frac", "1.5"); err == nil {
-		t.Error("fraction above 1 must fail")
+func TestRegisterFlagRejectsBadSpec(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sample", "nope"},
+		{"-sample", "est=uniform,frac=1.5"},
+		{"-sample", "uniform", "-sample-frac", "0.1"},
+	} {
+		if _, err := parseSampleFlag(t, args...); err == nil {
+			t.Errorf("%q accepted", args)
+		}
 	}
 }

@@ -14,6 +14,8 @@ func FuzzParseSpec(f *testing.F) {
 		"est=uniform,frac=2",
 		"est=uniform,frac=1e-300",
 		"",
+		"stratified",
+		"region=2000,frac=0.08,fwarm=24000,seed=1",
 	} {
 		f.Add(seed)
 	}

@@ -47,6 +47,9 @@ const (
 	DefaultFraction   = 0.1
 	DefaultStrata     = 4
 	DefaultSetSize    = 3
+	// DefaultSeed is ParseSpec's seed for text that names none; zero
+	// is a valid seed, so Normalized leaves Seed as it is.
+	DefaultSeed = 1
 )
 
 // minRegionSize keeps a region comfortably larger than the pipeline's
@@ -91,8 +94,8 @@ type Spec struct {
 }
 
 // Normalized returns the spec with defaults substituted for zero
-// values. Fingerprints, manifests, and schedules all key off the
-// normalized form, so equivalent specs are never treated as distinct.
+// values. Fingerprints and schedules both key off the normalized
+// form, so equivalent specs are never treated as distinct.
 func (s Spec) Normalized() Spec {
 	if s.Estimator == "" {
 		s.Estimator = EstimatorUniform
@@ -146,9 +149,8 @@ func (s Spec) Validate() error {
 }
 
 // String renders the normalized spec in the canonical key=value form
-// ParseSpec inverts. It is embedded in experiment fingerprints and
-// campaign manifests, so two textually equal specs are guaranteed to
-// select identical regions.
+// ParseSpec inverts. It is embedded in experiment fingerprints, so two
+// textually equal specs are guaranteed to select identical regions.
 func (s Spec) String() string {
 	n := s.Normalized()
 	return fmt.Sprintf("est=%s,region=%d,frac=%s,warm=%d,fwarm=%d,seed=%d,strata=%d,set=%d",
@@ -158,11 +160,15 @@ func (s Spec) String() string {
 
 // ParseSpec inverts String: it reconstructs a spec from the canonical
 // key=value form, so a distributed worker can rebuild the exact
-// sampling schedule from a campaign manifest alone.
+// sampling schedule from a campaign fingerprint alone. It also reads
+// the -sample flag's text: a key the text leaves out takes its default
+// (DefaultSeed for seed, Normalized's for the rest), and a bare
+// estimator name is shorthand for est=<name>.
 func ParseSpec(text string) (Spec, error) {
-	var s Spec
-	s.RegionWarmup = -1
-	s.FuncWarmup = -1
+	s := Spec{RegionWarmup: -1, FuncWarmup: -1, Seed: DefaultSeed}
+	if !strings.Contains(text, "=") {
+		text = "est=" + text
+	}
 	for _, kv := range strings.Split(text, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
