@@ -30,6 +30,12 @@
 //	         [-shard-sync]
 //	         [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
+// -poll is the longest wait between passes when every remaining unit
+// is leased by another process (0 means -ttl/4); workers inside one
+// process wake each other on every release instead. Units committed
+// before the worker joined are reported as resumed rows, under the
+// campaign's enhancement label ("base/gzip"), as pbrank reports them.
+//
 // Exit codes: 0 campaign complete (or completed by others), 1 work
 // failure, 2 usage error.
 package main
@@ -55,7 +61,7 @@ func main() {
 func run() (err error) {
 	id := flag.String("id", "", "worker name; must be unique among live workers (default host-pid)")
 	ttl := flag.Duration("ttl", 10*time.Second, "lease time-to-live; a worker silent this long loses its units")
-	poll := flag.Duration("poll", 0, "wait between passes when all remaining units are leased elsewhere (default ttl/4)")
+	poll := flag.Duration("poll", 0, "longest wait between passes when all remaining units are leased by other processes (default ttl/4)")
 	shardSync := flag.Bool("shard-sync", false, "fsync every commit (survives machine death, not just process death)")
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbworker")
@@ -96,13 +102,18 @@ func run() (err error) {
 		return err
 	}
 	sess.Recorder().SuiteStarted(man.Fingerprint, len(man.Scopes), man.TotalRows())
-	stats, err := dist.RunWorker(ctx, dir, task, dist.Config{
+	cfg := dist.Config{
 		ID:       *id,
 		LeaseTTL: *ttl,
 		Poll:     *poll,
 		Sync:     *shardSync,
+		Scope:    opts.Enhance.String(),
 		Recorder: sess.Recorder(),
-	})
+	}
+	if err := c.ReportRestored(cfg); err != nil {
+		return err
+	}
+	stats, err := dist.RunWorker(ctx, dir, task, cfg)
 	if err != nil {
 		return runFlags.Resumable(err)
 	}

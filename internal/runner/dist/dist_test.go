@@ -476,6 +476,108 @@ func TestRunWorkerCompletesCampaign(t *testing.T) {
 	}
 }
 
+// TestIdleWorkerWakesOnSiblingCommit: a worker whose remaining units
+// are all leased by a sibling in its process wakes when the sibling
+// commits, not when its poll runs out. With an hour's LeaseTTL and
+// Poll, only that wakeup lets the campaign finish within the deadline.
+func TestIdleWorkerWakesOnSiblingCommit(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Create(dir, testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	slow := Unit{Scope: "alpha", Row: 0}
+	task := func(ctx context.Context, scope string, row int) (float64, error) {
+		if (Unit{Scope: scope, Row: row}) == slow {
+			select {
+			case <-time.After(200 * time.Millisecond):
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+		}
+		return testTask(ctx, scope, row)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	errs := make(chan error, 2)
+	for _, id := range []string{"w0", "w1"} {
+		go func() {
+			_, err := RunWorker(ctx, dir, task, Config{ID: id, LeaseTTL: time.Hour, Poll: time.Hour})
+			errs <- err
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatalf("RunWorker: %v", err)
+		}
+	}
+	checkComplete(t, dir)
+}
+
+// TestIdleWorkerClaimsUnitSiblingFailed: a unit that fails on one
+// worker is released, and a sibling in the same process that waits
+// for it claims it at once, not after an hour's Poll.
+func TestIdleWorkerClaimsUnitSiblingFailed(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Create(dir, testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	const bad = 3 // row 3 exists only in alpha
+	started := make(chan struct{})
+	failBad := func(next runner.Task) runner.Task {
+		return func(ctx context.Context, row int) (float64, error) {
+			if row != bad {
+				return next(ctx, row)
+			}
+			close(started)
+			select {
+			case <-time.After(200 * time.Millisecond):
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+			return 0, errors.New("this worker cannot run it")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	w0 := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(ctx, dir, testTask, Config{ID: "w0", LeaseTTL: time.Hour, Poll: time.Hour, Wrap: failBad})
+		w0 <- err
+	}()
+	// w1 joins while w0 holds alpha/3, so it finds that unit leased.
+	select {
+	case <-started:
+	case <-ctx.Done():
+		t.Fatal("w0 never ran alpha/3")
+	}
+	stats, err := RunWorker(ctx, dir, testTask, Config{ID: "w1", LeaseTTL: time.Hour, Poll: time.Hour})
+	if err != nil {
+		t.Fatalf("w1: %v (stats %+v)", err, stats)
+	}
+	if err := <-w0; err == nil || !strings.Contains(err.Error(), "1 units failed: alpha/3: ") {
+		t.Fatalf("w0 = %v, want an aggregate naming alpha/3", err)
+	}
+	checkComplete(t, dir)
+}
+
+// checkComplete asserts that the campaign at dir merges complete, with
+// every unit bit-identical to testValue.
+func checkComplete(t *testing.T, dir string) {
+	t.Helper()
+	res, err := MergeDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete() {
+		t.Fatalf("campaign incomplete: missing %v", res.Missing)
+	}
+	for _, u := range testManifest().Units() {
+		if got := res.Values[u.Scope][u.Row]; math.Float64bits(got) != math.Float64bits(testValue(u.Scope, u.Row)) {
+			t.Fatalf("unit %s = %v, want %v", u, got, testValue(u.Scope, u.Row))
+		}
+	}
+}
+
 func TestRunWorkerConfigErrors(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Create(dir, testManifest()); err != nil {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sync"
 	"time"
 
 	"pbsim/internal/obs"
@@ -34,8 +35,10 @@ type Config struct {
 	// mid-unit then looks dead and gets its unit stolen, which the
 	// chaos harness uses to exercise the steal path deliberately.
 	Heartbeat time.Duration
-	// Poll is how long to wait between passes when every remaining
-	// unit is leased by someone else. Default LeaseTTL/4.
+	// Poll bounds the wait between passes when every remaining unit
+	// is leased by someone else. A release by a worker in this process
+	// ends the wait at once, so Poll only paces the wait on workers in
+	// other processes. Default LeaseTTL/4.
 	Poll time.Duration
 	// Sync fsyncs the shard ledger after every commit, extending
 	// durability from process death to machine death.
@@ -101,25 +104,32 @@ func (e unitError) Unwrap() error { return e.Err }
 // worker. It is the entire worker protocol:
 //
 //	pass:
+//	  note the process's change signal; refresh the done set from the
+//	  shard ledgers
 //	  for each unit not known done, rotated by worker ID so workers
 //	  start in different places:
-//	    refresh the done set from the shard ledgers; done → skip
 //	    claim its lease (stealing if expired); held elsewhere → skip
-//	    refresh again: the previous holder may have committed and
-//	    released in between → release, skip
+//	    refresh the done set: another worker may have committed it and
+//	    released since → release, skip
 //	    heartbeat the lease in the background
 //	    run the unit once through runner.EvaluateRow under its
 //	    campaign row (panic recovery)
-//	    success → append to this worker's shard ledger, release lease
+//	    success → append to this worker's shard ledger, mark it done,
+//	    release lease
 //	    injected crash → return immediately, lease deliberately NOT
 //	    released: the process is "dead", the lease must expire and be
 //	    stolen, exactly as a real death
 //	    ctx cancelled or past its deadline → release lease, return
 //	    other failure → record, release lease, move on
 //	  nothing left but failed units → done
-//	  no unit claimable and campaign incomplete → poll-sleep, rescan
-//	    (another worker holds the rest; it will finish or its leases
-//	    will expire)
+//	  no unit claimable and campaign incomplete → wait for the change
+//	  signal (a worker in this process released a lease) or cfg.Poll
+//	  (a worker elsewhere may have), rescan
+//
+// Every release in this process announces a change, so a worker whose
+// remaining units are held by its siblings wakes as soon as one of
+// them commits or lets go; Poll, lease expiry and steals bound only
+// the wait on workers in other processes.
 //
 // A crash "death" returns runner.ErrCrash with Crashed=true so a
 // chaos harness can restart the worker in a loop. A failed unit is not
@@ -152,20 +162,18 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
+		// Taken before the refresh, so a release after it ends the
+		// wait below at once instead of being missed.
+		changed := changes.signal()
+		if err := tail.refresh(); err != nil {
+			return stats, err
+		}
 		stats.Passes++
 		remaining := 0
 		progressed := false
 		for i := range units {
 			u := units[(i+first)%len(units)]
 			if _, ok := failed[u]; ok || tail.done[u] {
-				continue
-			}
-			// Other workers commit throughout a pass: refresh before
-			// every claim, not once per pass.
-			if err := tail.refresh(); err != nil {
-				return stats, err
-			}
-			if tail.done[u] {
 				continue
 			}
 			remaining++
@@ -185,14 +193,14 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 			}
 			cfg.Recorder.LeaseClaimed(u.Scope, u.Row, res == claimStolen)
 
-			// Units change hands via steals and releases; the previous
-			// holder may have committed since the refresh above.
+			// The lease is free once its holder commits and releases:
+			// only the ledgers say whether u is still to be done.
 			if err := tail.refresh(); err != nil {
-				release(dir, u, cfg.ID)
+				free(dir, u, cfg.ID)
 				return stats, err
 			}
 			if tail.done[u] {
-				release(dir, u, cfg.ID)
+				free(dir, u, cfg.ID)
 				progressed = true
 				continue
 			}
@@ -213,21 +221,22 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 					return stats, rerr
 				}
 				if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
-					release(dir, u, cfg.ID)
+					free(dir, u, cfg.ID)
 					return stats, rerr
 				}
 				failed[u] = unitError{Unit: u, Err: rerr}
-				release(dir, u, cfg.ID)
+				free(dir, u, cfg.ID)
 				progressed = true
 				continue
 			}
 			if err := led.Commit(u.Scope, u.Row, v); err != nil {
-				release(dir, u, cfg.ID)
+				free(dir, u, cfg.ID)
 				return stats, fmt.Errorf("dist: commit %s: %w", u, err)
 			}
 			stats.Committed++
+			tail.done[u] = true
 			cfg.Recorder.CommitAppended(cfg.ID, u.Scope, u.Row)
-			release(dir, u, cfg.ID)
+			free(dir, u, cfg.ID)
 			progressed = true
 		}
 		if remaining == 0 {
@@ -246,15 +255,51 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 			return stats, led.Close()
 		}
 		if !progressed {
-			// Everything left is leased elsewhere. Wait for those
-			// workers to finish or their leases to expire.
+			// Everything left is leased elsewhere. Wait for a sibling
+			// to release, or for workers elsewhere to commit or their
+			// leases to expire.
 			select {
 			case <-ctx.Done():
 				return stats, ctx.Err()
+			case <-changed:
 			case <-time.After(cfg.Poll):
 			}
 		}
 	}
+}
+
+// changes is the process-wide change signal: its channel is closed,
+// and replaced, each time a worker in this process releases a lease.
+// It is package state because workers of one campaign need share
+// nothing but the process (bench and tests start RunWorker goroutines
+// directly); a wakeup meant for another campaign costs only a rescan.
+var changes = changeSignal{ch: make(chan struct{})}
+
+type changeSignal struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+// signal returns the channel the next announce closes.
+func (s *changeSignal) signal() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ch
+}
+
+// announce wakes every worker waiting on the current signal.
+func (s *changeSignal) announce() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	close(s.ch)
+	s.ch = make(chan struct{})
+}
+
+// free releases the lease on u and announces the change, so a sibling
+// waiting for u — or for the commit that preceded the release — wakes.
+func free(dir string, u Unit, owner string) {
+	release(dir, u, owner)
+	changes.announce()
 }
 
 // Run executes the campaign at dir in this process: workers
@@ -265,10 +310,11 @@ func RunWorker(ctx context.Context, dir string, task Task, cfg Config) (WorkerSt
 // earlier run, or by other processes — are not executed again, and
 // each is reported once to cfg.Recorder as a restored row
 // (RowFinished with fromCheckpoint=true). The first worker error is
-// returned. cfg.Poll defaults to runPoll rather than LeaseTTL/4: at
-// the end of a campaign the units an idle worker waits for are mostly
-// held by its siblings in this process, which commit them in a row's
-// time, not a lease's.
+// returned. Its workers wake each other on every release, so
+// cfg.Poll only paces the wait on workers in other processes, such as
+// a pbworker joining the campaign; it defaults to runPoll rather than
+// LeaseTTL/4 so that one finishing the units this process waits for
+// is noticed in a row's time, not a lease's.
 func Run(ctx context.Context, dir string, task Task, workers int, cfg Config) (*MergeResult, error) {
 	c, err := Open(dir)
 	if err != nil {
@@ -290,7 +336,7 @@ func Run(ctx context.Context, dir string, task Task, workers int, cfg Config) (*
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if err := c.reportRestored(cfg); err != nil {
+	if err := c.ReportRestored(cfg); err != nil {
 		return nil, err
 	}
 	errs := make(chan error, workers)
@@ -322,13 +368,20 @@ func Run(ctx context.Context, dir string, task Task, workers int, cfg Config) (*
 	return res, nil
 }
 
-// runPoll is Run's default wait between passes that found every
-// remaining unit leased elsewhere.
+// runPoll is Run's default bound on a wait between passes that found
+// every remaining unit leased elsewhere: the wait on workers in other
+// processes, whose commits announce nothing here.
 const runPoll = 50 * time.Millisecond
 
-// reportRestored reports every unit the campaign has already
-// committed as a restored row.
-func (c *Campaign) reportRestored(cfg Config) error {
+// ReportRestored reports every unit the campaign has already
+// committed to cfg.Recorder as a restored row (RowFinished with
+// fromCheckpoint=true) under cfg.Scope, as Run does before its workers
+// start. A worker joining a campaign calls it first, so its run
+// summary counts the units done before it joined.
+func (c *Campaign) ReportRestored(cfg Config) error {
+	if cfg.Recorder == nil {
+		return nil
+	}
 	res, err := c.Merge(nil)
 	if err != nil {
 		return err

@@ -39,8 +39,18 @@ rank=("$bin/pbrank" "${size[@]}" -benchmarks gzip,mcf)
 "${rank[@]}" -checkpoint "$tmp/camp" >"$tmp/rank.resumed"
 same "pbrank in memory vs fresh campaign" "$tmp/rank.mem" "$tmp/rank.fresh"
 same "pbrank in memory vs resumed campaign" "$tmp/rank.mem" "$tmp/rank.resumed"
-"$bin/pbworker" -checkpoint "$tmp/camp" >/dev/null
+"$bin/pbworker" -checkpoint "$tmp/camp" -metrics "$tmp/w.jsonl" >/dev/null 2>"$tmp/w.summary" ||
+	{ cat "$tmp/w.summary"; exit 1; }
 echo "ok   pbworker joins the finished campaign"
+# Its row events name the campaign's label as pbrank's do, and its
+# summary counts the 2 × 88 rows committed before it joined as resumed.
+rows=$(grep -c '"scope":"' "$tmp/w.jsonl" || true)
+labelled=$(grep -c '"scope":"base/' "$tmp/w.jsonl" || true)
+[ "$rows" -eq 176 ] && [ "$labelled" -eq 176 ] ||
+	{ echo "cli-smoke: pbworker row events: $labelled of $rows scoped base/, want 176 of 176"; exit 1; }
+grep -q "176 done = 0 simulated + 176 resumed" "$tmp/w.summary" ||
+	{ cat "$tmp/w.summary"; echo "cli-smoke: pbworker summary does not count 176 resumed rows"; exit 1; }
+echo "ok   pbworker reports the campaign's 176 rows as resumed, scoped base/"
 exits 1 "pbrank with changed -benchmarks on the campaign" "$bin/pbrank" "${size[@]}" -benchmarks gzip -checkpoint "$tmp/camp"
 
 # Sampled pbrank: a bare estimator name is the spec text with its
