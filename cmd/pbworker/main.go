@@ -31,7 +31,7 @@
 //	         [-metrics run.jsonl] [-progress] [-debug-addr localhost:6060]
 //
 // -poll is the longest wait between passes when every remaining unit
-// is leased by another process (0 means -ttl/4); workers inside one
+// is leased by another process (0 means 50ms); workers inside one
 // process wake each other on every release instead. Units committed
 // before the worker joined are reported as resumed rows, under the
 // campaign's enhancement label ("base/gzip"), as pbrank reports them.
@@ -61,7 +61,7 @@ func main() {
 func run() (err error) {
 	id := flag.String("id", "", "worker name; must be unique among live workers (default host-pid)")
 	ttl := flag.Duration("ttl", 10*time.Second, "lease time-to-live; a worker silent this long loses its units")
-	poll := flag.Duration("poll", 0, "longest wait between passes when all remaining units are leased by other processes (default ttl/4)")
+	poll := flag.Duration("poll", 0, "longest wait between passes when all remaining units are leased by other processes (default 50ms)")
 	shardSync := flag.Bool("shard-sync", false, "fsync every commit (survives machine death, not just process death)")
 	runFlags := experiment.RegisterRunFlags(flag.CommandLine)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine, "pbworker")

@@ -175,10 +175,11 @@ func Profile(params trace.Params, n int64) (map[uint32]uint64, error) {
 	}
 	gen.Replay(n)
 	freq := make(map[uint32]uint64)
+	var p trace.Packed
 	for i := int64(0); i < n; i++ {
-		in := gen.Next()
-		if in.CompID != 0 {
-			freq[in.CompID]++
+		gen.NextPacked(&p)
+		if id := p.CompID(); id != 0 {
+			freq[id]++
 		}
 	}
 	return freq, nil

@@ -513,6 +513,60 @@ func TestIdleWorkerWakesOnSiblingCommit(t *testing.T) {
 	checkComplete(t, dir)
 }
 
+// TestRunWorkerNoticesCommitElsewhere: a worker whose last unit is
+// leased by a worker in another process, which commits it and
+// releases the lease without announcing anything in this process,
+// notices the commit within the default Poll rather than a quarter of
+// the lease TTL (2.5 s).
+func TestRunWorkerNoticesCommitElsewhere(t *testing.T) {
+	dir := t.TempDir()
+	man := testManifest()
+	if _, err := Create(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	last := Unit{Scope: "beta", Row: 2}
+	if _, err := claim(dir, last, "other", time.Minute, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	other := make(chan error, 1)
+	go func() {
+		time.Sleep(200 * time.Millisecond) // the other process running the unit
+		led, err := openLedger(dir, "other", man.Fingerprint, false)
+		if err != nil {
+			other <- err
+			return
+		}
+		if err := led.Commit(last.Scope, last.Row, testValue(last.Scope, last.Row)); err != nil {
+			other <- err
+			return
+		}
+		if err := led.Close(); err != nil {
+			other <- err
+			return
+		}
+		release(dir, last, "other") // not free: nothing is announced here
+		other <- nil
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	stats, err := RunWorker(ctx, dir, testTask, Config{ID: "w"})
+	took := time.Since(start)
+	if oerr := <-other; oerr != nil {
+		t.Fatalf("other process: %v", oerr)
+	}
+	if err != nil {
+		t.Fatalf("RunWorker: %v (stats %+v)", err, stats)
+	}
+	if took > time.Second {
+		t.Errorf("RunWorker returned %v after start, %v after the other process committed; want within 1s", took.Round(time.Millisecond), (took - 200*time.Millisecond).Round(time.Millisecond))
+	}
+	if stats.Committed != 6 {
+		t.Errorf("stats = %+v, want 6 committed here", stats)
+	}
+	checkComplete(t, dir)
+}
+
 // TestIdleWorkerClaimsUnitSiblingFailed: a unit that fails on one
 // worker is released, and a sibling in the same process that waits
 // for it claims it at once, not after an hour's Poll.

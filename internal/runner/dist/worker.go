@@ -38,7 +38,7 @@ type Config struct {
 	// Poll bounds the wait between passes when every remaining unit
 	// is leased by someone else. A release by a worker in this process
 	// ends the wait at once, so Poll only paces the wait on workers in
-	// other processes. Default LeaseTTL/4.
+	// other processes. Default 50ms (defaultPoll).
 	Poll time.Duration
 	// Sync fsyncs the shard ledger after every commit, extending
 	// durability from process death to machine death.
@@ -70,7 +70,7 @@ func (cfg *Config) fill() error {
 		cfg.Heartbeat = cfg.LeaseTTL / 3
 	}
 	if cfg.Poll <= 0 {
-		cfg.Poll = cfg.LeaseTTL / 4
+		cfg.Poll = defaultPoll
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -312,9 +312,7 @@ func free(dir string, u Unit, owner string) {
 // (RowFinished with fromCheckpoint=true). The first worker error is
 // returned. Its workers wake each other on every release, so
 // cfg.Poll only paces the wait on workers in other processes, such as
-// a pbworker joining the campaign; it defaults to runPoll rather than
-// LeaseTTL/4 so that one finishing the units this process waits for
-// is noticed in a row's time, not a lease's.
+// a pbworker joining the campaign.
 func Run(ctx context.Context, dir string, task Task, workers int, cfg Config) (*MergeResult, error) {
 	c, err := Open(dir)
 	if err != nil {
@@ -322,9 +320,6 @@ func Run(ctx context.Context, dir string, task Task, workers int, cfg Config) (*
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = runPoll
 	}
 	if cfg.ID == "" {
 		host, err := os.Hostname()
@@ -368,10 +363,15 @@ func Run(ctx context.Context, dir string, task Task, workers int, cfg Config) (*
 	return res, nil
 }
 
-// runPoll is Run's default bound on a wait between passes that found
-// every remaining unit leased elsewhere: the wait on workers in other
-// processes, whose commits announce nothing here.
-const runPoll = 50 * time.Millisecond
+// defaultPoll is the default bound on a wait between passes that
+// found every remaining unit leased elsewhere: the wait on workers in
+// other processes, whose commits announce nothing here. It is short
+// so that a worker whose last units another process finishes notices
+// in a row's time, not a lease's. The wait happens only when every
+// remaining unit is leased, and each live worker holds at most one
+// lease, so an idle pass costs at most one failed claim per live
+// worker plus a shard refresh.
+const defaultPoll = 50 * time.Millisecond
 
 // ReportRestored reports every unit the campaign has already
 // committed to cfg.Recorder as a restored row (RowFinished with

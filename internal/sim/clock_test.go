@@ -57,13 +57,15 @@ func stepTo(t *testing.T, c *CPU, target int64) (idle int64) {
 
 // operandsAt returns the cycle from which both source operands of e
 // are available, read straight off the readiness ring:
-// pipeline.NotReady while a producer has not issued.
+// pipeline.NotReady while a producer has not issued. The dependencies
+// come from e's instruction in the fetch ring.
 func operandsAt(c *CPU, e *pipeline.Entry) int64 {
+	in := c.instrs[e.Seq&c.instrMask].Unpack()
 	at := int64(0)
-	if d := e.Instr.Dep1; d > 0 {
+	if d := in.Dep1; d > 0 {
 		at = c.readyRing[(e.Seq-int64(d))&c.ringMask]
 	}
-	if d := e.Instr.Dep2; d > 0 {
+	if d := in.Dep2; d > 0 {
 		at = max(at, c.readyRing[(e.Seq-int64(d))&c.ringMask])
 	}
 	return at

@@ -25,13 +25,6 @@ type ComputeShortcut interface {
 // this margin.
 const maxDepDistance = 64
 
-// fetched is one IFQ slot.
-type fetched struct {
-	instr      trace.Instr
-	seq        int64
-	mispredict bool
-}
-
 // CPU is one simulated processor instance bound to one instruction
 // stream. It serves one run and is not goroutine-safe. Once the run's
 // statistics are read, Release hands its cache and TLB arrays to the
@@ -55,9 +48,14 @@ type CPU struct {
 
 	shortcut ComputeShortcut
 
-	ifq     []fetched
-	ifqHead int
-	ifqLen  int
+	// instrs holds each instruction from fetch to retirement, packed,
+	// at index seq&instrMask: the ROB's entries, then the IFQ, which
+	// is the range [dispatched, seq), then the record at seq when a
+	// stalled fetch left it pending. It covers ROBEntries + IFQEntries
+	// + 1 instructions, so a slot is reused only after its instruction
+	// retired, and every stage reads an instruction in place.
+	instrs    []trace.Packed
+	instrMask int64
 
 	// readyRing holds the result-ready cycle of recent instructions,
 	// indexed by sequence number; sized to cover the ROB plus the
@@ -66,15 +64,14 @@ type CPU struct {
 	readyRing []int64
 	ringMask  int64
 
-	seq       int64
-	committed int64
-	cycle     int64
+	seq        int64 // the next instruction to fetch
+	dispatched int64 // the next instruction to dispatch
+	committed  int64
+	cycle      int64
 
-	// pending buffers the next instruction by value: a pointer here
-	// would force gen.Next's result to escape and cost one heap
-	// allocation per fetched instruction.
-	pending    trace.Instr
-	pendingSet bool
+	// pending marks that the record at seq was drawn from the
+	// generator but not fetched: fetch stalled on it.
+	pending bool
 
 	// stopAt caps retirement so runs end on exact instruction counts.
 	stopAt int64
@@ -151,18 +148,17 @@ func New(cfg Config, gen *trace.Generator, shortcut ComputeShortcut) (*CPU, erro
 	if err != nil {
 		return nil, err
 	}
-	ringSize := int64(2)
-	for ringSize < int64(cfg.ROBEntries+maxDepDistance+1) {
-		ringSize *= 2
-	}
+	instrs := ringSize(cfg.ROBEntries + cfg.IFQEntries + 1)
+	ready := ringSize(cfg.ROBEntries + maxDepDistance + 1)
 	c := &CPU{
 		cfg:       cfg,
 		gen:       gen,
 		hier:      hier,
 		shortcut:  shortcut,
-		ifq:       make([]fetched, cfg.IFQEntries),
-		readyRing: make([]int64, ringSize),
-		ringMask:  ringSize - 1,
+		instrs:    make([]trace.Packed, instrs),
+		instrMask: instrs - 1,
+		readyRing: make([]int64, ready),
+		ringMask:  ready - 1,
 		haltSeq:   -1,
 		resumeAt:  -1,
 	}
@@ -209,6 +205,16 @@ func New(cfg Config, gen *trace.Generator, shortcut ComputeShortcut) (*CPU, erro
 		return nil, err
 	}
 	return c, nil
+}
+
+// ringSize returns the smallest power of two, at least 2, that is at
+// least n: the size of a ring indexed by sequence number and a mask.
+func ringSize(n int) int64 {
+	size := int64(2)
+	for size < int64(n) {
+		size *= 2
+	}
+	return size
 }
 
 // RunRow simulates one experiment row on a fresh CPU over gen's stream
@@ -296,11 +302,11 @@ func (c *CPU) PrewarmMemory() {
 // it, and only the L2 sees two streams, so every state ends as that
 // walk leaves it.
 func (c *CPU) WarmFunctional(n int64) {
-	if n > 0 && c.pendingSet {
+	if n > 0 && c.pending {
 		// An instruction fetch left pending (a stalled fetch) comes
 		// before the generator's next one.
-		c.consumeInstr()
-		c.warmPending(c.pending)
+		c.pending = false
+		c.warmPending(c.instr(c.seq).Unpack())
 		n--
 	}
 	for n > 0 {
@@ -489,7 +495,7 @@ func (c *CPU) runTo(target int64) error {
 //pbcheck:pure
 func (c *CPU) nextEvent() int64 {
 	now := c.cycle
-	if c.ifqLen > 0 && !c.rob.Full() && (!c.ifq[c.ifqHead].instr.Class.IsMem() || !c.lsq.Full()) {
+	if c.dispatched < c.seq && !c.rob.Full() && (!c.instr(c.dispatched).Class().IsMem() || !c.lsq.Full()) {
 		// Dispatch tests no cycle threshold, so if it can act at all
 		// it acts in the next cycle.
 		return now + 1
@@ -505,7 +511,7 @@ func (c *CPU) nextEvent() int64 {
 		if c.resumeAt >= 0 {
 			next = min(next, c.resumeAt)
 		}
-	} else if c.ifqLen < len(c.ifq) {
+	} else if !c.ifqFull() {
 		next = min(next, c.fetchBlockedUntil)
 	}
 	// Issue: a candidate issues once both operands are ready and, for
@@ -521,7 +527,7 @@ func (c *CPU) nextEvent() int64 {
 			if at >= next {
 				continue
 			}
-			if p := c.units[e.Instr.Class].pool; p != nil {
+			if p := c.units[e.Class].pool; p != nil {
 				at = max(at, p.NextFree())
 			}
 			next = min(next, at)
@@ -577,22 +583,17 @@ func (c *CPU) snapshot() Stats {
 	return s
 }
 
-// nextInstr returns the next instruction to fetch without consuming
-// it; consume advances past it.
+// instr returns the ring slot of the instruction with sequence number
+// seq: one in flight, or the one fetch draws next.
 //
 //pbcheck:hotpath
-func (c *CPU) nextInstr() trace.Instr {
-	if !c.pendingSet {
-		c.pending = c.gen.Next()
-		c.pendingSet = true
-	}
-	return c.pending
-}
+func (c *CPU) instr(seq int64) *trace.Packed { return &c.instrs[seq&c.instrMask] }
 
+// ifqFull reports whether the IFQ, the fetched instructions not yet
+// dispatched, has no free slot.
+//
 //pbcheck:hotpath
-func (c *CPU) consumeInstr() {
-	c.pendingSet = false
-}
+func (c *CPU) ifqFull() bool { return c.seq-c.dispatched == int64(c.cfg.IFQEntries) }
 
 // fetchStage fills the IFQ: up to Width instructions per cycle, at
 // most one new instruction-cache block per cycle, stopping at a taken
@@ -614,18 +615,25 @@ func (c *CPU) fetchStage() bool {
 		c.redirectPending = true
 		resumed = true
 	}
-	if c.cycle < c.fetchBlockedUntil || c.ifqLen == len(c.ifq) {
+	if c.cycle < c.fetchBlockedUntil || c.ifqFull() {
 		return resumed
 	}
 	// From here fetch always acts: it either probes a new block or
 	// consumes an instruction.
 	blockBytes := uint64(c.cfg.L1IBlock)
 	fetchedN := 0
-	for fetchedN < c.cfg.Width && c.ifqLen < len(c.ifq) {
-		in := c.nextInstr()
-		block := in.PC / blockBytes
+	for fetchedN < c.cfg.Width && !c.ifqFull() {
+		p := c.instr(c.seq)
+		if !c.pending {
+			// Drawn into its slot: a fetch that stalls below leaves
+			// it pending there.
+			c.gen.NextPacked(p)
+			c.pending = true
+		}
+		pc := p.PC()
+		block := pc / blockBytes
 		if block != c.lastFetchBlock {
-			lat := c.hier.InstFetch(in.PC, c.cycle)
+			lat := c.hier.InstFetch(pc, c.cycle)
 			c.lastFetchBlock = block
 			if c.redirectPending || lat > int64(c.cfg.L1ILat) {
 				// A redirect pays the access latency; a miss stalls
@@ -636,25 +644,16 @@ func (c *CPU) fetchStage() bool {
 				return true
 			}
 		}
-		c.consumeInstr()
-		f := fetched{instr: in, seq: c.seq}
+		c.pending = false
+		seq := c.seq
 		c.seq++
-		if in.Class.IsControl() {
-			f.mispredict = c.predictControl(in)
-		}
-		slot := c.ifqHead + c.ifqLen // < 2*len, so one conditional wrap suffices
-		if slot >= len(c.ifq) {
-			slot -= len(c.ifq)
-		}
-		c.ifq[slot] = f
-		c.ifqLen++
 		fetchedN++
-		if f.mispredict {
-			c.haltSeq = f.seq
+		if p.Class().IsControl() && c.predictControl(p) {
+			c.haltSeq = seq
 			c.resumeAt = -1
 			return true
 		}
-		if in.Taken {
+		if p.Taken() {
 			// One taken control transfer per fetch cycle.
 			return true
 		}
@@ -666,29 +665,30 @@ func (c *CPU) fetchStage() bool {
 // instruction and reports whether the prediction was wrong.
 //
 //pbcheck:hotpath
-func (c *CPU) predictControl(in trace.Instr) bool {
+func (c *CPU) predictControl(p *trace.Packed) bool {
 	if c.pred == nil {
 		return false // perfect prediction
 	}
+	pc, taken, target := p.PC(), p.Taken(), p.Target()
 	mispredict := false
-	switch in.Class {
+	switch p.Class() {
 	case trace.Branch:
-		predTaken := c.pred.Predict(in.PC)
-		dirWrong := predTaken != in.Taken
+		predTaken := c.pred.Predict(pc)
+		dirWrong := predTaken != taken
 		var predTarget uint64
 		btbWrong := false
 		if predTaken {
-			tgt, hit := c.btb.Lookup(in.PC)
+			tgt, hit := c.btb.Lookup(pc)
 			if !hit {
 				// No target available: fall through sequentially.
 				predTaken = false
-				btbWrong = in.Taken
+				btbWrong = taken
 			} else {
 				predTarget = tgt
-				btbWrong = in.Taken && predTarget != in.Target
+				btbWrong = taken && predTarget != target
 			}
 		}
-		mispredict = predTaken != in.Taken || btbWrong
+		mispredict = predTaken != taken || btbWrong
 		if mispredict {
 			if dirWrong {
 				c.stats.MispredDirection++
@@ -697,26 +697,26 @@ func (c *CPU) predictControl(in trace.Instr) bool {
 			}
 		}
 		if c.cfg.SpecUpdate {
-			c.pred.Update(in.PC, in.Taken)
-			if in.Taken {
-				c.btb.Insert(in.PC, in.Target)
+			c.pred.Update(pc, taken)
+			if taken {
+				c.btb.Insert(pc, target)
 			}
 		}
 	case trace.Call:
-		tgt, hit := c.btb.Lookup(in.PC)
-		mispredict = !hit || tgt != in.Target
+		tgt, hit := c.btb.Lookup(pc)
+		mispredict = !hit || tgt != target
 		if mispredict {
 			c.stats.MispredBTB++
 		}
-		// The return address (the call's fall-through, carried in
-		// Addr) is pushed regardless of the target prediction.
-		c.ras.Push(in.Addr)
+		// The return address (the call's fall-through) is pushed
+		// regardless of the target prediction.
+		c.ras.Push(p.FallThrough())
 		if c.cfg.SpecUpdate {
-			c.btb.Insert(in.PC, in.Target)
+			c.btb.Insert(pc, target)
 		}
 	case trace.Return:
 		tgt, ok := c.ras.Pop()
-		mispredict = !ok || tgt != in.Target
+		mispredict = !ok || tgt != target
 		if mispredict {
 			c.stats.MispredRAS++
 		}
@@ -731,41 +731,42 @@ func (c *CPU) predictControl(in trace.Instr) bool {
 //pbcheck:hotpath
 func (c *CPU) dispatchStage() bool {
 	n := 0
-	for ; n < c.cfg.Width && c.ifqLen > 0; n++ {
-		f := &c.ifq[c.ifqHead]
+	for ; n < c.cfg.Width && c.dispatched < c.seq; n++ {
 		if c.rob.Full() {
 			break
 		}
-		if f.instr.Class.IsMem() && !c.lsq.Alloc() {
+		seq := c.dispatched
+		p := c.instr(seq)
+		class := p.Class()
+		if class.IsMem() && !c.lsq.Alloc() {
 			break
 		}
 		e := c.rob.Push()
-		e.Instr = f.instr
-		e.Seq = f.seq
-		e.Mispredict = f.mispredict
-		if f.instr.CompID != 0 && c.shortcut != nil && c.shortcut.Hit(f.instr.CompID) {
+		e.Class = class
+		e.Seq = seq
+		// Fetch halts at a mispredicted instruction and resumes only
+		// after it issues, so the one in flight is the one it halted at.
+		e.Mispredict = seq == c.haltSeq
+		if id := p.CompID(); id != 0 && c.shortcut != nil && c.shortcut.Hit(id) {
 			// Satisfied at dispatch: never a candidate.
 			e.Issued = true
 			e.Precomputed = true
 			e.ReadyAt = c.cycle + 1
-			c.readyRing[f.seq&c.ringMask] = e.ReadyAt
+			c.readyRing[seq&c.ringMask] = e.ReadyAt
 			c.stats.PrecompHits++
 		} else {
-			c.readyRing[f.seq&c.ringMask] = pipeline.NotReady
+			c.readyRing[seq&c.ringMask] = pipeline.NotReady
 			at := int64(0)
-			if d := f.instr.Dep1; d > 0 {
-				at = c.operand(e, d, at)
+			d1, d2 := p.Dep1(), p.Dep2()
+			if d1 > 0 {
+				at = c.operand(e, d1, at)
 			}
-			if d := f.instr.Dep2; d > 0 && d != f.instr.Dep1 {
-				at = c.operand(e, d, at)
+			if d2 > 0 && d2 != d1 {
+				at = c.operand(e, d2, at)
 			}
 			c.rob.Arm(e, at)
 		}
-		c.ifqHead++
-		if c.ifqHead == len(c.ifq) {
-			c.ifqHead = 0
-		}
-		c.ifqLen--
+		c.dispatched++
 	}
 	return n > 0
 }
@@ -804,18 +805,18 @@ func (c *CPU) issueStage() bool {
 				continue
 			}
 			var ready int64
-			switch u := &c.units[e.Instr.Class]; {
+			switch u := &c.units[e.Class]; {
 			case u.pool != nil:
 				if !u.pool.TryIssue(c.cycle, u.interval) {
 					continue
 				}
 				ready = c.cycle + u.lat
-			case e.Instr.Class == trace.Load:
+			case e.Class == trace.Load:
 				if portsUsed >= c.cfg.MemPorts {
 					continue
 				}
 				portsUsed++
-				ready = c.cycle + c.hier.DataAccess(e.Instr.Addr, c.cycle)
+				ready = c.cycle + c.hier.DataAccess(c.instr(e.Seq).Addr(), c.cycle)
 			default: // trace.Store
 				if portsUsed >= c.cfg.MemPorts {
 					continue
@@ -854,32 +855,34 @@ func (c *CPU) commitStage() bool {
 		if !e.Issued || e.ReadyAt > c.cycle {
 			break
 		}
-		in := &e.Instr
-		switch {
-		case in.Class == trace.Load:
+		switch class := e.Class; {
+		case class == trace.Load:
 			c.stats.Loads++
 			c.lsq.Release()
-		case in.Class == trace.Store:
+		case class == trace.Store:
 			c.stats.Stores++
 			c.lsq.Release()
 			// The store drains to the cache now; it occupies the DRAM
 			// channel on a miss but does not stall retirement.
-			c.hier.DataAccess(in.Addr, c.cycle)
-		case in.Class.IsControl():
+			c.hier.DataAccess(c.instr(e.Seq).Addr(), c.cycle)
+		case class.IsControl():
 			c.stats.ControlInstrs++
 			if e.Mispredict {
 				c.stats.Mispredicts++
 			}
 			if c.pred != nil && !c.cfg.SpecUpdate {
-				if in.Class == trace.Branch {
-					c.pred.Update(in.PC, in.Taken)
+				p := c.instr(e.Seq)
+				if class == trace.Branch {
+					c.pred.Update(p.PC(), p.Taken())
 				}
-				if in.Taken && in.Class != trace.Return {
-					c.btb.Insert(in.PC, in.Target)
+				if p.Taken() && class != trace.Return {
+					c.btb.Insert(p.PC(), p.Target())
 				}
 			}
-		case in.Class.IsCompute() && in.CompID != 0 && c.shortcut != nil:
-			c.shortcut.Observe(in.CompID)
+		case class.IsCompute() && c.shortcut != nil:
+			if id := c.instr(e.Seq).CompID(); id != 0 {
+				c.shortcut.Observe(id)
+			}
 		}
 		c.rob.PopHead()
 		c.committed++

@@ -4,11 +4,16 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"pbsim/internal/sim/pipeline"
+	"pbsim/internal/trace"
 )
 
 // TestHotPathInlined pins the compiler's inlining of the per-cycle
-// issue and dispatch helpers. Each runs once per candidate or operand
-// in the simulator's innermost loops; one of them silently dropping
+// issue and dispatch helpers and of the packed-instruction accessors
+// every stage reads the fetch ring through. Each runs once per
+// candidate, operand or instruction in the simulator's innermost loops; one of them silently dropping
 // out of the inliner (a few more nodes of cost) once made a full
 // campaign about 30% slower while every result stayed the same. It
 // reads the inlining decisions `go build -gcflags=-m` prints.
@@ -30,6 +35,17 @@ func TestHotPathInlined(t *testing.T) {
 		{"cpu.go", "pipeline.(*ROB).AgeWord"},
 		{"cpu.go", "pipeline.(*ROB).Slot"},
 		{"cpu.go", "bpred.(*TwoLevel).Predict"},
+		{"cpu.go", "(*CPU).instr"},
+		{"cpu.go", "(*CPU).ifqFull"},
+		{"cpu.go", "trace.Packed.Class"},
+		{"cpu.go", "trace.Packed.PC"},
+		{"cpu.go", "trace.Packed.Dep1"},
+		{"cpu.go", "trace.Packed.Dep2"},
+		{"cpu.go", "trace.Packed.Taken"},
+		{"cpu.go", "trace.Packed.Target"},
+		{"cpu.go", "trace.Packed.Addr"},
+		{"cpu.go", "trace.Packed.CompID"},
+		{"cpu.go", "trace.Packed.FallThrough"},
 		{"pipeline/rob.go", "(*ROB).wake"},
 	} {
 		if !inlinedIn(string(out), pin.file, pin.callee) {
@@ -49,4 +65,20 @@ func inlinedIn(out, file, callee string) bool {
 		}
 	}
 	return false
+}
+
+// TestHotPathLayout pins the size of what the pipeline keeps per
+// instruction in flight: the packed record in the fetch ring (PC
+// offset, class and dependency word, payload) and the ROB entry, which
+// holds only per-run state beside the class. Copying a 56-byte
+// trace.Instr through fetch, the IFQ and the ROB cost about a tenth of
+// a campaign's time, so a field added to either must not quietly
+// regrow the copy.
+func TestHotPathLayout(t *testing.T) {
+	if n := unsafe.Sizeof(trace.Packed{}); n != 12 {
+		t.Errorf("trace.Packed is %d bytes, want 12", n)
+	}
+	if n := unsafe.Sizeof(pipeline.Entry{}); n > 48 {
+		t.Errorf("pipeline.Entry is %d bytes, want at most 48", n)
+	}
 }

@@ -11,9 +11,10 @@ import (
 // executed instruction.
 const NotReady = math.MaxInt64
 
-// Entry is one reorder-buffer slot.
+// Entry is one reorder-buffer slot: the per-run state of an
+// instruction in flight. The instruction itself stays where fetch put
+// it, and the simulator reaches it by Seq.
 type Entry struct {
-	Instr trace.Instr
 	// Seq is the instruction's position in the dynamic stream.
 	Seq int64
 	// ReadyAt is the cycle at which the result is available to
@@ -35,6 +36,9 @@ type Entry struct {
 	next [2]int32
 	// pending counts the producers this entry still awaits.
 	pending uint8
+
+	// Class is the instruction's class.
+	Class trace.Class
 
 	// Issued marks that the instruction has been sent to a functional
 	// unit (or bypassed one via precomputation).

@@ -68,11 +68,14 @@ func TestRunMoreRejectsNonPositive(t *testing.T) {
 }
 
 // TestRunRowMatchesHandLifecycle: GIVEN a full row (one window after a
-// detailed warmup) and a sampled group (functional warming, a detailed
-// warmup, three windows) from mid-stream, WHEN RunRow runs each, THEN
-// every window's statistics equal those of the same lifecycle written
-// out by hand over a generator that replays no tape: RunWithWarmup for
-// the full row, RunMore per window for the group.
+// detailed warmup), a sampled group (functional warming, a detailed
+// warmup, three windows) from mid-stream, and a row shorter than what
+// the pipeline fetches ahead of commit (ROB + IFQ), so that fetch
+// runs past the tape's end while the row's first instructions are in
+// flight, WHEN RunRow runs each, THEN every window's statistics equal
+// those of the same lifecycle written out by hand over a generator
+// that replays no tape: RunWithWarmup for the full row, RunMore per
+// window otherwise.
 func TestRunRowMatchesHandLifecycle(t *testing.T) {
 	cfg := Default()
 	var full [1]Stats
@@ -92,31 +95,41 @@ func TestRunRowMatchesHandLifecycle(t *testing.T) {
 		t.Errorf("full row:\n%+v\nwant\n%+v", full[0], want)
 	}
 
-	const skip, funcWarm, warmup = 1234, 4000, 500
-	windows := []int64{1000, 700, 1300}
-	gen := testGen(t, "mcf")
-	gen.Skip(skip)
-	got := make([]Stats, len(windows))
-	if err := RunRow(cfg, gen, nil, funcWarm, warmup, windows, got); err != nil {
-		t.Fatal(err)
-	}
-	hand := testGen(t, "mcf")
-	hand.Skip(skip)
-	if cpu, err = New(cfg, hand, nil); err != nil {
-		t.Fatal(err)
-	}
-	cpu.PrewarmMemory()
-	cpu.WarmFunctional(funcWarm)
-	if _, err := cpu.RunMore(warmup); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range windows {
-		want, err := cpu.RunMore(n)
-		if err != nil {
+	for _, tc := range []struct {
+		name                   string
+		bench                  string
+		skip, funcWarm, warmup int64
+		windows                []int64
+	}{
+		{"group", "mcf", 1234, 4000, 500, []int64{1000, 700, 1300}},
+		{"row shorter than the fetch-ahead", "gzip", 311, 0, 0, []int64{12, int64(cfg.ROBEntries+cfg.IFQEntries) - 20}},
+	} {
+		gen := testGen(t, tc.bench)
+		gen.Skip(tc.skip)
+		got := make([]Stats, len(tc.windows))
+		if err := RunRow(cfg, gen, nil, tc.funcWarm, tc.warmup, tc.windows, got); err != nil {
 			t.Fatal(err)
 		}
-		if got[i] != want {
-			t.Errorf("group window %d:\n%+v\nwant\n%+v", i, got[i], want)
+		hand := testGen(t, tc.bench)
+		hand.Skip(tc.skip)
+		if cpu, err = New(cfg, hand, nil); err != nil {
+			t.Fatal(err)
+		}
+		cpu.PrewarmMemory()
+		cpu.WarmFunctional(tc.funcWarm)
+		if tc.warmup > 0 {
+			if _, err := cpu.RunMore(tc.warmup); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, n := range tc.windows {
+			want, err := cpu.RunMore(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Errorf("%s window %d:\n%+v\nwant\n%+v", tc.name, i, got[i], want)
+			}
 		}
 	}
 }

@@ -399,50 +399,13 @@ func (g *Generator) Emitted() int64 { return g.seq }
 //
 //pbcheck:hotpath
 func (g *Generator) Next() Instr {
-	if t := g.tape; t != nil {
-		if i := g.seq - t.start; i < int64(len(t.recs)) {
-			// Decode the record (the inverse of pack) here rather than
-			// in a method: passing the Instr back through one more call
-			// frame doubled the cost of a taped Next.
-			g.seq++
-			r := t.recs[i]
-			c := Class(r.meta & metaClass)
-			pc := g.tapePC
-			fall := pc + 4
-			if r.meta&metaWrap != 0 {
-				fall = CodeBase
-			}
-			g.tapePC = fall
-			var addr, target uint64
-			var taken bool
-			var comp uint32
-			switch {
-			case c == Load || c == Store:
-				addr = DataBase + uint64(r.payload)
-			case c >= Branch:
-				if r.meta&metaTaken != 0 {
-					taken = true
-					target = CodeBase + uint64(r.payload)
-					g.tapePC = target
-				}
-				if c == Call {
-					addr = fall // the return address
-				}
-			default:
-				comp = r.payload
-			}
-			return Instr{
-				PC:     pc,
-				Class:  c,
-				Dep1:   int32(r.meta >> 5 & metaDep),
-				Dep2:   int32(r.meta >> 12 & metaDep),
-				Addr:   addr,
-				Taken:  taken,
-				Target: target,
-				CompID: comp,
-			}
-		}
-		g.load(&t.end)
+	if g.tape != nil {
+		// The tape format has one decoder. Past the tape's end,
+		// NextPacked packs the live instruction that this then
+		// unpacks, once per tape.
+		var p Packed
+		g.NextPacked(&p)
+		return p.Unpack()
 	}
 	b := &g.prog.blocks[g.cur]
 	var in Instr
@@ -455,6 +418,37 @@ func (g *Generator) Next() Instr {
 	}
 	g.seq++
 	return in
+}
+
+// NextPacked produces the next dynamic instruction into p: the stream
+// Next produces, packed. While a tape plays it copies the tape's record
+// and decodes nothing; past the tape's end it packs what Next
+// generates.
+//
+//pbcheck:hotpath
+func (g *Generator) NextPacked(p *Packed) {
+	if t := g.tape; t != nil {
+		if i := g.seq - t.start; i < int64(len(t.recs)) {
+			g.seq++
+			*p = Packed{pc: uint32(g.tapePC - CodeBase), tapeRec: t.recs[i]}
+			g.tapePC = p.next()
+			return
+		}
+		g.load(&t.end)
+	}
+	// Next's live path, repeated: calling Next and copying its 56-byte
+	// result back made live functional warming 12% slower.
+	b := &g.prog.blocks[g.cur]
+	var in Instr
+	if g.pos < b.bodyLen {
+		in = g.bodyInstr(b)
+		g.pos++
+	} else {
+		in = g.controlInstr(b)
+		g.pos = 0
+	}
+	g.seq++
+	*p = pack(&in, g.prog.codeEnd())
 }
 
 // bodyInstr emits one non-control instruction of the current block.

@@ -143,37 +143,30 @@ func (v *Refs) clone() *Refs {
 }
 
 // buildRefs walks the next n instructions into v, replacing what it
-// held.
+// held. It reads them packed, so a taped window is copied from the
+// tape's records without being decoded.
 func (g *Generator) buildRefs(v *Refs, n int64) {
-	end := g.prog.codeEnd()
 	*v = Refs{n: n, runs: v.runs[:0], mem: v.mem[:0], ctrl: v.ctrl[:0]}
-	var last Instr
+	var p, last Packed
 	for i := int64(0); i < n; i++ {
-		in := g.Next()
+		g.NextPacked(&p)
 		pos := uint32(i)
-		if i > 0 && in.PC == last.PC+4 {
+		if i > 0 && p.pc == last.pc+4 {
 			v.runs[len(v.runs)-1].len++
 		} else {
-			v.runs = append(v.runs, run{off: uint32(in.PC - CodeBase), len: 1})
+			v.runs = append(v.runs, run{off: p.pc, len: 1})
 		}
-		switch {
-		case in.Class.IsMem():
-			v.mem = append(v.mem, memRef{off: uint32(in.Addr - DataBase), pos: pos})
-		case in.Class.IsControl():
+		switch c := p.Class(); {
+		case c.IsMem():
+			v.mem = append(v.mem, memRef{off: p.payload, pos: pos})
+		case c.IsControl():
 			var target uint32
-			if in.Taken {
-				target = uint32(in.Target - CodeBase)
+			if p.Taken() {
+				target = p.payload
 			}
-			v.ctrl = append(v.ctrl, ctrlRef{pc: uint32(in.PC - CodeBase), target: target, class: in.Class, taken: in.Taken, wrap: in.PC+4 == end})
+			v.ctrl = append(v.ctrl, ctrlRef{pc: p.pc, target: target, class: c, taken: p.Taken(), wrap: p.meta&metaWrap != 0})
 		}
-		last = in
+		last = p
 	}
-	switch {
-	case last.Taken:
-		v.endPC = last.Target
-	case last.PC+4 == end:
-		v.endPC = CodeBase
-	default:
-		v.endPC = last.PC + 4
-	}
+	v.endPC = last.next()
 }

@@ -40,24 +40,125 @@ const (
 )
 
 // pack encodes one instruction of a program whose code ends at end;
-// Next decodes it.
-func pack(in Instr, end uint64) tapeRec {
-	r := tapeRec{meta: uint32(in.Class) | uint32(in.Dep1)<<5 | uint32(in.Dep2)<<12}
+// Packed.Unpack decodes it. Only a control instruction is taken and
+// only a compute instruction has a CompID, so the payload is the
+// address of a load or store, else the target when taken, else the
+// CompID (0 for a control instruction not taken).
+func pack(in *Instr, end uint64) Packed {
+	p := Packed{pc: uint32(in.PC - CodeBase)}
+	p.meta = uint32(in.Class) | uint32(in.Dep1)<<5 | uint32(in.Dep2)<<12
+	p.payload = in.CompID
 	if in.PC+4 == end {
-		r.meta |= metaWrap
+		p.meta |= metaWrap
 	}
-	switch {
-	case in.Class.IsMem():
-		r.payload = uint32(in.Addr - DataBase)
-	case in.Class.IsControl():
-		if in.Taken {
-			r.meta |= metaTaken
-			r.payload = uint32(in.Target - CodeBase)
+	if in.Class.IsMem() {
+		p.payload = uint32(in.Addr - DataBase)
+	} else if in.Taken {
+		p.meta |= metaTaken
+		p.payload = uint32(in.Target - CodeBase)
+	}
+	return p
+}
+
+// Packed is one instruction as the detailed core holds it: the tape's
+// record plus the PC as an offset from CodeBase, 12 bytes against
+// Instr's 56. Generator.NextPacked produces one; the accessors decode
+// the fields a pipeline stage reads, and Unpack the whole instruction.
+type Packed struct {
+	pc uint32
+	tapeRec
+}
+
+// Class returns the instruction's class.
+//
+//pbcheck:hotpath
+func (p Packed) Class() Class { return Class(p.meta & metaClass) }
+
+// PC returns the instruction's address.
+//
+//pbcheck:hotpath
+func (p Packed) PC() uint64 { return CodeBase + uint64(p.pc) }
+
+// Dep1 returns the first register-dependency back-distance (Instr.Dep1).
+//
+//pbcheck:hotpath
+func (p Packed) Dep1() int32 { return int32(p.meta >> 5 & metaDep) }
+
+// Dep2 returns the second register-dependency back-distance
+// (Instr.Dep2).
+//
+//pbcheck:hotpath
+func (p Packed) Dep2() int32 { return int32(p.meta >> 12 & metaDep) }
+
+// Taken returns the actual outcome of a control instruction, false for
+// any other class.
+//
+//pbcheck:hotpath
+func (p Packed) Taken() bool { return p.meta&metaTaken != 0 }
+
+// Target returns the target of a taken control instruction. It is
+// meaningful only when Taken.
+//
+//pbcheck:hotpath
+func (p Packed) Target() uint64 { return CodeBase + uint64(p.payload) }
+
+// Addr returns the effective address of a Load or Store. It is
+// meaningful only for those classes.
+//
+//pbcheck:hotpath
+func (p Packed) Addr() uint64 { return DataBase + uint64(p.payload) }
+
+// CompID returns the redundant-computation identity of a compute
+// instruction, 0 for any other class.
+//
+//pbcheck:hotpath
+func (p Packed) CompID() uint32 {
+	if p.meta&metaClass < uint32(Load) { // the compute classes come first
+		return p.payload
+	}
+	return 0
+}
+
+// FallThrough returns the address of the instruction after this one
+// in the code layout: PC+4, or CodeBase after the code's last
+// instruction. It is a Call's return address (Instr.Addr).
+//
+//pbcheck:hotpath
+func (p Packed) FallThrough() uint64 {
+	if p.meta&metaWrap != 0 {
+		return CodeBase
+	}
+	return p.PC() + 4
+}
+
+// next returns the PC of the instruction after this one in the
+// stream: the taken target, else the fall-through.
+func (p Packed) next() uint64 {
+	if p.Taken() {
+		return p.Target()
+	}
+	return p.FallThrough()
+}
+
+// Unpack returns the instruction as Next returns it.
+//
+//pbcheck:hotpath
+func (p Packed) Unpack() Instr {
+	in := Instr{PC: p.PC(), Class: p.Class(), Dep1: p.Dep1(), Dep2: p.Dep2()}
+	switch c := in.Class; {
+	case c.IsMem():
+		in.Addr = p.Addr()
+	case c.IsControl():
+		if p.Taken() {
+			in.Taken, in.Target = true, p.Target()
+		}
+		if c == Call {
+			in.Addr = p.FallThrough()
 		}
 	default:
-		r.payload = in.CompID
+		in.CompID = p.payload
 	}
-	return r
+	return in
 }
 
 // tape is one recorded stream segment. It is immutable once recorded
@@ -191,7 +292,8 @@ func workloadFor(p Params) *workloadTapes {
 // the tape's end Next resumes live generation exactly where the
 // recording stopped, and Snapshot, Restore and Reset work anywhere.
 // Callers pass the number of instructions the run commits; the few
-// the pipeline fetches beyond them are generated live.
+// the pipeline fetches beyond them are packed live into the CPU's
+// ring (NextPacked past the tape's end).
 func (g *Generator) Replay(n int64) {
 	g.catchUp()
 	if n <= 0 {
@@ -218,7 +320,7 @@ func (g *Generator) record(n int64) *tape {
 		if i == 0 {
 			t.pc = in.PC
 		}
-		t.recs[i] = pack(in, end)
+		t.recs[i] = pack(&in, end).tapeRec
 	}
 	t.end = r.Snapshot()
 	return t

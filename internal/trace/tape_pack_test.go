@@ -27,7 +27,7 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 	g.tape, g.tapePC = &tape{pc: want[0].PC}, want[0].PC
 	for _, in := range want {
-		g.tape.recs = append(g.tape.recs, pack(in, end))
+		g.tape.recs = append(g.tape.recs, pack(&in, end).tapeRec)
 	}
 	for i, in := range want {
 		if got := g.Next(); got != in {

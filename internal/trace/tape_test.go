@@ -58,6 +58,95 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 }
 
+// TestNextPackedMatchesNext: GIVEN every workload's stream and a
+// program of three short blocks that wraps to CodeBase every few dozen
+// instructions, by a call or by falling through, WHEN a window that starts untaped,
+// crosses a replayed tape and runs past its end is read packed, THEN
+// every record unpacks to exactly what Next returns on a twin
+// generator, and each accessor agrees with that instruction: through
+// wraps at the code's end, calls (whose fall-through is the return
+// address) and returns, in all three stretches.
+func TestNextPackedMatchesNext(t *testing.T) {
+	type stream struct {
+		name string
+		p    trace.Params
+	}
+	var streams []stream
+	for _, w := range workload.All() {
+		streams = append(streams, stream{w.Name, w.Params})
+	}
+	gzip, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := gzip.Params
+	tiny.NumBlocks, tiny.AvgBlockLen, tiny.CallFraction, tiny.Seed = 3, 4, 0.4, 15
+	streams = append(streams, stream{"wrapping program", tiny})
+
+	const untaped, taped, past = 700, 3000, 500
+	// Per stretch: untaped, taped, past the tape.
+	var calls, returns, wraps, callWraps [3]int
+	for _, s := range streams {
+		packed, twin := newGen(t, s.p), newGen(t, s.p)
+		var p trace.Packed
+		var prev trace.Instr
+		for i := 0; i < untaped+taped+past; i++ {
+			stretch := 0
+			switch {
+			case i == untaped:
+				packed.Replay(taped)
+				if trace.TapeLen(packed) != taped {
+					t.Fatalf("%s: Replay(%d) attached a tape of %d", s.name, taped, trace.TapeLen(packed))
+				}
+				stretch = 1
+			case i > untaped+taped:
+				stretch = 2
+			case i > untaped:
+				stretch = 1
+			}
+			packed.NextPacked(&p)
+			want := twin.Next()
+			if got := p.Unpack(); got != want {
+				t.Fatalf("%s: instruction %d unpacks to %+v, Next gives %+v", s.name, i, got, want)
+			}
+			if p.Class() != want.Class || p.PC() != want.PC || p.Dep1() != want.Dep1 || p.Dep2() != want.Dep2 ||
+				p.Taken() != want.Taken || p.CompID() != want.CompID {
+				t.Fatalf("%s: instruction %d: accessors disagree with %+v", s.name, i, want)
+			}
+			if want.Class.IsMem() && p.Addr() != want.Addr {
+				t.Fatalf("%s: instruction %d: Addr %#x, want %#x", s.name, i, p.Addr(), want.Addr)
+			}
+			if want.Taken && p.Target() != want.Target {
+				t.Fatalf("%s: instruction %d: Target %#x, want %#x", s.name, i, p.Target(), want.Target)
+			}
+			switch want.Class {
+			case trace.Call:
+				calls[stretch]++
+				if p.FallThrough() != want.Addr {
+					t.Fatalf("%s: call %d: FallThrough %#x, return address %#x", s.name, i, p.FallThrough(), want.Addr)
+				}
+				if want.Addr == trace.CodeBase {
+					callWraps[stretch]++
+				}
+			case trace.Return:
+				returns[stretch]++
+			}
+			if i > 0 && !prev.Taken && want.PC == trace.CodeBase {
+				wraps[stretch]++
+			}
+			prev = want
+		}
+		if trace.TapeOf(packed) != nil || packed.Emitted() != twin.Emitted() {
+			t.Fatalf("%s: the window did not run past the tape in step with the twin", s.name)
+		}
+	}
+	for k, what := range []string{"untaped", "taped", "past the tape"} {
+		if calls[k] == 0 || returns[k] == 0 || wraps[k] == 0 || callWraps[k] == 0 {
+			t.Errorf("%s: %d calls, %d returns, %d falls through and %d calls from the code's end, want each", what, calls[k], returns[k], wraps[k], callWraps[k])
+		}
+	}
+}
+
 // TestReplaySnapshotRestoreResetMidTape: GIVEN a generator halfway
 // through a tape, WHEN it is snapshotted, restored or reset, THEN the
 // snapshot equals the live generator's at that position and every
