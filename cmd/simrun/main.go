@@ -24,10 +24,11 @@
 // Sampled mode (-sample SPEC, an estimator name or the sampling spec's
 // key=value text, as on pbrank) detail-simulates only a seeded subset
 // of each benchmark's measured window (internal/sampling) and reports
-// the extrapolated cycle count with its 95% confidence interval and
+// the extrapolated cycle count and CPI, the sampled region count and
 // the detailed-instruction reduction, instead of the full statistics
-// report. It requires -enhance base (sampling measures the base
-// pipeline, not an enhanced one).
+// report. The estimate carries no confidence interval (see the
+// sampling package). It requires -enhance base (sampling measures the
+// base pipeline, not an enhanced one).
 package main
 
 import (
@@ -121,10 +122,9 @@ func run() (err error) {
 }
 
 // runSampled evaluates one benchmark through the region-sampling layer
-// and reports the estimate with its quantified error: the extrapolated
-// cycle count ± the 95% confidence half-width, the CPI estimate, the
-// sampled region count, and the detailed-instruction reduction against
-// a full run of the same budgets.
+// and reports the estimate: the extrapolated cycle count, the CPI
+// estimate, the sampled region count, and the detailed-instruction
+// reduction against a full run of the same budgets.
 func runSampled(name string, cfg sim.Config, n, warmup int64, spec sampling.Spec) (string, float64, error) {
 	w, err := workload.ByName(name)
 	if err != nil {
@@ -139,8 +139,7 @@ func runSampled(name string, cfg sim.Config, n, warmup int64, spec sampling.Spec
 		return "", 0, err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %.0f ± %.0f cycles (95%% CI), CPI %.4f ± %.4f\n",
-		name, res.Cycles, res.CyclesCIHalf, res.CPI, res.CIHalf)
+	fmt.Fprintf(&b, "%s: %.0f cycles, CPI %.4f\n", name, res.Cycles, res.CPI)
 	if res.Census {
 		fmt.Fprintf(&b, "  %s estimator: budget covered all %d regions — exact full simulation\n",
 			res.Estimator, res.NumRegions)

@@ -26,11 +26,9 @@ type Metrics struct {
 	RowsResumed   Counter
 	RowsFailed    Counter
 
-	// Attempt accounting: every row is attempted once, so Attempts
-	// counts simulated and failed rows alike; Panics counts the
-	// attempts that crashed and were recovered.
-	Attempts Counter
-	Panics   Counter
+	// Panics counts the rows whose one attempt crashed and was
+	// recovered (they are also counted in RowsFailed).
+	Panics Counter
 
 	// Workers tracks currently and peak concurrently busy workers.
 	Workers Gauge
@@ -123,7 +121,6 @@ func (m *Metrics) WorkerActive(delta int) { m.Workers.Add(int64(delta)) }
 
 // AttemptDone implements Recorder.
 func (m *Metrics) AttemptDone(_ string, _, _ int, _ time.Duration, outcome Outcome, _ error) {
-	m.Attempts.Inc()
 	if outcome == Panicked {
 		m.Panics.Inc()
 	}
@@ -198,8 +195,7 @@ type Summary struct {
 	RowsResumed   int64 `json:"rows_resumed"`
 	RowsFailed    int64 `json:"rows_failed"`
 
-	Attempts int64 `json:"attempts"`
-	Panics   int64 `json:"panics"`
+	Panics int64 `json:"panics"`
 
 	LeasesClaimed     int64 `json:"leases_claimed,omitempty"`
 	LeasesStolen      int64 `json:"leases_stolen,omitempty"`
@@ -231,7 +227,6 @@ func (m *Metrics) Summary(tool string) Summary {
 		RowsSimulated:     m.RowsSimulated.Value(),
 		RowsResumed:       m.RowsResumed.Value(),
 		RowsFailed:        m.RowsFailed.Value(),
-		Attempts:          m.Attempts.Value(),
 		Panics:            m.Panics.Value(),
 		LeasesClaimed:     m.LeasesClaimed.Value(),
 		LeasesStolen:      m.LeasesStolen.Value(),
@@ -299,7 +294,7 @@ func (s Summary) Table() string {
 	fmt.Fprintf(w, "throughput\t%.1f simulated rows/s\n", s.RowsPerSec)
 	fmt.Fprintf(w, "row latency\tp50 %s\tp95 %s\tmax %s\n",
 		fmtDur(s.RowLatencyP50), fmtDur(s.RowLatencyP95), fmtDur(s.RowLatencyMax))
-	fmt.Fprintf(w, "attempts\t%d (%d panics)\n", s.Attempts, s.Panics)
+	fmt.Fprintf(w, "panics\t%d\n", s.Panics)
 	fmt.Fprintf(w, "queue wait\tp95 %s\n", fmtDur(s.QueueWaitP95))
 	fmt.Fprintf(w, "workers\tpeak %d concurrent\n", s.WorkersPeak)
 	if s.LeasesClaimed > 0 || s.Commits > 0 || s.ShardsQuarantined > 0 {
@@ -332,7 +327,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"rows_resumed":       m.RowsResumed.Value(),
 		"rows_failed":        m.RowsFailed.Value(),
 		"rows_expected":      m.ExpectedRows(),
-		"attempts":           m.Attempts.Value(),
 		"panics":             m.Panics.Value(),
 		"leases_claimed":     m.LeasesClaimed.Value(),
 		"leases_stolen":      m.LeasesStolen.Value(),

@@ -23,9 +23,9 @@ import (
 //
 //	{"t":"suite_started","ts":...,"fp":...,"benchmarks":N,"rows_per_benchmark":R}
 //	{"t":"run_started","ts":...,"fp":...,"scope":S,"rows":R}
-//	{"t":"row_finished","ts":...,"fp":...,"scope":S,"row":I,"value":V,"ms":L,"attempts":A}
+//	{"t":"row_finished","ts":...,"fp":...,"scope":S,"row":I,"value":V,"ms":L}
 //	{"t":"checkpoint_hit","ts":...,"fp":...,"scope":S,"row":I,"value":V}
-//	{"t":"row_failed","ts":...,"fp":...,"scope":S,"row":I,"attempts":A,"err":E}
+//	{"t":"row_failed","ts":...,"fp":...,"scope":S,"row":I,"err":E}
 //	{"t":"run_finished","ts":...,"fp":...,"scope":S,"ms":L}
 //	{"t":"summary","ts":...,"fp":...,"summary":{...obs.Summary...}}
 //
@@ -103,22 +103,21 @@ func (j *JSONL) RunStarted(scope string, rows int) {
 
 // RowFinished implements Recorder. Checkpoint restores are journaled
 // as checkpoint_hit events, simulated rows as row_finished.
-func (j *JSONL) RowFinished(scope string, row int, value float64, latency time.Duration, attempts int, fromCheckpoint bool) {
+func (j *JSONL) RowFinished(scope string, row int, value float64, latency time.Duration, _ int, fromCheckpoint bool) {
 	if fromCheckpoint {
 		j.emit(map[string]any{"t": "checkpoint_hit", "scope": scope, "row": row, "value": value})
 		return
 	}
 	j.emit(map[string]any{
 		"t": "row_finished", "scope": scope, "row": row, "value": value,
-		"ms": durMS(latency), "attempts": attempts,
+		"ms": durMS(latency),
 	})
 }
 
 // RowFailed implements Recorder.
-func (j *JSONL) RowFailed(scope string, row, attempts int, err error) {
+func (j *JSONL) RowFailed(scope string, row, _ int, err error) {
 	j.emit(map[string]any{
-		"t": "row_failed", "scope": scope, "row": row, "attempts": attempts,
-		"err": errString(err),
+		"t": "row_failed", "scope": scope, "row": row, "err": errString(err),
 	})
 }
 

@@ -115,9 +115,6 @@ func TestConcurrentMetricsRecorder(t *testing.T) {
 	if got := m.RowsFailed.Value(); got != wantFail {
 		t.Errorf("RowsFailed = %d, want %d", got, wantFail)
 	}
-	if got, want := m.Attempts.Value(), wantSim+wantFail; got != want {
-		t.Errorf("Attempts = %d, want %d", got, want)
-	}
 	if got := m.Panics.Value(); got != wantFail {
 		t.Errorf("Panics = %d, want %d", got, wantFail)
 	}

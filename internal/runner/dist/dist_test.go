@@ -719,8 +719,8 @@ func TestRunWorkerExecutesFailingUnitOnce(t *testing.T) {
 	if stats.Committed != 6 {
 		t.Errorf("committed %d units, want 6", stats.Committed)
 	}
-	if a, f := m.Attempts.Value(), m.RowsFailed.Value(); a != 7 || f != 1 {
-		t.Errorf("Attempts = %d, RowsFailed = %d; want 7 and 1", a, f)
+	if s, f := m.RowsSimulated.Value(), m.RowsFailed.Value(); s != 6 || f != 1 {
+		t.Errorf("RowsSimulated = %d, RowsFailed = %d; want 6 and 1", s, f)
 	}
 }
 

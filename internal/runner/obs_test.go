@@ -48,8 +48,8 @@ func TestEvaluateRecorderEvents(t *testing.T) {
 		t.Errorf("RowsFailed = %d, want 2", v)
 	}
 	// One attempt per row, the failed ones included.
-	if v := m.Attempts.Value(); v != n {
-		t.Errorf("Attempts = %d, want %d", v, n)
+	if v := m.RowsSimulated.Value() + m.RowsFailed.Value(); v != n {
+		t.Errorf("RowsSimulated + RowsFailed = %d, want %d", v, n)
 	}
 	if v := m.Panics.Value(); v != 1 {
 		t.Errorf("Panics = %d, want 1", v)
@@ -87,8 +87,8 @@ func TestEvaluateRecorderFailures(t *testing.T) {
 	if v := m.Panics.Value(); v != 1 {
 		t.Errorf("Panics = %d, want 1 (row 1)", v)
 	}
-	if v := m.Attempts.Value(); v != 2 {
-		t.Errorf("Attempts = %d, want 2", v)
+	if v := m.RowsSimulated.Value(); v != 0 {
+		t.Errorf("RowsSimulated = %d, want 0", v)
 	}
 }
 

@@ -191,8 +191,8 @@ func TestEveryRowAttemptedOnce(t *testing.T) {
 			t.Errorf("row %d = %g, want %d", i, v, 3*i)
 		}
 	}
-	if a, f := m.Attempts.Value(), m.RowsFailed.Value(); a != n || f != 2 {
-		t.Errorf("Attempts = %d, RowsFailed = %d; want %d and 2", a, f, n)
+	if s, f := m.RowsSimulated.Value(), m.RowsFailed.Value(); s != n-2 || f != 2 {
+		t.Errorf("RowsSimulated = %d, RowsFailed = %d; want %d and 2", s, f, n-2)
 	}
 }
 

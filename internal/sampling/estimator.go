@@ -2,17 +2,10 @@ package sampling
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"pbsim/internal/trace"
 )
-
-// z95 is the two-sided 95% normal quantile used for all confidence
-// intervals in this package (the sampled region counts are large
-// enough that the normal approximation is the standard choice — the
-// same one the paper's CI machinery uses).
-const z95 = 1.96
 
 // Plan is one estimator's selection decision for one stream: which
 // regions to detail-simulate, and how to fold their measured CPIs into
@@ -23,9 +16,8 @@ type Plan interface {
 	// ascending order.
 	Regions() []int
 	// Estimate combines the measured per-region CPIs (one entry per
-	// region in Regions) into the whole-program CPI estimate and the
-	// half-width of its 95% confidence interval.
-	Estimate(cpi map[int]float64) (mean, half float64, err error)
+	// region in Regions) into the whole-program CPI estimate.
+	Estimate(cpi map[int]float64) (float64, error)
 }
 
 // Estimator builds sampling plans. Implementations are stateless;
@@ -102,23 +94,6 @@ func selectSystematic(dst []int, start, stride, n int) []int {
 		dst = append(dst, start+i*stride)
 	}
 	return dst
-}
-
-// srsHalf returns the 95% CI half-width of a mean of m samples drawn
-// without replacement from a population of size n: z * sqrt(s2/m *
-// (1 - m/n)). The finite-population correction makes the interval
-// collapse to zero for a census.
-//
-//pbcheck:pure
-func srsHalf(s2 float64, m, n int) float64 {
-	if m < 1 || n < 1 {
-		return math.NaN()
-	}
-	fpc := 1 - float64(m)/float64(n)
-	if fpc < 0 {
-		fpc = 0
-	}
-	return z95 * math.Sqrt(s2/float64(m)*fpc)
 }
 
 // proxyLess orders two region indices by ascending proxy score with

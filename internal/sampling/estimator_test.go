@@ -63,16 +63,12 @@ func TestUniformEstimateMatchesHandComputation(t *testing.T) {
 	for i, r := range regions {
 		cpi[r] = float64(i + 1) // 1..5
 	}
-	mean, half, err := plan.Estimate(cpi)
+	mean, err := plan.Estimate(cpi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(mean-3) > 1e-12 {
 		t.Fatalf("mean = %v, want 3", mean)
-	}
-	// s2 = 2.5, m = 5, N = 10: half = 1.96*sqrt(2.5/5 * 0.5) = 0.98.
-	if math.Abs(half-0.98) > 1e-12 {
-		t.Fatalf("half = %v, want 0.98", half)
 	}
 }
 
@@ -81,7 +77,7 @@ func TestEstimateFailsOnMissingMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := plan.Estimate(map[int]float64{}); err == nil {
+	if _, err := plan.Estimate(map[int]float64{}); err == nil {
 		t.Fatal("Estimate should refuse a partial sample")
 	}
 }
@@ -89,8 +85,7 @@ func TestEstimateFailsOnMissingMeasurement(t *testing.T) {
 func TestStratifiedZeroVarianceStrata(t *testing.T) {
 	// Proxy splits 20 regions into a cheap half and an expensive half;
 	// within each stratum every region has the identical CPI. The
-	// stratified interval must collapse to zero while recovering the
-	// exact population mean.
+	// stratified estimate must recover the exact population mean.
 	proxy := make([]float64, 20)
 	for i := range proxy {
 		if i >= 10 {
@@ -111,15 +106,12 @@ func TestStratifiedZeroVarianceStrata(t *testing.T) {
 			cpi[r] = 1.0
 		}
 	}
-	mean, half, err := plan.Estimate(cpi)
+	mean, err := plan.Estimate(cpi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(mean-2.5) > 1e-12 {
 		t.Fatalf("mean = %v, want 2.5 (equal halves at 1.0 and 4.0)", mean)
-	}
-	if half != 0 {
-		t.Fatalf("half = %v, want 0 for zero-variance strata", half)
 	}
 }
 
@@ -173,25 +165,23 @@ func TestRankedSetBalancedDraws(t *testing.T) {
 	for _, r := range plan.Regions() {
 		cpi[r] = proxy[r] // CPI perfectly follows the proxy
 	}
-	mean, half, err := plan.Estimate(cpi)
+	mean, err := plan.Estimate(cpi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(mean) || math.IsNaN(half) || half < 0 {
-		t.Fatalf("degenerate estimate: mean=%v half=%v", mean, half)
+	if math.IsNaN(mean) {
+		t.Fatalf("degenerate estimate: mean=%v", mean)
 	}
-	// Three cycles exist, so the interval must come from repeated
-	// subsampling (finite, non-NaN) — and a constant response must
-	// yield a zero-width interval.
+	// A constant response must be estimated exactly.
 	for _, r := range plan.Regions() {
 		cpi[r] = 2.0
 	}
-	mean, half, err = plan.Estimate(cpi)
+	mean, err = plan.Estimate(cpi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(mean-2) > 1e-12 || half != 0 {
-		t.Fatalf("constant response: mean=%v half=%v, want 2 and 0", mean, half)
+	if math.Abs(mean-2) > 1e-12 {
+		t.Fatalf("constant response: mean=%v, want 2", mean)
 	}
 }
 

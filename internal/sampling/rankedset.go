@@ -2,32 +2,26 @@ package sampling
 
 import (
 	"fmt"
-	"math"
 
 	"pbsim/internal/stats"
 	"pbsim/internal/trace"
 )
 
-// rankedSetEstimator is ranked-set sampling with repeated subsampling.
-// Each cycle draws SetSize judgment sets of SetSize regions, ranks
-// every set by the functional proxy (cheap), and detail-simulates one
-// designated rank per set — rank 1 of the first set, rank 2 of the
-// second, and so on — so each cycle contributes one balanced
-// observation per rank stratum. The point estimate is the mean over
-// all draws; the confidence interval comes from repeated subsampling:
-// the between-cycle variance of cycle means estimates the variance of
-// the overall mean without needing the (intractable) within-cycle
-// covariance structure.
+// rankedSetEstimator is ranked-set sampling. Each cycle draws SetSize
+// judgment sets of SetSize regions, ranks every set by the functional
+// proxy (cheap), and detail-simulates one designated rank per set —
+// rank 1 of the first set, rank 2 of the second, and so on — so each
+// cycle contributes one balanced observation per rank stratum. The
+// point estimate is the mean over all draws.
 type rankedSetEstimator struct{}
 
 func (rankedSetEstimator) Name() string     { return EstimatorRankedSet }
 func (rankedSetEstimator) NeedsProxy() bool { return true }
 
 type rankedSetPlan struct {
-	draws      []int // designated regions, cycle-major: cycles x k
-	k          int
-	regions    []int // distinct draws, ascending
-	numRegions int
+	draws   []int // designated regions, cycle-major: cycles x k
+	k       int
+	regions []int // distinct draws, ascending
 }
 
 func (rankedSetEstimator) Plan(numRegions, budget int, spec Spec, proxy []float64, rng *trace.RNG) (Plan, error) {
@@ -55,10 +49,9 @@ func (rankedSetEstimator) Plan(numRegions, budget int, spec Spec, proxy []float6
 		}
 	}
 	return &rankedSetPlan{
-		draws:      draws,
-		k:          k,
-		regions:    dedupeSorted(append([]int(nil), draws...)),
-		numRegions: numRegions,
+		draws:   draws,
+		k:       k,
+		regions: dedupeSorted(append([]int(nil), draws...)),
 	}, nil
 }
 
@@ -106,27 +99,10 @@ func rankSet(set []int, proxy []float64) {
 
 func (p *rankedSetPlan) Regions() []int { return p.regions }
 
-func (p *rankedSetPlan) Estimate(cpi map[int]float64) (float64, float64, error) {
+func (p *rankedSetPlan) Estimate(cpi map[int]float64) (float64, error) {
 	vals, err := gather(cpi, p.draws)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	mean := stats.Mean(vals)
-	cycles := len(p.draws) / p.k
-	if cycles < 2 {
-		// A single cycle has no between-cycle variance; fall back to
-		// the SRS interval over the distinct draws.
-		srs := srsPlan{regions: p.regions, numRegions: p.numRegions}
-		_, half, err := srs.Estimate(cpi)
-		return mean, half, err
-	}
-	// Repeated subsampling: each cycle is one balanced subsample; the
-	// variance of the overall mean is the cycle-mean variance over the
-	// cycle count.
-	cycleMeans := make([]float64, cycles)
-	for c := 0; c < cycles; c++ {
-		cycleMeans[c] = stats.Mean(vals[c*p.k : (c+1)*p.k])
-	}
-	s2 := stats.Variance(cycleMeans)
-	return mean, z95 * math.Sqrt(s2/float64(cycles)), nil
+	return stats.Mean(vals), nil
 }

@@ -7,10 +7,12 @@ import (
 	"pbsim/internal/trace"
 )
 
-// Result is one sampled simulation's outcome: the CPI estimate with
-// its 95% confidence interval, the extrapolated cycle count over the
-// measured window, and the cost accounting behind the
-// accuracy-vs-speed frontier.
+// Result is one sampled simulation's outcome: the CPI estimate, the
+// extrapolated cycle count over the measured window, and the cost
+// accounting behind the accuracy-vs-speed frontier. It carries no
+// confidence interval: none of the estimators has a variance estimator
+// whose coverage has been measured to hold (EXPERIMENTS, "Sampled-row
+// interval coverage").
 type Result struct {
 	// Estimator names the scheme that produced the estimate.
 	Estimator string
@@ -18,15 +20,11 @@ type Result struct {
 	// SampledRegions counts the distinct regions detail-simulated.
 	NumRegions     int
 	SampledRegions int
-	// CPI is the whole-window estimate; CIHalf is the half-width of
-	// its 95% confidence interval (zero for a census).
-	CPI    float64
-	CIHalf float64
+	// CPI is the whole-window estimate.
+	CPI float64
 	// Cycles extrapolates CPI over the measured window (for a census,
-	// the exact simulated cycle count); CyclesCIHalf scales CIHalf the
-	// same way.
-	Cycles       float64
-	CyclesCIHalf float64
+	// the exact simulated cycle count).
+	Cycles float64
 	// DetailedInstructions is this run's detail-simulated cost,
 	// including per-region warmup. FunctionalInstructions is this run's
 	// functional-warming cost (predictor/cache training before each
@@ -46,10 +44,11 @@ type Result struct {
 // Run executes one sampled simulation of the workload stream behind
 // gen: global warmup instructions are skipped functionally, the
 // measured window of `instructions` is region-sampled per spec, and
-// the whole-window CPI is extrapolated with a 95% CI. The generator's
-// position on entry is irrelevant (Run restores recorded snapshots);
-// its allocations are reused. Selection is deterministic, so repeated
-// calls — from any row of a PB design — measure identical regions.
+// the estimator extrapolates the whole-window CPI from the sampled
+// regions. The generator's position on entry is irrelevant (Run
+// restores recorded snapshots); its allocations are reused. Selection
+// is deterministic, so repeated calls — from any row of a PB design —
+// measure identical regions.
 func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec Spec) (Result, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -71,7 +70,7 @@ func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec 
 	if err != nil {
 		return Result{}, err
 	}
-	mean, half, err := sch.plan.Estimate(cpi)
+	mean, err := sch.plan.Estimate(cpi)
 	if err != nil {
 		return Result{}, err
 	}
@@ -80,9 +79,7 @@ func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec 
 		NumRegions:             numRegions,
 		SampledRegions:         len(sch.regions),
 		CPI:                    mean,
-		CIHalf:                 half,
 		Cycles:                 mean * float64(instructions),
-		CyclesCIHalf:           half * float64(instructions),
 		DetailedInstructions:   sch.detailedPerRun(),
 		FunctionalInstructions: sch.funcWarmPerRun(),
 		ScheduleFunctional:     sch.functional,

@@ -12,10 +12,10 @@ import (
 // proxy pass (phase one) scores every region, regions are grouped into
 // proxy-quantile strata, and the detailed budget (phase two) is
 // allocated proportionally to stratum size. Because regions within a
-// proxy quantile behave alike, the within-stratum variances that make
-// up the interval are small whenever the proxy correlates with
-// simulated cost — the mechanism that lets stratification beat uniform
-// sampling at equal budget.
+// proxy quantile behave alike, each stratum's sample mean stands for
+// its stratum well whenever the proxy correlates with simulated cost —
+// the mechanism that lets stratification beat uniform sampling at
+// equal budget.
 type stratifiedEstimator struct{}
 
 func (stratifiedEstimator) Name() string     { return EstimatorStratified }
@@ -149,43 +149,22 @@ func allocateProportional(strata []stratum, budget, numRegions int) []int {
 func (p *stratifiedPlan) Regions() []int { return p.regions }
 
 // Estimate combines the strata: the point estimate is the
-// size-weighted stratum mean, and the variance sums the per-stratum
-// SRS variances weighted by squared stratum share. A stratum with one
-// sampled region (and more members) cannot estimate its own variance;
-// it borrows the pooled variance of all sampled regions — a
-// conservative, deterministic fallback. Zero-variance strata
-// contribute nothing, so a perfectly stratified workload yields a
-// zero-width interval.
-func (p *stratifiedPlan) Estimate(cpi map[int]float64) (float64, float64, error) {
-	var all []float64
+// size-weighted stratum mean.
+func (p *stratifiedPlan) Estimate(cpi map[int]float64) (float64, error) {
 	means := make([]float64, len(p.strata))
-	vars := make([]float64, len(p.strata))
 	for h := range p.strata {
 		xs, err := gather(cpi, p.strata[h].sampled)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		means[h] = stats.Mean(xs)
-		vars[h] = stats.Variance(xs)
-		all = append(all, xs...)
 	}
-	pooled := stats.Variance(all)
 
-	est, varEst := 0.0, 0.0
+	est := 0.0
 	n := float64(p.numRegions)
 	for h := range p.strata {
-		nh := len(p.strata[h].members)
-		mh := len(p.strata[h].sampled)
-		w := float64(nh) / n
+		w := float64(len(p.strata[h].members)) / n
 		est += w * means[h]
-		if mh >= nh {
-			continue // census stratum: exact, no variance
-		}
-		s2 := vars[h]
-		if mh < 2 {
-			s2 = pooled
-		}
-		varEst += w * w * s2 / float64(mh) * (1 - float64(mh)/float64(nh))
 	}
-	return est, z95 * math.Sqrt(varEst), nil
+	return est, nil
 }

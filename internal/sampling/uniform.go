@@ -10,11 +10,8 @@ import (
 // uniformEstimator is systematic sampling with a seeded phase: every
 // stride-th region starting from a random offset. It is the SMARTS
 // baseline — no pre-pass, unbiased under any region ordering, and its
-// even spacing already captures coarse program phases. Variance is
-// estimated with the simple-random-sampling formula plus
-// finite-population correction (systematic samples of a
-// non-periodically-varying stream behave like SRS, the standard
-// approximation).
+// even spacing already captures coarse program phases. The estimate is
+// the plain mean of the sampled regions' CPIs.
 type uniformEstimator struct{}
 
 func (uniformEstimator) Name() string     { return EstimatorUniform }
@@ -27,25 +24,20 @@ func (uniformEstimator) Plan(numRegions, budget int, _ Spec, _ []float64, rng *t
 	stride := numRegions / budget // >= 1 because budget <= numRegions
 	start := rng.Intn(stride)
 	regions := selectSystematic(make([]int, 0, budget), start, stride, budget)
-	return &srsPlan{regions: regions, numRegions: numRegions}, nil
+	return uniformPlan(regions), nil
 }
 
-// srsPlan estimates a mean and CI under the simple-random-sampling
-// model; it is also the degenerate-cycle fallback of the ranked-set
-// estimator.
-type srsPlan struct {
-	regions    []int
-	numRegions int
-}
+// uniformPlan estimates the mean CPI of its sampled regions.
+type uniformPlan []int
 
-func (p *srsPlan) Regions() []int { return p.regions }
+func (p uniformPlan) Regions() []int { return p }
 
-func (p *srsPlan) Estimate(cpi map[int]float64) (float64, float64, error) {
-	xs, err := gather(cpi, p.regions)
+func (p uniformPlan) Estimate(cpi map[int]float64) (float64, error) {
+	xs, err := gather(cpi, p)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return stats.Mean(xs), srsHalf(stats.Variance(xs), len(xs), p.numRegions), nil
+	return stats.Mean(xs), nil
 }
 
 // dedupeSorted sorts indices ascending and removes duplicates in

@@ -314,13 +314,13 @@ func (g *Generator) record(n int64) *tape {
 	s := g.Snapshot()
 	r.load(&s)
 	t := &tape{start: g.seq, recs: make([]tapeRec, n)}
-	end := g.prog.codeEnd()
+	var p Packed
 	for i := range t.recs {
-		in := r.Next()
+		r.NextPacked(&p)
 		if i == 0 {
-			t.pc = in.PC
+			t.pc = p.PC()
 		}
-		t.recs[i] = pack(&in, end).tapeRec
+		t.recs[i] = p.tapeRec
 	}
 	t.end = r.Snapshot()
 	return t

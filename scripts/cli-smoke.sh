@@ -70,13 +70,23 @@ echo "ok   pbworker joins the finished sampled campaign"
 "$bin/pbenhance" "${size[@]}" -enhance precompute-128 >"$tmp/enh.label"
 same "pbenhance default vs -enhance precompute-128" "$tmp/enh.default" "$tmp/enh.label"
 
-# pbclassify and simrun: the output does not depend on -par.
+# pbclassify and simrun, full and sampled: the output does not depend
+# on -par.
 for par in 1 2; do
 	"$bin/pbclassify" -source sim "${size[@]}" -par "$par" >"$tmp/classify.$par"
 	"$bin/simrun" -bench all "${size[@]}" -par "$par" >"$tmp/simrun.$par"
+	"$bin/simrun" -bench all "${size[@]}" -par "$par" -sample stratified >"$tmp/simrun-sampled.$par"
 done
 same "pbclassify -source sim at -par 1 vs 2" "$tmp/classify.1" "$tmp/classify.2"
 same "simrun -bench all at -par 1 vs 2" "$tmp/simrun.1" "$tmp/simrun.2"
+same "simrun -bench all -sample stratified at -par 1 vs 2" "$tmp/simrun-sampled.1" "$tmp/simrun-sampled.2"
+# A sampled row is a point estimate: it prints no interval.
+estimates=$(grep -c ' stratified estimator: ' "$tmp/simrun-sampled.1" || true)
+[ "$estimates" -eq 13 ] ||
+	{ cat "$tmp/simrun-sampled.1"; echo "cli-smoke: simrun -sample stratified printed $estimates estimates, want 13"; exit 1; }
+! grep -q '±' "$tmp/simrun-sampled.1" ||
+	{ cat "$tmp/simrun-sampled.1"; echo "cli-smoke: simrun -sample prints an interval"; exit 1; }
+echo "ok   simrun -sample prints 13 estimates and no interval"
 
 "$bin/tablegen" -table 12 "${size[@]}" -out "$tmp/tables" >/dev/null
 echo "ok   tablegen -table 12"
